@@ -371,23 +371,6 @@ def interpolate_annulus(inner_parts, outer_parts, center, r, sigma):
 
 
 @dataclass
-class CubeModel:
-    """Affine model on one cube: value sum_j q_j [a_j + X_j (x - center)]."""
-
-    center: np.ndarray
-    r: float
-    parts: list
-    taylor_point: np.ndarray
-
-    def evaluate(self, x):
-        rows = []
-        for m, a, X in self.parts:
-            v = a + X @ (np.asarray(x, dtype=float) - self.center)
-            rows.extend([v] * m)
-        return QPoint(np.array(rows))
-
-
-@dataclass
 class CubicSubdivision:
     """Lattice of disjoint validated cubes covering all but delta of the domain.
 
@@ -433,21 +416,6 @@ class CubicSubdivision:
         if _sup_radius(x, self.centers[row]) <= 0.5 * self.r:
             return row
         return None
-
-    def cube_models(self):
-        out = []
-        for row in range(self.n_cubes):
-            parts = [
-                (int(m), self.part_a[row, j], self.part_X[row, j])
-                for j, m in enumerate(self.part_mults)
-            ]
-            out.append(
-                CubeModel(
-                    center=self.centers[row], r=self.r, parts=parts,
-                    taylor_point=self.taylor_points[row],
-                )
-            )
-        return out
 
     def psi_bar_values(self, cfg):
         """(n_cubes,) summed-psi value of each cube model."""

@@ -347,11 +347,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in ("q", "mesh", "samples", "starts"):
+        if getattr(args, name, 1) < 1:
+            print(f"error: --{name} must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"assertion failed: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -319,11 +319,7 @@ class TriangulatedCurrent:
         return self.verts[:, 1] - self.verts[:, 0], self.verts[:, 2] - self.verts[:, 0]
 
     def tangent_wedges(self):
-        u1, u2 = self.edge_vectors()
-        out = np.empty((self.verts.shape[0], 6))
-        for k, (i, j) in enumerate(exterior.BASIS_PAIRS):
-            out[:, k] = u1[:, i] * u2[:, j] - u1[:, j] * u2[:, i]
-        return out
+        return exterior.wedge(*self.edge_vectors())
 
     def areas(self):
         return 0.5 * np.linalg.norm(self.tangent_wedges(), axis=1)

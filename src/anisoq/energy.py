@@ -69,15 +69,7 @@ def _ray_angles(lams, cfg):
 def psi_batch(Xs, cfg):
     """psi (or its eta-smoothed variant) on an (N, 2, 2) stack of gradients."""
     lams = lambda_m_batch(Xs)
-    nrm = np.linalg.norm(lams, axis=1)
-    ang = _ray_angles(lams, cfg)
-    on_ray = ang <= cfg.ray_tol
-    if cfg.eta > 0.0:
-        out = nrm * np.minimum(1.0, ang / cfg.eta)
-    else:
-        out = nrm.copy()
-    out[on_ray] = 0.0
-    return out
+    return np.linalg.norm(lams, axis=1) * psi_of_unit_tangents(lams, cfg)
 
 
 def psi(X, cfg):
@@ -86,11 +78,12 @@ def psi(X, cfg):
 
 
 def psi_of_unit_tangents(unit_ws, cfg):
-    """The 1-homogeneous extension evaluated on unit tangents: 0 on rays, 1 off."""
+    """The 1-homogeneous extension evaluated on unit tangents: 0 on rays, 1 off.
+
+    Only the direction of each row is used, so the rows need not be unit.
+    """
     ang = _ray_angles(np.asarray(unit_ws, dtype=float), cfg)
-    out = np.ones(ang.shape[0])
-    if cfg.eta > 0.0:
-        out = np.minimum(1.0, ang / cfg.eta)
+    out = np.minimum(1.0, ang / cfg.eta) if cfg.eta > 0.0 else np.ones(ang.shape[0])
     out[ang <= cfg.ray_tol] = 0.0
     return out
 

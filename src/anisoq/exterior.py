@@ -27,6 +27,7 @@ import numpy as np
 
 # index pairs (i, j) of the ordered basis e_i ^ e_j
 BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_I, _PAIR_J = np.array(BASIS_PAIRS).T
 
 E12 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 E34 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
@@ -34,6 +35,7 @@ E34 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 MIXED = "mixed"
+CLASS_LABELS = np.array([HORIZONTAL, VERTICAL, MIXED], dtype=object)
 
 DEFAULT_SIMPLE_TOL = 1e-10
 
@@ -82,10 +84,10 @@ def _coeffs(v):
 
 
 def wedge(u, v):
-    """Wedge product of two vectors of R^4 as a length-6 coefficient array."""
+    """Wedge product of two vectors of R^4 (or of the rows of two (N, 4) stacks)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in BASIS_PAIRS])
+    return u[..., _PAIR_I] * v[..., _PAIR_J] - u[..., _PAIR_J] * v[..., _PAIR_I]
 
 
 def plucker(v):
@@ -206,26 +208,6 @@ def principal_angles(p, q):
     return float(th[0]), float(th[1])
 
 
-def _classify_from_blocks(mh, mv, eps, strict):
-    """Classification from the two 2x2 projection blocks of an orthonormal basis."""
-    thresh = 1.0 / (1.0 + eps)
-    sh = np.linalg.svd(mh, compute_uv=False)
-    sv = np.linalg.svd(mv, compute_uv=False)
-    det_h = float(np.linalg.det(mh))
-    det_v = float(np.linalg.det(mv))
-    if strict:
-        horiz = sh[-1] > thresh and det_h > 0.0
-        vert = sv[-1] > thresh and det_v < 0.0
-    else:
-        horiz = sh[-1] >= thresh and det_h > 0.0
-        vert = sv[-1] >= thresh and det_v < 0.0
-    if horiz:
-        return HORIZONTAL
-    if vert:
-        return VERTICAL
-    return MIXED
-
-
 def classify_plane(plane, eps, strict=False):
     """eps-horizontal / eps-vertical / mixed decision for an oriented plane.
 
@@ -237,57 +219,63 @@ def classify_plane(plane, eps, strict=False):
     `strict` uses strict inequalities on the singular values, assigning
     boundary cases to mixed (used for open classifier sets).
 
+    Both blocks are read off the unit 2-vector p in closed form.  The
+    horizontal block has determinant p12 and squared singular values
+    summing to 2 p12^2 + m, with m = p13^2 + p14^2 + p23^2 + p24^2; their
+    difference sigma1^2 - sigma2^2 is
+
+        r = sqrt(((p13 - p24)^2 + (p14 + p23)^2) ((p13 + p24)^2 + (p14 - p23)^2)),
+
+    since the product equals m^2 - 4 (p13 p24 - p14 p23)^2 = m^2 - 4 p12^2 p34^2
+    by the Pluecker relation.  Hence sigma_min^2 = 2 p12^2 / (2 p12^2 + m + r).
+    Every term is a sum of squares, so nothing cancels, not even for
+    isoclinic planes where sigma1 = sigma2 and r = 0.  The vertical block
+    has determinant p34 and the same formula with p12 and p34 swapped.
+
     The decision is by singular values directly; the scalar inner-product
     test <v, e12> >= ||v||/(1+eps) is only a sufficient condition for
     horizontal and is deliberately not used here.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must be in (0, 1)")
-    if not isinstance(plane, OrientedPlane):
-        plane = OrientedPlane.from_bivector(plane)
     plane.check(tol=1e-9)
-    B = plane.basis
-    return _classify_from_blocks(B[:2, :], B[2:, :], eps, strict)
+    return classify_bivector(plane.vector, eps, strict)
 
 
 def classify_bivector(v, eps, strict=False):
-    """Classify the plane of a simple 2-vector (need not be unit)."""
-    p = _coeffs(v)
-    return classify_plane(OrientedPlane.from_bivector(p / np.linalg.norm(p)), eps, strict)
+    """Classify the plane of a simple 2-vector (need not be unit), per classify_plane.
 
-
-def classify_batch(b1s, b2s, eps, strict=False):
-    """Classify many planes given (N, 4) spanning vector pairs (not nec. orthonormal).
-
-    Gram-Schmidt preserves span and orientation, so the classification agrees
-    with classify_plane on each row.  Returns an array of label strings.
+    Takes one 2-vector (a label is returned) or an (N, 6) stack (an array
+    of labels is returned).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    b1s = np.asarray(b1s, dtype=float)
-    b2s = np.asarray(b2s, dtype=float)
-    e1 = b1s / np.linalg.norm(b1s, axis=1, keepdims=True)
-    proj = np.sum(b2s * e1, axis=1, keepdims=True)
-    w = b2s - proj * e1
-    e2 = w / np.linalg.norm(w, axis=1, keepdims=True)
-    B = np.stack([e1, e2], axis=2)  # (N, 4, 2)
-    mh = B[:, :2, :]
-    mv = B[:, 2:, :]
-    sh = np.linalg.svd(mh, compute_uv=False)
-    sv = np.linalg.svd(mv, compute_uv=False)
-    det_h = mh[:, 0, 0] * mh[:, 1, 1] - mh[:, 0, 1] * mh[:, 1, 0]
-    det_v = mv[:, 0, 0] * mv[:, 1, 1] - mv[:, 0, 1] * mv[:, 1, 0]
-    thresh = 1.0 / (1.0 + eps)
-    if strict:
-        horiz = (sh[:, -1] > thresh) & (det_h > 0.0)
-        vert = (sv[:, -1] > thresh) & (det_v < 0.0)
-    else:
-        horiz = (sh[:, -1] >= thresh) & (det_h > 0.0)
-        vert = (sv[:, -1] >= thresh) & (det_v < 0.0)
-    out = np.full(b1s.shape[0], MIXED, dtype=object)
-    out[horiz] = HORIZONTAL
-    out[vert & ~horiz] = VERTICAL
-    return out
+    p = _coeffs(v)
+    nrm = np.linalg.norm(p, axis=-1, keepdims=True)
+    if np.any(nrm == 0.0):
+        raise ValueError("zero 2-vector has no plane")
+    p = p / nrm
+    p12, p13, p14, p23, p24, p34 = np.moveaxis(p, -1, 0)
+    pl = p12 * p34 - p13 * p24 + p14 * p23
+    if np.any(np.abs(pl) > 1e-9 * (1.0 + np.sum(p * p, axis=-1))):
+        raise ValueError("2-vector is not simple")
+    m = p13**2 + p14**2 + p23**2 + p24**2
+    r = np.sqrt(((p13 - p24) ** 2 + (p14 + p23) ** 2) * ((p13 + p24) ** 2 + (p14 - p23) ** 2))
+    thresh_sq = (1.0 / (1.0 + eps)) ** 2
+    above = np.greater if strict else np.greater_equal
+
+    def passes(det):
+        # the denominator vanishes only when det = 0, which fails the sign test
+        den = 2.0 * det**2 + m + r
+        return above(2.0 * det**2 / np.where(den > 0.0, den, 1.0), thresh_sq)
+
+    horiz = (p12 > 0.0) & passes(p12)
+    vert = (p34 < 0.0) & passes(p34)
+    labels = CLASS_LABELS[np.where(horiz, 0, np.where(vert, 1, 2))]
+    return labels if p.ndim > 1 else str(labels)
+
+
+def classify_batch(b1s, b2s, eps, strict=False):
+    """Classify the planes spanned by the rows of two (N, 4) arrays (not nec. orthonormal)."""
+    return classify_bivector(wedge(b1s, b2s), eps, strict)
 
 
 def scalar_horizontal_test(v, eps):

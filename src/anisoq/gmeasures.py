@@ -63,23 +63,18 @@ class GrassmannMeasure:
             return np.zeros(6)
         return self.weights @ self.points
 
-    def mass_on(self, predicate):
-        """Total weight of atoms whose 2-vector satisfies the predicate."""
-        if self.n_atoms == 0:
-            return 0.0
-        keep = np.array([bool(predicate(p)) for p in self.points])
-        return float(self.weights[keep].sum())
-
     def mass_by_class(self, eps, strict=True):
         """Masses on the horizontal / vertical / mixed classifier sets.
 
         Classifier sets are realised with strict singular-value inequalities
         (open sets); boundary cases count as mixed.
         """
-        out = {exterior.HORIZONTAL: 0.0, exterior.VERTICAL: 0.0, exterior.MIXED: 0.0}
-        for p, w in zip(self.points, self.weights):
-            out[exterior.classify_bivector(p, eps, strict=strict)] += float(w)
-        return out
+        labels = exterior.classify_bivector(self.points, eps, strict=strict)
+        codes = (labels == exterior.VERTICAL) + 2 * (labels == exterior.MIXED)
+        # codes index CLASS_LABELS; bincount adds the weights in atom order,
+        # like a running sum
+        m = np.bincount(codes, weights=self.weights, minlength=3)
+        return {c: float(x) for c, x in zip(exterior.CLASS_LABELS, m)}
 
     def normalized(self):
         m = self.total_mass()

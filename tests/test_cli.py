@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from anisoq import cli
+
 BASE = [sys.executable, "-m", "anisoq.cli"]
 
 
@@ -42,6 +44,61 @@ def test_construct_domain_error(tmp_path):
     res = run_cli(["construct", "--eps", "1.2"], tmp_path)
     assert res.returncode == 1
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["envelope", "--eps", "0.1", "--q", "0", "--target", "zero"],
+        ["envelope", "--eps", "0.1", "--q", "-2", "--target", "zero"],
+        ["envelope", "--eps", "0.1", "--q", "1", "--target", "zero", "--starts", "0"],
+        ["certificate", "--eps", "0.1", "--q", "0"],
+        ["obstruction", "--eps", "0.1", "--q", "1", "--mesh", "0"],
+        ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "0"],
+    ],
+    ids=["envelope-q0", "envelope-q-2", "envelope-starts0", "certificate-q0",
+         "obstruction-mesh0", "obstruction-samples0"],
+)
+def test_counts_below_one_rejected(tmp_path, args):
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: --")
+    assert os.listdir(tmp_path) == []
+
+
+def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("bracket ordering violated: lower > upper")
+
+    monkeypatch.setattr(cli, "envelope_bracket", fail)
+    code = cli.main(["--out", str(tmp_path), "envelope", "--eps", "0.1", "--q", "1",
+                     "--target", "zero"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "assertion failed: bracket ordering violated: lower > upper\n"
+    )
+
+
+def test_json_outputs_match_schemas(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    schemas = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
+
+    def check(path, schema_name):
+        with open(os.path.join(schemas, schema_name)) as fh:
+            schema = json.load(fh)
+        jsonschema.validate(json.loads(path.read_text()), schema)
+
+    out = ["--out", str(tmp_path)]
+    small = ["--eps", "0.1", "--q", "1", "--mesh", "4", "--starts", "1", "--seed", "0"]
+    assert cli.main(out + ["construct", "--eps", "0.1", "--json",
+                           str(tmp_path / "report.json")]) == 0
+    assert cli.main(out + ["envelope", "--target", "zero"] + small) == 0
+    assert cli.main(out + ["certificate"] + small) == 0
+    capsys.readouterr()
+    check(tmp_path / "report.json", "construction_report.schema.json")
+    check(tmp_path / "envelope_zero_q1.json", "envelope_result.schema.json")
+    check(tmp_path / "competitor_zero_q1.json", "functional_qgraph.schema.json")
+    check(tmp_path / "certificate_q1.json", "certificate.schema.json")
 
 
 def test_envelope_ray_and_zero(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisoq import currents, energy
+from anisoq import construction, currents, energy
 from anisoq.exterior import lambda_m
 from anisoq.multipoint import MaximalDecomposition
 from tests.conftest import EPS_GRID
@@ -107,6 +107,23 @@ def test_envelope_upper_monotone_in_starts(cfg01):
     v1, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1, seed=3)
     v3, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=3, seed=3)
     assert v3 <= v1 + 1e-15
+
+
+def test_envelope_upper_descent_beats_affine_near_ray():
+    # X is 1e-3 from the lift X3 (||X3|| ~ 1131): the descent moves 11 of the
+    # 32 triangles into the 1e-9 ray cone, where psi is exactly zero
+    eps = 0.05
+    cfg = energy.PsiConfig.for_eps(eps)
+    X = construction.build(eps).X[2] + np.diag([1e-3, 0.0])
+    target = MaximalDecomposition.single(1, np.zeros(2), X)
+    val, comp, _meta = energy.envelope_upper(target, cfg, mesh_n=4, starts=1, seed=0)
+    assert energy.affine_competitor_bound(target, cfg) == pytest.approx(639_999.0, rel=1e-6)
+    assert val == pytest.approx(419_999.175, rel=1e-6)
+    assert energy.psi_bar_energy(comp, cfg) == pytest.approx(val, rel=1e-12)
+    grads = np.array([X_t for row in comp.sheets for cell in row for tri in cell
+                      for _m, _a, X_t in tri])
+    assert grads.shape[0] == 32
+    assert int(np.sum(energy.psi_batch(grads, cfg) == 0.0)) == 11
 
 
 def test_envelope_split_target(bundle01, cfg01):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,16 +190,92 @@ def test_scalar_test_implies_classification(rng):
     assert n_checked > 100  # the sampler must actually exercise the test
 
 
-def test_classify_batch_matches_scalar(rng):
-    b1s, b2s = [], []
-    for _ in range(300):
+def _svd_oracle(b1, b2, eps, strict):
+    """Reference classifier: Gram-Schmidt basis, SVD of the two 2x2 blocks."""
+    e1 = b1 / np.linalg.norm(b1)
+    w = b2 - (b2 @ e1) * e1
+    B = np.stack([e1, w / np.linalg.norm(w)], axis=1)
+    thresh = 1.0 / (1.0 + eps)
+    above = (lambda s: s > thresh) if strict else (lambda s: s >= thresh)
+    mh, mv = B[:2], B[2:]
+    if np.linalg.det(mh) > 0.0 and above(np.linalg.svd(mh, compute_uv=False)[-1]):
+        return ext.HORIZONTAL
+    if np.linalg.det(mv) < 0.0 and above(np.linalg.svd(mv, compute_uv=False)[-1]):
+        return ext.VERTICAL
+    return ext.MIXED
+
+
+def _isoclinic_pair(rng, sigma, vertical):
+    """Spanning vectors of a plane whose h (or v) block has both singular values sigma."""
+    th, a, b = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    t = np.sqrt(1.0 / sigma**2 - 1.0)
+    X = t * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    Q = np.zeros((4, 4))
+    Q[:2, :2] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+    Q[2:, 2:] = [[np.cos(b), -np.sin(b)], [np.sin(b), np.cos(b)]]
+    B = Q @ np.vstack([np.eye(2), X])
+    if vertical:  # e1, e2 -> e4, e3: the v block gets the h block reversed
+        B = B[[2, 3, 1, 0]]
+    return B[:, 0], B[:, 1]
+
+
+def test_classify_batch_matches_svd_oracle(rng):
+    pairs = []
+    for i in range(600):  # generic planes, and perturbed h and v planes
         u, v = rng.normal(size=(2, 4))
-        b1s.append(u)
-        b2s.append(v)
-    labels = ext.classify_batch(np.array(b1s), np.array(b2s), 0.1)
-    for u, v, lab in zip(b1s, b2s, labels):
-        w = ext.wedge(u, v)
-        assert ext.classify_bivector(w, 0.1) == lab
+        if i % 2:
+            u, v = u * 0.2 + E[0], v * 0.2 + E[1]
+            if i % 4 == 3:
+                u, v = u[[3, 2, 0, 1]], v[[3, 2, 0, 1]]
+        pairs.append((u, v))
+    for eps in (0.05, 0.1, 0.2):
+        for k in range(100):
+            sigma = (1.0 + (-1) ** k * 1e-6) / (1.0 + eps)
+            pairs.append(_isoclinic_pair(rng, sigma, vertical=k % 4 < 2))
+    b1s, b2s = map(np.array, zip(*pairs))
+    for eps in (0.05, 0.1, 0.2):
+        for strict in (False, True):
+            labels = ext.classify_batch(b1s, b2s, eps, strict=strict)
+            expected = [_svd_oracle(u, v, eps, strict) for u, v in pairs]
+            assert labels.tolist() == expected
+            assert set(expected) == {ext.HORIZONTAL, ext.VERTICAL, ext.MIXED}
+
+
+@pytest.mark.parametrize("rel", [1e-12, -1e-12])
+def test_classify_at_threshold(rel):
+    eps = 0.1
+    thresh = 1.0 / (1.0 + eps)
+    c = thresh * (1.0 + rel)
+    s = np.sqrt(1.0 - c * c)
+    # isoclinic (both singular values c) and non-isoclinic (c and 1) planes
+    h_pairs = [(c * E[0] + s * E[2], c * E[1] + s * E[3]), (c * E[0] + s * E[2], E[1])]
+    v_pairs = [(c * E[3] + s * E[0], c * E[2] + s * E[1]), (c * E[3] + s * E[0], E[2])]
+    for pairs, label in ((h_pairs, ext.HORIZONTAL), (v_pairs, ext.VERTICAL)):
+        for u, v in pairs:
+            w = ext.wedge(u, v)
+            for strict in (False, True):
+                expected = label if (c > thresh if strict else c >= thresh) else ext.MIXED
+                assert ext.classify_bivector(w, eps, strict=strict) == expected
+            # reversing the orientation flips the sign of the determinant
+            assert ext.classify_bivector(-w, eps) == ext.MIXED
+
+
+def test_classify_coordinate_planes_without_warnings():
+    rows = np.array([ext.E12, -ext.E12, ext.E34, -ext.E34, ext.wedge(E[0], E[2])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = ext.classify_bivector(rows, 0.1)
+        assert [ext.classify_bivector(r, 0.1) for r in rows] == labels.tolist()
+    assert labels.tolist() == [ext.HORIZONTAL, ext.MIXED, ext.MIXED, ext.VERTICAL, ext.MIXED]
+
+
+def test_classify_input_errors():
+    with pytest.raises(ValueError, match="eps"):
+        ext.classify_bivector(ext.E12, 1.0)
+    with pytest.raises(ValueError, match="zero 2-vector"):
+        ext.classify_bivector(np.stack([ext.E12, np.zeros(6)]), 0.1)
+    with pytest.raises(ValueError, match="not simple"):
+        ext.classify_bivector(ext.E12 + ext.E34, 0.1)
 
 
 def test_plane_roundtrip_through_bivector(rng):

@@ -122,6 +122,25 @@ def test_mass_by_class(bundle01):
     assert abs(masses[exterior.VERTICAL] - w[2]) < 1e-12
 
 
+def test_mass_by_class_matches_atom_loop():
+    mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=8)
+    for q in (2, 4):
+        g = currents.random_lipschitz_graph(q, 2.0, q, mesh)
+        gamma = currents.triangulate(g).gaussian_image()
+        mu0 = construction.make_mu0(0.2)  # adds a vertical atom
+        gamma = gm.GrassmannMeasure(np.concatenate([gamma.points, mu0.points]),
+                                    np.concatenate([gamma.weights, mu0.weights]))
+        for strict in (False, True):
+            ref = {exterior.HORIZONTAL: 0.0, exterior.VERTICAL: 0.0, exterior.MIXED: 0.0}
+            for p, w in zip(gamma.points, gamma.weights):
+                ref[exterior.classify_bivector(p, 0.2, strict=strict)] += float(w)
+            assert ref[exterior.VERTICAL] > 0.0
+            assert gamma.mass_by_class(0.2, strict=strict) == ref  # same bits
+    empty = gm.GrassmannMeasure(np.zeros((0, 6)), [])
+    assert empty.mass_by_class(0.2) == {exterior.HORIZONTAL: 0.0, exterior.VERTICAL: 0.0,
+                                        exterior.MIXED: 0.0}
+
+
 def test_json_roundtrip(rng):
     pts = np.stack([random_unit_simple(rng) for _ in range(3)])
     mu = gm.GrassmannMeasure(pts, [1.0, 2.0, 3.0])
