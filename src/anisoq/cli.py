@@ -2,9 +2,10 @@
 
 Commands: construct, obstruction, envelope, approx, certificate.  Exit code
 0 means every checked assertion passed, 1 a domain or usage error, 2 an
-assertion failure (the failing invariant is named on stderr).  All outputs
-are deterministic for a fixed seed: JSON is dumped with sorted keys and CSV
-rows in a fixed order, with no timestamps.
+assertion failure or a failed computation (a RuntimeError or ArithmeticError,
+such as a failed transport LP or cubic subdivision); the failure is named on
+stderr.  All outputs are deterministic for a fixed seed: JSON is dumped with
+sorted keys and CSV rows in a fixed order, with no timestamps.
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def main(argv=None):
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"computation failed ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 
 

@@ -8,6 +8,12 @@ the separable form phi(x) + chi(y), which admits no nontrivial zero-boundary
 instances; the triangle space is the usual P1 space and supports the random
 zero-boundary families used throughout the test harness.
 
+The graph is stored as arrays, triangle-major: sheet multiplicities (J,),
+values at the cell centres (T, J, 2) and gradients (T, J, 2, 2), with
+T = 2 n^2 triangles numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half
+of cell (i, j)).  triangle_nodes gives their node indices and p1_gradients
+is the one P1 gradient kernel, shared with the envelope optimiser.
+
 A TriangulatedCurrent is a list of oriented 2-simplices in R^4 with integer
 multiplicities; mass, boundary chain, Gaussian image, classification
 partition, linear pushforward and distance-sphere slicing are computed
@@ -52,7 +58,8 @@ class Mesh:
         return self.origin + self.h * np.array([i, j], dtype=float)
 
     def cell_center(self, i, j):
-        return self.origin + self.h * np.array([i + 0.5, j + 0.5])
+        """Centre of cell (i, j); i and j may be index arrays of one shape."""
+        return self.origin + self.h * np.stack([i + 0.5, j + 0.5], axis=-1)
 
     def nodes_array(self):
         idx = np.arange(self.n + 1)
@@ -86,25 +93,49 @@ class Mesh:
 TRI_NODES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 
-class FunctionalQGraph:
-    """Piecewise-affine Q-valued map on a mesh; sheets per half-cell triangle.
+def triangle_nodes(n):
+    """Node indices (i, j) of the 2 n^2 triangles of an n x n mesh, shape (2 n^2, 3, 2).
 
-    sheets[i][j][t] is a list of (multiplicity, a, X); the sheet value at x
-    is a + X (x - cell_center(i, j)).
+    Triangle 2 (i n + j) + t is the lower (t = 0) or upper (t = 1) half of
+    cell (i, j); its nodes are listed as in TRI_NODES.
+    """
+    idx = np.arange(n)
+    cells = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)
+    return (cells.reshape(-1, 1, 1, 2) + np.array(TRI_NODES)).reshape(-1, 3, 2)
+
+
+def p1_gradients(vals, h, tris):
+    """Gradients of the P1 interpolants of nodal values on mesh triangles.
+
+    vals: (..., n+1, n+1, 2) nodal values on a mesh of spacing h; tris:
+    (K, 3, 2) node indices, rows of triangle_nodes.  Returns (..., K, 2, 2):
+    per triangle the X with X (p_m - p_0) = f_m - f_0 for m = 1, 2.
+    """
+    f = vals[..., tris[..., 0], tris[..., 1], :]
+    F = np.stack([f[..., 1, :] - f[..., 0, :], f[..., 2, :] - f[..., 0, :]], axis=-1)
+    E = h * np.swapaxes(tris[:, 1:] - tris[:, :1], 1, 2)
+    return F @ np.linalg.inv(E)
+
+
+class FunctionalQGraph:
+    """Piecewise-affine Q-valued map on a mesh, stored as three arrays.
+
+    mults (J,) holds the sheet multiplicities, so q = mults.sum(); a
+    (T, J, 2) and X (T, J, 2, 2) hold each sheet's value at the cell centre
+    and its gradient on each triangle, T = 2 n^2, triangle id
+    2 (i n + j) + t as in triangle_nodes.  On triangle k of cell (i, j) the
+    value of sheet j at x is a[k, j] + X[k, j] (x - cell_center(i, j)).
     """
 
-    def __init__(self, mesh, sheets, check=True):
+    def __init__(self, mesh, mults, a, X, check=True):
         self.mesh = mesh
-        self.sheets = sheets
-        qs = {
-            sum(m for m, _, _ in sheets[i][j][t])
-            for i in range(mesh.n)
-            for j in range(mesh.n)
-            for t in (0, 1)
-        }
-        if len(qs) != 1:
-            raise ValueError("per-triangle multiplicities do not sum to a common Q")
-        self.q = qs.pop()
+        self.mults = np.asarray(mults, dtype=np.int64)
+        self.a = np.asarray(a, dtype=float)
+        self.X = np.asarray(X, dtype=float)
+        shape = (2 * mesh.n * mesh.n, self.mults.shape[0])
+        if self.a.shape != shape + (2,) or self.X.shape != shape + (2, 2):
+            raise ValueError("sheet arrays do not match the mesh and the multiplicities")
+        self.q = int(self.mults.sum())
         if check:
             self.validate()
 
@@ -113,24 +144,13 @@ class FunctionalQGraph:
     @classmethod
     def affine(cls, mesh, parts):
         """Graph of the affine map  sum_j q_j [a_j + X_j (x - x0)]."""
-        x0 = np.array(mesh.x0, dtype=float)
-        sheets = []
-        for i in range(mesh.n):
-            col = []
-            for j in range(mesh.n):
-                cc = mesh.cell_center(i, j)
-                tri = []
-                for _ in (0, 1):
-                    tri.append(
-                        [
-                            (int(m), np.asarray(a, float) + np.asarray(X, float) @ (cc - x0),
-                             np.asarray(X, float))
-                            for (m, a, X) in parts
-                        ]
-                    )
-                col.append(tri)
-            sheets.append(col)
-        return cls(mesh, sheets, check=False)
+        a = np.array([np.asarray(a, float) for _m, a, _X in parts])
+        X = np.array([np.asarray(X, float) for _m, _a, X in parts])
+        cells = np.divmod(np.arange(2 * mesh.n * mesh.n) // 2, mesh.n)
+        d = mesh.cell_center(*cells) - np.array(mesh.x0, dtype=float)
+        a_tri = a + (X @ d[:, None, :, None])[..., 0]
+        X_tri = np.repeat(X[None], a_tri.shape[0], axis=0)
+        return cls(mesh, [int(m) for m, _a, _X in parts], a_tri, X_tri, check=False)
 
     @classmethod
     def from_nodal_sheets(cls, mesh, nodal_list, check=True):
@@ -139,98 +159,68 @@ class FunctionalQGraph:
         nodal_list: list of (multiplicity, values) with values of shape
         (n+1, n+1, 2) indexed by node (i, j).
         """
-        n = mesh.n
-        h = mesh.h
-        sheets = []
-        for i in range(n):
-            col = []
-            for j in range(n):
-                cc = mesh.cell_center(i, j)
-                tris = []
-                for t in (0, 1):
-                    (o0, o1, o2) = TRI_NODES[t]
-                    p0 = mesh.node(i + o0[0], j + o0[1])
-                    entries = []
-                    for mult, vals in nodal_list:
-                        f0 = vals[i + o0[0], j + o0[1]]
-                        f1 = vals[i + o1[0], j + o1[1]]
-                        f2 = vals[i + o2[0], j + o2[1]]
-                        E = np.array(
-                            [
-                                [(o1[0] - o0[0]) * h, (o2[0] - o0[0]) * h],
-                                [(o1[1] - o0[1]) * h, (o2[1] - o0[1]) * h],
-                            ]
-                        )
-                        F = np.stack([f1 - f0, f2 - f0], axis=1)
-                        X = F @ np.linalg.inv(E)
-                        a = f0 + X @ (cc - p0)
-                        entries.append((int(mult), a, X))
-                    tris.append(entries)
-                col.append(tris)
-            sheets.append(col)
-        return cls(mesh, sheets, check=check)
+        vals = np.array([v for _m, v in nodal_list], dtype=float)
+        tris = triangle_nodes(mesh.n)
+        X = p1_gradients(vals, mesh.h, tris).swapaxes(0, 1)
+        # node 0 of both triangles of cell (i, j) is node (i, j)
+        i, j = tris[:, 0, 0], tris[:, 0, 1]
+        off = mesh.cell_center(i, j) - mesh.nodes_array()[i, j]
+        a = vals[:, i, j].swapaxes(0, 1) + (X @ off[:, None, :, None])[..., 0]
+        return cls(mesh, [int(m) for m, _v in nodal_list], a, X, check=check)
 
     # -- evaluation ------------------------------------------------------------
 
-    def _tri_of(self, x, i, j):
-        rel = (np.asarray(x, float) - self.mesh.node(i, j)) / self.mesh.h
-        return 0 if rel[1] <= rel[0] else 1
-
-    def triangle_rows(self, i, j, t, x):
-        cc = self.mesh.cell_center(i, j)
-        rows = []
-        for mult, a, X in self.sheets[i][j][t]:
-            val = a + X @ (np.asarray(x, float) - cc)
-            rows.extend([val] * mult)
-        return rows
+    def sheet_values(self, k, x):
+        """Values (..., J, 2) of every sheet of triangles k (shape (...,)) at x (..., 2)."""
+        rel = x - self.mesh.cell_center(*np.divmod(k // 2, self.mesh.n))
+        return self.a[k] + (self.X[k] @ rel[..., None, :, None])[..., 0]
 
     def evaluate(self, x):
+        x = np.asarray(x, float)
         i, j = self.mesh.locate(x)
-        t = self._tri_of(x, i, j)
-        return QPoint(np.array(self.triangle_rows(i, j, t, x)))
-
-    def boundary_trace(self, x):
-        """Q-point trace at a boundary point (uses the adjacent triangle)."""
-        return self.evaluate(x)
+        rel = (x - self.mesh.node(i, j)) / self.mesh.h
+        k = 2 * (i * self.mesh.n + j) + (0 if rel[1] <= rel[0] else 1)
+        return QPoint(np.repeat(self.sheet_values(k, x), self.mults, axis=0))
 
     def is_zero_boundary(self, tol=EDGE_CONTINUITY_TOL):
-        m = self.mesh
         zero = QPoint.full(np.zeros(2), self.q)
-        for x in m.boundary_nodes():
-            if g_metric(self.boundary_trace(x), zero) > tol:
-                return False
-        return True
+        return not any(
+            g_metric(self.evaluate(x), zero) > tol for x in self.mesh.boundary_nodes()
+        )
 
     # -- invariants ------------------------------------------------------------
 
-    def _edge_pairs(self):
-        """Yield ((tri_a, tri_b), (xa, xb)) for every shared edge."""
+    def _shared_edges(self):
+        """Triangle ids ka, kb (E,) and end nodes (E, 2) of every shared edge."""
         n = self.mesh.n
-        for i in range(n):
-            for j in range(n):
-                # diagonal between the two triangles of the cell
-                yield ((i, j, 0), (i, j, 1)), (self.mesh.node(i, j), self.mesh.node(i + 1, j + 1))
-                if i + 1 < n:  # right edge of lower tri vs left edge of east cell's upper tri
-                    yield ((i, j, 0), (i + 1, j, 1)), (
-                        self.mesh.node(i + 1, j),
-                        self.mesh.node(i + 1, j + 1),
-                    )
-                if j + 1 < n:  # top edge of upper tri vs bottom edge of north cell's lower tri
-                    yield ((i, j, 1), (i, j + 1, 0)), (
-                        self.mesh.node(i, j + 1),
-                        self.mesh.node(i + 1, j + 1),
-                    )
+        k = 2 * np.arange(n * n).reshape(n, n)
+        # the diagonal of each cell, the east edge of each lower triangle and
+        # the north edge of each upper triangle, with the neighbour across it
+        ka = np.concatenate([k.ravel(), k[:-1].ravel(), k[:, :-1].ravel() + 1])
+        kb = np.concatenate([k.ravel() + 1, k[1:].ravel() + 1, k[:, 1:].ravel()])
+        ci, cj = np.divmod(ka // 2, n)
+        east = (ka % 2 == 0) & (kb != ka + 1)
+        start = np.stack([ci + east, cj + ka % 2], axis=-1)
+        return ka, kb, start, np.stack([ci + 1, cj + 1], axis=-1)
 
     def validate(self, tol=EDGE_CONTINUITY_TOL):
-        bad = []
-        for (ta, tb), (xa, xb) in self._edge_pairs():
-            for s in (0.25, 0.5, 0.75):
-                x = (1 - s) * xa + s * xb
-                pa = QPoint(np.array(self.triangle_rows(*ta, x)))
-                pb = QPoint(np.array(self.triangle_rows(*tb, x)))
-                if g_metric(pa, pb) > tol:
-                    bad.append((ta, tb))
-                    break
+        ka, kb, start, end = self._shared_edges()
+        nodes = self.mesh.nodes_array()
+        xa, xb = nodes[start[:, 0], start[:, 1]], nodes[end[:, 0], end[:, 1]]
+        s = np.array([0.25, 0.5, 0.75])[:, None, None]
+        x = (1 - s) * xa + s * xb
+        pa, pb = self.sheet_values(ka, x), self.sheet_values(kb, x)
+        # matching sheet j to sheet j bounds the matching metric from above
+        ordered = np.sqrt(np.einsum("j,sejc->se", self.mults, (pa - pb) ** 2))
+        bad = [
+            (int(ka[e]), int(kb[e]))
+            for e in np.flatnonzero(np.any(ordered > tol, axis=0))
+            if any(
+                g_metric(np.repeat(pa[r, e], self.mults, axis=0),
+                         np.repeat(pb[r, e], self.mults, axis=0)) > tol
+                for r in range(3)
+            )
+        ]
         if bad:
             raise ValueError(f"Q-point traces disagree across {len(bad)} edges: {bad[:5]}")
 
@@ -238,35 +228,26 @@ class FunctionalQGraph:
         """Union of the sheet systems of two graphs on the same mesh."""
         if self.mesh != other.mesh:
             raise ValueError("graphs live on different meshes")
-        sheets = []
-        for i in range(self.mesh.n):
-            col = []
-            for j in range(self.mesh.n):
-                col.append(
-                    [
-                        list(self.sheets[i][j][t]) + list(other.sheets[i][j][t])
-                        for t in (0, 1)
-                    ]
-                )
-            sheets.append(col)
-        return FunctionalQGraph(self.mesh, sheets, check=False)
+        return FunctionalQGraph(
+            self.mesh,
+            np.concatenate([self.mults, other.mults]),
+            np.concatenate([self.a, other.a], axis=1),
+            np.concatenate([self.X, other.X], axis=1),
+            check=False,
+        )
 
     # -- serialization ----------------------------------------------------------
 
     def to_json_obj(self):
-        cells = []
-        for i in range(self.mesh.n):
-            for j in range(self.mesh.n):
-                for t in (0, 1):
-                    cells.append(
-                        {
-                            "cell": [i, j, t],
-                            "sheets": [
-                                {"mult": int(m), "a": a.tolist(), "X": X.tolist()}
-                                for (m, a, X) in self.sheets[i][j][t]
-                            ],
-                        }
-                    )
+        n = self.mesh.n
+        mults = self.mults.tolist()
+        cells = [
+            {
+                "cell": [k // 2 // n, k // 2 % n, k % 2],
+                "sheets": [{"mult": m, "a": a, "X": X} for m, a, X in zip(mults, a_k, X_k)],
+            }
+            for k, (a_k, X_k) in enumerate(zip(self.a.tolist(), self.X.tolist()))
+        ]
         return {
             "mesh": {"x0": list(self.mesh.x0), "r": self.mesh.r, "n": self.mesh.n},
             "cells": cells,
@@ -276,14 +257,14 @@ class FunctionalQGraph:
     def from_json_obj(cls, obj):
         m = obj["mesh"]
         mesh = Mesh(x0=tuple(m["x0"]), r=float(m["r"]), n=int(m["n"]))
-        sheets = [[[None, None] for _ in range(mesh.n)] for _ in range(mesh.n)]
-        for cell in obj["cells"]:
-            i, j, t = cell["cell"]
-            sheets[i][j][t] = [
-                (int(s["mult"]), np.array(s["a"], float), np.array(s["X"], float))
-                for s in cell["sheets"]
-            ]
-        return cls(mesh, sheets, check=False)
+        # [i, j, t] in lexicographic order is the triangle order
+        sheets = [c["sheets"] for c in sorted(obj["cells"], key=lambda c: c["cell"])]
+        mults = [[int(s["mult"]) for s in tri] for tri in sheets]
+        if any(ms != mults[0] for ms in mults):
+            raise ValueError("triangles list different multiplicities")
+        a = np.array([[s["a"] for s in tri] for tri in sheets], dtype=float)
+        X = np.array([[s["X"] for s in tri] for tri in sheets], dtype=float)
+        return cls(mesh, mults[0], a, X, check=False)
 
 
 @dataclass
@@ -579,21 +560,17 @@ def triangulate(g):
     the area-formula value ||LambdaM(X)|| * base area exactly.
     """
     mesh = g.mesh
-    verts = []
-    mults = []
-    for i in range(mesh.n):
-        for j in range(mesh.n):
-            cc = mesh.cell_center(i, j)
-            for t in (0, 1):
-                base = [mesh.node(i + o[0], j + o[1]) for o in TRI_NODES[t]]
-                for mult, a, X in g.sheets[i][j][t]:
-                    tri = np.array([np.concatenate([x, a + X @ (x - cc)]) for x in base])
-                    verts.append(tri)
-                    mults.append(mult)
-    return TriangulatedCurrent(np.array(verts), np.array(mults))
+    tris = triangle_nodes(mesh.n)
+    base = mesh.nodes_array()[tris[..., 0], tris[..., 1]]
+    n_tri, n_sheets = g.a.shape[:2]
+    lift = g.sheet_values(np.arange(n_tri), base.swapaxes(0, 1)).transpose(1, 2, 0, 3)
+    verts = np.concatenate(
+        [np.broadcast_to(base[:, None], (n_tri, n_sheets, 3, 2)), lift], axis=-1
+    )
+    return TriangulatedCurrent(verts.reshape(-1, 3, 4), np.tile(g.mults, n_tri))
 
 
-def graph_boundary_is_q_square(g, tol_ignored=None):
+def graph_boundary_is_q_square(g):
     """Check the graph current boundary equals Q times the mesh boundary square."""
     T = triangulate(g)
     loop = np.array(g.mesh.boundary_nodes())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import construction
-from .currents import FunctionalQGraph, Mesh
+from .currents import FunctionalQGraph, Mesh, p1_gradients, triangle_nodes
 from .exterior import lambda_m, lambda_m_batch
 from .multipoint import MaximalDecomposition
 
@@ -90,18 +90,9 @@ def psi_of_unit_tangents(unit_ws, cfg):
 
 def psi_bar_energy(g, cfg):
     """Integral over the domain of sum_sheets psi(gradient), exactly per triangle."""
-    mesh = g.mesh
-    tri_area = 0.5 * mesh.h * mesh.h
-    Xs = []
-    wts = []
-    for i in range(mesh.n):
-        for j in range(mesh.n):
-            for t in (0, 1):
-                for mult, _a, X in g.sheets[i][j][t]:
-                    Xs.append(X)
-                    wts.append(mult * tri_area)
-    vals = psi_batch(np.array(Xs), cfg)
-    return float(np.array(wts) @ vals)
+    tri_area = 0.5 * g.mesh.h * g.mesh.h
+    wts = np.tile(g.mults * tri_area, g.X.shape[0])
+    return float(wts @ psi_batch(g.X.reshape(-1, 2, 2), cfg))
 
 
 def psi_mass_of_current(T, cfg):
@@ -124,46 +115,20 @@ class _SheetProblem:
         self.a = np.asarray(a, dtype=float)
         self.X = np.asarray(X, dtype=float)
         mesh = Mesh(x0=(0.0, 0.0), r=1.0, n=n)
-        self.mesh = mesh
-        nodes = mesh.nodes_array()  # (n+1, n+1, 2)
-        self.nodes = nodes
         self.affine_vals = self.a[None, None, :] + np.einsum(
-            "ab,ijb->ija", self.X, nodes - np.array(mesh.x0)
+            "ab,ijb->ija", self.X, mesh.nodes_array() - np.array(mesh.x0)
         )
-        self.interior = [
-            (i, j) for i in range(1, n) for j in range(1, n)
-        ]
-        # triangle -> node index triples, and node -> incident triangle ids
-        tris = []
-        for i in range(n):
-            for j in range(n):
-                tris.append(((i, j), (i + 1, j), (i + 1, j + 1)))
-                tris.append(((i, j), (i + 1, j + 1), (i, j + 1)))
-        self.tris = tris
-        self.incident = {}
-        for tid, tri in enumerate(tris):
-            for nd in tri:
-                self.incident.setdefault(nd, []).append(tid)
+        self.interior = [(i, j) for i in range(1, n) for j in range(1, n)]
+        self.tris = triangle_nodes(n)
+        # node -> node table of its incident triangles, in ascending id order
+        self.incident = {
+            nd: self.tris[np.any(np.all(self.tris == nd, axis=2), axis=1)]
+            for nd in self.interior
+        }
         self.tri_area = 0.5 * self.h * self.h
-        h = self.h
-        # the two edge matrices are fixed per triangle parity (lower/upper)
-        self.edge_inv = (
-            np.linalg.inv(np.array([[h, h], [0.0, h]])),  # lower: (h,0), (h,h)
-            np.linalg.inv(np.array([[h, 0.0], [h, h]])),  # upper: (h,h), (0,h)
-        )
 
-    def gradients(self, vals, tri_ids=None):
-        ids = list(range(len(self.tris))) if tri_ids is None else list(tri_ids)
-        out = np.empty((len(ids), 2, 2))
-        for k, tid in enumerate(ids):
-            (n0, n1, n2) = self.tris[tid]
-            f0 = vals[n0]
-            F = np.stack([vals[n1] - f0, vals[n2] - f0], axis=1)
-            out[k] = F @ self.edge_inv[tid % 2]
-        return out
-
-    def energy(self, vals, cfg, tri_ids=None):
-        grads = self.gradients(vals, tri_ids)
+    def energy(self, vals, cfg, tris=None):
+        grads = p1_gradients(vals, self.h, self.tris if tris is None else tris)
         return float(psi_batch(grads, cfg).sum() * self.tri_area)
 
     def optimise(self, cfg, starts, seed, passes=6, etas=(0.4, 0.1, 0.0)):
@@ -176,11 +141,11 @@ class _SheetProblem:
         sweeps, keeping the cost per start predictable.
         """
         exact = cfg.with_eta(0.0)
-        best_vals = self._as_dict(self.affine_vals)
+        best_vals = self.affine_vals.copy()
         best_val = self.energy(best_vals, exact)
         for s in range(max(1, starts)):
             rng = np.random.default_rng((seed, s))
-            vals = self._as_dict(self.affine_vals)
+            vals = self.affine_vals.copy()
             if s > 0:
                 amp = self.h * (1.0 + np.linalg.norm(self.X)) * rng.uniform(0.2, 2.0)
                 for nd in self.interior:
@@ -193,13 +158,13 @@ class _SheetProblem:
                     sweeps += 1
                     improved = False
                     for nd in self.interior:
-                        tids = self.incident[nd]
-                        base = self.energy(vals, cfg_eta, tids)
+                        tris = self.incident[nd]
+                        base = self.energy(vals, cfg_eta, tris)
                         for comp in (0, 1):
                             for sgn in (1.0, -1.0):
                                 old = vals[nd].copy()
                                 vals[nd] = old + sgn * step * np.eye(2)[comp]
-                                trial = self.energy(vals, cfg_eta, tids)
+                                trial = self.energy(vals, cfg_eta, tris)
                                 if trial < base - 1e-15:
                                     base = trial
                                     improved = True
@@ -210,19 +175,8 @@ class _SheetProblem:
             val = self.energy(vals, exact)
             if val < best_val:
                 best_val = val
-                best_vals = {k: v.copy() for k, v in vals.items()}
+                best_vals = vals.copy()
         return best_val, best_vals
-
-    def _as_dict(self, arr):
-        return {
-            (i, j): arr[i, j].copy() for i in range(self.n + 1) for j in range(self.n + 1)
-        }
-
-    def vals_to_array(self, vals):
-        out = np.empty((self.n + 1, self.n + 1, 2))
-        for (i, j), v in vals.items():
-            out[i, j] = v
-        return out
 
 
 def _branched_library_value(q, cfg, n_r=12, n_theta=24):
@@ -317,10 +271,9 @@ def envelope_upper(target, cfg, mesh_n=8, starts=4, seed=0, domain=None,
                     entry["method"] = "branched-library"
             total += entry["value"]
             meta["parts"].append(entry)
-            arr = prob.vals_to_array(vals)
             a_vec = np.asarray(a, dtype=float)
             piece = FunctionalQGraph.from_nodal_sheets(
-                out_mesh, [(mult, a_vec + lam_scale * (arr - a_vec))], check=False
+                out_mesh, [(mult, a_vec + lam_scale * (vals - a_vec))], check=False
             )
         competitor = piece if competitor is None else competitor.merged_with(piece)
     return float(total), competitor, meta

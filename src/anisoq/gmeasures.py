@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from . import exterior
@@ -148,23 +149,16 @@ def transport_distance(mu, nu):
         )
     )
     # LP: minimise c.x subject to row sums = a.weights, col sums = b.weights
-    c = cost.ravel()
-    A_eq = []
-    b_eq = []
-    for i in range(na):
-        row = np.zeros(na * nb)
-        row[i * nb : (i + 1) * nb] = 1.0
-        A_eq.append(row)
-        b_eq.append(a.weights[i])
-    for j in range(nb):
-        col = np.zeros(na * nb)
-        col[j::nb] = 1.0
-        A_eq.append(col)
-        b_eq.append(b.weights[j])
+    A_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(na), np.ones((1, nb))),
+            sparse.kron(np.ones((1, na)), sparse.eye(nb)),
+        ]
+    )
     res = linprog(
-        c,
-        A_eq=np.array(A_eq),
-        b_eq=np.array(b_eq),
+        cost.ravel(),
+        A_eq=A_eq,
+        b_eq=np.concatenate([a.weights, b.weights]),
         bounds=(0, None),
         method="highs",
     )

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from anisoq import cli
+from anisoq import approx, cli, construction, gmeasures
 
 BASE = [sys.executable, "-m", "anisoq.cli"]
 
@@ -77,6 +78,40 @@ def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "assertion failed: bracket ordering violated: lower > upper\n"
     )
+
+
+def _lp_fails(*args, **kwargs):
+    return SimpleNamespace(success=False, message="The problem is infeasible.")
+
+
+def _subdivision_fails(*args, **kwargs):
+    return SimpleNamespace(ok=False, diagnostics={"attempts": []})
+
+
+def _residual_too_large(eps):
+    raise ArithmeticError("quadratic residual 1e-10 exceeds 1e-12")
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, args, err",
+    [
+        (gmeasures, "linprog", _lp_fails,
+         ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "1", "--mesh", "3"],
+         "computation failed (RuntimeError): transport LP failed: The problem is infeasible.\n"),
+        (approx, "cubic_subdivision", _subdivision_fails,
+         ["approx", "--profile", "twosheet", "--k", "4"],
+         "computation failed (RuntimeError): cubic subdivision search failed: "
+         "{'attempts': []}\n"),
+        (construction, "delta_of_eps", _residual_too_large, ["construct", "--eps", "0.1"],
+         "computation failed (ArithmeticError): quadratic residual 1e-10 exceeds 1e-12\n"),
+    ],
+    ids=["transport-lp", "cubic-subdivision", "construction-residual"],
+)
+def test_failed_computation_exits_2(tmp_path, monkeypatch, capsys, module, name, fake,
+                                    args, err):
+    monkeypatch.setattr(module, name, fake)
+    assert cli.main(["--out", str(tmp_path)] + args) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_json_outputs_match_schemas(tmp_path, capsys):

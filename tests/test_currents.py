@@ -1,11 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anisoq import currents, exterior
-from anisoq.multipoint import QPoint, g_metric
+from anisoq import currents, energy, exterior
+from anisoq.multipoint import MaximalDecomposition, QPoint, g_metric
 
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 E12 = np.array([1.0, 0, 0, 0, 0, 0])
 
 
@@ -205,7 +208,7 @@ def test_generator_determinism():
 def test_edge_continuity_validation():
     mesh = unit_mesh(2)
     g = currents.affine_graph(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])
-    g.sheets[0][0][0] = [(1, np.array([5.0, 0.0]), np.zeros((2, 2)))]  # break one triangle
+    g.a[0, 0] = [5.0, 0.0]  # break one triangle
     with pytest.raises(ValueError, match="traces disagree"):
         g.validate()
 
@@ -260,10 +263,142 @@ def test_graph_evaluation_and_trace():
 
 
 def test_graph_json_roundtrip():
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA_DIR / "functional_qgraph.schema.json") as fh:
+        schema = json.load(fh)
     g = currents.random_lipschitz_graph(5, 1.0, 2, unit_mesh(3))
-    g2 = currents.FunctionalQGraph.from_json_obj(g.to_json_obj())
+    obj = g.to_json_obj()
+    jsonschema.validate(obj, schema)
+    g2 = currents.FunctionalQGraph.from_json_obj(json.loads(json.dumps(obj)))
     x = np.array([0.13, 0.27])
     assert g_metric(g.evaluate(x), g2.evaluate(x)) < 1e-12
+    assert np.array_equal(g2.mults, g.mults)
+    assert np.array_equal(g2.a, g.a) and np.array_equal(g2.X, g.X)
+    obj["cells"][3]["sheets"][0]["mult"] = 2
+    with pytest.raises(ValueError, match="different multiplicities"):
+        currents.FunctionalQGraph.from_json_obj(obj)
+
+
+# -- reference: the per-triangle loops of the nested (mult, a, X) layout -------
+
+
+def _ref_from_nodal(mesh, nodal_list):
+    n, h = mesh.n, mesh.h
+    sheets = []
+    for i in range(n):
+        for j in range(n):
+            cc = mesh.cell_center(i, j)
+            for t in (0, 1):
+                (o0, o1, o2) = currents.TRI_NODES[t]
+                p0 = mesh.node(i + o0[0], j + o0[1])
+                entries = []
+                for mult, vals in nodal_list:
+                    f0 = vals[i + o0[0], j + o0[1]]
+                    f1 = vals[i + o1[0], j + o1[1]]
+                    f2 = vals[i + o2[0], j + o2[1]]
+                    E = np.array(
+                        [
+                            [(o1[0] - o0[0]) * h, (o2[0] - o0[0]) * h],
+                            [(o1[1] - o0[1]) * h, (o2[1] - o0[1]) * h],
+                        ]
+                    )
+                    F = np.stack([f1 - f0, f2 - f0], axis=1)
+                    X = F @ np.linalg.inv(E)
+                    entries.append((int(mult), f0 + X @ (cc - p0), X))
+                sheets.append(entries)
+    return sheets
+
+
+def _ref_affine(mesh, parts):
+    x0 = np.array(mesh.x0, dtype=float)
+    sheets = []
+    for i in range(mesh.n):
+        for j in range(mesh.n):
+            cc = mesh.cell_center(i, j)
+            for _t in (0, 1):
+                sheets.append(
+                    [
+                        (int(m), np.asarray(a, float) + np.asarray(X, float) @ (cc - x0),
+                         np.asarray(X, float))
+                        for (m, a, X) in parts
+                    ]
+                )
+    return sheets
+
+
+def _ref_triangulate(mesh, sheets):
+    verts = []
+    mults = []
+    for k, entries in enumerate(sheets):
+        i, j, t = k // 2 // mesh.n, k // 2 % mesh.n, k % 2
+        cc = mesh.cell_center(i, j)
+        base = [mesh.node(i + o[0], j + o[1]) for o in currents.TRI_NODES[t]]
+        for mult, a, X in entries:
+            verts.append(np.array([np.concatenate([x, a + X @ (x - cc)]) for x in base]))
+            mults.append(mult)
+    return np.array(verts), np.array(mults)
+
+
+def _ref_psi_bar(mesh, sheets, cfg):
+    tri_area = 0.5 * mesh.h * mesh.h
+    Xs = [X for entries in sheets for _m, _a, X in entries]
+    wts = [m * tri_area for entries in sheets for m, _a, _X in entries]
+    return float(np.array(wts) @ energy.psi_batch(np.array(Xs), cfg))
+
+
+def _assert_matches_reference(g, sheets, cfg):
+    assert np.array_equal(g.mults, [m for m, _a, _X in sheets[0]])
+    assert all([m for m, _a, _X in entries] == g.mults.tolist() for entries in sheets)
+    assert np.array_equal(g.a, np.array([[a for _m, a, _X in e] for e in sheets]))
+    assert np.array_equal(g.X, np.array([[X for _m, _a, X in e] for e in sheets]))
+    T = currents.triangulate(g)
+    verts, mults = _ref_triangulate(g.mesh, sheets)
+    assert np.array_equal(T.verts, verts) and np.array_equal(T.mults, mults)
+    assert energy.psi_bar_energy(g, cfg) == _ref_psi_bar(g.mesh, sheets, cfg)
+
+
+@pytest.fixture
+def nodal_calls(monkeypatch):
+    """Record the nodal values of every from_nodal_sheets call."""
+    calls = []
+    build = currents.FunctionalQGraph.from_nodal_sheets.__func__
+
+    def recording(cls, mesh, nodal_list, check=True):
+        calls.append(nodal_list)
+        return build(cls, mesh, nodal_list, check=check)
+
+    monkeypatch.setattr(currents.FunctionalQGraph, "from_nodal_sheets", classmethod(recording))
+    return calls
+
+
+def test_array_layout_matches_triangle_loops(bundle01, cfg01, nodal_calls):
+    graphs = [
+        currents.random_lipschitz_graph(40 + q + n, 2.0, q, unit_mesh(n))
+        for q in (1, 2, 4)
+        for n in (3, 6)
+    ]
+    graphs.append(currents.steep_plateau_graph(4.0, 2, unit_mesh(6)))
+    graphs.append(currents.ray_plateau_graph(bundle01.X[2], 1, unit_mesh(6)))
+    assert len(nodal_calls) == len(graphs)
+    for g, nodal in zip(graphs, nodal_calls):
+        _assert_matches_reference(g, _ref_from_nodal(g.mesh, nodal), cfg01)
+
+
+def test_affine_and_merged_layout_match_triangle_loops(bundle01, cfg01, rng, nodal_calls):
+    mesh = currents.Mesh(x0=(0.3, -0.2), r=1.5, n=5)
+    parts = [(int(m), rng.normal(size=2), rng.normal(size=(2, 2))) for m in (1, 3)]
+    _assert_matches_reference(currents.affine_graph(mesh, parts), _ref_affine(mesh, parts),
+                              cfg01)
+    # a ray part (affine competitor) merged with a descended part (P1 competitor)
+    target = MaximalDecomposition(
+        parts=[(1, np.zeros(2), bundle01.X[0]), (2, np.array([10.0, 0.0]), 0.3 * np.eye(2))],
+        tol=1e-9,
+    )
+    _val, comp, _meta = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1, seed=0)
+    (nodal,) = nodal_calls
+    ref = _ref_affine(comp.mesh, target.parts[:1])
+    ref = [r + p for r, p in zip(ref, _ref_from_nodal(comp.mesh, nodal))]
+    _assert_matches_reference(comp, ref, cfg01)
 
 
 def test_current_json_roundtrip():

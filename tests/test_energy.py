@@ -120,8 +120,7 @@ def test_envelope_upper_descent_beats_affine_near_ray():
     assert energy.affine_competitor_bound(target, cfg) == pytest.approx(639_999.0, rel=1e-6)
     assert val == pytest.approx(419_999.175, rel=1e-6)
     assert energy.psi_bar_energy(comp, cfg) == pytest.approx(val, rel=1e-12)
-    grads = np.array([X_t for row in comp.sheets for cell in row for tri in cell
-                      for _m, _a, X_t in tri])
+    grads = comp.X.reshape(-1, 2, 2)
     assert grads.shape[0] == 32
     assert int(np.sum(energy.psi_batch(grads, cfg) == 0.0)) == 11
 
