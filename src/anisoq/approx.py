@@ -63,12 +63,14 @@ class SampledLipschitzQMap:
                 raise ValueError("need parts or an evaluator")
             self.evaluator = self._eval_from_parts
 
+    def part_values(self, x):
+        """Values (..., J, 2) of every part at points x (..., 2)."""
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.asarray(fn(x), dtype=float) for _m, fn, _g in self.parts], axis=-2)
+
     def _eval_from_parts(self, x):
-        rows = []
-        for mult, fn, _g in self.parts:
-            v = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-            rows.extend([v] * mult)
-        return QPoint(np.array(rows))
+        mults = [m for m, _f, _g in self.parts]
+        return QPoint(np.repeat(self.part_values(x), mults, axis=0))
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
@@ -220,8 +222,7 @@ def branched_profile(amp=0.4, clip_r=0.7):
 
 
 def _sup_radius(x, c):
-    d = np.asarray(x, dtype=float) - c
-    return float(max(abs(d[0]), abs(d[1])))
+    return np.max(np.abs(np.asarray(x, dtype=float) - c), axis=-1)
 
 
 def _radial_project(x, c, s_half):
@@ -317,25 +318,26 @@ class AnnulusInterpolant:
         return err
 
     def measured_lipschitz(self, n_perim=96, n_rad=8):
-        """Finite-difference Lipschitz estimate over a fine annulus grid."""
-        best = 0.0
+        """Finite-difference Lipschitz estimate over a fine annulus grid.
+
+        Difference quotients between ring neighbours (cyclic in the perimeter
+        parameter) and radial neighbours, skipping coincident points.
+        """
         radii = np.linspace(self.s_in, self.s_out, n_rad + 1)
         taus = np.arange(n_perim) / n_perim
-        pts = np.empty((n_rad + 1, n_perim, 2))
-        for a, s in enumerate(radii):
-            for b, tau in enumerate(taus):
-                pts[a, b] = self._perimeter_point(s, tau)
-        vals = [[self(pts[a, b]) for b in range(n_perim)] for a in range(n_rad + 1)]
-        for a in range(n_rad + 1):
-            for b in range(n_perim):
-                nb = (b + 1) % n_perim
-                d = np.linalg.norm(pts[a, b] - pts[a, nb])
-                if d > 1e-14:
-                    best = max(best, g_metric(vals[a][b], vals[a][nb]) / d)
-                if a + 1 <= n_rad:
-                    d = np.linalg.norm(pts[a, b] - pts[a + 1, b])
-                    if d > 1e-14:
-                        best = max(best, g_metric(vals[a][b], vals[a + 1][b]) / d)
+        pts = np.array([[self._perimeter_point(s, tau) for tau in taus] for s in radii])
+        vals = np.array([[self(x).points for x in ring] for ring in pts])
+        best = 0.0
+        for x, y, vx, vy in (
+            (pts, np.roll(pts, -1, axis=1), vals, np.roll(vals, -1, axis=1)),
+            (pts[:-1], pts[1:], vals[:-1], vals[1:]),
+        ):
+            diff = x - y
+            # the dot product np.linalg.norm takes of a single vector
+            d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+            far = d > 1e-14
+            if far.any():
+                best = max(best, float(np.max(g_metric(vx[far], vy[far]) / d[far])))
         return best
 
     def boundary_gap(self, n_nodes=64):
@@ -376,7 +378,8 @@ class CubicSubdivision:
 
     Kept cubes live on a regular m x m lattice of pitch r; per-cube model
     parts are stored as arrays (n_cubes, J, ...) sharing one multiplicity
-    vector.  `kept` maps lattice coordinates to the row index.
+    vector.  `lattice` (m, m) holds the row index of the cube at each
+    lattice position, -1 where the cube was dropped.
     """
 
     ok: bool
@@ -386,7 +389,7 @@ class CubicSubdivision:
     domain_side: float
     lattice_m: int = 0
     lattice_origin: np.ndarray = None
-    kept: dict = field(default_factory=dict)
+    lattice: np.ndarray = None
     part_mults: tuple = ()
     centers: np.ndarray = None
     part_a: np.ndarray = None  # (n_cubes, J, 2)
@@ -405,17 +408,19 @@ class CubicSubdivision:
         return self.n_cubes * self.r * self.r
 
     def locate(self, x):
-        """Row index of the cube containing x, or None."""
+        """Row index of the cube containing each point x (..., 2), -1 where none."""
+        x = np.asarray(x, dtype=float)
+        rows = np.full(x.shape[:-1], -1)
         if self.n_cubes == 0:
-            return None
-        rel = (np.asarray(x, dtype=float) - self.lattice_origin) / self.r
-        i, j = int(math.floor(rel[0])), int(math.floor(rel[1]))
-        row = self.kept.get((i, j))
-        if row is None:
-            return None
-        if _sup_radius(x, self.centers[row]) <= 0.5 * self.r:
-            return row
-        return None
+            return rows
+        cell = np.floor((x - self.lattice_origin) / self.r)
+        on = np.all((cell >= 0) & (cell < self.lattice_m), axis=-1)
+        i, j = cell[on].astype(np.int64).T
+        rows[on] = self.lattice[i, j]
+        hit = rows >= 0
+        inside = _sup_radius(x[hit], self.centers[rows[hit]]) <= 0.5 * self.r
+        rows[hit] = np.where(inside, rows[hit], -1)
+        return rows
 
     def psi_bar_values(self, cfg):
         """(n_cubes,) summed-psi value of each cube model."""
@@ -516,10 +521,8 @@ def cubic_subdivision(f, delta, n_valid=5, r_min_frac=1.0 / 1024.0,
             keep = _validate_batched(f, centers, r, part_a, part_X, delta, n_valid)
             mults = tuple(int(m_) for m_, _f, _g in f.parts)
             kept_rows = np.flatnonzero(keep)
-            sub_kept = {}
-            for row_new, row in enumerate(kept_rows):
-                i, j = divmod(int(row), m)
-                sub_kept[(i, j)] = row_new
+            lattice = np.full(m * m, -1)
+            lattice[kept_rows] = np.arange(kept_rows.size)
             n_drop = centers.shape[0] - kept_rows.size
             uncovered = area - kept_rows.size * r * r
             attempts.append({"r": r, "kept": int(kept_rows.size), "dropped": int(n_drop),
@@ -527,7 +530,7 @@ def cubic_subdivision(f, delta, n_valid=5, r_min_frac=1.0 / 1024.0,
             if uncovered <= delta * area:
                 return CubicSubdivision(
                     ok=True, r=r, delta=delta, domain_center=c, domain_side=s,
-                    lattice_m=m, lattice_origin=origin, kept=sub_kept,
+                    lattice_m=m, lattice_origin=origin, lattice=lattice.reshape(m, m),
                     part_mults=mults, centers=centers[kept_rows],
                     part_a=part_a[kept_rows], part_X=part_X[kept_rows],
                     taylor_points=centers[kept_rows].copy(),
@@ -552,7 +555,7 @@ def _subdivide_multiset(f, delta, r, m, origin, centers, n_valid, cluster_tol,
     """Loop fallback for multiset-only maps: Q mult-one sheets per cube."""
     area = f.domain_side**2
     q = f.q
-    kept = {}
+    lattice = np.full(m * m, -1)
     rows_a, rows_X, rows_c = [], [], []
     dropped = 0
     ts = np.linspace(-0.499, 0.499, n_valid) * r
@@ -577,7 +580,7 @@ def _subdivide_multiset(f, delta, r, m, origin, centers, n_valid, cluster_tol,
         if not ok:
             dropped += 1
             continue
-        kept[divmod(row, m)] = len(rows_c)
+        lattice[row] = len(rows_c)
         rows_a.append(a_s)
         rows_X.append(X_s)
         rows_c.append(z)
@@ -589,7 +592,7 @@ def _subdivide_multiset(f, delta, r, m, origin, centers, n_valid, cluster_tol,
     return CubicSubdivision(
         ok=True, r=r, delta=delta, domain_center=f.domain_center,
         domain_side=f.domain_side, lattice_m=m, lattice_origin=origin,
-        kept=kept, part_mults=tuple([1] * q),
+        lattice=lattice.reshape(m, m), part_mults=tuple([1] * q),
         centers=np.array(rows_c), part_a=np.array(rows_a),
         part_X=np.array(rows_X), taylor_points=np.array(rows_c),
         dropped=dropped, uncovered=float(uncovered),
@@ -632,38 +635,49 @@ class HybridQMap:
         self.k = int(k)
         self.shrink = 1.0 - 1.0 / k
 
-    def region_of(self, x):
-        row = self.sub.locate(x)
-        if row is None:
-            return "outside", None
-        d = _sup_radius(x, self.sub.centers[row])
-        if d <= 0.5 * self.shrink * self.sub.r:
-            return "cube", row
-        return "collar", row
+    def _cubes_of(self, x):
+        """Cube rows of points x (N, 2) (-1 outside) and sup-radii to their centres."""
+        rows = self.sub.locate(x)
+        d = np.full(rows.shape, np.inf)
+        inn = rows >= 0
+        d[inn] = _sup_radius(x[inn], self.sub.centers[rows[inn]])
+        return rows, d
 
-    def part_value(self, x, j):
+    def region_of(self, x):
+        rows, d = self._cubes_of(np.asarray(x, dtype=float)[None])
+        if rows[0] < 0:
+            return "outside", None
+        if d[0] <= 0.5 * self.shrink * self.sub.r:
+            return "cube", int(rows[0])
+        return "collar", int(rows[0])
+
+    def part_values(self, x):
+        """Values (..., J, 2) of every part at points x (..., 2)."""
         x = np.asarray(x, dtype=float)
-        where, row = self.region_of(x)
-        if where == "outside":
-            return np.asarray(self.f.parts[j][1](x), dtype=float)
-        z = self.sub.centers[row]
-        a = self.sub.part_a[row, j]
-        X = self.sub.part_X[row, j]
-        model = a + X @ (x - z)
-        if where == "cube":
-            return model
+        flat = x.reshape(-1, 2)
+        rows, d = self._cubes_of(flat)
+        out = self.f.part_values(flat)
+        inn = rows >= 0
+        rows, d = rows[inn], d[inn]
+        model = self.sub.part_a[rows] + (
+            self.sub.part_X[rows] @ (flat[inn] - self.sub.centers[rows])[:, None, :, None]
+        )[..., 0]
         s_in = 0.5 * self.shrink * self.sub.r
         s_out = 0.5 * self.sub.r
-        t = np.clip((_sup_radius(x, z) - s_in) / (s_out - s_in), 0.0, 1.0)
-        outer = np.asarray(self.f.parts[j][1](x), dtype=float)
-        return t * outer + (1.0 - t) * model
+        t = np.clip((d - s_in) / (s_out - s_in), 0.0, 1.0)[:, None, None]
+        cube = (d <= s_in)[:, None, None]
+        out[inn] = np.where(cube, model, t * out[inn] + (1.0 - t) * model)
+        return out.reshape(x.shape[:-1] + out.shape[-2:])
+
+    def part_value(self, x, j):
+        return self.part_values(x)[j]
+
+    def values_at(self, x):
+        """Q-point values (..., Q, 2) at points x (..., 2)."""
+        return np.repeat(self.part_values(x), self.sub.part_mults, axis=-2)
 
     def __call__(self, x):
-        rows = []
-        for j, (m, _fn, _g) in enumerate(self.f.parts):
-            v = self.part_value(x, j)
-            rows.extend([v] * m)
-        return QPoint(np.array(rows))
+        return QPoint(self.values_at(x))
 
     def part_grad_at(self, x, j):
         """Gradient of part j: exact on cubes and outside, FD across collars."""
@@ -681,18 +695,14 @@ class HybridQMap:
         return g
 
     def measured_lipschitz(self, grid_m=64):
+        """Largest difference quotient between neighbouring nodes of a
+        (grid_m + 1)^2 grid over the domain."""
         c, s = self.sub.domain_center, self.sub.domain_side
         xs = np.linspace(-0.5, 0.5, grid_m + 1) * s
-        vals = [[self(c + np.array([a, b])) for b in xs] for a in xs]
+        vals = self.values_at(c + np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1))
         h = s / grid_m
-        best = 0.0
-        for i in range(grid_m + 1):
-            for j in range(grid_m + 1):
-                if i + 1 <= grid_m:
-                    best = max(best, g_metric(vals[i][j], vals[i + 1][j]) / h)
-                if j + 1 <= grid_m:
-                    best = max(best, g_metric(vals[i][j], vals[i][j + 1]) / h)
-        return best
+        steps = (g_metric(vals[:-1], vals[1:]), g_metric(vals[:, :-1], vals[:, 1:]))
+        return max(0.0, *(float(np.max(step / h)) for step in steps))
 
 
 def energy_of_map(f, cfg, grid_m=97):
@@ -722,15 +732,11 @@ _ROT4 = [
 ]
 
 
-def _psi_bar_of_grads(grads_by_part, mults, cfg, chunk=200_000):
-    """sum_j mult_j * psi(grad_j) batched with chunking; grads (J, N, 2, 2)."""
+def _psi_bar_of_grads(grads_by_part, mults, cfg):
+    """sum_j mult_j * psi(grad_j); grads (J, N, 2, 2)."""
     total = np.zeros(grads_by_part[0].shape[0])
     for j, g in enumerate(grads_by_part):
-        n = g.shape[0]
-        vals = np.empty(n)
-        for lo in range(0, n, chunk):
-            vals[lo : lo + chunk] = psi_batch(g[lo : lo + chunk], cfg)
-        total += mults[j] * vals
+        total += mults[j] * psi_batch(g, cfg)
     return total
 
 
@@ -830,10 +836,10 @@ def piecewise_affine_sequence(f, k, cfg, grid_m=97):
     bad_full = area - sub.covered
     bad_shrunk = area - sub.n_cubes * (g.shrink * sub.r) ** 2
     energy = energy_of_hybrid(g, cfg, grid_m=grid_m)
-    trace_err = 0.0
-    for tau in np.linspace(0.0, 1.0, 33)[:-1]:
-        x = _square_perimeter(f.domain_center, 0.5 * f.domain_side, tau)
-        trace_err = max(trace_err, g_metric(g(x), f(x)))
+    x = np.array([_square_perimeter(f.domain_center, 0.5 * f.domain_side, tau)
+                  for tau in np.linspace(0.0, 1.0, 33)[:-1]])
+    f_vals = np.repeat(f.part_values(x), sub.part_mults, axis=-2)
+    trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f_vals))))
     report = {
         "k": k,
         "r": sub.r,

@@ -1,7 +1,8 @@
 """Command-line surface tying the toolkit together.
 
 Commands: construct, obstruction, envelope, approx, certificate.  Exit code
-0 means every checked assertion passed, 1 a domain or usage error, 2 an
+0 means every checked assertion passed, 1 a domain or usage error (argparse's
+own errors included, which would otherwise exit 2), 2 an
 assertion failure or a failed computation (a RuntimeError or ArithmeticError,
 such as a failed transport LP or cubic subdivision); the failure is named on
 stderr.  All outputs are deterministic for a fixed seed: JSON is dumped with
@@ -226,10 +227,9 @@ def cmd_approx(args):
     cfg = PsiConfig.for_eps(args.eps)
     f = ap.smooth_profile() if args.profile == "smooth" else ap.twosheet_profile()
     e_ref = ap.energy_of_map(f, cfg)
-    ks = [int(s) for s in args.k.split(",")]
     rows = []
     errs = []
-    for k in ks:
+    for k in args.k:
         _g, rep = ap.piecewise_affine_sequence(f, k, cfg)
         err = abs(rep["energy_psi_bar"] - e_ref)
         errs.append(err)
@@ -260,7 +260,7 @@ def cmd_approx(args):
         rows,
     )
     print(f"wrote {path}")
-    for k, rep_row in zip(ks, rows):
+    for k, rep_row in zip(args.k, rows):
         print(f"k={k}: energy={rep_row[4]} err={rep_row[6]}")
     if args.profile == "smooth" and any(
         errs[i + 1] >= errs[i] for i in range(len(errs) - 1)
@@ -297,8 +297,30 @@ def cmd_certificate(args):
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line that does not parse; main() reports it with exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that raises _UsageError where argparse would exit 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _k_list(text):
+    """--k: a comma-separated list of integers >= 2."""
+    try:
+        ks = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+    if min(ks) < 2:
+        raise argparse.ArgumentTypeError(f"every k must be >= 2: {text!r}")
+    return ks
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="anisoq",
         description="Numerical toolkit for degenerate anisotropic Q-valued energies",
     )
@@ -331,7 +353,8 @@ def build_parser():
 
     a = sub.add_parser("approx", help="piecewise-affine approximation convergence")
     a.add_argument("--profile", choices=["smooth", "twosheet"], required=True)
-    a.add_argument("--k", default="4,8,16,32")
+    a.add_argument("--k", type=_k_list, default="4,8,16,32",
+                   help="comma-separated list of integers >= 2")
     a.add_argument("--eps", type=float, default=0.1)
     a.set_defaults(fn=cmd_approx)
 
@@ -346,8 +369,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for name in ("q", "mesh", "samples", "starts"):
         if getattr(args, name, 1) < 1:
             print(f"error: --{name} must be >= 1", file=sys.stderr)

@@ -55,7 +55,8 @@ class Mesh:
         return np.array(self.x0, dtype=float) - 0.5 * self.r
 
     def node(self, i, j):
-        return self.origin + self.h * np.array([i, j], dtype=float)
+        """Node (i, j); i and j may be index arrays of one shape."""
+        return self.origin + self.h * np.stack([i, j], axis=-1).astype(float)
 
     def cell_center(self, i, j):
         """Centre of cell (i, j); i and j may be index arrays of one shape."""
@@ -67,11 +68,10 @@ class Mesh:
         return self.origin[None, None, :] + self.h * np.stack([gx, gy], axis=-1)
 
     def locate(self, x):
-        """Cell indices (i, j) containing x (clamped to the mesh)."""
+        """Cell indices (i, j) containing x (..., 2), clamped to the mesh."""
         rel = (np.asarray(x, dtype=float) - self.origin) / self.h
-        i = int(np.clip(np.floor(rel[0]), 0, self.n - 1))
-        j = int(np.clip(np.floor(rel[1]), 0, self.n - 1))
-        return i, j
+        ij = np.clip(np.floor(rel), 0, self.n - 1).astype(np.int64)
+        return ij[..., 0], ij[..., 1]
 
     def boundary_nodes(self):
         """Boundary nodes in counterclockwise order starting at the SW corner."""
@@ -175,18 +175,20 @@ class FunctionalQGraph:
         rel = x - self.mesh.cell_center(*np.divmod(k // 2, self.mesh.n))
         return self.a[k] + (self.X[k] @ rel[..., None, :, None])[..., 0]
 
-    def evaluate(self, x):
+    def values_at(self, x):
+        """Q-point values (..., Q, 2) at points x (..., 2), located as in locate."""
         x = np.asarray(x, float)
         i, j = self.mesh.locate(x)
         rel = (x - self.mesh.node(i, j)) / self.mesh.h
-        k = 2 * (i * self.mesh.n + j) + (0 if rel[1] <= rel[0] else 1)
-        return QPoint(np.repeat(self.sheet_values(k, x), self.mults, axis=0))
+        k = 2 * (i * self.mesh.n + j) + ~(rel[..., 1] <= rel[..., 0])
+        return np.repeat(self.sheet_values(k, x), self.mults, axis=-2)
+
+    def evaluate(self, x):
+        return QPoint(self.values_at(x))
 
     def is_zero_boundary(self, tol=EDGE_CONTINUITY_TOL):
-        zero = QPoint.full(np.zeros(2), self.q)
-        return not any(
-            g_metric(self.evaluate(x), zero) > tol for x in self.mesh.boundary_nodes()
-        )
+        vals = self.values_at(np.array(self.mesh.boundary_nodes()))
+        return not np.any(g_metric(vals, np.zeros((self.q, 2))) > tol)
 
     # -- invariants ------------------------------------------------------------
 
@@ -212,15 +214,10 @@ class FunctionalQGraph:
         pa, pb = self.sheet_values(ka, x), self.sheet_values(kb, x)
         # matching sheet j to sheet j bounds the matching metric from above
         ordered = np.sqrt(np.einsum("j,sejc->se", self.mults, (pa - pb) ** 2))
-        bad = [
-            (int(ka[e]), int(kb[e]))
-            for e in np.flatnonzero(np.any(ordered > tol, axis=0))
-            if any(
-                g_metric(np.repeat(pa[r, e], self.mults, axis=0),
-                         np.repeat(pb[r, e], self.mults, axis=0)) > tol
-                for r in range(3)
-            )
-        ]
+        cand = np.flatnonzero(np.any(ordered > tol, axis=0))
+        dist = g_metric(np.repeat(pa[:, cand], self.mults, axis=-2),
+                        np.repeat(pb[:, cand], self.mults, axis=-2))
+        bad = [(int(ka[e]), int(kb[e])) for e in cand[np.any(dist > tol, axis=0)]]
         if bad:
             raise ValueError(f"Q-point traces disagree across {len(bad)} edges: {bad[:5]}")
 

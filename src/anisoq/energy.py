@@ -27,6 +27,8 @@ from .exterior import lambda_m, lambda_m_batch
 from .multipoint import MaximalDecomposition
 
 DEFAULT_RAY_TOL = 1e-9
+# angle (rad) added to psi's cut-off before rows are screened off by cosine
+RAY_SCREEN_MARGIN = 1e-3
 LOWER_BOUND_RATIO_CONSTANT = 1.0 / 200.0
 
 
@@ -50,16 +52,16 @@ class PsiConfig:
         return PsiConfig(eps=self.eps, rays=self.rays, ray_tol=self.ray_tol, eta=eta)
 
 
-def _ray_angles(lams, cfg):
-    """Smallest angle from each (unnormalised) 2-vector to the ray set.
+def _ray_angles(unit, cosang, cfg):
+    """Smallest angle from each unit 2-vector to the ray set, given its cosines.
 
     Evaluated through the projection residual (sine) rather than arccos of
-    the inner product, which would lose all resolution below ~1e-8; with
-    this formula angles resolve down to machine precision, so the 1e-9
-    default tolerance is meaningful.
+    the cosine, which would lose all resolution below ~1e-8; with this
+    formula angles resolve down to machine precision, so the 1e-9 default
+    tolerance is meaningful.  psi reads the angle only up to
+    max(eta, ray_tol): beyond it psi is 1 whatever the angle, so
+    psi_of_unit_tangents calls this only on rows its cosine screen keeps.
     """
-    unit = lams / np.linalg.norm(lams, axis=1, keepdims=True)
-    cosang = unit @ cfg.rays.T  # (N, 3)
     resid = unit[:, None, :] - cosang[:, :, None] * cfg.rays[None, :, :]
     sinang = np.linalg.norm(resid, axis=2)
     ang = np.arctan2(sinang, cosang)
@@ -69,7 +71,8 @@ def _ray_angles(lams, cfg):
 def psi_batch(Xs, cfg):
     """psi (or its eta-smoothed variant) on an (N, 2, 2) stack of gradients."""
     lams = lambda_m_batch(Xs)
-    return np.linalg.norm(lams, axis=1) * psi_of_unit_tangents(lams, cfg)
+    norms = np.linalg.norm(lams, axis=1)
+    return norms * psi_of_unit_tangents(lams, cfg, norms)
 
 
 def psi(X, cfg):
@@ -77,14 +80,32 @@ def psi(X, cfg):
     return float(psi_batch(np.asarray(X, dtype=float)[None, :, :], cfg)[0])
 
 
-def psi_of_unit_tangents(unit_ws, cfg):
+def psi_of_unit_tangents(unit_ws, cfg, norms=None):
     """The 1-homogeneous extension evaluated on unit tangents: 0 on rays, 1 off.
 
-    Only the direction of each row is used, so the rows need not be unit.
+    Only the direction of each row is used, so the rows need not be unit;
+    norms, when given, are the row norms.  psi differs from 1 only within
+    max(eta, ray_tol) of a ray, so one matmul gives every row's cosines to
+    the rays and only rows whose largest cosine reaches the cosine of that
+    angle plus RAY_SCREEN_MARGIN (or is not finite) get the exact angle of
+    _ray_angles; every other row is exactly 1.  The margin dwarfs the
+    rounding of the cosines, so the screen never drops a row the exact
+    angle would put inside the cut-off.
     """
-    ang = _ray_angles(np.asarray(unit_ws, dtype=float), cfg)
-    out = np.minimum(1.0, ang / cfg.eta) if cfg.eta > 0.0 else np.ones(ang.shape[0])
-    out[ang <= cfg.ray_tol] = 0.0
+    ws = np.asarray(unit_ws, dtype=float)
+    if norms is None:
+        norms = np.linalg.norm(ws, axis=1)
+    unit = ws / norms[:, None]
+    cosang = unit @ cfg.rays.T  # (N, 3)
+    reach = max(cfg.eta, cfg.ray_tol) + RAY_SCREEN_MARGIN
+    cut = math.cos(reach) if reach < math.pi else -math.inf
+    near = np.flatnonzero(~(cosang.max(axis=1) < cut))
+    out = np.ones(ws.shape[0])
+    if near.size:
+        ang = _ray_angles(unit[near], cosang[near], cfg)
+        if cfg.eta > 0.0:
+            out[near] = np.minimum(1.0, ang / cfg.eta)
+        out[near[ang <= cfg.ray_tol]] = 0.0
     return out
 
 

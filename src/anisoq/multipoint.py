@@ -5,7 +5,8 @@ d = 6 for jets, i.e. (value, 2x2 gradient) pairs flattened).  The metric is
 the min-cost perfect matching with squared Euclidean costs, square-rooted.
 Matching is solved exhaustively for Q <= 6 and with the Hungarian method
 (scipy's linear_sum_assignment) above; the two agree on the overlap, which
-the test suite asserts.
+the test suite asserts.  g_metric also takes stacks of Q-points and matches
+them pair by pair.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ DEFAULT_CLUSTER_TOL = 1e-9
 
 
 def _canonical(points):
-    """Sort rows lexicographically: canonical representative of the multiset."""
+    """Sort the rows of each Q-point lexicographically: the multiset's representative.
+
+    points is one (Q, d) Q-point or a (..., Q, d) stack, sorted point by point.
+    """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("expected a (Q, d) array of points")
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
+    if pts.ndim < 2:
+        raise ValueError("expected a (..., Q, d) array of points")
+    order = np.lexsort(np.moveaxis(pts, -1, 0)[::-1], axis=-1)
+    return np.take_along_axis(pts, order[..., None], axis=-2)
 
 
 class QPoint:
@@ -37,6 +41,8 @@ class QPoint:
 
     def __init__(self, points):
         self.points = _canonical(points)
+        if self.points.ndim != 2:
+            raise ValueError("expected a (Q, d) array of points")
 
     @property
     def q(self):
@@ -87,30 +93,44 @@ class QJet(QPoint):
 
 
 def _match_cost_sq(xs, ys):
-    """Minimal sum of squared distances over perfect matchings."""
-    cost = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2)
-    q = xs.shape[0]
+    """Minimal sum of squared distances over perfect matchings, pair by pair.
+
+    xs, ys: (..., Q, d) stacks of canonical Q-points.  Below the threshold
+    each permutation's sum runs over the rows in canonical order, for the
+    whole stack at once; one permutation at a time keeps the memory at the
+    stack's size rather than q! times it.  A NaN sum never wins.
+    """
+    cost = np.sum((xs[..., :, None, :] - ys[..., None, :, :]) ** 2, axis=-1)
+    q = cost.shape[-1]
     if q <= EXHAUSTIVE_MAX_Q:
-        best = np.inf
         idx = np.arange(q)
+        best = np.full(cost.shape[:-2], np.inf)
         for perm in itertools.permutations(range(q)):
-            c = float(cost[idx, list(perm)].sum())
-            if c < best:
-                best = c
+            c = cost[..., idx, list(perm)].sum(axis=-1)
+            best = np.where(c < best, c, best)
         return best
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    best = np.empty(cost.shape[:-2])
+    for idx in np.ndindex(best.shape):
+        rows, cols = linear_sum_assignment(cost[idx])
+        best[idx] = cost[idx][rows, cols].sum()
+    return best
+
+
+def _points(p):
+    return p.points if isinstance(p, QPoint) else _canonical(p)
 
 
 def g_metric(p, q):
-    """Matching metric between two Q-points with equal Q."""
-    if not isinstance(p, QPoint):
-        p = QPoint(p)
-    if not isinstance(q, QPoint):
-        q = QPoint(q)
-    if p.q != q.q or p.points.shape[1] != q.points.shape[1]:
+    """Matching metric between Q-points with equal Q and d.
+
+    p and q are QPoints or (..., Q, d) arrays of Q-points, broadcast against
+    each other: a float for one pair, an array over the stack otherwise.
+    """
+    xs, ys = _points(p), _points(q)
+    if xs.shape[-2:] != ys.shape[-2:]:
         raise ValueError("Q-points have mismatched cardinality or dimension")
-    return float(np.sqrt(_match_cost_sq(p.points, q.points)))
+    dist = np.sqrt(_match_cost_sq(*np.broadcast_arrays(xs, ys)))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def g_metric_hungarian(p, q):

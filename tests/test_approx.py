@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from anisoq import approx as ap
-from anisoq.multipoint import QJet, g_metric
+from anisoq.multipoint import QJet, QPoint, g_metric
+from tests.test_multipoint import _pairwise_g_metric
 
 
 def test_profiles_lipschitz_increments():
@@ -191,3 +195,154 @@ def test_hybrid_requires_parts(cfg01):
     f = ap.branched_profile()
     with pytest.raises((ValueError, RuntimeError)):
         ap.piecewise_affine_sequence(f, 4, cfg01)
+
+
+# -- the scalar evaluation path that part_values and the stacked Lipschitz
+# checks replaced, kept here as a reference --------------------------------
+
+
+def _old_sup_radius(x, c):
+    d = np.asarray(x, dtype=float) - c
+    return float(max(abs(d[0]), abs(d[1])))
+
+
+class _OldHybrid:
+    """g_k evaluated one point at a time through a dict of kept lattice cells."""
+
+    def __init__(self, g):
+        self.g, self.sub = g, g.sub
+        self.kept = {(int(a), int(b)): int(self.sub.lattice[a, b])
+                     for a, b in np.argwhere(self.sub.lattice >= 0)}
+
+    def region_of(self, x):
+        sub = self.sub
+        rel = (np.asarray(x, dtype=float) - sub.lattice_origin) / sub.r
+        row = self.kept.get((int(math.floor(rel[0])), int(math.floor(rel[1]))))
+        if row is None or _old_sup_radius(x, sub.centers[row]) > 0.5 * sub.r:
+            return "outside", None
+        if _old_sup_radius(x, sub.centers[row]) <= 0.5 * self.g.shrink * sub.r:
+            return "cube", row
+        return "collar", row
+
+    def part_value(self, x, j):
+        g, x = self.g, np.asarray(x, dtype=float)
+        where, row = self.region_of(x)
+        if where == "outside":
+            return np.asarray(g.f.parts[j][1](x), dtype=float)
+        z = g.sub.centers[row]
+        model = g.sub.part_a[row, j] + g.sub.part_X[row, j] @ (x - z)
+        if where == "cube":
+            return model
+        s_in = 0.5 * g.shrink * g.sub.r
+        s_out = 0.5 * g.sub.r
+        t = np.clip((_old_sup_radius(x, z) - s_in) / (s_out - s_in), 0.0, 1.0)
+        outer = np.asarray(g.f.parts[j][1](x), dtype=float)
+        return t * outer + (1.0 - t) * model
+
+    def __call__(self, x):
+        rows = []
+        for j, (m, _fn, _g) in enumerate(self.g.f.parts):
+            rows.extend([self.part_value(x, j)] * m)
+        return np.array(rows)
+
+
+def _hybrid(f, k, drop=()):
+    """g_k on f's subdivision at delta = 1/k, with the listed lattice cells dropped."""
+    sub = ap.cubic_subdivision(f, 1.0 / k)
+    lattice = sub.lattice.copy()
+    for i, j in drop:
+        lattice[i, j] = -1
+    return ap.HybridQMap(f, dataclasses.replace(sub, lattice=lattice), k)
+
+
+@pytest.mark.parametrize("profile", [ap.smooth_profile, ap.twosheet_profile])
+def test_part_values_match_scalar_regions(profile):
+    g = _hybrid(profile(), 4, drop=[(0, 0), (2, 3)])
+    sub = g.sub
+    r, m, o = sub.r, sub.lattice_m, sub.lattice_origin
+    s_in = 0.5 * g.shrink * r
+    rng = np.random.default_rng(5)
+    z = sub.centers[[1, sub.n_cubes // 2, sub.n_cubes - 1]]
+    dropped = o + r * (np.array([[0.5, 0.5], [2.5, 3.5], [2.1, 3.9]]))
+    edges = o + r * np.array([[0, 0], [1, 2], [m, m], [m, 1], [3, m - 1], [m / 2, 0]], float)
+    pts = np.concatenate([
+        z,  # cube centres
+        # shrunken-cube faces, collar, full-cube faces
+        (z[:, None] + [[s_in, 0.0], [0.0, -s_in], [s_in * (1 + 1e-12), s_in], [0.5 * r, 0.0],
+                       [-0.5 * r, 0.5 * r]]).reshape(-1, 2),
+        z + 0.5 * r * rng.uniform(-1, 1, (3, 2)),
+        dropped,
+        edges, edges - 1e-15, edges + 1e-15,  # lattice lines and the lattice's edge
+        [[0.5, 0.5], [-0.5, 0.1], [0.49, -0.49], [0.0, 0.0]],  # domain boundary, outside
+        rng.uniform(-0.5, 0.5, (200, 2)),
+    ])
+    old = _OldHybrid(g)
+    regions = [old.region_of(x) for x in pts]
+    assert {w for w, _row in regions} == {"cube", "collar", "outside"}
+    assert [g.region_of(x) for x in pts] == regions
+    ref = [[old.part_value(x, j) for j in range(len(g.f.parts))] for x in pts]
+    assert np.array_equal(g.part_values(pts), np.array(ref))
+    assert np.array_equal(g.values_at(pts), np.array([old(x) for x in pts]))
+    assert g(pts[0]) == QPoint(old(pts[0]))
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("profile", [ap.smooth_profile, ap.twosheet_profile])
+def test_measured_lipschitz_matches_double_loop(profile, k):
+    g = _hybrid(profile(), k)
+    old = _OldHybrid(g)
+    grid_m = 64
+    c, s = g.sub.domain_center, g.sub.domain_side
+    xs = np.linspace(-0.5, 0.5, grid_m + 1) * s
+    vals = [[old(c + np.array([a, b])) for b in xs] for a in xs]
+    h = s / grid_m
+    best = 0.0
+    for i in range(grid_m + 1):
+        for j in range(grid_m + 1):
+            if i + 1 <= grid_m:
+                best = max(best, _pairwise_g_metric(vals[i][j], vals[i + 1][j]) / h)
+            if j + 1 <= grid_m:
+                best = max(best, _pairwise_g_metric(vals[i][j], vals[i][j + 1]) / h)
+    assert g.measured_lipschitz(grid_m) == best
+
+
+def _old_annulus_lipschitz(I, n_perim=96, n_rad=8):
+    best = 0.0
+    radii = np.linspace(I.s_in, I.s_out, n_rad + 1)
+    taus = np.arange(n_perim) / n_perim
+    pts = np.empty((n_rad + 1, n_perim, 2))
+    for a, s in enumerate(radii):
+        for b, tau in enumerate(taus):
+            pts[a, b] = I._perimeter_point(s, tau)
+    vals = [[I(pts[a, b]).points for b in range(n_perim)] for a in range(n_rad + 1)]
+    for a in range(n_rad + 1):
+        for b in range(n_perim):
+            nb = (b + 1) % n_perim
+            d = np.linalg.norm(pts[a, b] - pts[a, nb])
+            if d > 1e-14:
+                best = max(best, _pairwise_g_metric(vals[a][b], vals[a][nb]) / d)
+            if a + 1 <= n_rad:
+                d = np.linalg.norm(pts[a, b] - pts[a + 1, b])
+                if d > 1e-14:
+                    best = max(best, _pairwise_g_metric(vals[a][b], vals[a + 1][b]) / d)
+    return best
+
+
+def test_annulus_lipschitz_matches_double_loop():
+    f = ap.smooth_profile()
+    const, a, X = np.array([0.7, -0.3]), np.array([1.0, 2.0]), np.array([[0.3, -0.1], [0.2, 0.5]])
+    cases = [
+        ([(2, (const, np.zeros((2, 2))))], [(2, (const, np.zeros((2, 2))))], 0.4, 0.5),
+        ([(1, (a, X))], [(1, (a, X))], 0.5, 0.4),
+    ]
+    for s in (0.0, 0.1, 0.4):
+        outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
+        cases.append(([(1, f.parts[0][1])], outer, 0.5, 0.3))
+    cases.append(([(1, f.parts[0][1]), (1, (a, X))], [(1, (const, X)), (1, f.parts[0][1])],
+                  0.5, 0.3))
+    for inner, outer, r, sigma in cases:
+        I = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
+        assert I.measured_lipschitz() == _old_annulus_lipschitz(I)
+    # a degenerate ring whose neighbours coincide is skipped, not divided by
+    I = ap.interpolate_annulus(*cases[2][:2], np.zeros(2), 0.5, 0.3)
+    assert I.measured_lipschitz(n_perim=1, n_rad=2) == _old_annulus_lipschitz(I, 1, 2)

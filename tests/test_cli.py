@@ -67,6 +67,32 @@ def test_counts_below_one_rejected(tmp_path, args):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["approx"],
+        ["bogus"],
+        [],
+        ["obstruction", "--eps", "0.1", "--q", "1", "--family", "spiral"],
+        ["obstruction", "--eps", "0.1", "--q", "abc"],
+        ["envelope", "--eps", "x", "--q", "1", "--target", "zero"],
+        ["approx", "--profile", "smooth", "--k", "4,1"],
+        ["approx", "--profile", "smooth", "--k", "4,x"],
+        ["approx", "--profile", "smooth", "--k", ""],
+        ["construct", "--eps", "0.1", "--jsn", "r.json"],
+    ],
+    ids=["missing-profile", "unknown-command", "no-command", "unknown-family", "q-abc",
+         "eps-x", "k-below-2", "k-not-int", "k-empty", "unknown-option"],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "usage: anisoq" in err
+    assert not out.exists() and os.listdir(tmp_path) == []
+
+
 def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("bracket ordering violated: lower > upper")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisoq import construction, currents, energy
-from anisoq.exterior import lambda_m
+from anisoq.exterior import lambda_m, lambda_m_batch
 from anisoq.multipoint import MaximalDecomposition
 from tests.conftest import EPS_GRID
 
@@ -202,3 +202,56 @@ def test_property_b_spotcheck_random_report(cfg01):
     )
     assert len(rep["margins"]) == 3
     assert rep["flagged_samples"] == []
+
+
+def _full_ray_angles(lams, cfg):
+    """The unscreened kernel: projection-residual angles for every row."""
+    unit = lams / np.linalg.norm(lams, axis=1, keepdims=True)
+    cosang = unit @ cfg.rays.T
+    resid = unit[:, None, :] - cosang[:, :, None] * cfg.rays[None, :, :]
+    return np.arctan2(np.linalg.norm(resid, axis=2), cosang).min(axis=1)
+
+
+def _full_psi_of_unit_tangents(ws, cfg):
+    ang = _full_ray_angles(np.asarray(ws, dtype=float), cfg)
+    out = np.minimum(1.0, ang / cfg.eta) if cfg.eta > 0.0 else np.ones(ang.shape[0])
+    out[ang <= cfg.ray_tol] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.4])
+def test_screened_psi_matches_full_ray_angles(bundle01, cfg01, eta):
+    cfg = cfg01.with_eta(eta)
+    rng = np.random.default_rng(31)
+    reach = max(eta, cfg.ray_tol) + energy.RAY_SCREEN_MARGIN
+    angles = [0.0, np.pi, reach, reach * (1 - 1e-12), reach * (1 + 1e-12), 2 * reach]
+    for edge in {cfg.ray_tol, eta} - {0.0}:
+        angles += [edge, edge * (1 - 1e-6), edge * (1 + 1e-6)]
+    rows = []
+    for ray in cfg.rays:
+        for theta in angles:
+            w = rng.normal(size=6)
+            w -= (w @ ray) * ray
+            w /= np.linalg.norm(w)
+            rows.append(rng.uniform(0.1, 10) * (np.cos(theta) * ray + np.sin(theta) * w))
+    # rows whose largest cosine is the screen's cut, give or take an ulp
+    cut = np.cos(reach)
+    for ray in cfg.rays:
+        w = rng.normal(size=6)
+        w -= (w @ ray) * ray
+        w /= np.linalg.norm(w)
+        for c in (np.nextafter(cut, -1), cut, np.nextafter(cut, 2)):
+            rows.append(c * ray + np.sqrt(1 - c * c) * w)
+    nan_rows = np.full((2, 6), np.nan)
+    nan_rows[1, 1:] = rng.normal(size=5)
+    ws = np.concatenate([np.array(rows), rng.normal(size=(500, 6)), nan_rows])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(energy.psi_of_unit_tangents(ws, cfg),
+                              _full_psi_of_unit_tangents(ws, cfg), equal_nan=True)
+    # gradients on and near the lift matrices, and far from them
+    E = rng.normal(size=(2, 2))
+    grads = [bundle01.X[i] + t * E for i in range(3) for t in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1)]
+    Xs = np.concatenate([np.array(grads), rng.normal(size=(2000, 2, 2)) * 3])
+    full = np.linalg.norm(lambda_m_batch(Xs), axis=1) * _full_psi_of_unit_tangents(
+        lambda_m_batch(Xs), cfg)
+    assert np.array_equal(energy.psi_batch(Xs, cfg), full)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from anisoq import multipoint as mp
 
@@ -136,3 +137,45 @@ def test_competitor_descriptor_boundary_value():
 def test_qpoint_json_roundtrip(rng):
     p = mp.QPoint(rng.normal(size=(3, 2)))
     assert mp.QPoint.from_json(p.to_json()) == p
+
+
+def _pairwise_g_metric(p, q):
+    """One pair at a time: canonical sort, then permutations or Hungarian."""
+    xs, ys = (np.asarray(v, float)[np.lexsort(np.asarray(v, float).T[::-1])] for v in (p, q))
+    cost = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2)
+    n = xs.shape[0]
+    if n > mp.EXHAUSTIVE_MAX_Q:
+        rows, cols = linear_sum_assignment(cost)
+        return float(np.sqrt(float(cost[rows, cols].sum())))
+    best = np.inf
+    idx = np.arange(n)
+    for perm in itertools.permutations(range(n)):
+        c = float(cost[idx, list(perm)].sum())
+        if c < best:
+            best = c
+    return float(np.sqrt(best))
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_stacked_metric_matches_pairwise(q):
+    rng = np.random.default_rng(100 + q)
+    for d in (2, 6):
+        P = rng.normal(size=(4, 30, q, d)) * 10.0 ** rng.uniform(-6, 6, (4, 30, 1, 1))
+        Q = rng.normal(size=(4, 30, q, d))
+        P[:, ::3, 1:] = P[:, ::3, :1]  # repeated rows
+        Q[:, ::4] = P[:, ::4, ::-1]  # equal multisets in another order
+        Q[:, 1::5] = Q[:, 1::5, :1]
+        if q <= mp.EXHAUSTIVE_MAX_Q:
+            P[1, 2, 0, 0] = np.nan  # every matching's sum is NaN: the pair gives inf
+        want = np.array([[_pairwise_g_metric(a, b) for a, b in zip(pa, qa)]
+                         for pa, qa in zip(P, Q)])
+        got = mp.g_metric(P, Q)
+        assert got.shape == (4, 30)
+        assert np.array_equal(got, want)
+        # a single Q-point broadcasts against a stack; one pair gives a float
+        assert np.array_equal(mp.g_metric(P[0], Q[0, 0]),
+                              [_pairwise_g_metric(a, Q[0, 0]) for a in P[0]])
+        one = mp.g_metric(mp.QPoint(P[0, 0]), Q[0, 0])
+        assert type(one) is float and one == want[0, 0]
+    with pytest.raises(ValueError):
+        mp.g_metric(np.zeros((3, q, 2)), np.zeros((3, q + 1, 2)))
