@@ -679,21 +679,6 @@ class HybridQMap:
     def __call__(self, x):
         return QPoint(self.values_at(x))
 
-    def part_grad_at(self, x, j):
-        """Gradient of part j: exact on cubes and outside, FD across collars."""
-        where, row = self.region_of(x)
-        if where == "cube":
-            return self.sub.part_X[row, j]
-        if where == "outside":
-            return self.f.part_grad(np.asarray(x, dtype=float), j)
-        h = (0.5 * self.sub.r * (1.0 - self.shrink)) / 8.0
-        g = np.empty((2, 2))
-        for comp in range(2):
-            e = np.zeros(2)
-            e[comp] = h
-            g[:, comp] = (self.part_value(x + e, j) - self.part_value(x - e, j)) / (2.0 * h)
-        return g
-
     def measured_lipschitz(self, grid_m=64):
         """Largest difference quotient between neighbouring nodes of a
         (grid_m + 1)^2 grid over the domain."""

@@ -14,10 +14,16 @@ T = 2 n^2 triangles numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half
 of cell (i, j)).  triangle_nodes gives their node indices and p1_gradients
 is the one P1 gradient kernel, shared with the envelope optimiser.
 
-A TriangulatedCurrent is a list of oriented 2-simplices in R^4 with integer
-multiplicities; mass, boundary chain, Gaussian image, classification
-partition, linear pushforward and distance-sphere slicing are computed
-per triangle, exactly for affine data.
+A TriangulatedCurrent is an (N, 3, 4) array of oriented 2-simplices in R^4
+with N integer multiplicities; mass, boundary chain, Gaussian image,
+classification partition, linear pushforward and distance-sphere slicing
+are exact for affine data.  Each is one array kernel over all N triangles:
+slice_mass intersects every sphere circle with every edge line at once
+((N, 6) critical angles), mass_in_ball screens whole triangles in or out
+of the ball before counting sub-triangle centroids, and boundary, the
+expected loop chain of boundary_equals_loop and to_json_obj share one
+vertex-key kernel (_vertex_keys) and boundary chains one edge-chain
+kernel (_edge_chain).
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ from .multipoint import QPoint, g_metric
 MIN_TRIANGLE_AREA = 1e-14
 EDGE_CONTINUITY_TOL = 1e-9
 VERTEX_KEY_DECIMALS = 9
+# distance margin of mass_in_ball's screen, relative to the coordinate scale
+# of a triangle, the centre and rho; the centroid distances round by about
+# 1e-15 of that scale, however small rho is
+BALL_SCREEN_MARGIN = 1e-10
+# rows per array pass: they bound the temporaries of slice_mass and
+# mass_in_ball to about 2 MiB, whatever the number of triangles
+SLICE_CHUNK_TRIANGLES = 1 << 10
+BALL_CHUNK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -327,21 +341,8 @@ class TriangulatedCurrent:
 
     def boundary(self):
         """Signed edge chain after cancellation: {(key_a, key_b): count}."""
-        chain = {}
-        scale = 10.0**VERTEX_KEY_DECIMALS
-
-        def key(v):
-            return tuple(int(round(c * scale)) for c in v)
-
-        for tri, m in zip(self.verts, self.mults):
-            ks = [key(tri[0]), key(tri[1]), key(tri[2])]
-            for a in range(3):
-                ka, kb = ks[a], ks[(a + 1) % 3]
-                if ka <= kb:
-                    chain[(ka, kb)] = chain.get((ka, kb), 0) + int(m)
-                else:
-                    chain[(kb, ka)] = chain.get((kb, ka), 0) - int(m)
-        return {e: c for e, c in chain.items() if c != 0}
+        keys = _vertex_keys(self.verts)
+        return _edge_chain(keys, np.roll(keys, -1, axis=1), np.repeat(self.mults, 3))
 
     def boundary_equals_loop(self, loop_points, multiplicity, height=(0.0, 0.0)):
         """Check the boundary chain equals `multiplicity` times the closed loop.
@@ -353,20 +354,9 @@ class TriangulatedCurrent:
         lift = np.concatenate(
             [pts, np.tile(np.asarray(height, float), (pts.shape[0], 1))], axis=1
         )
-        expected = {}
-        scale = 10.0**VERTEX_KEY_DECIMALS
-
-        def key(v):
-            return tuple(int(round(c * scale)) for c in v)
-
-        n = pts.shape[0]
-        for a in range(n):
-            ka, kb = key(lift[a]), key(lift[(a + 1) % n])
-            if ka <= kb:
-                expected[(ka, kb)] = expected.get((ka, kb), 0) + int(multiplicity)
-            else:
-                expected[(kb, ka)] = expected.get((kb, ka), 0) - int(multiplicity)
-        expected = {e: c for e, c in expected.items() if c != 0}
+        keys = _vertex_keys(lift)
+        expected = _edge_chain(keys, np.roll(keys, -1, axis=0),
+                               np.full(pts.shape[0], int(multiplicity)))
         return self.boundary() == expected
 
     def gaussian_image(self):
@@ -424,47 +414,65 @@ class TriangulatedCurrent:
         if rho <= 0:
             raise ValueError("rho must be positive")
         p = np.asarray(p, dtype=float)
-        total = 0.0
-        for tri, m in zip(self.verts, self.mults):
-            total += m * _triangle_sphere_arclength(tri, p, rho)
-        return float(total)
+        arcs = np.zeros(self.n_triangles)
+        for lo in range(0, self.n_triangles, SLICE_CHUNK_TRIANGLES):
+            arcs[lo:lo + SLICE_CHUNK_TRIANGLES] = _sphere_arcs(
+                self.verts[lo:lo + SLICE_CHUNK_TRIANGLES], p, rho)
+        return float(np.sum(self.mults * arcs))
 
     def mass_in_ball(self, p, rho, subdiv=16):
         """Quadrature estimate of the mass inside the closed ball B_rho(p).
 
         Midpoint rule on subdiv^2 congruent sub-triangles per triangle.
+        Triangles wholly inside or outside the ball, by BALL_SCREEN_MARGIN
+        of their coordinate scale, count all or none of their centroids;
+        only the others evaluate them.
         """
+        if rho <= 0:
+            raise ValueError("rho must be positive")
+        if subdiv < 1:
+            raise ValueError("subdiv must be at least 1")
         p = np.asarray(p, dtype=float)
         cents, frac = _subtriangle_centroids(subdiv)
-        total = 0.0
-        areas = self.areas()
-        for tri, m, area in zip(self.verts, self.mults, areas):
+        rel = self.verts - p
+        far = np.sqrt(_rowdot(rel, rel).max(axis=1))
+        # bounding sphere: the vertex mean and the largest distance from it
+        centre = self.verts.mean(axis=1)
+        spread = self.verts - centre[:, None, :]
+        off = centre - p
+        gap = np.sqrt(_rowdot(off, off)) - np.sqrt(_rowdot(spread, spread).max(axis=1))
+        pad = BALL_SCREEN_MARGIN * (np.abs(self.verts).max(axis=(1, 2)) + np.abs(p).max() + rho)
+        whole = far < rho - pad
+        none = gap > rho + pad
+        counts = np.where(whole, cents.shape[0], 0)
+        near = np.flatnonzero(~whole & ~none)
+        chunk = max(1, BALL_CHUNK_POINTS // cents.shape[0])
+        for lo in range(0, near.shape[0], chunk):
+            tri = self.verts[near[lo:lo + chunk]]
             pts = (
-                tri[0][None, :]
-                + cents[:, 0:1] * (tri[1] - tri[0])[None, :]
-                + cents[:, 1:2] * (tri[2] - tri[0])[None, :]
+                tri[:, None, 0]
+                + cents[None, :, 0:1] * (tri[:, 1] - tri[:, 0])[:, None]
+                + cents[None, :, 1:2] * (tri[:, 2] - tri[:, 0])[:, None]
             )
-            inside = np.sum((pts - p) ** 2, axis=1) <= rho * rho
-            total += m * area * frac * np.count_nonzero(inside)
-        return float(total)
+            counts[near[lo:lo + chunk]] = np.count_nonzero(
+                np.sum((pts - p) ** 2, axis=2) <= rho * rho, axis=1
+            )
+        return float(np.sum(self.mults * self.areas() * frac * counts))
 
     # -- serialization ----------------------------------------------------------------
 
     def to_json_obj(self):
-        scale = 10.0**VERTEX_KEY_DECIMALS
-        index = {}
-        vertices = []
-        triangles = []
-        for tri, m in zip(self.verts, self.mults):
-            ids = []
-            for v in tri:
-                k = tuple(int(round(c * scale)) for c in v)
-                if k not in index:
-                    index[k] = len(vertices)
-                    vertices.append([float(c) for c in v])
-                ids.append(index[k])
-            triangles.append([ids[0], ids[1], ids[2], int(m)])
-        return {"vertices": vertices, "triangles": triangles}
+        """Shared vertices in first-seen order (merged by their 1e-9 keys) and
+        triangles as [i, j, k, multiplicity]."""
+        flat = self.verts.reshape(-1, 4)
+        _, first, inv = np.unique(_vertex_keys(flat), axis=0, return_index=True,
+                                  return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        ids = rank[inv.reshape(-1)].reshape(-1, 3)
+        triangles = np.concatenate([ids, self.mults[:, None]], axis=1)
+        return {"vertices": flat[first[order]].tolist(), "triangles": triangles.tolist()}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -489,64 +497,107 @@ def _subtriangle_centroids(k):
     return np.array(cents), 1.0 / (k * k)
 
 
-def _triangle_sphere_arclength(tri, p, rho):
-    v0 = tri[0]
-    u1 = tri[1] - v0
-    u2 = tri[2] - v0
-    e1 = u1 / np.linalg.norm(u1)
-    w = u2 - (u2 @ e1) * e1
-    e2 = w / np.linalg.norm(w)
+def _sphere_arcs(verts, p, rho):
+    """Length of the sphere S_rho(p) inside each triangle of verts (n, 3, 4).
+
+    The sphere meets each triangle plane in a circle of radius rr, or not at
+    all; up to six critical angles where it crosses the three edge lines
+    split it into arcs, and an arc counts when its midpoint is inside the
+    triangle, to 1e-12.
+    """
+    arcs = np.zeros(verts.shape[0])
+    # orthonormal frame (e1, e2) of each triangle plane at vertex 0
+    v0 = verts[:, 0]
+    u1, u2 = verts[:, 1] - v0, verts[:, 2] - v0
+    n1 = np.sqrt(_rowdot(u1, u1))
+    e1 = u1 / n1[:, None]
+    t2x = _rowdot(u2, e1)
+    w = u2 - t2x[:, None] * e1
+    e2 = w / np.sqrt(_rowdot(w, w))[:, None]
     q = p - v0
-    a, b = q @ e1, q @ e2
-    d2 = q @ q - a * a - b * b
-    rr2 = rho * rho - d2
-    if rr2 <= 0.0:
-        return 0.0
-    rr = math.sqrt(rr2)
-    # 2D picture in the triangle plane
-    C = np.array([a, b])
-    T = np.array([[0.0, 0.0], [np.linalg.norm(u1), 0.0], [u2 @ e1, u2 @ e2]])
-    crit = []
-    for s in range(3):
-        A, B = T[s], T[(s + 1) % 3]
-        d = B - A
-        dd = d @ d
-        f = A - C
-        disc = (d @ f) ** 2 - dd * (f @ f - rr * rr)
-        if disc <= 0.0 or dd == 0.0:
-            continue
-        root = math.sqrt(disc)
-        for sgn in (-1.0, 1.0):
-            t = (-(d @ f) + sgn * root) / dd
-            pt = A + t * d - C
-            crit.append(math.atan2(pt[1], pt[0]))
-    if not crit:
-        mid = C + np.array([rr, 0.0])
-        return 2.0 * math.pi * rr if _point_in_tri(mid, T) else 0.0
-    crit = sorted(th % (2.0 * math.pi) for th in crit)
-    total = 0.0
-    for k in range(len(crit)):
-        th0 = crit[k]
-        th1 = crit[(k + 1) % len(crit)] + (2.0 * math.pi if k + 1 == len(crit) else 0.0)
-        span = th1 - th0
-        if span <= 0.0:
-            continue
-        mid_th = th0 + 0.5 * span
-        mid = C + rr * np.array([math.cos(mid_th), math.sin(mid_th)])
-        if _point_in_tri(mid, T):
-            total += span * rr
-    return total
+    a, b = _rowdot(q, e1), _rowdot(q, e2)
+    rr2 = rho * rho - (_rowdot(q, q) - a * a - b * b)
+    hit = np.flatnonzero(rr2 > 0.0)
+    rr = np.sqrt(rr2[hit])
+    # the plane picture: circle centre C and radius rr, triangle T (K, 3, 2)
+    C = np.stack([a[hit], b[hit]], axis=-1)
+    T = np.zeros((hit.shape[0], 3, 2))
+    T[:, 1, 0] = n1[hit]
+    T[:, 2, 0], T[:, 2, 1] = t2x[hit], _rowdot(u2[hit], e2[hit])
+    # critical angles where the circle crosses the edge lines T[s] T[s+1]
+    d = np.roll(T, -1, axis=1) - T
+    f = T - C[:, None, :]
+    dd, df, ff = _rowdot(d, d), _rowdot(d, f), _rowdot(f, f)
+    disc = df**2 - dd * (ff - (rr * rr)[:, None])
+    cut = (disc > 0.0) & (dd != 0.0)
+    root = np.sqrt(np.where(cut, disc, np.nan))
+    t = (-df[..., None] + np.array([-1.0, 1.0]) * root[..., None]) / dd[..., None]
+    pt = T[:, :, None, :] + t[..., None] * d[:, :, None, :] - C[:, None, None, :]
+    crit = np.sort(np.arctan2(pt[..., 1], pt[..., 0]).reshape(-1, 6) % (2.0 * math.pi),
+                   axis=1)
+    # arcs between consecutive critical angles, the last one wrapping round
+    n_crit = np.count_nonzero(~np.isnan(crit), axis=1)
+    k = np.arange(6)
+    last = k + 1 == n_crit[:, None]
+    th1 = np.where(last, crit[:, :1] + 2.0 * math.pi, np.roll(crit, -1, axis=1))
+    span = th1 - crit
+    arc = (k < n_crit[:, None]) & (span > 0.0)
+    mid = crit + 0.5 * span
+    inside = _in_triangle(T, C[:, None, :] + rr[:, None, None]
+                          * np.stack([np.cos(mid), np.sin(mid)], axis=-1))
+    on_arcs = np.where(arc & inside, span * rr[:, None], 0.0).sum(axis=1)
+    # a circle that crosses no edge line lies wholly inside or outside
+    east = C + np.stack([rr, np.zeros_like(rr)], axis=-1)
+    whole = (n_crit == 0) & _in_triangle(T, east[:, None, :])[:, 0]
+    arcs[hit] = np.where(whole, 2.0 * math.pi * rr, on_arcs)
+    return arcs
 
 
-def _point_in_tri(pt, T, tol=1e-12):
-    s0 = _cross2(T[1] - T[0], pt - T[0])
-    s1 = _cross2(T[2] - T[1], pt - T[1])
-    s2 = _cross2(T[0] - T[2], pt - T[2])
-    return (s0 >= -tol) and (s1 >= -tol) and (s2 >= -tol)
+def _rowdot(u, v):
+    """Dot products of u and v along the last axis, rounded as u @ v rounds one pair."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def _in_triangle(T, pts):
+    """Points pts (K, M, 2) inside the plane triangles T (K, 3, 2), each edge
+    sign test to 1e-12."""
+    d = np.roll(T, -1, axis=1) - T
+    rel = pts[:, None] - T[:, :, None]
+    side = d[:, :, None, 0] * rel[..., 1] - d[:, :, None, 1] * rel[..., 0]
+    return np.all(side >= -1e-12, axis=1)
+
+
+def _vertex_keys(points):
+    """Integer keys (..., 4) of points: coordinates rounded to VERTEX_KEY_DECIMALS.
+
+    np.rint rounds half to even, as Python's round does.
+    """
+    scaled = np.asarray(points, dtype=float) * 10.0**VERTEX_KEY_DECIMALS
+    if not np.all(np.abs(scaled) < 2.0**63):
+        raise ValueError("vertex coordinates must be finite and below 9.2e9 in size")
+    return np.rint(scaled).astype(np.int64)
+
+
+def _edge_chain(start, end, weights):
+    """Signed edge chain {(key_a, key_b): count} of weighted edges start -> end.
+
+    start, end: (..., 4) vertex keys; weights: (...,) integers.  Each edge
+    is stored with its lexicographically smaller key first, its weight
+    negated when that reverses it; edges whose counts cancel are dropped.
+    """
+    start, end = start.reshape(-1, 4), end.reshape(-1, 4)
+    # compare the keys at their first differing coordinate (any, if equal)
+    i = np.argmax(start != end, axis=1)[:, None]
+    fwd = np.take_along_axis(start, i, 1)[:, 0] <= np.take_along_axis(end, i, 1)[:, 0]
+    edges = np.where(fwd[:, None], np.concatenate([start, end], axis=1),
+                     np.concatenate([end, start], axis=1))
+    signed = np.where(fwd, 1, -1) * np.asarray(weights, dtype=np.int64).reshape(-1)
+    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
+    counts = np.zeros(uniq.shape[0], dtype=np.int64)
+    np.add.at(counts, inv.reshape(-1), signed)
+    keep = np.flatnonzero(counts)
+    return {(tuple(e[:4]), tuple(e[4:])): c
+            for e, c in zip(uniq[keep].tolist(), counts[keep].tolist())}
 
 
 def triangulate(g):
@@ -656,33 +707,24 @@ def branched_graph(q, amplitude, cutoff, n_r=24, n_theta=32, p=None):
     if p < q:
         raise ValueError("exponent p must be >= q for a Lipschitz profile")
     m_phi = q * n_theta
+    # scalar Python arithmetic per radius and per angle: np.power and the
+    # array cos/sin need not round as float.__pow__ and math do
     radii = np.linspace(0.0, 1.0, n_r + 1)
-
-    def vertex(ir, k):
-        r = radii[ir]
-        phi = 2.0 * math.pi * q * (k % m_phi) / m_phi
-        z = np.array([r * math.cos(phi), r * math.sin(phi)])
-        prof = amplitude * min(1.0 - r, cutoff)
-        rad = r ** (p / q) * prof
-        ang = p * phi / q
-        return np.array([z[0], z[1], rad * math.cos(ang), rad * math.sin(ang)])
-
-    verts = []
-    mults = []
-    for ir in range(n_r):
-        for k in range(m_phi):
-            v00 = vertex(ir, k)
-            v10 = vertex(ir + 1, k)
-            v11 = vertex(ir + 1, k + 1)
-            v01 = vertex(ir, k + 1)
-            if ir == 0:
-                verts.append([v00, v10, v11])  # fan triangle at the centre
-                mults.append(1)
-            else:
-                verts.append([v00, v10, v11])
-                verts.append([v00, v11, v01])
-                mults.extend([1, 1])
-    return TriangulatedCurrent(np.array(verts), np.array(mults))
+    rad = np.array([r ** (p / q) * (amplitude * min(1.0 - r, cutoff)) for r in radii])
+    phi = [2.0 * math.pi * q * k / m_phi for k in range(m_phi)]
+    base = np.array([[math.cos(f), math.sin(f)] for f in phi])
+    lift = np.array([[math.cos(p * f / q), math.sin(p * f / q)] for f in phi])
+    V = np.concatenate([radii[:, None, None] * base, rad[:, None, None] * lift], axis=-1)
+    # quad (ir, k) has corners v00 = V[ir, k], v10 = V[ir+1, k],
+    # v11 = V[ir+1, k+1] and v01 = V[ir, k+1], angles taken mod m_phi
+    k1 = np.roll(np.arange(m_phi), -1)
+    v00, v10, v11, v01 = V[:-1], V[1:], V[1:, k1], V[:-1, k1]
+    lower = np.stack([v00, v10, v11], axis=2)
+    upper = np.stack([v00, v11, v01], axis=2)
+    # one fan triangle per angle at the centre, then two per quad
+    quads = np.stack([lower[1:], upper[1:]], axis=2).reshape(-1, 3, 4)
+    verts = np.concatenate([lower[0], quads])
+    return TriangulatedCurrent(verts, np.ones(verts.shape[0], dtype=np.int64))
 
 
 def flat_disk_current(n_r=24, n_theta=64):
