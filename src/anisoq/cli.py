@@ -202,10 +202,7 @@ def cmd_obstruction(args):
 
 def cmd_envelope(args):
     out_dir = _out_dir(args)
-    br, competitor = envelope_bracket(
-        args.eps, args.q, args.target, mesh_n=args.mesh, starts=args.starts,
-        seed=args.seed,
-    )
+    br, competitor = envelope_bracket(args.eps, args.q, args.target)
     comp_name = f"competitor_{args.target}_q{args.q}.json"
     comp_path = os.path.join(out_dir, comp_name)
     _dump_json(comp_path, competitor.to_json_obj())
@@ -277,9 +274,7 @@ def cmd_certificate(args):
     uppers = []
     for i in range(3):
         target = MaximalDecomposition.single(args.q, np.zeros(2), b.X[i])
-        val, _comp, _meta = envelope_upper(
-            target, cfg, mesh_n=args.mesh, starts=args.starts, seed=args.seed
-        )
+        val, _comp, _meta = envelope_upper(target, cfg)
         uppers.append(val)
     lower, trace = envelope_lower_at_zero(args.eps, args.q)
     cert = construction.certificate(
@@ -319,6 +314,14 @@ def _k_list(text):
     return ks
 
 
+def _ignored_search_flags(parser):
+    """--mesh, --starts and --seed of the retired envelope search: parsed and
+    checked (counts >= 1) so existing command lines keep working, then unused."""
+    for name in ("mesh", "starts", "seed"):
+        parser.add_argument(f"--{name}", type=int, default=1,
+                            help="ignored: the envelope upper bound is a closed-form minimum")
+
+
 def build_parser():
     p = _Parser(
         prog="anisoq",
@@ -346,9 +349,7 @@ def build_parser():
     e.add_argument("--eps", type=float, required=True)
     e.add_argument("--q", type=int, required=True)
     e.add_argument("--target", choices=["zero", "ray1", "ray2", "ray3"], required=True)
-    e.add_argument("--mesh", type=int, default=8)
-    e.add_argument("--starts", type=int, default=4)
-    e.add_argument("--seed", type=int, default=0)
+    _ignored_search_flags(e)
     e.set_defaults(fn=cmd_envelope)
 
     a = sub.add_parser("approx", help="piecewise-affine approximation convergence")
@@ -361,9 +362,7 @@ def build_parser():
     ce = sub.add_parser("certificate", help="non-convexity certificate from envelopes")
     ce.add_argument("--eps", type=float, required=True)
     ce.add_argument("--q", type=int, required=True)
-    ce.add_argument("--mesh", type=int, default=6)
-    ce.add_argument("--starts", type=int, default=2)
-    ce.add_argument("--seed", type=int, default=0)
+    _ignored_search_flags(ce)
     ce.set_defaults(fn=cmd_certificate)
     return p
 

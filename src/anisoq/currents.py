@@ -12,7 +12,7 @@ The graph is stored as arrays, triangle-major: sheet multiplicities (J,),
 values at the cell centres (T, J, 2) and gradients (T, J, 2, 2), with
 T = 2 n^2 triangles numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half
 of cell (i, j)).  triangle_nodes gives their node indices and p1_gradients
-is the one P1 gradient kernel, shared with the envelope optimiser.
+is the one P1 gradient kernel.
 
 A TriangulatedCurrent is an (N, 3, 4) array of oriented 2-simplices in R^4
 with N integer multiplicities; mass, boundary chain, Gaussian image,
@@ -235,18 +235,6 @@ class FunctionalQGraph:
         if bad:
             raise ValueError(f"Q-point traces disagree across {len(bad)} edges: {bad[:5]}")
 
-    def merged_with(self, other):
-        """Union of the sheet systems of two graphs on the same mesh."""
-        if self.mesh != other.mesh:
-            raise ValueError("graphs live on different meshes")
-        return FunctionalQGraph(
-            self.mesh,
-            np.concatenate([self.mults, other.mults]),
-            np.concatenate([self.a, other.a], axis=1),
-            np.concatenate([self.X, other.X], axis=1),
-            check=False,
-        )
-
     # -- serialization ----------------------------------------------------------
 
     def to_json_obj(self):
@@ -300,6 +288,8 @@ class TriangulatedCurrent:
         if self.verts.shape[0] != self.mults.shape[0]:
             raise ValueError("vertex and multiplicity counts differ")
         if validate:
+            if not np.all(np.isfinite(self.verts)):
+                raise ValueError("vertex coordinates must be finite")
             if np.any(self.mults < 1):
                 raise ValueError("multiplicities must be positive integers")
             if np.any(self.areas() <= MIN_TRIANGLE_AREA):
@@ -503,7 +493,7 @@ def _sphere_arcs(verts, p, rho):
     The sphere meets each triangle plane in a circle of radius rr, or not at
     all; up to six critical angles where it crosses the three edge lines
     split it into arcs, and an arc counts when its midpoint is inside the
-    triangle, to 1e-12.
+    triangle (_in_triangle).
     """
     arcs = np.zeros(verts.shape[0])
     # orthonormal frame (e1, e2) of each triangle plane at vertex 0
@@ -559,12 +549,17 @@ def _rowdot(u, v):
 
 
 def _in_triangle(T, pts):
-    """Points pts (K, M, 2) inside the plane triangles T (K, 3, 2), each edge
-    sign test to 1e-12."""
+    """Points pts (K, M, 2) inside the plane triangles T (K, 3, 2).
+
+    Each edge sign test allows 1e-12 of the edge length times the point's
+    distance from the edge's start, the largest the cross product can be,
+    so the test reads the same at every scale of the picture.
+    """
     d = np.roll(T, -1, axis=1) - T
     rel = pts[:, None] - T[:, :, None]
     side = d[:, :, None, 0] * rel[..., 1] - d[:, :, None, 1] * rel[..., 0]
-    return np.all(side >= -1e-12, axis=1)
+    reach = np.sqrt(_rowdot(d, d))[:, :, None] * np.sqrt(_rowdot(rel, rel))
+    return np.all(side >= -1e-12 * reach, axis=1)
 
 
 def _vertex_keys(points):

@@ -54,9 +54,6 @@ class QPoint:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(np.tile(x, (q, 1)))
 
-    def translate(self, x):
-        return QPoint(self.points + np.asarray(x, dtype=float))
-
     def __eq__(self, other):
         if not isinstance(other, QPoint):
             return NotImplemented

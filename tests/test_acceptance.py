@@ -19,6 +19,7 @@ from anisoq import gmeasures as gm
 from anisoq import multipoint as mp
 from anisoq.energy import PsiConfig
 from anisoq.multipoint import MaximalDecomposition
+from tests.conftest import cli_env
 
 EPS_GRID = (0.02, 0.05, 0.1, 0.15, 0.2)
 E12 = np.array([1.0, 0, 0, 0, 0, 0])
@@ -174,10 +175,10 @@ def test_c06_envelope_bracket():
         for q in (1, 2):
             for i in range(3):
                 target = MaximalDecomposition.single(q, np.zeros(2), b.X[i])
-                val, _, _ = energy.envelope_upper(target, cfg, mesh_n=6, starts=2, seed=0)
+                val, _, _ = energy.envelope_upper(target, cfg)
                 assert val == 0.0
             zero = MaximalDecomposition.single(q, np.zeros(2), np.zeros((2, 2)))
-            upper, _, _ = energy.envelope_upper(zero, cfg, mesh_n=6, starts=2, seed=0)
+            upper, _, _ = energy.envelope_upper(zero, cfg)
             assert upper <= q + 1e-12
             lower, trace = energy.envelope_lower_at_zero(0.1, q)
             assert lower > 0.0
@@ -194,7 +195,7 @@ def test_c07_certificate():
             uppers = []
             for i in range(3):
                 target = MaximalDecomposition.single(q, np.zeros(2), b.X[i])
-                val, _, _ = energy.envelope_upper(target, cfg, mesh_n=4, starts=1)
+                val, _, _ = energy.envelope_upper(target, cfg)
                 uppers.append(val)
             lower, _ = energy.envelope_lower_at_zero(0.1, q)
             cert = con.certificate(0.1, q, {"upper_at_rays": uppers, "lower_at_zero": lower})
@@ -299,10 +300,9 @@ def test_c11_cli_determinism(tmp_path):
             for run in range(2):
                 d = tmp_path / f"case{idx}_run{run}"
                 d.mkdir()
-                env = dict(os.environ, ANISOQ_OUT=str(d))
                 res = subprocess.run(
                     [sys.executable, "-m", "anisoq.cli"] + args,
-                    capture_output=True, text=True, env=env, timeout=600,
+                    capture_output=True, text=True, env=cli_env(d), timeout=600,
                 )
                 assert res.returncode == 0, (args, res.stderr)
                 blob = {}

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import pytest
 
 from anisoq import approx, cli, construction, gmeasures
+from tests.conftest import cli_env
 
 BASE = [sys.executable, "-m", "anisoq.cli"]
 
 
 def run_cli(args, out_dir):
-    env = dict(os.environ, ANISOQ_OUT=str(out_dir))
     return subprocess.run(
-        BASE + args, capture_output=True, text=True, env=env, timeout=600
+        BASE + args, capture_output=True, text=True, env=cli_env(out_dir), timeout=600
     )
 
 
@@ -158,7 +158,7 @@ def test_json_outputs_match_schemas(tmp_path, capsys):
     capsys.readouterr()
     check(tmp_path / "report.json", "construction_report.schema.json")
     check(tmp_path / "envelope_zero_q1.json", "envelope_result.schema.json")
-    check(tmp_path / "competitor_zero_q1.json", "functional_qgraph.schema.json")
+    check(tmp_path / "competitor_zero_q1.json", "triangulated_current.schema.json")
     check(tmp_path / "certificate_q1.json", "certificate.schema.json")
 
 

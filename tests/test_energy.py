@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from anisoq import construction, currents, energy
 from anisoq.exterior import lambda_m, lambda_m_batch
 from anisoq.multipoint import MaximalDecomposition
 from tests.conftest import EPS_GRID
+
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 def unit_mesh(n):
@@ -77,19 +82,19 @@ def test_envelope_upper_rays_exact_zero(bundle01, cfg01):
     for q in (1, 2):
         for i in range(3):
             target = MaximalDecomposition.single(q, np.zeros(2), bundle01.X[i])
-            val, comp, meta = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1)
+            val, comp, meta = energy.envelope_upper(target, cfg01)
             assert val == 0.0
             assert meta["parts"][0]["method"] == "affine-ray"
-            assert energy.psi_bar_energy(comp, cfg01) == 0.0
+            assert energy.psi_mass_of_current(comp, cfg01) == 0.0
 
 
 def test_envelope_upper_zero_target_bound(cfg01):
     for q in (1, 2):
         target = MaximalDecomposition.single(q, np.zeros(2), np.zeros((2, 2)))
-        val, comp, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=2, seed=1)
+        val, comp, _ = energy.envelope_upper(target, cfg01)
         assert val <= q + 1e-12
         # the reported value is the exact psi-energy of the reported competitor
-        assert energy.psi_bar_energy(comp, cfg01) <= val + 1e-9
+        assert energy.psi_mass_of_current(comp, cfg01) <= val + 1e-9
 
 
 def test_envelope_upper_affine_bound(cfg01, rng):
@@ -97,32 +102,65 @@ def test_envelope_upper_affine_bound(cfg01, rng):
     for _ in range(3):
         X = rng.normal(size=(2, 2))
         target = MaximalDecomposition.single(2, np.zeros(2), X)
-        val, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1, seed=0)
+        val, _, _ = energy.envelope_upper(target, cfg01)
         assert val <= energy.affine_competitor_bound(target, cfg01) + 1e-12
 
 
-def test_envelope_upper_monotone_in_starts(cfg01):
-    X = np.array([[0.4, 0.1], [-0.2, 0.3]])
-    target = MaximalDecomposition.single(1, np.zeros(2), X)
-    v1, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1, seed=3)
-    v3, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=3, seed=3)
-    assert v3 <= v1 + 1e-15
-
-
-def test_envelope_upper_descent_beats_affine_near_ray():
-    # X is 1e-3 from the lift X3 (||X3|| ~ 1131): the descent moves 11 of the
-    # 32 triangles into the 1e-9 ray cone, where psi is exactly zero
+def test_envelope_upper_ray_ring_beats_affine_near_ray():
+    # X is 1e-3 from the lift X3 (||X3|| ~ 1131): the ray-3 ring puts all but
+    # a 1e-6 band of the domain on the ray, where psi is exactly zero
     eps = 0.05
     cfg = energy.PsiConfig.for_eps(eps)
     X = construction.build(eps).X[2] + np.diag([1e-3, 0.0])
-    target = MaximalDecomposition.single(1, np.zeros(2), X)
-    val, comp, _meta = energy.envelope_upper(target, cfg, mesh_n=4, starts=1, seed=0)
-    assert energy.affine_competitor_bound(target, cfg) == pytest.approx(639_999.0, rel=1e-6)
-    assert val == pytest.approx(419_999.175, rel=1e-6)
-    assert energy.psi_bar_energy(comp, cfg) == pytest.approx(val, rel=1e-12)
-    grads = comp.X.reshape(-1, 2, 2)
-    assert grads.shape[0] == 32
-    assert int(np.sum(energy.psi_batch(grads, cfg) == 0.0)) == 11
+    for a in (np.zeros(2), np.array([3.0, -2.0])):
+        target = MaximalDecomposition.single(1, a, X)
+        val, comp, meta = energy.envelope_upper(target, cfg)
+        assert energy.affine_competitor_bound(target, cfg) == pytest.approx(639_999.0, rel=1e-6)
+        assert val < 10.0
+        (part,) = meta["parts"]
+        assert (part["method"], part["ray"], part["width"]) == ("ray-ring", 3,
+                                                                energy.RAY_RING_WIDTH)
+        assert energy.psi_mass_of_current(comp, cfg) == val
+        assert comp.n_triangles == 10
+        affine = currents.triangulate(currents.affine_graph(energy.UNIT_DOMAIN, [(1, a, X)]))
+        assert comp.boundary() == affine.boundary()
+
+
+def test_envelope_upper_exact_targets_on_grid():
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMAS / "triangulated_current.schema.json") as fh:
+        schema = json.load(fh)
+    for eps in EPS_GRID:
+        cfg = energy.PsiConfig.for_eps(eps)
+        X = construction.build(eps).X
+        for q in (1, 2, 3):
+            for Y in (X[0], X[1], X[2], np.zeros((2, 2))):
+                target = MaximalDecomposition.single(q, np.zeros(2), Y)
+                val, comp, meta = energy.envelope_upper(target, cfg)
+                if Y.any():
+                    assert val == 0.0
+                else:
+                    assert val == q and meta["parts"][0]["method"] == "affine"
+                obj = json.loads(comp.to_json())
+                jsonschema.validate(obj, schema)
+                back = currents.TriangulatedCurrent.from_json_obj(obj)
+                assert energy.psi_mass_of_current(back, cfg) == pytest.approx(val, rel=1e-12)
+
+
+def test_ray_ring_boundary_mismatch_is_an_assertion(cfg01, monkeypatch):
+    target = MaximalDecomposition.single(1, np.zeros(2), np.diag([1e-3, 0.0]))
+    ring = energy._ray_ring
+
+    def shifted(affine, a, X_ray):
+        T = ring(affine, a, X_ray)
+        T.verts[0] += 1e-3  # one trapezoid triangle leaves the boundary data
+        return T
+
+    monkeypatch.setattr(energy, "_ray_ring", shifted)
+    # every ring beats the affine graph
+    monkeypatch.setattr(energy, "psi_mass_of_current", lambda T, cfg: -float(T.n_triangles))
+    with pytest.raises(AssertionError, match="boundary"):
+        energy.envelope_upper(target, cfg01)
 
 
 def test_envelope_split_target(bundle01, cfg01):
@@ -134,22 +172,8 @@ def test_envelope_split_target(bundle01, cfg01):
         ],
         tol=1e-9,
     )
-    val, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1)
+    val, _, _ = energy.envelope_upper(target, cfg01)
     assert val == 0.0
-
-
-def test_envelope_scale_invariance(bundle01, cfg01):
-    target = MaximalDecomposition.single(2, np.zeros(2), bundle01.X[1])
-    v_unit, _, _ = energy.envelope_upper(target, cfg01, mesh_n=4, starts=1)
-    v_moved, comp, _ = energy.envelope_upper(
-        target, cfg01, mesh_n=4, starts=1, domain=(np.array([1.0, -2.0]), 0.5)
-    )
-    assert abs(v_unit - v_moved) <= 1e-6
-    assert comp.mesh.x0 == (1.0, -2.0) and comp.mesh.r == 0.5
-    zero = MaximalDecomposition.single(1, np.zeros(2), np.zeros((2, 2)))
-    u1, _, _ = energy.envelope_upper(zero, cfg01, mesh_n=4, starts=1)
-    u2, _, _ = energy.envelope_upper(zero, cfg01, mesh_n=4, starts=1, domain=(np.zeros(2), 3.0))
-    assert abs(u1 - u2) <= 1e-6
 
 
 def test_envelope_lower_positive_on_grid():
@@ -178,10 +202,10 @@ def test_envelope_lower_two_norm_routes(bundle01):
 
 
 def test_bracket_ordering(cfg01):
-    br, _ = energy.envelope_bracket(0.1, 1, "zero", mesh_n=4, starts=1)
+    br, _ = energy.envelope_bracket(0.1, 1, "zero")
     assert br.lower > 0
     assert br.lower <= br.upper + 1e-9
-    br_ray, _ = energy.envelope_bracket(0.1, 1, "ray2", mesh_n=4, starts=1)
+    br_ray, _ = energy.envelope_bracket(0.1, 1, "ray2")
     assert br_ray.upper == 0.0 and br_ray.lower == 0.0
     with pytest.raises(ValueError):
         energy.envelope_bracket(0.1, 1, "ray9")
