@@ -8,17 +8,19 @@ Two building blocks:
   constant is controlled by L_inner + L_outer + gap / (annulus width).
 
 * cubic_subdivision / piecewise_affine_sequence implement a verified-search
-  version of the almost-piecewise-affine approximation: per cube an affine
-  model fitted by least squares at an interior sample point, validated by a
-  sup condition and a gradient measure condition; cubes failing validation
-  are dropped, and the sequence g_k glues the models on shrunken cubes to
-  the map itself through the annulus blend.
+  version of the almost-piecewise-affine approximation of a sheetwise
+  decomposable map: per cube and per sheet an affine model fitted by least
+  squares around the cube centre, validated by a sup condition and a
+  gradient measure condition; cubes failing validation are dropped, and the
+  sequence g_k glues the models on shrunken cubes to the map itself through
+  the annulus blend.
 
 Almost-everywhere objects (differentiability points, Lebesgue points) are
 replaced by sampled interior points with validation and retry, so the
-pipeline is a verified search, not a proof transcription.  Part callables
-are numpy-vectorised ((..., 2) -> (..., 2)) so the subdivision runs batched
-over all cubes at once.
+pipeline is a verified search, not a proof transcription.  Every Q-map here
+(SampledLipschitzQMap, AnnulusInterpolant, HybridQMap) evaluates arrays of
+points through part_values ((..., 2) -> (..., J, 2)), and every summed-psi
+energy goes through the one kernel _psi_bar.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ from .energy import psi_batch
 from .multipoint import QJet, QPoint, g_metric, maximal_decomposition
 
 FD_STEP_FRACTION = 1.0 / 64.0
+# Validation samples per cube side: N_VALID x N_VALID points out to
+# +-0.499 r, so the centre and the four corners are sampled.  On the smooth
+# and twosheet profiles at k = 4..32, 3, 5 and 9 keep the same cubes, while
+# the validation time grows as N_VALID^2.
+N_VALID = 5
+# The halving search gives up below r = R_MIN_FRAC * side: a lattice at
+# that pitch holds about 10^6 cubes, whose validation gradients
+# (cubes x N_VALID^2 x 2 x 2 floats) already take about 800 MB.
+R_MIN_FRAC = 1.0 / 1024.0
+_NO_PARTS = "not sheetwise-decomposable: the map carries no parts"
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +79,10 @@ class SampledLipschitzQMap:
         """Values (..., J, 2) of every part at points x (..., 2)."""
         x = np.asarray(x, dtype=float)
         return np.stack([np.asarray(fn(x), dtype=float) for _m, fn, _g in self.parts], axis=-2)
+
+    def part_grads(self, x):
+        """Gradients (..., J, 2, 2) of every part at points x (..., 2)."""
+        return np.stack([self.part_grad(x, j) for j in range(len(self.parts))], axis=-3)
 
     def _eval_from_parts(self, x):
         mults = [m for m, _f, _g in self.parts]
@@ -226,12 +242,24 @@ def _sup_radius(x, c):
 
 
 def _radial_project(x, c, s_half):
-    """Sup-norm radial projection onto the square of half-side s_half."""
+    """Sup-norm radial projection of points x (..., 2) onto the square of
+    half-side s_half; the centre itself goes to c + (s_half, 0)."""
     d = np.asarray(x, dtype=float) - c
-    nrm = max(abs(d[0]), abs(d[1]))
-    if nrm == 0.0:
-        return c + np.array([s_half, 0.0])
-    return c + d * (s_half / nrm)
+    nrm = np.max(np.abs(d), axis=-1, keepdims=True)
+    at_c = nrm == 0.0
+    return c + np.where(at_c, [s_half, 0.0], d * (s_half / np.where(at_c, 1.0, nrm)))
+
+
+def _square_perimeter(c, s_half, tau):
+    """Points (..., 2) on the square of half-side s_half at perimeter
+    parameters tau (...) in [0, 1), counter-clockwise from the corner
+    c + (-s_half, -s_half)."""
+    side, u = np.divmod(np.asarray(tau, dtype=float) * 4.0, 1.0)
+    side = side.astype(int) % 4
+    w = (2.0 * u - 1.0) * s_half
+    h = np.full(w.shape, s_half)
+    return c + np.stack([np.choose(side, [w, h, -w, -h]),
+                         np.choose(side, [-h, w, h, -w])], axis=-1)
 
 
 class _PartDatum:
@@ -249,15 +277,21 @@ class _PartDatum:
             self.fn = None
 
     def extend(self, x):
-        """Lipschitz extension to the annulus: affine data extend as
-        themselves, callables through the radial projection onto their
-        boundary square."""
+        """Lipschitz extension to points x (..., 2) of the annulus: affine
+        data extend as themselves, callables through the radial projection
+        onto their boundary square."""
+        x = np.asarray(x, dtype=float)
         if self.affine is not None:
             a, X = self.affine
-            return a + X @ (np.asarray(x, dtype=float) - self.center)
+            return a + (X @ (x - self.center)[..., None])[..., 0]
         return np.asarray(
             self.fn(_radial_project(x, self.center, self.s_half)), dtype=float
         )
+
+
+def _extensions(data, x):
+    """Extensions (..., J, 2) of the part data at points x (..., 2)."""
+    return np.stack([d.extend(x) for d in data], axis=-2)
 
 
 class AnnulusInterpolant:
@@ -282,40 +316,38 @@ class AnnulusInterpolant:
         self.inner = [_PartDatum(d, self.center, self.s_in) for _, d in inner_parts]
         self.outer = [_PartDatum(d, self.center, self.s_out) for _, d in outer_parts]
 
-    def weight(self, x):
+    def part_values(self, x):
+        """Values (..., J, 2) of every part at points x (..., 2)."""
+        x = np.asarray(x, dtype=float)
         t = (_sup_radius(x, self.center) - self.s_in) / (self.s_out - self.s_in)
-        return float(np.clip(t, 0.0, 1.0))
+        t = np.clip(t, 0.0, 1.0)[..., None, None]
+        return t * _extensions(self.outer, x) + (1.0 - t) * _extensions(self.inner, x)
 
     def part_value(self, x, j):
-        t = self.weight(x)
-        return t * self.outer[j].extend(x) + (1.0 - t) * self.inner[j].extend(x)
+        return self.part_values(x)[j]
+
+    def values_at(self, x):
+        """Q-point values (..., Q, 2) at points x (..., 2)."""
+        return np.repeat(self.part_values(x), self.mults, axis=-2)
 
     def __call__(self, x):
-        rows = []
-        for j, m in enumerate(self.mults):
-            v = self.part_value(x, j)
-            rows.extend([v] * m)
-        return QPoint(np.array(rows))
+        return QPoint(self.values_at(x))
 
     # -- diagnostics --------------------------------------------------------
 
-    def _perimeter_point(self, s_half, tau):
-        return _square_perimeter(self.center, s_half, tau)
+    def _rings(self, n_nodes):
+        """n_nodes matching points (n_nodes, 2) on the inner and the outer square."""
+        taus = np.arange(n_nodes) / n_nodes
+        return tuple(_square_perimeter(self.center, s, taus) for s in (self.s_in, self.s_out))
 
     def trace_error(self, n_nodes=32):
         """Max mismatch against the prescribed data at boundary mesh nodes."""
-        err = 0.0
-        for k in range(n_nodes):
-            tau = k / n_nodes
-            xi = self._perimeter_point(self.s_in, tau)
-            xo = self._perimeter_point(self.s_out, tau)
-            for j in range(len(self.mults)):
-                err = max(
-                    err,
-                    float(np.linalg.norm(self.part_value(xi, j) - self.inner[j].extend(xi))),
-                    float(np.linalg.norm(self.part_value(xo, j) - self.outer[j].extend(xo))),
-                )
-        return err
+        xi, xo = self._rings(n_nodes)
+        diff = self.part_values(np.stack([xi, xo])) - np.stack(
+            [_extensions(self.inner, xi), _extensions(self.outer, xo)])
+        # the dot product np.linalg.norm takes of a single vector
+        d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        return float(np.max(d, initial=0.0))
 
     def measured_lipschitz(self, n_perim=96, n_rad=8):
         """Finite-difference Lipschitz estimate over a fine annulus grid.
@@ -325,44 +357,32 @@ class AnnulusInterpolant:
         """
         radii = np.linspace(self.s_in, self.s_out, n_rad + 1)
         taus = np.arange(n_perim) / n_perim
-        pts = np.array([[self._perimeter_point(s, tau) for tau in taus] for s in radii])
-        vals = np.array([[self(x).points for x in ring] for ring in pts])
-        best = 0.0
-        for x, y, vx, vy in (
-            (pts, np.roll(pts, -1, axis=1), vals, np.roll(vals, -1, axis=1)),
-            (pts[:-1], pts[1:], vals[:-1], vals[1:]),
-        ):
-            diff = x - y
-            # the dot product np.linalg.norm takes of a single vector
-            d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-            far = d > 1e-14
-            if far.any():
-                best = max(best, float(np.max(g_metric(vx[far], vy[far]) / d[far])))
-        return best
+        pts = np.stack([_square_perimeter(self.center, s, taus) for s in radii])
+        vals = self.values_at(pts)
+        # ring-neighbour pairs stacked over radial-neighbour pairs
+        x, vx = (np.concatenate([v, v[:-1]]) for v in (pts, vals))
+        y, vy = (np.concatenate([np.roll(v, -1, axis=1), v[1:]]) for v in (pts, vals))
+        diff = x - y
+        d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        far = d > 1e-14
+        return float(np.max(g_metric(vx[far], vy[far]) / d[far], initial=0.0))
 
     def boundary_gap(self, n_nodes=64):
         """sup over matching boundary points of the Q-point data gap."""
-        gap = 0.0
-        for k in range(n_nodes):
-            tau = k / n_nodes
-            xi = self._perimeter_point(self.s_in, tau)
-            xo = self._perimeter_point(self.s_out, tau)
-            rows_i, rows_o = [], []
-            for j, m in enumerate(self.mults):
-                rows_i.extend([self.inner[j].extend(xi)] * m)
-                rows_o.extend([self.outer[j].extend(xo)] * m)
-            gap = max(gap, g_metric(QPoint(np.array(rows_i)), QPoint(np.array(rows_o))))
-        return gap
+        xi, xo = self._rings(n_nodes)
+        gaps = g_metric(np.repeat(_extensions(self.inner, xi), self.mults, axis=-2),
+                        np.repeat(_extensions(self.outer, xo), self.mults, axis=-2))
+        return float(np.max(gaps, initial=0.0))
 
 
 def interpolate_annulus(inner_parts, outer_parts, center, r, sigma):
     """Interpolant across D_{(1+sigma)r} minus D_r matching both traces exactly.
 
     inner_parts / outer_parts: lists of (multiplicity, datum), a datum being
-    either a callable x -> R^2 defined (at least) on its boundary square, or
-    a pair (a, X) for the affine map a + X (x - center).  Multiplicity
-    vectors must match part by part, else ValueError
-    ("not sheetwise-decomposable").
+    either a vectorised callable (..., 2) -> (..., 2) defined (at least) on
+    its boundary square, or a pair (a, X) for the affine map
+    a + X (x - center).  Multiplicity vectors must match part by part, else
+    ValueError ("not sheetwise-decomposable").
     """
     return AnnulusInterpolant(inner_parts, outer_parts, center, r, sigma)
 
@@ -394,7 +414,6 @@ class CubicSubdivision:
     centers: np.ndarray = None
     part_a: np.ndarray = None  # (n_cubes, J, 2)
     part_X: np.ndarray = None  # (n_cubes, J, 2, 2)
-    taylor_points: np.ndarray = None
     dropped: int = 0
     uncovered: float = 0.0
     diagnostics: dict = field(default_factory=dict)
@@ -421,12 +440,6 @@ class CubicSubdivision:
         inside = _sup_radius(x[hit], self.centers[rows[hit]]) <= 0.5 * self.r
         rows[hit] = np.where(inside, rows[hit], -1)
         return rows
-
-    def psi_bar_values(self, cfg):
-        """(n_cubes,) summed-psi value of each cube model."""
-        n, J = self.part_a.shape[0], len(self.part_mults)
-        vals = psi_batch(self.part_X.reshape(n * J, 2, 2), cfg).reshape(n, J)
-        return vals @ np.asarray(self.part_mults, dtype=float)
 
 
 def _lattice(c, s, r):
@@ -458,13 +471,13 @@ def _fit_parts_batched(f, centers, r):
     return np.stack(As, axis=1), np.stack(Xs, axis=1)  # (N, J, 2), (N, J, 2, 2)
 
 
-def _validate_batched(f, centers, r, part_a, part_X, delta, n_valid):
+def _validate_batched(f, centers, r, part_a, part_X, delta):
     """Sup and gradient-measure validation; returns a keep mask.
 
     Part-wise distances upper-bound the matching metric, so validation is
     conservative: every kept cube genuinely satisfies both conditions.
     """
-    ts = np.linspace(-0.499, 0.499, n_valid) * r
+    ts = np.linspace(-0.499, 0.499, N_VALID) * r
     off = np.array([[a, b] for a in ts for b in ts])  # (S, 2)
     S = off.shape[0]
     pts = centers[:, None, :] + off[None, :, :]  # (N, S, 2)
@@ -490,36 +503,35 @@ def _validate_batched(f, centers, r, part_a, part_X, delta, n_valid):
     return sup_ok & meas_ok
 
 
-def cubic_subdivision(f, delta, n_valid=5, r_min_frac=1.0 / 1024.0,
-                      cluster_tol=1e-3):
+def cubic_subdivision(f, delta):
     """Halving search for a validated r-cubic subdivision of f's domain.
 
-    Per cube the affine model is fitted at the cube center (least squares
-    over a stencil when a sheetwise decomposition is available, matched
-    finite differences otherwise) and validated against
+    f must carry a sheetwise decomposition (parts), else ValueError.  Per
+    cube and per part the affine model is fitted by least squares over a
+    3x3 stencil around the cube centre and validated against
     sup 𝒢(f, model) <= delta * r  and the gradient measure condition
     |{𝒢(grad f, grad model) > alpha}| <= (delta/alpha) r^2 sampled on an
-    n_valid x n_valid grid at alpha in {delta, 2 delta, 4 delta}.  Cubes
-    failing validation are dropped; the search halves r until the uncovered
-    measure is at most delta |U|, or reports failure when r falls below
-    r_min.  Every kept cube satisfies D(z, 3r) inside the domain.
+    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, all cubes
+    at once.  Cubes failing validation are dropped; the search halves r
+    until the uncovered measure is at most delta |U|, or reports failure
+    when r falls below R_MIN_FRAC times the side.  Every kept cube
+    satisfies D(z, 3r) inside the domain.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
+    if f.parts is None:
+        raise ValueError(_NO_PARTS)
     c, s = f.domain_center, f.domain_side
     area = s * s
+    mults = tuple(int(m_) for m_, _f, _g in f.parts)
     r = delta * s / 12.0
-    r_min = s * r_min_frac
+    r_min = s * R_MIN_FRAC
     attempts = []
     while r >= r_min:
         m, origin, centers = _lattice(c, s, r)
-        if m == 0:
-            r *= 0.5
-            continue
-        if f.parts is not None:
+        if m > 0:
             part_a, part_X = _fit_parts_batched(f, centers, r)
-            keep = _validate_batched(f, centers, r, part_a, part_X, delta, n_valid)
-            mults = tuple(int(m_) for m_, _f, _g in f.parts)
+            keep = _validate_batched(f, centers, r, part_a, part_X, delta)
             kept_rows = np.flatnonzero(keep)
             lattice = np.full(m * m, -1)
             lattice[kept_rows] = np.arange(kept_rows.size)
@@ -533,15 +545,9 @@ def cubic_subdivision(f, delta, n_valid=5, r_min_frac=1.0 / 1024.0,
                     lattice_m=m, lattice_origin=origin, lattice=lattice.reshape(m, m),
                     part_mults=mults, centers=centers[kept_rows],
                     part_a=part_a[kept_rows], part_X=part_X[kept_rows],
-                    taylor_points=centers[kept_rows].copy(),
                     dropped=int(n_drop), uncovered=float(uncovered),
                     diagnostics={"attempts": attempts},
                 )
-        else:
-            result = _subdivide_multiset(f, delta, r, m, origin, centers,
-                                         n_valid, cluster_tol, attempts)
-            if result is not None:
-                return result
         r *= 0.5
     return CubicSubdivision(
         ok=False, r=r, delta=delta, domain_center=c, domain_side=s,
@@ -550,64 +556,10 @@ def cubic_subdivision(f, delta, n_valid=5, r_min_frac=1.0 / 1024.0,
     )
 
 
-def _subdivide_multiset(f, delta, r, m, origin, centers, n_valid, cluster_tol,
-                        attempts):
-    """Loop fallback for multiset-only maps: Q mult-one sheets per cube."""
-    area = f.domain_side**2
-    q = f.q
-    lattice = np.full(m * m, -1)
-    rows_a, rows_X, rows_c = [], [], []
-    dropped = 0
-    ts = np.linspace(-0.499, 0.499, n_valid) * r
-    for row, z in enumerate(centers):
-        try:
-            jet = f.jet(z)
-        except Exception:
-            dropped += 1
-            continue
-        a_s = jet.values()
-        X_s = jet.grads()
-        ok = True
-        for aoff in ts:
-            for boff in ts:
-                x = z + np.array([aoff, boff])
-                model_rows = a_s + np.einsum("qab,b->qa", X_s, x - z)
-                if g_metric(f(x), QPoint(model_rows)) > delta * r:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            dropped += 1
-            continue
-        lattice[row] = len(rows_c)
-        rows_a.append(a_s)
-        rows_X.append(X_s)
-        rows_c.append(z)
-    uncovered = area - len(rows_c) * r * r
-    attempts.append({"r": r, "kept": len(rows_c), "dropped": dropped,
-                     "uncovered": float(uncovered)})
-    if uncovered > delta * area:
-        return None
-    return CubicSubdivision(
-        ok=True, r=r, delta=delta, domain_center=f.domain_center,
-        domain_side=f.domain_side, lattice_m=m, lattice_origin=origin,
-        lattice=lattice.reshape(m, m), part_mults=tuple([1] * q),
-        centers=np.array(rows_c), part_a=np.array(rows_a),
-        part_X=np.array(rows_X), taylor_points=np.array(rows_c),
-        dropped=dropped, uncovered=float(uncovered),
-        diagnostics={"attempts": attempts},
-    )
-
-
 def decomposition_of_cube(sub, row, tol=1e-9):
     """Maximal decomposition of the model jet of one cube."""
-    vals = sub.part_a[row]
-    grads = sub.part_X[row]
-    rows = []
-    for j, m in enumerate(sub.part_mults):
-        rows.extend([np.concatenate([vals[j], grads[j].ravel()])] * m)
-    return maximal_decomposition(QJet(np.array(rows)), tol=tol)
+    rows = np.concatenate([sub.part_a[row], sub.part_X[row].reshape(-1, 4)], axis=1)
+    return maximal_decomposition(QJet(np.repeat(rows, sub.part_mults, axis=0)), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +579,7 @@ class HybridQMap:
 
     def __init__(self, f, sub, k):
         if f.parts is None:
-            raise ValueError("not sheetwise-decomposable: the map carries no parts")
+            raise ValueError(_NO_PARTS)
         if tuple(int(m) for m, _f, _g in f.parts) != tuple(sub.part_mults):
             raise ValueError("cube model multiplicities do not match the map parts")
         self.f = f
@@ -697,11 +649,8 @@ def energy_of_map(f, cfg, grid_m=97):
     cell = (s / grid_m) ** 2
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = c[None, :] + s * np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    total = 0.0
-    for j, (mult, _fn, _g) in enumerate(f.parts):
-        grads = f.part_grad(pts, j).reshape(-1, 2, 2)
-        total += mult * float(psi_batch(grads, cfg).sum()) * cell
-    return total
+    mults = [m for m, _f, _g in f.parts]
+    return float(np.sum(_psi_bar(f.part_grads(pts), mults, cfg))) * cell
 
 
 _GAUSS3 = (
@@ -717,12 +666,11 @@ _ROT4 = [
 ]
 
 
-def _psi_bar_of_grads(grads_by_part, mults, cfg):
-    """sum_j mult_j * psi(grad_j); grads (J, N, 2, 2)."""
-    total = np.zeros(grads_by_part[0].shape[0])
-    for j, g in enumerate(grads_by_part):
-        total += mults[j] * psi_batch(g, cfg)
-    return total
+def _psi_bar(grads, mults, cfg):
+    """Summed psi, sum_j mults_j psi(grads_j), of gradients (..., J, 2, 2)
+    with one psi_batch call; shape (...)."""
+    vals = psi_batch(grads.reshape(-1, 2, 2), cfg).reshape(grads.shape[:-2])
+    return np.sum(vals * np.asarray(mults, dtype=float), axis=-1)
 
 
 def energy_of_hybrid(g, cfg, e_ref=None, grid_m=97):
@@ -751,27 +699,25 @@ def energy_of_hybrid(g, cfg, e_ref=None, grid_m=97):
     s_in, s_out = 0.5 * sh * r, 0.5 * r
     w = s_out - s_in
     centers = sub.centers
-    mults = np.asarray(sub.part_mults, dtype=float)
-    J = len(sub.part_mults)
+    mults = sub.part_mults
 
     # exact model energy on the shrunken cubes
-    cube_model = float(np.sum(sub.psi_bar_values(cfg)) * (sh * r) ** 2)
+    cube_model = float(np.sum(_psi_bar(sub.part_X, mults, cfg)) * (sh * r) ** 2)
 
-    # f on the shrunken cubes: tensor Gauss 3x3 per cube
+    # f on the shrunken cubes: tensor Gauss 3x3 per cube, one node at a time
+    # so psi_batch's temporaries stay at n * J rows
     gp, gw = _GAUSS3
     offs = np.array([[a, b] for a in gp for b in gp]) * s_in  # (9, 2)
     # Gauss weights on [-1,1]^2 sum to 4; scaled by s_in^2 they total (2 s_in)^2
     wts = np.array([wa * wb for wa in gw for wb in gw]) * (s_in**2)
-    pts = centers[:, None, :] + offs[None, :, :]
-    flat = pts.reshape(-1, 2)
-    grads_by_part = [f.part_grad(flat, j).reshape(-1, 2, 2) for j in range(J)]
-    vals = _psi_bar_of_grads(grads_by_part, mults, cfg)
-    cube_f = float(np.sum(vals.reshape(n, -1) * wts[None, :]))
+    vals = np.stack([_psi_bar(f.part_grads(centers + o), mults, cfg) for o in offs], axis=1)
+    cube_f = float(np.sum(vals * wts[None, :]))
 
     # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv
     collar_g = 0.0
     collar_f = 0.0
     for rot in _ROT4:
+        grad_t = (rot @ np.array([1.0, 0.0])) / w
         for iv, vnode in enumerate(gp):
             v = 0.5 * (vnode + 1.0)
             xi = s_in + v * w
@@ -780,25 +726,14 @@ def energy_of_hybrid(g, cfg, e_ref=None, grid_m=97):
                 u = unode  # in [-1, 1]
                 wu = gw[iu]
                 jac = w * xi * wv * wu
-                y = np.array([xi, u * xi])
-                x_pts = centers + (rot @ y)[None, :]
-                grad_t = (rot @ np.array([1.0, 0.0])) / w
-                grads_g, grads_f = [], []
-                for j in range(J):
-                    F = np.asarray(f.parts[j][1](x_pts), dtype=float)  # (N, 2)
-                    Gf = f.part_grad(x_pts, j)  # (N, 2, 2)
-                    a = sub.part_a[:, j]
-                    X = sub.part_X[:, j]
-                    M = a + np.einsum("nab,b->na", X, rot @ y)
-                    gr = (
-                        (F - M)[:, :, None] * grad_t[None, None, :]
-                        + v * Gf
-                        + (1.0 - v) * X
-                    )
-                    grads_g.append(gr)
-                    grads_f.append(Gf)
-                collar_g += float(np.sum(_psi_bar_of_grads(grads_g, mults, cfg))) * jac
-                collar_f += float(np.sum(_psi_bar_of_grads(grads_f, mults, cfg))) * jac
+                ry = rot @ np.array([xi, u * xi])
+                x_pts = centers + ry[None, :]
+                F = f.part_values(x_pts)  # (N, J, 2)
+                Gf = f.part_grads(x_pts)  # (N, J, 2, 2)
+                M = sub.part_a + np.einsum("njab,b->nja", sub.part_X, ry)
+                Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * sub.part_X
+                collar_g += float(np.sum(_psi_bar(Gg, mults, cfg))) * jac
+                collar_f += float(np.sum(_psi_bar(Gf, mults, cfg))) * jac
     delta = (cube_model - cube_f) + (collar_g - collar_f)
     return e_ref + delta
 
@@ -821,8 +756,8 @@ def piecewise_affine_sequence(f, k, cfg, grid_m=97):
     bad_full = area - sub.covered
     bad_shrunk = area - sub.n_cubes * (g.shrink * sub.r) ** 2
     energy = energy_of_hybrid(g, cfg, grid_m=grid_m)
-    x = np.array([_square_perimeter(f.domain_center, 0.5 * f.domain_side, tau)
-                  for tau in np.linspace(0.0, 1.0, 33)[:-1]])
+    x = _square_perimeter(f.domain_center, 0.5 * f.domain_side,
+                          np.linspace(0.0, 1.0, 33)[:-1])
     f_vals = np.repeat(f.part_values(x), sub.part_mults, axis=-2)
     trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f_vals))))
     report = {
@@ -839,16 +774,3 @@ def piecewise_affine_sequence(f, k, cfg, grid_m=97):
     }
     return g, report
 
-
-def _square_perimeter(c, s_half, tau):
-    """Point on the square of half-side s_half at perimeter parameter tau in [0,1)."""
-    side, u = divmod(tau * 4.0, 1.0)
-    side = int(side) % 4
-    w = (2.0 * u - 1.0) * s_half
-    if side == 0:
-        return c + np.array([w, -s_half])
-    if side == 1:
-        return c + np.array([s_half, w])
-    if side == 2:
-        return c + np.array([-w, s_half])
-    return c + np.array([-s_half, -w])

@@ -25,6 +25,11 @@ from .gmeasures import GrassmannMeasure
 
 EPS_DOMAIN_MAX = (4.0 / 3.0) ** 0.25
 BUILD_EPS_MAX = 0.2
+# Below this the construction no longer separates the classes in floating
+# point: `construct` passes every check down to eps = 1e-15, fails
+# mu0_mass_on_mixed (residual 0.5) from 1e-16 on, and divides by zero once
+# eps**4 underflows (1e-100).  1e-12 keeps three decades of margin.
+BUILD_EPS_MIN = 1e-12
 EPS_GRID = (0.02, 0.05, 0.1, 0.15, 0.2)
 
 
@@ -111,9 +116,9 @@ def spanning_vectors(eps, delta):
 
 
 def build(eps):
-    """Construct the full bundle; requires 0 < eps <= 0.2 (small-eps regime)."""
-    if not (0.0 < eps <= BUILD_EPS_MAX):
-        raise ValueError(f"eps must lie in (0, {BUILD_EPS_MAX}]; got {eps}")
+    """Construct the full bundle; requires 1e-12 <= eps <= 0.2 (small-eps regime)."""
+    if not (BUILD_EPS_MIN <= eps <= BUILD_EPS_MAX):
+        raise ValueError(f"eps must lie in [{BUILD_EPS_MIN}, {BUILD_EPS_MAX}]; got {eps}")
     delta = delta_of_eps(eps)
     u = spanning_vectors(eps, delta)
     v = np.stack([wedge(u[i, 0], u[i, 1]) for i in range(3)])

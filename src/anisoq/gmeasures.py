@@ -87,18 +87,22 @@ class GrassmannMeasure:
         return GrassmannMeasure(self.points, self.weights * factor, validate=False)
 
     def merged(self, decimals=12):
-        """Merge coinciding atoms (rounded coordinates) summing weights."""
+        """Merge coinciding atoms (rounded coordinates) summing weights.
+
+        Groups come in the order of their rounded coordinates; each sums its
+        weights in atom order and keeps the point of its last atom.
+        """
         if self.n_atoms == 0:
             return self
         key = np.round(self.points, decimals)
         _, inv = np.unique(key, axis=0, return_inverse=True)
+        inv = inv.reshape(-1)  # numpy 2.0.0 returns it as (n, 1)
         n = inv.max() + 1
-        pts = np.zeros((n, 6))
         wts = np.zeros(n)
-        for i, g in enumerate(inv):
-            wts[g] += self.weights[i]
-            pts[g] = self.points[i]
-        return GrassmannMeasure(pts, wts, validate=False)
+        np.add.at(wts, inv, self.weights)  # unbuffered: adds in atom order
+        last = np.full(n, -1)
+        np.maximum.at(last, inv, np.arange(self.n_atoms))
+        return GrassmannMeasure(self.points[last], wts, validate=False)
 
     def to_json_obj(self):
         return [[p.tolist(), float(w)] for p, w in zip(self.points, self.weights)]
@@ -115,10 +119,6 @@ class GrassmannMeasure:
     @classmethod
     def from_json(cls, s):
         return cls.from_json_obj(json.loads(s))
-
-
-def barycenter(mu):
-    return mu.barycenter()
 
 
 def transport_distance(mu, nu):

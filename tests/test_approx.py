@@ -197,6 +197,11 @@ def test_hybrid_requires_parts(cfg01):
         ap.piecewise_affine_sequence(f, 4, cfg01)
 
 
+def test_subdivision_requires_parts():
+    with pytest.raises(ValueError, match="^not sheetwise-decomposable: the map carries no parts$"):
+        ap.cubic_subdivision(ap.branched_profile(), 0.25)
+
+
 # -- the scalar evaluation path that part_values and the stacked Lipschitz
 # checks replaced, kept here as a reference --------------------------------
 
@@ -313,7 +318,7 @@ def _old_annulus_lipschitz(I, n_perim=96, n_rad=8):
     pts = np.empty((n_rad + 1, n_perim, 2))
     for a, s in enumerate(radii):
         for b, tau in enumerate(taus):
-            pts[a, b] = I._perimeter_point(s, tau)
+            pts[a, b] = ap._square_perimeter(I.center, s, tau)
     vals = [[I(pts[a, b]).points for b in range(n_perim)] for a in range(n_rad + 1)]
     for a in range(n_rad + 1):
         for b in range(n_perim):
@@ -346,3 +351,118 @@ def test_annulus_lipschitz_matches_double_loop():
     # a degenerate ring whose neighbours coincide is skipped, not divided by
     I = ap.interpolate_annulus(*cases[2][:2], np.zeros(2), 0.5, 0.3)
     assert I.measured_lipschitz(n_perim=1, n_rad=2) == _old_annulus_lipschitz(I, 1, 2)
+
+
+# -- the scalar annulus path that part_values and the stacked diagnostics
+# replaced, kept here as a reference ----------------------------------------
+
+
+def _old_radial_project(x, c, s_half):
+    d = np.asarray(x, dtype=float) - c
+    nrm = max(abs(d[0]), abs(d[1]))
+    if nrm == 0.0:
+        return c + np.array([s_half, 0.0])
+    return c + d * (s_half / nrm)
+
+
+def _old_square_perimeter(c, s_half, tau):
+    side, u = divmod(tau * 4.0, 1.0)
+    side = int(side) % 4
+    w = (2.0 * u - 1.0) * s_half
+    if side == 0:
+        return c + np.array([w, -s_half])
+    if side == 1:
+        return c + np.array([s_half, w])
+    if side == 2:
+        return c + np.array([-w, s_half])
+    return c + np.array([-s_half, -w])
+
+
+def _old_extend(datum, x):
+    if datum.affine is not None:
+        a, X = datum.affine
+        return a + X @ (np.asarray(x, dtype=float) - datum.center)
+    return np.asarray(datum.fn(_old_radial_project(x, datum.center, datum.s_half)), dtype=float)
+
+
+def _old_annulus_part_value(I, x, j):
+    t = float(np.clip((_old_sup_radius(x, I.center) - I.s_in) / (I.s_out - I.s_in), 0.0, 1.0))
+    return t * _old_extend(I.outer[j], x) + (1.0 - t) * _old_extend(I.inner[j], x)
+
+
+def _old_rows(data, mults, x):
+    return np.array([_old_extend(d, x) for d, m in zip(data, mults) for _ in range(m)])
+
+
+def _annulus_cases():
+    f = ap.smooth_profile()
+    const, a, X = np.array([0.7, -0.3]), np.array([1.0, 2.0]), np.array([[0.3, -0.1], [0.2, 0.5]])
+    c = np.array([0.013, -0.021])
+    return [
+        ap.interpolate_annulus([(1, (a, X))], [(1, (const, 0.5 * X))], np.zeros(2), 0.5, 0.4),
+        ap.interpolate_annulus([(1, f.parts[0][1])], [(1, (a, X))], c, 0.5, 0.3),
+        ap.interpolate_annulus([(1, f.parts[0][1]), (2, (a, X))],
+                               [(1, (const, X)), (2, f.parts[0][1])], c, 0.4, 0.5),
+    ]
+
+
+def _annulus_points(I, rng):
+    taus = np.concatenate([np.arange(5) / 4, np.arange(96) / 96, rng.random(20)])
+    return np.concatenate([
+        [I.center],
+        I.center + I.s_out * rng.uniform(-1.2, 1.2, (300, 2)),  # inside, annulus, outside
+        *(I.center + s * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+          for s in (I.s_in, I.s_out)),  # corners of both squares
+        *(ap._square_perimeter(I.center, s, taus) for s in (I.s_in, I.s_out)),
+    ])
+
+
+def test_square_perimeter_and_radial_project_match_scalar_code():
+    rng = np.random.default_rng(3)
+    c = np.array([0.013, -0.021])
+    taus = np.concatenate([np.arange(9) / 4, np.arange(64) / 64, rng.random(50)])
+    for s in (0.2, 0.35, 0.5):
+        ref = np.array([_old_square_perimeter(c, s, t) for t in taus])
+        assert np.array_equal(ap._square_perimeter(c, s, taus), ref)
+        assert np.array_equal(ap._square_perimeter(c, s, taus[5]), ref[5])
+        pts = np.concatenate([[c], ref, c + rng.uniform(-1, 1, (200, 2)), c + [[s, 0], [0, -s]]])
+        ref = np.array([_old_radial_project(x, c, s) for x in pts])
+        assert np.array_equal(ap._radial_project(pts, c, s), ref)
+        assert np.array_equal(ap._radial_project(pts[0], c, s), ref[0])
+        assert np.array_equal(ap._radial_project(c, c, s), c + [s, 0.0])
+
+
+def test_annulus_part_values_match_scalar_code():
+    rng = np.random.default_rng(4)
+    for I in _annulus_cases():
+        pts = _annulus_points(I, rng)
+        ref = np.array([[_old_annulus_part_value(I, x, j) for j in range(len(I.mults))]
+                        for x in pts])
+        assert np.array_equal(I.part_values(pts), ref)
+        assert np.array_equal(I.part_values(pts.reshape(-1, 1, 2))[:, 0], ref)
+        assert np.array_equal(I.values_at(pts), np.repeat(ref, I.mults, axis=-2))
+        for row in (0, 7, len(pts) - 1):
+            assert all(np.array_equal(I.part_value(pts[row], j), ref[row, j])
+                       for j in range(len(I.mults)))
+            assert I(pts[row]) == QPoint(np.repeat(ref[row], I.mults, axis=0))
+
+
+def test_annulus_trace_error_and_gap_match_scalar_loops():
+    for I in _annulus_cases():
+        for n in (1, 4, 32, 64):
+            err = gap = 0.0
+            for k in range(n):
+                xi = _old_square_perimeter(I.center, I.s_in, k / n)
+                xo = _old_square_perimeter(I.center, I.s_out, k / n)
+                for j in range(len(I.mults)):
+                    err = max(
+                        err,
+                        float(np.linalg.norm(_old_annulus_part_value(I, xi, j)
+                                             - _old_extend(I.inner[j], xi))),
+                        float(np.linalg.norm(_old_annulus_part_value(I, xo, j)
+                                             - _old_extend(I.outer[j], xo))),
+                    )
+                gap = max(gap, _pairwise_g_metric(_old_rows(I.inner, I.mults, xi),
+                                                  _old_rows(I.outer, I.mults, xo)))
+            assert I.trace_error(n) == err
+            assert I.boundary_gap(n) == gap

@@ -47,6 +47,21 @@ def test_construct_domain_error(tmp_path):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("eps", ["1e-16", "1e-70", "1e-100"])
+def test_construct_tiny_eps_is_an_input_error(tmp_path, eps):
+    res = run_cli(["construct", "--eps", eps], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == f"error: eps must lie in [1e-12, 0.2]; got {float(eps)}\n"
+    with pytest.raises(ValueError, match=r"eps must lie in \[1e-12, 0.2\]"):
+        construction.build(float(eps))
+
+
+def test_construct_smallest_eps_passes(tmp_path):
+    res = run_cli(["construct", "--eps", "1e-12"], tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -156,6 +156,34 @@ def test_merged_sums_weights():
     assert abs(m.total_mass() - 6.0) < 1e-14
 
 
+def _old_merged(mu, decimals=12):
+    """The per-atom loop that merged() replaced."""
+    _, inv = np.unique(np.round(mu.points, decimals), axis=0, return_inverse=True)
+    n = inv.max() + 1
+    pts, wts = np.zeros((n, 6)), np.zeros(n)
+    for i, g in enumerate(inv):
+        wts[g] += mu.weights[i]
+        pts[g] = mu.points[i]
+    return pts, wts
+
+
+def test_merged_matches_atom_loop(rng):
+    pts = np.stack([random_unit_simple(rng) for _ in range(40)])
+    near = pts[:6] + 1e-15 * rng.normal(size=(6, 6))  # same rounded key, other point
+    atoms = np.concatenate([pts, pts[::3], near, [E12, E12, E34, E12]])
+    mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=12)
+    images = [
+        gm.GrassmannMeasure(atoms, rng.uniform(0.1, 2.0, atoms.shape[0]), validate=False),
+        currents.triangulate(currents.random_lipschitz_graph(3, 1.5, 4, mesh)).gaussian_image(),
+        currents.branched_graph(2, 0.3, 0.4, n_r=8, n_theta=12).gaussian_image(),
+    ]
+    assert images[0].merged().n_atoms == 42  # the 40 random planes, E12 and E34
+    for mu in images:
+        m = mu.merged()
+        ref_pts, ref_wts = _old_merged(mu)
+        assert np.array_equal(m.points, ref_pts) and np.array_equal(m.weights, ref_wts)
+
+
 def test_obstruction_report_flat_graph():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
     g = currents.affine_graph(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])
