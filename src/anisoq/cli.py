@@ -122,7 +122,7 @@ def _obstruction_adversarial(args, mu0, out_dir):
                 field[:, :, d] = itp(pts).reshape(mesh.n + 1, mesh.n + 1)
             field *= bump[..., None]
             nodal.append((1, field))
-        return currents.FunctionalQGraph.from_nodal_sheets(mesh, nodal, check=False)
+        return currents.FunctionalQGraph.from_nodal_sheets(mesh, nodal)
 
     def objective(c):
         g = upsample(c)

@@ -8,11 +8,12 @@ the separable form phi(x) + chi(y), which admits no nontrivial zero-boundary
 instances; the triangle space is the usual P1 space and supports the random
 zero-boundary families used throughout the test harness.
 
-The graph is stored as arrays, triangle-major: sheet multiplicities (J,),
-values at the cell centres (T, J, 2) and gradients (T, J, 2, 2), with
-T = 2 n^2 triangles numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half
-of cell (i, j)).  triangle_nodes gives their node indices and p1_gradients
-is the one P1 gradient kernel.
+The graph is stored as its nodal values: sheet multiplicities (J,) and
+values (J, n+1, n+1, 2) at the mesh nodes, so every sheet is continuous by
+construction.  Its per-triangle gradients (T, J, 2, 2), T = 2 n^2 triangles
+numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half of cell (i, j)),
+are derived from them by p1_gradients, the one P1 gradient kernel;
+triangle_nodes gives the node indices of the triangles.
 
 A TriangulatedCurrent is an (N, 3, 4) array of oriented 2-simplices in R^4
 with N integer multiplicities; mass, boundary chain, Gaussian image,
@@ -40,7 +41,7 @@ from .gmeasures import GrassmannMeasure
 from .multipoint import QPoint, g_metric
 
 MIN_TRIANGLE_AREA = 1e-14
-EDGE_CONTINUITY_TOL = 1e-9
+ZERO_BOUNDARY_TOL = 1e-9
 VERTEX_KEY_DECIMALS = 9
 # distance margin of mass_in_ball's screen, relative to the coordinate scale
 # of a triangle, the centre and rho; the centroid distances round by about
@@ -71,10 +72,6 @@ class Mesh:
     def node(self, i, j):
         """Node (i, j); i and j may be index arrays of one shape."""
         return self.origin + self.h * np.stack([i, j], axis=-1).astype(float)
-
-    def cell_center(self, i, j):
-        """Centre of cell (i, j); i and j may be index arrays of one shape."""
-        return self.origin + self.h * np.stack([i + 0.5, j + 0.5], axis=-1)
 
     def nodes_array(self):
         idx = np.arange(self.n + 1)
@@ -132,138 +129,64 @@ def p1_gradients(vals, h, tris):
 
 
 class FunctionalQGraph:
-    """Piecewise-affine Q-valued map on a mesh, stored as three arrays.
+    """Continuous piecewise-affine Q-valued map on a mesh, given by its nodal values.
 
-    mults (J,) holds the sheet multiplicities, so q = mults.sum(); a
-    (T, J, 2) and X (T, J, 2, 2) hold each sheet's value at the cell centre
-    and its gradient on each triangle, T = 2 n^2, triangle id
-    2 (i n + j) + t as in triangle_nodes.  On triangle k of cell (i, j) the
-    value of sheet j at x is a[k, j] + X[k, j] (x - cell_center(i, j)).
+    mults (J,) holds the sheet multiplicities, so q = mults.sum(), and vals
+    (J, n+1, n+1, 2) each sheet's values at the nodes (i, j).  Each sheet is
+    the P1 interpolant of its nodal values, so it is continuous by
+    construction.  X (T, J, 2, 2) holds each sheet's gradient on each
+    triangle, T = 2 n^2, triangle id 2 (i n + j) + t as in triangle_nodes,
+    derived from vals once, on construction.
     """
 
-    def __init__(self, mesh, mults, a, X, check=True):
+    def __init__(self, mesh, mults, vals):
         self.mesh = mesh
         self.mults = np.asarray(mults, dtype=np.int64)
-        self.a = np.asarray(a, dtype=float)
-        self.X = np.asarray(X, dtype=float)
-        shape = (2 * mesh.n * mesh.n, self.mults.shape[0])
-        if self.a.shape != shape + (2,) or self.X.shape != shape + (2, 2):
-            raise ValueError("sheet arrays do not match the mesh and the multiplicities")
+        self.vals = np.asarray(vals, dtype=float)
+        if self.vals.shape != (self.mults.shape[0], mesh.n + 1, mesh.n + 1, 2):
+            raise ValueError("nodal values do not match the mesh and the multiplicities")
         self.q = int(self.mults.sum())
-        if check:
-            self.validate()
+        self.X = p1_gradients(self.vals, mesh.h, triangle_nodes(mesh.n)).swapaxes(0, 1)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def affine(cls, mesh, parts):
         """Graph of the affine map  sum_j q_j [a_j + X_j (x - x0)]."""
+        mults = [int(m) for m, _a, _X in parts]
         a = np.array([np.asarray(a, float) for _m, a, _X in parts])
         X = np.array([np.asarray(X, float) for _m, _a, X in parts])
-        cells = np.divmod(np.arange(2 * mesh.n * mesh.n) // 2, mesh.n)
-        d = mesh.cell_center(*cells) - np.array(mesh.x0, dtype=float)
-        a_tri = a + (X @ d[:, None, :, None])[..., 0]
-        X_tri = np.repeat(X[None], a_tri.shape[0], axis=0)
-        return cls(mesh, [int(m) for m, _a, _X in parts], a_tri, X_tri, check=False)
+        d = mesh.nodes_array() - np.array(mesh.x0, dtype=float)
+        vals = a[:, None, None] + (X[:, None, None] @ d[..., None])[..., 0]
+        return cls.from_nodal_sheets(mesh, list(zip(mults, vals)))
 
     @classmethod
-    def from_nodal_sheets(cls, mesh, nodal_list, check=True):
+    def from_nodal_sheets(cls, mesh, nodal_list):
         """Build from per-sheet nodal values; each sheet is P1 on the triangles.
 
         nodal_list: list of (multiplicity, values) with values of shape
         (n+1, n+1, 2) indexed by node (i, j).
         """
-        vals = np.array([v for _m, v in nodal_list], dtype=float)
-        tris = triangle_nodes(mesh.n)
-        X = p1_gradients(vals, mesh.h, tris).swapaxes(0, 1)
-        # node 0 of both triangles of cell (i, j) is node (i, j)
-        i, j = tris[:, 0, 0], tris[:, 0, 1]
-        off = mesh.cell_center(i, j) - mesh.nodes_array()[i, j]
-        a = vals[:, i, j].swapaxes(0, 1) + (X @ off[:, None, :, None])[..., 0]
-        return cls(mesh, [int(m) for m, _v in nodal_list], a, X, check=check)
+        return cls(mesh, [int(m) for m, _v in nodal_list], [v for _m, v in nodal_list])
 
     # -- evaluation ------------------------------------------------------------
-
-    def sheet_values(self, k, x):
-        """Values (..., J, 2) of every sheet of triangles k (shape (...,)) at x (..., 2)."""
-        rel = x - self.mesh.cell_center(*np.divmod(k // 2, self.mesh.n))
-        return self.a[k] + (self.X[k] @ rel[..., None, :, None])[..., 0]
 
     def values_at(self, x):
         """Q-point values (..., Q, 2) at points x (..., 2), located as in locate."""
         x = np.asarray(x, float)
         i, j = self.mesh.locate(x)
-        rel = (x - self.mesh.node(i, j)) / self.mesh.h
-        k = 2 * (i * self.mesh.n + j) + ~(rel[..., 1] <= rel[..., 0])
-        return np.repeat(self.sheet_values(k, x), self.mults, axis=-2)
+        # node (i, j) is node 0 of both triangles of cell (i, j)
+        d = x - self.mesh.node(i, j)
+        k = 2 * (i * self.mesh.n + j) + ~(d[..., 1] <= d[..., 0])
+        v = np.moveaxis(self.vals[:, i, j], 0, -2) + (self.X[k] @ d[..., None, :, None])[..., 0]
+        return np.repeat(v, self.mults, axis=-2)
 
     def evaluate(self, x):
         return QPoint(self.values_at(x))
 
-    def is_zero_boundary(self, tol=EDGE_CONTINUITY_TOL):
+    def is_zero_boundary(self):
         vals = self.values_at(np.array(self.mesh.boundary_nodes()))
-        return not np.any(g_metric(vals, np.zeros((self.q, 2))) > tol)
-
-    # -- invariants ------------------------------------------------------------
-
-    def _shared_edges(self):
-        """Triangle ids ka, kb (E,) and end nodes (E, 2) of every shared edge."""
-        n = self.mesh.n
-        k = 2 * np.arange(n * n).reshape(n, n)
-        # the diagonal of each cell, the east edge of each lower triangle and
-        # the north edge of each upper triangle, with the neighbour across it
-        ka = np.concatenate([k.ravel(), k[:-1].ravel(), k[:, :-1].ravel() + 1])
-        kb = np.concatenate([k.ravel() + 1, k[1:].ravel() + 1, k[:, 1:].ravel()])
-        ci, cj = np.divmod(ka // 2, n)
-        east = (ka % 2 == 0) & (kb != ka + 1)
-        start = np.stack([ci + east, cj + ka % 2], axis=-1)
-        return ka, kb, start, np.stack([ci + 1, cj + 1], axis=-1)
-
-    def validate(self, tol=EDGE_CONTINUITY_TOL):
-        ka, kb, start, end = self._shared_edges()
-        nodes = self.mesh.nodes_array()
-        xa, xb = nodes[start[:, 0], start[:, 1]], nodes[end[:, 0], end[:, 1]]
-        s = np.array([0.25, 0.5, 0.75])[:, None, None]
-        x = (1 - s) * xa + s * xb
-        pa, pb = self.sheet_values(ka, x), self.sheet_values(kb, x)
-        # matching sheet j to sheet j bounds the matching metric from above
-        ordered = np.sqrt(np.einsum("j,sejc->se", self.mults, (pa - pb) ** 2))
-        cand = np.flatnonzero(np.any(ordered > tol, axis=0))
-        dist = g_metric(np.repeat(pa[:, cand], self.mults, axis=-2),
-                        np.repeat(pb[:, cand], self.mults, axis=-2))
-        bad = [(int(ka[e]), int(kb[e])) for e in cand[np.any(dist > tol, axis=0)]]
-        if bad:
-            raise ValueError(f"Q-point traces disagree across {len(bad)} edges: {bad[:5]}")
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_obj(self):
-        n = self.mesh.n
-        mults = self.mults.tolist()
-        cells = [
-            {
-                "cell": [k // 2 // n, k // 2 % n, k % 2],
-                "sheets": [{"mult": m, "a": a, "X": X} for m, a, X in zip(mults, a_k, X_k)],
-            }
-            for k, (a_k, X_k) in enumerate(zip(self.a.tolist(), self.X.tolist()))
-        ]
-        return {
-            "mesh": {"x0": list(self.mesh.x0), "r": self.mesh.r, "n": self.mesh.n},
-            "cells": cells,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        m = obj["mesh"]
-        mesh = Mesh(x0=tuple(m["x0"]), r=float(m["r"]), n=int(m["n"]))
-        # [i, j, t] in lexicographic order is the triangle order
-        sheets = [c["sheets"] for c in sorted(obj["cells"], key=lambda c: c["cell"])]
-        mults = [[int(s["mult"]) for s in tri] for tri in sheets]
-        if any(ms != mults[0] for ms in mults):
-            raise ValueError("triangles list different multiplicities")
-        a = np.array([[s["a"] for s in tri] for tri in sheets], dtype=float)
-        X = np.array([[s["X"] for s in tri] for tri in sheets], dtype=float)
-        return cls(mesh, mults[0], a, X, check=False)
+        return not np.any(g_metric(vals, np.zeros((self.q, 2))) > ZERO_BOUNDARY_TOL)
 
 
 @dataclass
@@ -567,9 +490,11 @@ def _vertex_keys(points):
 
     np.rint rounds half to even, as Python's round does.
     """
-    scaled = np.asarray(points, dtype=float) * 10.0**VERTEX_KEY_DECIMALS
+    points = np.asarray(points, dtype=float)
+    scaled = points * 10.0**VERTEX_KEY_DECIMALS
     if not np.all(np.abs(scaled) < 2.0**63):
-        raise ValueError("vertex coordinates must be finite and below 9.2e9 in size")
+        raise ValueError("vertex coordinates must be finite and below 9.2e9 in size; "
+                         f"the largest |coordinate| is {np.max(np.abs(points)):.6g}")
     return np.rint(scaled).astype(np.int64)
 
 
@@ -599,14 +524,14 @@ def triangulate(g):
     """Integral current carried by the graph of a FunctionalQGraph.
 
     Each half-cell triangle contributes one oriented 2-simplex per sheet,
-    with the sheet multiplicity; for affine sheets the triangle mass equals
-    the area-formula value ||LambdaM(X)|| * base area exactly.
+    with the sheet multiplicity, whose vertices are the nodal values; for
+    affine sheets the triangle mass equals the area-formula value
+    ||LambdaM(X)|| * base area exactly.
     """
-    mesh = g.mesh
-    tris = triangle_nodes(mesh.n)
-    base = mesh.nodes_array()[tris[..., 0], tris[..., 1]]
-    n_tri, n_sheets = g.a.shape[:2]
-    lift = g.sheet_values(np.arange(n_tri), base.swapaxes(0, 1)).transpose(1, 2, 0, 3)
+    tris = triangle_nodes(g.mesh.n)
+    base = g.mesh.nodes_array()[tris[..., 0], tris[..., 1]]
+    lift = g.vals[:, tris[..., 0], tris[..., 1]].swapaxes(0, 1)
+    n_tri, n_sheets = lift.shape[:2]
     verts = np.concatenate(
         [np.broadcast_to(base[:, None], (n_tri, n_sheets, 3, 2)), lift], axis=-1
     )
@@ -654,7 +579,7 @@ def random_lipschitz_graph(seed, lip, q, mesh, n_modes=3):
         if grad_bound > 0:
             vals *= 0.9 * lip / max(grad_bound, 0.9 * lip)
         nodal.append((1, vals))
-    return FunctionalQGraph.from_nodal_sheets(mesh, nodal, check=False)
+    return FunctionalQGraph.from_nodal_sheets(mesh, nodal)
 
 
 def steep_plateau_graph(t_slope, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
@@ -664,18 +589,8 @@ def steep_plateau_graph(t_slope, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
     t^2 >= 1 / ((1+eps)^2 - 1); the ramp ring contributes mixed and
     horizontal mass.  All Q sheets coincide.
     """
-    nodes = mesh.nodes_array()
-    c = np.array(mesh.x0, dtype=float)
-    s_in = plateau_frac * mesh.r / 2.0
-    s_out = s_in + ramp_frac * mesh.r
-    dist = np.maximum(np.abs(nodes[..., 0] - c[0]), np.abs(nodes[..., 1] - c[1]))
-    ramp = np.clip((s_out - dist) / (s_out - s_in), 0.0, 1.0)
-    vals = (
-        t_slope
-        * ramp[..., None]
-        * np.stack([nodes[..., 1] - c[1], nodes[..., 0] - c[0]], axis=-1)
-    )
-    return FunctionalQGraph.from_nodal_sheets(mesh, [(1, vals)] * q, check=False)
+    return ray_plateau_graph(t_slope * np.array([[0.0, 1.0], [1.0, 0.0]]), q, mesh,
+                             plateau_frac=plateau_frac, ramp_frac=ramp_frac)
 
 
 def _max_nodal_gradient(vals, h):
@@ -753,7 +668,7 @@ def ray_plateau_graph(X, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
     ramp = np.clip((s_out - dist) / (s_out - s_in), 0.0, 1.0)
     rel = nodes - c[None, None, :]
     vals = ramp[..., None] * np.einsum("ab,ijb->ija", X, rel)
-    return FunctionalQGraph.from_nodal_sheets(mesh, [(1, vals)] * q, check=False)
+    return FunctionalQGraph.from_nodal_sheets(mesh, [(1, vals)] * q)
 
 
 # ---------------------------------------------------------------------------

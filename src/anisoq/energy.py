@@ -222,7 +222,9 @@ def envelope_upper(target, cfg):
                 if ring_value < value:
                     best, value = ring, ring_value
                     entry = {"method": "ray-ring", "ray": i, "width": RAY_RING_WIDTH}
-        if best.boundary() != affine.boundary():
+        # the affine graph has the affine boundary by definition; from eps
+        # 1e-5 down, ||X3|| ~ 2 / eps^2 is too large for the vertex keys
+        if best is not affine and best.boundary() != affine.boundary():
             raise AssertionError(
                 f"{entry['method']} competitor boundary differs from the affine boundary")
         meta["parts"].append({"q": int(mult), "value": value, **entry})
@@ -329,7 +331,7 @@ def property_b_spotcheck(q, a, X, samples, seed, cfg, mesh_n=6, amp=0.3,
     for s in range(samples):
         nodal = [(1, affine_vals + amp * bump2 * rng.normal(size=2)[None, None, :])
                  for _ in range(q)]
-        f = FunctionalQGraph.from_nodal_sheets(mesh, nodal, check=False)
+        f = FunctionalQGraph.from_nodal_sheets(mesh, nodal)
         right = psi_bar_energy(f, cfg)  # |D| = 1, so this is the mean
         margin = right - left
         margins.append(margin)

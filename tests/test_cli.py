@@ -232,6 +232,23 @@ def test_certificate_valid(tmp_path):
     assert data["gap"] > 0.0
 
 
+@pytest.mark.parametrize("eps", ["1e-5", "1e-8", "1e-12"])
+def test_certificate_tiny_eps_valid(tmp_path, eps):
+    # the winning affine competitors are not re-keyed, so ||X3|| ~ 2 / eps^2
+    # above the 9.2e9 range of the vertex keys does not stop the certificate
+    res = run_cli(["certificate", "--eps", eps, "--q", "2"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    data = json.loads((tmp_path / "certificate_q2.json").read_text())
+    assert data["valid"] is True
+
+
+def test_envelope_unkeyable_competitor_names_largest_coordinate(tmp_path):
+    res = run_cli(["envelope", "--eps", "1e-5", "--q", "1", "--target", "ray3"], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == ("error: vertex coordinates must be finite and below 9.2e9 in size;"
+                          " the largest |coordinate| is 1e+10\n")
+
+
 @pytest.mark.parametrize(
     "args",
     [

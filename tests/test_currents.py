@@ -1,6 +1,4 @@
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from anisoq import currents, energy, exterior
 from anisoq.multipoint import QPoint, g_metric
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 E12 = np.array([1.0, 0, 0, 0, 0, 0])
 
 
@@ -205,14 +202,6 @@ def test_generator_determinism():
     assert np.array_equal(Ta.verts, Tb.verts)
 
 
-def test_edge_continuity_validation():
-    mesh = unit_mesh(2)
-    g = currents.affine_graph(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])
-    g.a[0, 0] = [5.0, 0.0]  # break one triangle
-    with pytest.raises(ValueError, match="traces disagree"):
-        g.validate()
-
-
 def test_degenerate_triangle_rejected():
     tri = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0]], dtype=float)
     with pytest.raises(ValueError):
@@ -260,6 +249,23 @@ def test_chain_report_on_suites(bundle01):
     assert worst1 >= -1e-8
 
 
+@pytest.mark.parametrize("t", [2.5, 3.0, 4.0, 6.0])
+def test_steep_plateau_nodal_values(t):
+    # t * ramp * (y - c_y, x - c_x): the plateau gradient t [[0, 1], [1, 0]]
+    # faded out over the ramp ring; two roundings each way, so 2 ulp apart
+    mesh = currents.Mesh(x0=(0.2, -0.1), r=1.3, n=9)
+    g = currents.steep_plateau_graph(t, 2, mesh)
+    nodes, c = mesh.nodes_array(), np.array(mesh.x0)
+    s_in = 0.35 * mesh.r / 2.0
+    s_out = s_in + 0.2 * mesh.r
+    dist = np.maximum(np.abs(nodes[..., 0] - c[0]), np.abs(nodes[..., 1] - c[1]))
+    ramp = np.clip((s_out - dist) / (s_out - s_in), 0.0, 1.0)
+    expected = t * ramp[..., None] * np.stack([nodes[..., 1] - c[1], nodes[..., 0] - c[0]], -1)
+    assert np.array_equal(g.mults, [1, 1])
+    assert np.allclose(g.vals, expected, rtol=2.0**-51, atol=0.0)
+    assert np.count_nonzero(g.vals) > 0
+
+
 def test_ratio_lower_bound_where_vertical(bundle01):
     eps = 0.1
     for T in (
@@ -281,99 +287,99 @@ def test_graph_evaluation_and_trace():
     assert g_metric(g.evaluate(x), expected) < 1e-12
 
 
-def test_graph_json_roundtrip():
-    jsonschema = pytest.importorskip("jsonschema")
-    with open(SCHEMA_DIR / "functional_qgraph.schema.json") as fh:
-        schema = json.load(fh)
-    g = currents.random_lipschitz_graph(5, 1.0, 2, unit_mesh(3))
-    obj = g.to_json_obj()
-    jsonschema.validate(obj, schema)
-    g2 = currents.FunctionalQGraph.from_json_obj(json.loads(json.dumps(obj)))
-    x = np.array([0.13, 0.27])
-    assert g_metric(g.evaluate(x), g2.evaluate(x)) < 1e-12
-    assert np.array_equal(g2.mults, g.mults)
-    assert np.array_equal(g2.a, g.a) and np.array_equal(g2.X, g.X)
-    obj["cells"][3]["sheets"][0]["mult"] = 2
-    with pytest.raises(ValueError, match="different multiplicities"):
-        currents.FunctionalQGraph.from_json_obj(obj)
+# -- reference: per-node, per-triangle and per-point loops ---------------------
 
 
-# -- reference: the per-triangle loops of the nested (mult, a, X) layout -------
-
-
-def _ref_from_nodal(mesh, nodal_list):
-    n, h = mesh.n, mesh.h
-    sheets = []
-    for i in range(n):
-        for j in range(n):
-            cc = mesh.cell_center(i, j)
-            for t in (0, 1):
-                (o0, o1, o2) = currents.TRI_NODES[t]
-                p0 = mesh.node(i + o0[0], j + o0[1])
-                entries = []
-                for mult, vals in nodal_list:
-                    f0 = vals[i + o0[0], j + o0[1]]
-                    f1 = vals[i + o1[0], j + o1[1]]
-                    f2 = vals[i + o2[0], j + o2[1]]
-                    E = np.array(
-                        [
-                            [(o1[0] - o0[0]) * h, (o2[0] - o0[0]) * h],
-                            [(o1[1] - o0[1]) * h, (o2[1] - o0[1]) * h],
-                        ]
-                    )
-                    F = np.stack([f1 - f0, f2 - f0], axis=1)
-                    X = F @ np.linalg.inv(E)
-                    entries.append((int(mult), f0 + X @ (cc - p0), X))
-                sheets.append(entries)
-    return sheets
-
-
-def _ref_affine(mesh, parts):
+def _ref_affine_vals(mesh, parts):
     x0 = np.array(mesh.x0, dtype=float)
-    sheets = []
+    vals = np.zeros((len(parts), mesh.n + 1, mesh.n + 1, 2))
+    for s, (_m, a, X) in enumerate(parts):
+        a, X = np.asarray(a, float), np.asarray(X, float)
+        for i in range(mesh.n + 1):
+            for j in range(mesh.n + 1):
+                vals[s, i, j] = a + X @ (mesh.node(i, j) - x0)
+    return vals
+
+
+def _ref_gradients(mesh, vals):
+    """Per triangle (T, J, 2, 2): X with X (p_m - p_0) = f_m - f_0, as F @ inv(E)."""
+    h = mesh.h
+    grads = []
     for i in range(mesh.n):
         for j in range(mesh.n):
-            cc = mesh.cell_center(i, j)
-            for _t in (0, 1):
-                sheets.append(
+            for t in (0, 1):
+                (o0, o1, o2) = currents.TRI_NODES[t]
+                E = np.array(
                     [
-                        (int(m), np.asarray(a, float) + np.asarray(X, float) @ (cc - x0),
-                         np.asarray(X, float))
-                        for (m, a, X) in parts
+                        [(o1[0] - o0[0]) * h, (o2[0] - o0[0]) * h],
+                        [(o1[1] - o0[1]) * h, (o2[1] - o0[1]) * h],
                     ]
                 )
-    return sheets
+                row = []
+                for v in vals:
+                    f0 = v[i + o0[0], j + o0[1]]
+                    F = np.stack([v[i + o1[0], j + o1[1]] - f0, v[i + o2[0], j + o2[1]] - f0],
+                                 axis=1)
+                    row.append(F @ np.linalg.inv(E))
+                grads.append(row)
+    return np.array(grads)
 
 
-def _ref_triangulate(mesh, sheets):
+def _ref_triangulate(mesh, mults, vals):
     verts = []
-    mults = []
-    for k, entries in enumerate(sheets):
+    tri_mults = []
+    for k in range(2 * mesh.n * mesh.n):
         i, j, t = k // 2 // mesh.n, k // 2 % mesh.n, k % 2
-        cc = mesh.cell_center(i, j)
-        base = [mesh.node(i + o[0], j + o[1]) for o in currents.TRI_NODES[t]]
-        for mult, a, X in entries:
-            verts.append(np.array([np.concatenate([x, a + X @ (x - cc)]) for x in base]))
-            mults.append(mult)
-    return np.array(verts), np.array(mults)
+        nodes = [(i + o[0], j + o[1]) for o in currents.TRI_NODES[t]]
+        for mult, v in zip(mults, vals):
+            verts.append(np.array([np.concatenate([mesh.node(*nd), v[nd]]) for nd in nodes]))
+            tri_mults.append(mult)
+    return np.array(verts), np.array(tri_mults)
 
 
-def _ref_psi_bar(mesh, sheets, cfg):
+def _ref_psi_bar(mesh, mults, grads, cfg):
     tri_area = 0.5 * mesh.h * mesh.h
-    Xs = [X for entries in sheets for _m, _a, X in entries]
-    wts = [m * tri_area for entries in sheets for m, _a, _X in entries]
+    Xs = [X for row in grads for X in row]
+    wts = [m * tri_area for _row in grads for m in mults]
     return float(np.array(wts) @ energy.psi_batch(np.array(Xs), cfg))
 
 
-def _assert_matches_reference(g, sheets, cfg):
-    assert np.array_equal(g.mults, [m for m, _a, _X in sheets[0]])
-    assert all([m for m, _a, _X in entries] == g.mults.tolist() for entries in sheets)
-    assert np.array_equal(g.a, np.array([[a for _m, a, _X in e] for e in sheets]))
-    assert np.array_equal(g.X, np.array([[X for _m, _a, X in e] for e in sheets]))
+def _ref_values_at(mesh, mults, vals, x):
+    """P1 interpolation point by point: barycentric weights in the cell's triangle."""
+    out = []
+    for p in x:
+        rel = (p - mesh.origin) / mesh.h
+        i, j = (int(min(max(math.floor(c), 0), mesh.n - 1)) for c in rel)
+        u, v = rel[0] - i, rel[1] - j
+        sheets = []
+        for m, f in zip(mults, vals):
+            f00, f10, f11, f01 = f[i, j], f[i + 1, j], f[i + 1, j + 1], f[i, j + 1]
+            if v <= u:
+                val = f00 + u * (f10 - f00) + v * (f11 - f10)
+            else:
+                val = f00 + u * (f11 - f01) + v * (f01 - f00)
+            sheets += [val] * m
+        out.append(sheets)
+    return np.array(out)
+
+
+def _assert_matches_reference(g, mults, vals, cfg):
+    assert np.array_equal(g.mults, mults)
+    assert np.array_equal(g.vals, vals)
+    grads = _ref_gradients(g.mesh, vals)
+    assert np.array_equal(g.X, grads)
     T = currents.triangulate(g)
-    verts, mults = _ref_triangulate(g.mesh, sheets)
-    assert np.array_equal(T.verts, verts) and np.array_equal(T.mults, mults)
-    assert energy.psi_bar_energy(g, cfg) == _ref_psi_bar(g.mesh, sheets, cfg)
+    verts, tri_mults = _ref_triangulate(g.mesh, mults, vals)
+    assert np.array_equal(T.verts, verts) and np.array_equal(T.mults, tri_mults)
+    assert energy.psi_bar_energy(g, cfg) == _ref_psi_bar(g.mesh, mults, grads, cfg)
+    # the nodes themselves, then random points of the domain and a margin
+    # outside it (located in the nearest cell)
+    x = np.concatenate([g.mesh.nodes_array().reshape(-1, 2),
+                        g.mesh.origin + g.mesh.r * np.random.default_rng(3).uniform(
+                            -0.1, 1.1, size=(200, 2))])
+    scale = max(1.0, float(np.abs(vals).max()))
+    assert np.allclose(g.values_at(x), _ref_values_at(g.mesh, mults, vals, x),
+                       rtol=0.0, atol=1e-13 * scale)
 
 
 @pytest.fixture
@@ -382,9 +388,9 @@ def nodal_calls(monkeypatch):
     calls = []
     build = currents.FunctionalQGraph.from_nodal_sheets.__func__
 
-    def recording(cls, mesh, nodal_list, check=True):
+    def recording(cls, mesh, nodal_list):
         calls.append(nodal_list)
-        return build(cls, mesh, nodal_list, check=check)
+        return build(cls, mesh, nodal_list)
 
     monkeypatch.setattr(currents.FunctionalQGraph, "from_nodal_sheets", classmethod(recording))
     return calls
@@ -400,14 +406,25 @@ def test_array_layout_matches_triangle_loops(bundle01, cfg01, nodal_calls):
     graphs.append(currents.ray_plateau_graph(bundle01.X[2], 1, unit_mesh(6)))
     assert len(nodal_calls) == len(graphs)
     for g, nodal in zip(graphs, nodal_calls):
-        _assert_matches_reference(g, _ref_from_nodal(g.mesh, nodal), cfg01)
+        _assert_matches_reference(g, [m for m, _v in nodal], np.array([v for _m, v in nodal]),
+                                  cfg01)
 
 
 def test_affine_layout_matches_triangle_loops(cfg01, rng):
     mesh = currents.Mesh(x0=(0.3, -0.2), r=1.5, n=5)
     parts = [(int(m), rng.normal(size=2), rng.normal(size=(2, 2))) for m in (1, 3)]
-    _assert_matches_reference(currents.affine_graph(mesh, parts), _ref_affine(mesh, parts),
-                              cfg01)
+    _assert_matches_reference(currents.affine_graph(mesh, parts), [m for m, _a, _X in parts],
+                              _ref_affine_vals(mesh, parts), cfg01)
+
+
+@pytest.mark.parametrize(
+    "shape, mults",
+    [((2, 4, 4, 2), [1, 1]), ((1, 5, 5, 2), [1, 1]), ((2, 5, 5, 3), [1, 1]), ((5, 5, 2), [1])],
+    ids=["mesh-size", "sheet-count", "value-dim", "no-sheet-axis"],
+)
+def test_nodal_values_must_match_mesh_and_mults(shape, mults):
+    with pytest.raises(ValueError, match="do not match the mesh and the multiplicities"):
+        currents.FunctionalQGraph(unit_mesh(4), mults, np.zeros(shape))
 
 
 def test_current_json_roundtrip():
