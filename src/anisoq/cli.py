@@ -97,32 +97,32 @@ def _obstruction_rows_branched(args, mu0):
     return rows
 
 
+def _upsample_matrix(n, m_ctl):
+    """((n+1)^2, m_ctl^2) map from an m_ctl x m_ctl control field to nodal values.
+
+    The controls sit on the interior nodes of an (m_ctl+2)^2 grid on [0, 1]^2
+    whose border is zero; the map is bilinear interpolation at the mesh
+    nodes times the bump sin(pi x) sin(pi y), separable in x and y.
+    """
+    grid = np.linspace(0.0, 1.0, n + 1)
+    ctl = np.linspace(0.0, 1.0, m_ctl + 2)[1:-1]
+    hat = np.maximum(0.0, 1.0 - np.abs(grid[:, None] - ctl[None, :]) * (m_ctl + 1))
+    side = np.sin(math.pi * grid)[:, None] * hat
+    return np.kron(side, side)
+
+
 def _obstruction_adversarial(args, mu0, out_dir):
     """Pattern search over a coarse control field minimising the mu0 gap."""
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=args.mesh)
     rng = np.random.default_rng(args.seed)
     m_ctl = 3
     ctl = np.zeros((args.q, m_ctl, m_ctl, 2))
+    up = _upsample_matrix(mesh.n, m_ctl)
 
     def upsample(c):
-        grid = np.linspace(0.0, 1.0, mesh.n + 1)
-        cs = np.linspace(0.0, 1.0, m_ctl + 2)
-        nodal = []
-        bump_x = np.sin(math.pi * grid)
-        bump = np.outer(bump_x, bump_x)
-        for s in range(args.q):
-            field = np.zeros((mesh.n + 1, mesh.n + 1, 2))
-            for d in range(2):
-                padded = np.zeros((m_ctl + 2, m_ctl + 2))
-                padded[1:-1, 1:-1] = c[s, :, :, d]
-                from scipy.interpolate import RegularGridInterpolator
-
-                itp = RegularGridInterpolator((cs, cs), padded)
-                pts = np.array([[a, b] for a in grid for b in grid])
-                field[:, :, d] = itp(pts).reshape(mesh.n + 1, mesh.n + 1)
-            field *= bump[..., None]
-            nodal.append((1, field))
-        return currents.FunctionalQGraph.from_nodal_sheets(mesh, nodal)
+        vals = up @ c.reshape(args.q, m_ctl * m_ctl, 2)
+        vals = vals.reshape(args.q, mesh.n + 1, mesh.n + 1, 2)
+        return currents.FunctionalQGraph.from_nodal_sheets(mesh, [(1, v) for v in vals])
 
     def objective(c):
         g = upsample(c)

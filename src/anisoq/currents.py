@@ -21,10 +21,10 @@ classification partition, linear pushforward and distance-sphere slicing
 are exact for affine data.  Each is one array kernel over all N triangles:
 slice_mass intersects every sphere circle with every edge line at once
 ((N, 6) critical angles), mass_in_ball screens whole triangles in or out
-of the ball before counting sub-triangle centroids, and boundary, the
-expected loop chain of boundary_equals_loop and to_json_obj share one
-vertex-key kernel (_vertex_keys) and boundary chains one edge-chain
-kernel (_edge_chain).
+of the ball before counting sub-triangle centroids, boundary and the
+expected loop chain of boundary_equals_loop share one vertex-key kernel
+(_vertex_keys) and one edge-chain kernel (_edge_chain), and to_json_obj
+merges vertices with _merge_keys, which holds at any finite scale.
 """
 
 from __future__ import annotations
@@ -375,10 +375,10 @@ class TriangulatedCurrent:
     # -- serialization ----------------------------------------------------------------
 
     def to_json_obj(self):
-        """Shared vertices in first-seen order (merged by their 1e-9 keys) and
+        """Shared vertices in first-seen order (merged by _merge_keys) and
         triangles as [i, j, k, multiplicity]."""
         flat = self.verts.reshape(-1, 4)
-        _, first, inv = np.unique(_vertex_keys(flat), axis=0, return_index=True,
+        _, first, inv = np.unique(_merge_keys(flat), axis=0, return_index=True,
                                   return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
@@ -496,6 +496,20 @@ def _vertex_keys(points):
         raise ValueError("vertex coordinates must be finite and below 9.2e9 in size; "
                          f"the largest |coordinate| is {np.max(np.abs(points)):.6g}")
     return np.rint(scaled).astype(np.int64)
+
+
+def _merge_keys(points):
+    """Keys (N, 8) under which points equal to VERTEX_KEY_DECIMALS decimals
+    coincide, at any finite scale.
+
+    A coordinate within the range of _vertex_keys keys by the same rounded
+    integer (held as a float, which keeps the classes); a larger one, where
+    the float spacing exceeds the key resolution, keys by its own value.  The
+    last four columns flag the large ones, so the two ranges never meet.
+    """
+    scaled = points * 10.0**VERTEX_KEY_DECIMALS
+    large = ~(np.abs(scaled) < 2.0**63)
+    return np.concatenate([np.where(large, points, np.rint(scaled)), large], axis=1)
 
 
 def _edge_chain(start, end, weights):

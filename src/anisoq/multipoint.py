@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 EXHAUSTIVE_MAX_Q = 6
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -106,6 +105,8 @@ def _match_cost_sq(xs, ys):
             c = cost[..., idx, list(perm)].sum(axis=-1)
             best = np.where(c < best, c, best)
         return best
+    from scipy.optimize import linear_sum_assignment
+
     best = np.empty(cost.shape[:-2])
     for idx in np.ndindex(best.shape):
         rows, cols = linear_sum_assignment(cost[idx])
@@ -136,6 +137,8 @@ def g_metric_hungarian(p, q):
         p = QPoint(p)
     if not isinstance(q, QPoint):
         q = QPoint(q)
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.sum((p.points[:, None, :] - q.points[None, :, :]) ** 2, axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].sum()))

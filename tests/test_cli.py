@@ -4,9 +4,11 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import scipy.optimize
 
-from anisoq import approx, cli, construction, gmeasures
+from anisoq import approx, cli, construction
 from tests.conftest import cli_env
 
 BASE = [sys.executable, "-m", "anisoq.cli"]
@@ -136,7 +138,7 @@ def _residual_too_large(eps):
 @pytest.mark.parametrize(
     "module, name, fake, args, err",
     [
-        (gmeasures, "linprog", _lp_fails,
+        (scipy.optimize, "linprog", _lp_fails,
          ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "1", "--mesh", "3"],
          "computation failed (RuntimeError): transport LP failed: The problem is infeasible.\n"),
         (approx, "cubic_subdivision", _subdivision_fails,
@@ -211,6 +213,30 @@ def test_obstruction_random_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("n", [1, 6, 12, 24])
+def test_upsample_matrix_matches_grid_interpolator(n):
+    """The adversarial search's up-sampling, against the per-sheet bilinear
+    interpolator and bump it replaced."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    m_ctl = 3
+    c = np.random.default_rng(n).normal(size=(2, m_ctl, m_ctl, 2))
+    grid = np.linspace(0.0, 1.0, n + 1)
+    cs = np.linspace(0.0, 1.0, m_ctl + 2)
+    bump = np.outer(np.sin(np.pi * grid), np.sin(np.pi * grid))
+    pts = np.array([[a, b] for a in grid for b in grid])
+    ref = np.zeros((2, n + 1, n + 1, 2))
+    for s in range(2):
+        for d in range(2):
+            padded = np.zeros((m_ctl + 2, m_ctl + 2))
+            padded[1:-1, 1:-1] = c[s, :, :, d]
+            itp = RegularGridInterpolator((cs, cs), padded)
+            ref[s, :, :, d] = itp(pts).reshape(n + 1, n + 1) * bump
+    up = cli._upsample_matrix(n, m_ctl)
+    vals = (up @ c.reshape(2, m_ctl * m_ctl, 2)).reshape(ref.shape)
+    np.testing.assert_allclose(vals, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
+
+
 def test_obstruction_branched(tmp_path):
     res = run_cli(
         ["obstruction", "--eps", "0.1", "--q", "2", "--samples", "2",
@@ -242,11 +268,22 @@ def test_certificate_tiny_eps_valid(tmp_path, eps):
     assert data["valid"] is True
 
 
-def test_envelope_unkeyable_competitor_names_largest_coordinate(tmp_path):
-    res = run_cli(["envelope", "--eps", "1e-5", "--q", "1", "--target", "ray3"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr == ("error: vertex coordinates must be finite and below 9.2e9 in size;"
-                          " the largest |coordinate| is 1e+10\n")
+@pytest.mark.parametrize("eps", ["1e-5", "1e-8"])
+def test_envelope_tiny_eps_writes_competitor(tmp_path, eps):
+    # the affine competitor's lift reaches ||X3|| / 2 ~ 1 / eps^2, past the
+    # 9.2e9 range of the integer vertex keys; the written file merges its
+    # vertices at that scale too and re-evaluates to the reported upper bound
+    from anisoq.currents import TriangulatedCurrent
+    from anisoq.energy import PsiConfig, psi_mass_of_current
+
+    res = run_cli(["envelope", "--eps", eps, "--q", "2", "--target", "ray3"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    result = json.loads((tmp_path / "envelope_ray3_q2.json").read_text())
+    comp = json.loads((tmp_path / result["competitor_file"]).read_text())
+    assert len(comp["vertices"]) == 4 and np.max(np.abs(comp["vertices"])) > 9.2e9
+    value = psi_mass_of_current(TriangulatedCurrent.from_json_obj(comp),
+                                PsiConfig.for_eps(float(eps)))
+    assert value == pytest.approx(result["upper"], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -259,11 +296,14 @@ def test_envelope_unkeyable_competitor_names_largest_coordinate(tmp_path):
          "--seed", "5", "--family", "random", "--mesh", "6"],
         ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "4",
          "--seed", "5", "--family", "adversarial", "--mesh", "6"],
+        ["obstruction", "--eps", "0.1", "--q", "2", "--samples", "2",
+         "--seed", "0", "--family", "random", "--mesh", "24"],
         ["approx", "--profile", "smooth", "--k", "4,8"],
         ["certificate", "--eps", "0.1", "--q", "1", "--mesh", "4",
          "--starts", "1", "--seed", "0"],
     ],
-    ids=["construct", "envelope", "obstruction", "adversarial", "approx", "certificate"],
+    ids=["construct", "envelope", "obstruction", "adversarial", "certified-transport", "approx",
+         "certificate"],
 )
 def test_determinism_byte_identical(tmp_path, args):
     d1 = tmp_path / "run1"

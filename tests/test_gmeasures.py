@@ -223,3 +223,82 @@ def test_obstruction_report_mixed_current_distance_bound():
         np.linalg.norm(p - q) for p in gamma.points for q in mu0.points
     )
     assert rep["w1_dist_mu0"] >= min_sep - 1e-9
+
+
+def _gaussian_image(seed, q=2, n=12):
+    mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=n)
+    g = currents.random_lipschitz_graph(seed, 2.0, q, mesh)
+    return currents.triangulate(g).gaussian_image().normalized()
+
+
+def _full_lp_distance(monkeypatch, mu, nu):
+    with monkeypatch.context() as m:
+        m.setattr(gm, "CERT_MIN_ATOMS", 10**9)
+        return gm.transport_distance(mu, nu)
+
+
+def _spy_certified(monkeypatch):
+    """Record the result of every certified solve."""
+    results = []
+    solve = gm._certified_transport
+
+    def spy(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(gm, "_certified_transport", spy)
+    return results
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_certified_transport_matches_full_lp(monkeypatch, seed):
+    mu = _gaussian_image(seed)
+    rng = np.random.default_rng(seed)
+    pts = np.stack([random_unit_simple(rng) for _ in range(12)])
+    twelve = gm.GrassmannMeasure(pts, rng.uniform(0.5, 2.0, 12)).normalized()
+    assert mu.merged().n_atoms > gm.CERT_MIN_ATOMS
+    for nu in (construction.make_mu0(0.1).normalized(), twelve):
+        full = _full_lp_distance(monkeypatch, mu, nu)
+        certified = _spy_certified(monkeypatch)
+        v = gm.transport_distance(mu, nu)
+        assert abs(v - full) <= gm.CERT_RTOL * max(1.0, abs(full))
+        if nu.n_atoms == 3:
+            assert certified == [v]  # the certificate held, and its value is returned
+        else:  # 12 sinks for ~45 sources each: the full LP may have run instead
+            assert certified in ([v], [None])
+
+
+def test_certified_transport_argument_order(monkeypatch):
+    mu = _gaussian_image(5, q=3)
+    for nu in (construction.make_mu0(0.05).normalized(),
+               gm.GrassmannMeasure(np.stack([E12, E34]), [0.25, 0.75])):
+        certified = _spy_certified(monkeypatch)
+        d1, d2 = gm.transport_distance(mu, nu), gm.transport_distance(nu, mu)
+        assert certified == [d1, d2] and d1 == d2
+
+
+@pytest.mark.parametrize("name, value", [("CERT_RTOL", -1.0), ("NEAR_FRACTIONS", ())],
+                         ids=["tolerance", "cut"])
+def test_failed_certificate_returns_full_lp(monkeypatch, name, value):
+    mu = _gaussian_image(4)
+    nu = construction.make_mu0(0.1).normalized()
+    full = _full_lp_distance(monkeypatch, mu, nu)
+    monkeypatch.setattr(gm, name, value)
+    certified = _spy_certified(monkeypatch)
+    assert gm.transport_distance(mu, nu) == full
+    assert certified == [None]
+
+
+def test_failed_restricted_lp_falls_back(monkeypatch):
+    mu = _gaussian_image(6)
+    nu = construction.make_mu0(0.1).normalized()
+    full = _full_lp_distance(monkeypatch, mu, nu)
+    solve = gm._transport_lp
+
+    def small_lps_fail(cost, a_w, b_w):
+        if cost.shape[0] < mu.merged().n_atoms:
+            raise RuntimeError("transport LP failed: injected")
+        return solve(cost, a_w, b_w)
+
+    monkeypatch.setattr(gm, "_transport_lp", small_lps_fail)
+    assert gm.transport_distance(mu, nu) == full

@@ -1,0 +1,29 @@
+"""Start-up stays free of scipy's optimisation and sparse-matrix modules.
+
+Every command pays for `import anisoq.cli` and the first construction
+before its own work starts.  scipy.optimize and scipy.sparse are imported
+inside the functions that solve with them, so they cost nothing there.
+"""
+
+import subprocess
+import sys
+
+from tests.conftest import cli_env
+
+SETUP = """
+import sys
+import anisoq.cli
+from anisoq import construction
+from anisoq.energy import PsiConfig
+construction.build(0.1)
+PsiConfig.for_eps(0.1)
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"],
+                                                           ["scipy", "sparse"])))
+"""
+
+
+def test_setup_imports_no_scipy_solvers(tmp_path):
+    res = subprocess.run([sys.executable, "-c", SETUP], capture_output=True, text=True,
+                         env=cli_env(tmp_path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
