@@ -17,10 +17,13 @@ Two building blocks:
 
 Almost-everywhere objects (differentiability points, Lebesgue points) are
 replaced by sampled interior points with validation and retry, so the
-pipeline is a verified search, not a proof transcription.  Every Q-map here
+pipeline is a verified search, not a proof transcription.  Only
+sheetwise-decomposable maps are handled: a Q-map is its list of parts, each
+with a multiplicity and an analytic gradient.  Every Q-map here
 (SampledLipschitzQMap, AnnulusInterpolant, HybridQMap) evaluates arrays of
-points through part_values ((..., 2) -> (..., J, 2)), and every summed-psi
-energy goes through the one kernel _psi_bar.
+points through part_values ((..., 2) -> (..., J, 2)) and values_at
+((..., 2) -> (..., Q, 2), the parts repeated by multiplicity), and every
+summed-psi energy goes through the one kernel _psi_bar.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import psi_batch
-from .multipoint import QJet, QPoint, g_metric, maximal_decomposition
+from .multipoint import g_metric, maximal_decomposition
 
-FD_STEP_FRACTION = 1.0 / 64.0
 # Validation samples per cube side: N_VALID x N_VALID points out to
 # +-0.499 r, so the centre and the four corners are sampled.  On the smooth
 # and twosheet profiles at k = 4..32, 3, 5 and 9 keep the same cubes, while
@@ -43,7 +45,11 @@ N_VALID = 5
 # that pitch holds about 10^6 cubes, whose validation gradients
 # (cubes x N_VALID^2 x 2 x 2 floats) already take about 800 MB.
 R_MIN_FRAC = 1.0 / 1024.0
-_NO_PARTS = "not sheetwise-decomposable: the map carries no parts"
+# Midpoint-rule cells per side of the reference energy energy_of_map, which
+# energy_of_hybrid also reuses outside the cubes.  Every caller uses this one
+# grid, and the energy_ref and energy_psi_bar columns of the approx CSV (and
+# the benchmark's reference values) are pinned at it.
+ENERGY_GRID_M = 97
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +59,12 @@ _NO_PARTS = "not sheetwise-decomposable: the map carries no parts"
 
 @dataclass
 class SampledLipschitzQMap:
-    """Q-valued map given by an evaluator, with declared Lipschitz constant.
+    """Sheetwise-decomposable Q-valued map with declared Lipschitz constant.
 
-    parts, when present, is a sheetwise decomposition: a list of
-    (multiplicity, value_callable, grad_callable or None) with vectorised
-    callables; the evaluator is derived from it.  Maps without parts
-    (genuinely branched samples) supply only the multiset evaluator.
+    parts is a list of (multiplicity, value_callable, grad_callable) with
+    vectorised callables (..., 2) -> (..., 2) and (..., 2) -> (..., 2, 2):
+    every part carries its analytic gradient.  mults is the tuple of the
+    part multiplicities.
     """
 
     q: int
@@ -66,14 +72,15 @@ class SampledLipschitzQMap:
     domain_center: np.ndarray
     domain_side: float
     parts: list = None
-    evaluator: object = None
 
     def __post_init__(self):
         self.domain_center = np.asarray(self.domain_center, dtype=float)
-        if self.evaluator is None:
-            if self.parts is None:
-                raise ValueError("need parts or an evaluator")
-            self.evaluator = self._eval_from_parts
+        if not self.parts:
+            raise ValueError("not sheetwise-decomposable: the map carries no parts")
+        for j, (_m, _fn, gfn) in enumerate(self.parts):
+            if gfn is None:
+                raise ValueError(f"not sheetwise-decomposable: part {j} carries no gradient")
+        self.mults = tuple(int(m) for m, _f, _g in self.parts)
 
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""
@@ -82,71 +89,21 @@ class SampledLipschitzQMap:
 
     def part_grads(self, x):
         """Gradients (..., J, 2, 2) of every part at points x (..., 2)."""
-        return np.stack([self.part_grad(x, j) for j in range(len(self.parts))], axis=-3)
-
-    def _eval_from_parts(self, x):
-        mults = [m for m, _f, _g in self.parts]
-        return QPoint(np.repeat(self.part_values(x), mults, axis=0))
-
-    def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
-
-    def part_grad(self, x, idx):
-        _mult, fn, gfn = self.parts[idx]
         x = np.asarray(x, dtype=float)
-        if gfn is not None:
-            return np.asarray(gfn(x), dtype=float)
-        h = FD_STEP_FRACTION * self.domain_side / 8.0
-        g = np.empty(x.shape[:-1] + (2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            g[..., :, k] = (np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * h)
-        return g
+        return np.stack([np.asarray(gfn(x), dtype=float) for _m, _f, gfn in self.parts],
+                        axis=-3)
 
-    def jet(self, x):
-        """QJet of (value, gradient) rows; gradients matched by sheets."""
-        x = np.asarray(x, dtype=float)
-        if self.parts is not None:
-            vals, grads = [], []
-            for idx, (mult, fn, _g) in enumerate(self.parts):
-                v = np.asarray(fn(x), dtype=float)
-                g = self.part_grad(x, idx)
-                vals.extend([v] * mult)
-                grads.extend([g] * mult)
-            return QJet.from_parts(np.array(vals), np.array(grads))
-        return _matched_fd_jet(self, x)
+    def values_at(self, x):
+        """Q-point values (..., Q, 2) at points x (..., 2)."""
+        return np.repeat(self.part_values(x), self.mults, axis=-2)
 
     def check_increments(self, seed, n_pairs=200, tol=1e-9):
+        """Whether 𝒢(f(x), f(y)) <= L |x - y| + tol on n_pairs random pairs."""
         rng = np.random.default_rng(seed)
-        c, s = self.domain_center, self.domain_side
-        for _ in range(n_pairs):
-            x, y = c + s * (rng.random((2, 2)) - 0.5)
-            if g_metric(self(x), self(y)) > self.lipschitz * np.linalg.norm(x - y) + tol:
-                return False
-        return True
-
-
-def _matched_fd_jet(f, x, h=None):
-    """Finite-difference jet for a multiset-only evaluator, sheets matched."""
-    from scipy.optimize import linear_sum_assignment
-
-    if h is None:
-        h = FD_STEP_FRACTION * f.domain_side / 8.0
-    base = f(x).points
-    q = base.shape[0]
-    grads = np.zeros((q, 2, 2))
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        plus = f(x + e).points
-        minus = f(x - e).points
-        cp = np.sum((base[:, None, :] - plus[None, :, :]) ** 2, axis=2)
-        cm = np.sum((base[:, None, :] - minus[None, :, :]) ** 2, axis=2)
-        rp = linear_sum_assignment(cp)[1]
-        rm = linear_sum_assignment(cm)[1]
-        grads[:, :, k] = (plus[rp] - minus[rm]) / (2.0 * h)
-    return QJet.from_parts(base, grads)
+        xy = self.domain_center + self.domain_side * (rng.random((n_pairs, 2, 2)) - 0.5)
+        vals = self.values_at(xy)
+        dist = np.linalg.norm(xy[:, 0] - xy[:, 1], axis=-1)
+        return not np.any(g_metric(vals[:, 0], vals[:, 1]) > self.lipschitz * dist + tol)
 
 
 def smooth_profile(amp=0.2):
@@ -212,23 +169,6 @@ def twosheet_profile(sep=1.2, amp=0.15):
     return SampledLipschitzQMap(
         q=2, lipschitz=lip, domain_center=np.zeros(2), domain_side=1.0,
         parts=[(1, f1, g1), (1, f2, g2)],
-    )
-
-
-def branched_profile(amp=0.4, clip_r=0.7):
-    """Two-valued branched sample (clipped square-root profile), no parts."""
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        z = complex(x[0], x[1])
-        w = np.sqrt(abs(z)) * np.exp(1j * np.angle(z) / 2.0)
-        c = amp * max(0.0, clip_r - abs(z))
-        rows = np.array([[c * w.real, c * w.imag], [-c * w.real, -c * w.imag]])
-        return QPoint(rows)
-
-    return SampledLipschitzQMap(
-        q=2, lipschitz=amp * (clip_r + 2.0), domain_center=np.zeros(2),
-        domain_side=1.0, parts=None, evaluator=evaluator,
     )
 
 
@@ -323,15 +263,9 @@ class AnnulusInterpolant:
         t = np.clip(t, 0.0, 1.0)[..., None, None]
         return t * _extensions(self.outer, x) + (1.0 - t) * _extensions(self.inner, x)
 
-    def part_value(self, x, j):
-        return self.part_values(x)[j]
-
     def values_at(self, x):
         """Q-point values (..., Q, 2) at points x (..., 2)."""
         return np.repeat(self.part_values(x), self.mults, axis=-2)
-
-    def __call__(self, x):
-        return QPoint(self.values_at(x))
 
     # -- diagnostics --------------------------------------------------------
 
@@ -481,16 +415,16 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     off = np.array([[a, b] for a in ts for b in ts])  # (S, 2)
     S = off.shape[0]
     pts = centers[:, None, :] + off[None, :, :]  # (N, S, 2)
-    mults = np.array([m for m, _f, _g in f.parts], dtype=float)
+    mults = np.array(f.mults, dtype=float)
     gap2 = np.zeros(pts.shape[:2])
     grad2 = np.zeros(pts.shape[:2])
-    for j, (mult, fn, _g) in enumerate(f.parts):
+    for j, (_mult, fn, gfn) in enumerate(f.parts):
         vals = np.asarray(fn(pts), dtype=float)
         model = part_a[:, j][:, None, :] + np.einsum(
             "nab,nsb->nsa", part_X[:, j], off[None, :, :] * np.ones_like(pts)
         )
         gap2 += mults[j] * np.sum((vals - model) ** 2, axis=-1)
-        gf = f.part_grad(pts, j)  # (N, S, 2, 2)
+        gf = np.asarray(gfn(pts), dtype=float)  # (N, S, 2, 2)
         grad2 += mults[j] * np.sum(
             (gf - part_X[:, j][:, None, :, :]) ** 2, axis=(-2, -1)
         )
@@ -506,8 +440,7 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
 def cubic_subdivision(f, delta):
     """Halving search for a validated r-cubic subdivision of f's domain.
 
-    f must carry a sheetwise decomposition (parts), else ValueError.  Per
-    cube and per part the affine model is fitted by least squares over a
+    Per cube and per part the affine model is fitted by least squares over a
     3x3 stencil around the cube centre and validated against
     sup 𝒢(f, model) <= delta * r  and the gradient measure condition
     |{𝒢(grad f, grad model) > alpha}| <= (delta/alpha) r^2 sampled on an
@@ -519,11 +452,8 @@ def cubic_subdivision(f, delta):
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    if f.parts is None:
-        raise ValueError(_NO_PARTS)
     c, s = f.domain_center, f.domain_side
     area = s * s
-    mults = tuple(int(m_) for m_, _f, _g in f.parts)
     r = delta * s / 12.0
     r_min = s * R_MIN_FRAC
     attempts = []
@@ -543,7 +473,7 @@ def cubic_subdivision(f, delta):
                 return CubicSubdivision(
                     ok=True, r=r, delta=delta, domain_center=c, domain_side=s,
                     lattice_m=m, lattice_origin=origin, lattice=lattice.reshape(m, m),
-                    part_mults=mults, centers=centers[kept_rows],
+                    part_mults=f.mults, centers=centers[kept_rows],
                     part_a=part_a[kept_rows], part_X=part_X[kept_rows],
                     dropped=int(n_drop), uncovered=float(uncovered),
                     diagnostics={"attempts": attempts},
@@ -559,7 +489,7 @@ def cubic_subdivision(f, delta):
 def decomposition_of_cube(sub, row, tol=1e-9):
     """Maximal decomposition of the model jet of one cube."""
     rows = np.concatenate([sub.part_a[row], sub.part_X[row].reshape(-1, 4)], axis=1)
-    return maximal_decomposition(QJet(np.repeat(rows, sub.part_mults, axis=0)), tol=tol)
+    return maximal_decomposition(np.repeat(rows, sub.part_mults, axis=0), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +508,7 @@ class HybridQMap:
     """
 
     def __init__(self, f, sub, k):
-        if f.parts is None:
-            raise ValueError(_NO_PARTS)
-        if tuple(int(m) for m, _f, _g in f.parts) != tuple(sub.part_mults):
+        if f.mults != tuple(sub.part_mults):
             raise ValueError("cube model multiplicities do not match the map parts")
         self.f = f
         self.sub = sub
@@ -621,15 +549,9 @@ class HybridQMap:
         out[inn] = np.where(cube, model, t * out[inn] + (1.0 - t) * model)
         return out.reshape(x.shape[:-1] + out.shape[-2:])
 
-    def part_value(self, x, j):
-        return self.part_values(x)[j]
-
     def values_at(self, x):
         """Q-point values (..., Q, 2) at points x (..., 2)."""
         return np.repeat(self.part_values(x), self.sub.part_mults, axis=-2)
-
-    def __call__(self, x):
-        return QPoint(self.values_at(x))
 
     def measured_lipschitz(self, grid_m=64):
         """Largest difference quotient between neighbouring nodes of a
@@ -642,15 +564,14 @@ class HybridQMap:
         return max(0.0, *(float(np.max(step / h)) for step in steps))
 
 
-def energy_of_map(f, cfg, grid_m=97):
+def energy_of_map(f, cfg):
     """Midpoint-rule quadrature of the summed-psi energy over the domain."""
     c, s = f.domain_center, f.domain_side
-    xs = (np.arange(grid_m) + 0.5) / grid_m - 0.5
-    cell = (s / grid_m) ** 2
+    xs = (np.arange(ENERGY_GRID_M) + 0.5) / ENERGY_GRID_M - 0.5
+    cell = (s / ENERGY_GRID_M) ** 2
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = c[None, :] + s * np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    mults = [m for m, _f, _g in f.parts]
-    return float(np.sum(_psi_bar(f.part_grads(pts), mults, cfg))) * cell
+    return float(np.sum(_psi_bar(f.part_grads(pts), f.mults, cfg))) * cell
 
 
 _GAUSS3 = (
@@ -673,7 +594,7 @@ def _psi_bar(grads, mults, cfg):
     return np.sum(vals * np.asarray(mults, dtype=float), axis=-1)
 
 
-def energy_of_hybrid(g, cfg, e_ref=None, grid_m=97):
+def energy_of_hybrid(g, cfg):
     """Region-aware quadrature of the summed-psi energy of g_k.
 
     Outside the cubes g_k equals f, so the outside contribution reuses the
@@ -688,8 +609,7 @@ def energy_of_hybrid(g, cfg, e_ref=None, grid_m=97):
     relying on a global grid that samples the thin rings noisily.
     """
     f = g.f
-    if e_ref is None:
-        e_ref = energy_of_map(f, cfg, grid_m)
+    e_ref = energy_of_map(f, cfg)
     sub = g.sub
     n = sub.n_cubes
     if n == 0:
@@ -738,7 +658,7 @@ def energy_of_hybrid(g, cfg, e_ref=None, grid_m=97):
     return e_ref + delta
 
 
-def piecewise_affine_sequence(f, k, cfg, grid_m=97):
+def piecewise_affine_sequence(f, k, cfg):
     """One member g_k of the approximating sequence plus its report.
 
     Report keys: k, r, n_cubes, bad_set_full (measure not covered by the
@@ -755,11 +675,10 @@ def piecewise_affine_sequence(f, k, cfg, grid_m=97):
     area = f.domain_side**2
     bad_full = area - sub.covered
     bad_shrunk = area - sub.n_cubes * (g.shrink * sub.r) ** 2
-    energy = energy_of_hybrid(g, cfg, grid_m=grid_m)
+    energy = energy_of_hybrid(g, cfg)
     x = _square_perimeter(f.domain_center, 0.5 * f.domain_side,
                           np.linspace(0.0, 1.0, 33)[:-1])
-    f_vals = np.repeat(f.part_values(x), sub.part_mults, axis=-2)
-    trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f_vals))))
+    trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f.values_at(x)))))
     report = {
         "k": k,
         "r": sub.r,

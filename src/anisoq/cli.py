@@ -27,6 +27,8 @@ from .multipoint import MaximalDecomposition
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
+# amplitudes of the branched family, one sample each
+BRANCHED_AMPLITUDES = (0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
 
 
 def _out_dir(args):
@@ -85,10 +87,8 @@ def _obstruction_rows_random(args, mu0):
 
 def _obstruction_rows_branched(args, mu0):
     rows = []
-    amps = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0]
     loop = currents.disk_boundary_loop(32)
-    for i in range(min(args.samples, len(amps))):
-        amp = amps[i]
+    for amp in BRANCHED_AMPLITUDES[:args.samples]:
         T = currents.branched_graph(args.q, amp, 1.0, n_r=16, n_theta=32)
         rep = gmeasures.obstruction_report(
             T, args.eps, mu0=mu0, boundary_loop=loop, q=args.q
@@ -161,6 +161,9 @@ def _obstruction_adversarial(args, mu0, out_dir):
 
 
 def cmd_obstruction(args):
+    if args.family == "branched" and args.samples > len(BRANCHED_AMPLITUDES):
+        raise ValueError(f"--samples must be <= {len(BRANCHED_AMPLITUDES)} for --family "
+                         f"branched, which has {len(BRANCHED_AMPLITUDES)} amplitudes")
     out_dir = _out_dir(args)
     mu0 = construction.make_mu0(args.eps)
     if args.family == "random":

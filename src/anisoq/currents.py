@@ -38,7 +38,7 @@ import numpy as np
 from . import exterior
 from .construction import build
 from .gmeasures import GrassmannMeasure
-from .multipoint import QPoint, g_metric
+from .multipoint import g_metric
 
 MIN_TRIANGLE_AREA = 1e-14
 ZERO_BOUNDARY_TOL = 1e-9
@@ -51,6 +51,18 @@ BALL_SCREEN_MARGIN = 1e-10
 # mass_in_ball to about 2 MiB, whatever the number of triangles
 SLICE_CHUNK_TRIANGLES = 1 << 10
 BALL_CHUNK_POINTS = 1 << 12
+# random_lipschitz_graph: product-sine modes per sheet.  The obstruction
+# CSVs and the chain and Stokes suites draw their graphs at this count.
+N_MODES = 3
+# plateau graphs: the plateau's side and the ramp's width as fractions of
+# the mesh side.  The plateau holds about 12 % of the domain, and the ramp
+# ring ends 0.125 of the side inside the boundary, so the boundary stays zero.
+PLATEAU_FRAC = 0.35
+RAMP_FRAC = 0.2
+# chain_report: a triangle counts as an exact w_i atom when its unit tangent
+# lies within ATOM_TOL of the unit w_i, far above the rounding of the
+# squeeze pushforward, so every plateau triangle of ray_plateau_graph counts
+ATOM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,9 +192,6 @@ class FunctionalQGraph:
         k = 2 * (i * self.mesh.n + j) + ~(d[..., 1] <= d[..., 0])
         v = np.moveaxis(self.vals[:, i, j], 0, -2) + (self.X[k] @ d[..., None, :, None])[..., 0]
         return np.repeat(v, self.mults, axis=-2)
-
-    def evaluate(self, x):
-        return QPoint(self.values_at(x))
 
     def is_zero_boundary(self):
         vals = self.values_at(np.array(self.mesh.boundary_nodes()))
@@ -324,8 +333,8 @@ class TriangulatedCurrent:
         at all); the part of that circle inside the triangle is a union of
         arcs computed exactly from the critical angles at the edge lines.
         """
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (0.0 < rho < math.inf):
+            raise ValueError("rho must be positive and finite")
         p = np.asarray(p, dtype=float)
         arcs = np.zeros(self.n_triangles)
         for lo in range(0, self.n_triangles, SLICE_CHUNK_TRIANGLES):
@@ -341,8 +350,8 @@ class TriangulatedCurrent:
         of their coordinate scale, count all or none of their centroids;
         only the others evaluate them.
         """
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (0.0 < rho < math.inf):
+            raise ValueError("rho must be positive and finite")
         if subdiv < 1:
             raise ValueError("subdiv must be at least 1")
         p = np.asarray(p, dtype=float)
@@ -569,7 +578,7 @@ def affine_graph(mesh, parts):
     return FunctionalQGraph.affine(mesh, parts)
 
 
-def random_lipschitz_graph(seed, lip, q, mesh, n_modes=3):
+def random_lipschitz_graph(seed, lip, q, mesh):
     """Reproducible random zero-boundary Q-graph with Lipschitz constant <= lip.
 
     Each sheet is a superposition of low-frequency product-sine modes
@@ -584,7 +593,7 @@ def random_lipschitz_graph(seed, lip, q, mesh, n_modes=3):
     nodal = []
     for _ in range(q):
         vals = np.zeros((n + 1, n + 1, 2))
-        for _m in range(n_modes):
+        for _m in range(N_MODES):
             kx, ky = rng.integers(1, 4, size=2)
             coef = rng.normal(size=2)
             mode = np.sin(math.pi * kx * xi) * np.sin(math.pi * ky * eta)
@@ -596,15 +605,14 @@ def random_lipschitz_graph(seed, lip, q, mesh, n_modes=3):
     return FunctionalQGraph.from_nodal_sheets(mesh, nodal)
 
 
-def steep_plateau_graph(t_slope, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
+def steep_plateau_graph(t_slope, q, mesh):
     """Zero-boundary graph with an interior plateau of gradient t * [[0,1],[1,0]].
 
     On the plateau the tangent plane is eps-vertical once
     t^2 >= 1 / ((1+eps)^2 - 1); the ramp ring contributes mixed and
     horizontal mass.  All Q sheets coincide.
     """
-    return ray_plateau_graph(t_slope * np.array([[0.0, 1.0], [1.0, 0.0]]), q, mesh,
-                             plateau_frac=plateau_frac, ramp_frac=ramp_frac)
+    return ray_plateau_graph(t_slope * np.array([[0.0, 1.0], [1.0, 0.0]]), q, mesh)
 
 
 def _max_nodal_gradient(vals, h):
@@ -667,7 +675,7 @@ def polygon_disk_area(n_theta):
     return 0.5 * n_theta * math.sin(2.0 * math.pi / n_theta)
 
 
-def ray_plateau_graph(X, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
+def ray_plateau_graph(X, q, mesh):
     """Zero-boundary graph whose plateau has the prescribed gradient X.
 
     With X one of the three lift matrices, the squeeze pushforward of the
@@ -676,8 +684,8 @@ def ray_plateau_graph(X, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
     X = np.asarray(X, dtype=float)
     nodes = mesh.nodes_array()
     c = np.array(mesh.x0, dtype=float)
-    s_in = plateau_frac * mesh.r / 2.0
-    s_out = s_in + ramp_frac * mesh.r
+    s_in = PLATEAU_FRAC * mesh.r / 2.0
+    s_out = s_in + RAMP_FRAC * mesh.r
     dist = np.maximum(np.abs(nodes[..., 0] - c[0]), np.abs(nodes[..., 1] - c[1]))
     ramp = np.clip((s_out - dist) / (s_out - s_in), 0.0, 1.0)
     rel = nodes - c[None, None, :]
@@ -690,13 +698,13 @@ def ray_plateau_graph(X, q, mesh, plateau_frac=0.35, ramp_frac=0.2):
 # ---------------------------------------------------------------------------
 
 
-def chain_report(T, q, eps, domain_area=1.0, atom_tol=1e-8):
+def chain_report(T, q, eps, domain_area=1.0):
     """Flux-balance and mass inequalities for a zero-boundary graph current.
 
     The current is pushed forward by the squeeze diag(1, 1, eps, eps), whose
     action takes the three special v-planes onto the w-planes.  Exact-atom
     masses m_i collect triangles whose unit tangent coincides with the unit
-    w_i (within atom_tol); the non-special mass is the complement.  The
+    w_i (within ATOM_TOL); the non-special mass is the complement.  The
     reported inequality uses the vertical class mass (an upper bound for the
     exact w3 atom mass, which is also reported) in the vertical term:
 
@@ -713,7 +721,7 @@ def chain_report(T, q, eps, domain_area=1.0, atom_tol=1e-8):
     atom_mass = []
     atom_mask = np.zeros(G.n_triangles, dtype=bool)
     for i in range(3):
-        mask = np.linalg.norm(ut - what[i][None, :], axis=1) <= atom_tol
+        mask = np.linalg.norm(ut - what[i][None, :], axis=1) <= ATOM_TOL
         atom_mass.append(float(wts[mask].sum()))
         atom_mask |= mask
     total = float(wts.sum())

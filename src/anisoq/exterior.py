@@ -3,7 +3,8 @@
 Everything in this package uses one fixed coordinate convention for
 Lambda^2 R^4, declared here once and used bit-exactly everywhere:
 
-* ordered basis  (e12, e13, e14, e23, e24, e34),
+* ordered basis  (e12, e13, e14, e23, e24, e34); a 2-vector is the
+  length-6 array of its coefficients, and an (N, 6) array a stack of them,
 * wedge coefficients  p_ij = u_i v_j - u_j v_i,
 * Pluecker form  Pl(p) = p12*p34 - p13*p24 + p14*p23, which vanishes
   exactly on simple (decomposable) 2-vectors,
@@ -20,7 +21,6 @@ therefore (e13, e14, e23, e24, e34) <-> (+X01, +X11, -X00, -X10, +det).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,49 +40,6 @@ CLASS_LABELS = np.array([HORIZONTAL, VERTICAL, MIXED], dtype=object)
 DEFAULT_SIMPLE_TOL = 1e-10
 
 
-class MultiVector2:
-    """Element of Lambda^2 R^4 in the fixed basis (e12,e13,e14,e23,e24,e34)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (6,):
-            raise ValueError("MultiVector2 needs exactly 6 coefficients")
-        self.coeffs = c
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def plucker(self):
-        return plucker(self.coeffs)
-
-    def is_simple(self, tol=DEFAULT_SIMPLE_TOL):
-        return is_simple(self.coeffs, tol)
-
-    def __repr__(self):
-        return f"MultiVector2({self.coeffs.tolist()})"
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiVector2):
-            return NotImplemented
-        return bool(np.array_equal(self.coeffs, other.coeffs))
-
-    def to_json(self):
-        return json.dumps(self.coeffs.tolist())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls(json.loads(s))
-
-
-def _coeffs(v):
-    """Accept a MultiVector2 or a length-6 array."""
-    if isinstance(v, MultiVector2):
-        return v.coeffs
-    return np.asarray(v, dtype=float)
-
-
 def wedge(u, v):
     """Wedge product of two vectors of R^4 (or of the rows of two (N, 4) stacks)."""
     u = np.asarray(u, dtype=float)
@@ -92,7 +49,7 @@ def wedge(u, v):
 
 def plucker(v):
     """Pluecker quadratic form; zero exactly on simple 2-vectors."""
-    p = _coeffs(v)
+    p = np.asarray(v, dtype=float)
     return float(p[0] * p[5] - p[1] * p[4] + p[2] * p[3])
 
 
@@ -100,7 +57,7 @@ def is_simple(v, tol=DEFAULT_SIMPLE_TOL):
     """Relative simplicity test: |Pl(v)| <= tol * (1 + ||v||^2)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = _coeffs(v)
+    p = np.asarray(v, dtype=float)
     return bool(abs(plucker(p)) <= tol * (1.0 + float(p @ p)))
 
 
@@ -166,7 +123,7 @@ class OrientedPlane:
         A x = sum_ij p_ij (e_i <e_j, x> - e_j <e_i, x>); for a simple
         2-vector the range of A is the plane, recovered by SVD.
         """
-        p = _coeffs(v)
+        p = np.asarray(v, dtype=float)
         nrm = float(np.linalg.norm(p))
         if nrm == 0.0:
             raise ValueError("zero 2-vector has no plane")
@@ -248,7 +205,7 @@ def classify_bivector(v, eps, strict=False):
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    p = _coeffs(v)
+    p = np.asarray(v, dtype=float)
     nrm = np.linalg.norm(p, axis=-1, keepdims=True)
     if np.any(nrm == 0.0):
         raise ValueError("zero 2-vector has no plane")
@@ -280,11 +237,11 @@ def classify_batch(b1s, b2s, eps, strict=False):
 
 def scalar_horizontal_test(v, eps):
     """Sufficient scalar test for eps-horizontal: <v, e12> >= ||v||/(1+eps)."""
-    p = _coeffs(v)
+    p = np.asarray(v, dtype=float)
     return bool(p[0] >= np.linalg.norm(p) / (1.0 + eps))
 
 
 def scalar_vertical_test(v, eps):
     """Sufficient scalar test for eps-vertical: <v, e43> >= ||v||/(1+eps)."""
-    p = _coeffs(v)
+    p = np.asarray(v, dtype=float)
     return bool(-p[5] >= np.linalg.norm(p) / (1.0 + eps))

@@ -18,6 +18,10 @@ from . import exterior
 
 UNIT_SIMPLE_TOL = 1e-10
 MASS_MATCH_RTOL = 1e-9
+# merged() treats atoms as one when their coordinates agree to this many
+# decimals.  The closest atoms of mu0 lie 2.8 eps apart, so they stay apart
+# down to the smallest eps the command line accepts, 1e-12.
+MERGE_DECIMALS = 12
 
 # Certified transport (see _certified_transport): used when the larger side
 # has at least CERT_MIN_ATOMS atoms and the smaller side 2 to CERT_MAX_SINKS;
@@ -48,8 +52,10 @@ class GrassmannMeasure:
     def check(self):
         if self.points.shape[0] == 0:
             return
-        if np.any(self.weights <= 0.0):
-            raise ValueError("atom weights must be positive")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("atom coordinates must be finite")
+        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+            raise ValueError("atom weights must be positive and finite")
         nrm = np.linalg.norm(self.points, axis=1)
         if np.max(np.abs(nrm - 1.0)) > UNIT_SIMPLE_TOL:
             raise ValueError("atoms must be unit 2-vectors")
@@ -96,15 +102,16 @@ class GrassmannMeasure:
     def scaled(self, factor):
         return GrassmannMeasure(self.points, self.weights * factor, validate=False)
 
-    def merged(self, decimals=12):
-        """Merge coinciding atoms (rounded coordinates) summing weights.
+    def merged(self):
+        """Merge coinciding atoms (coordinates rounded to MERGE_DECIMALS)
+        summing weights.
 
         Groups come in the order of their rounded coordinates; each sums its
         weights in atom order and keeps the point of its last atom.
         """
         if self.n_atoms == 0:
             return self
-        key = np.round(self.points, decimals)
+        key = np.round(self.points, MERGE_DECIMALS)
         _, inv = np.unique(key, axis=0, return_inverse=True)
         inv = inv.reshape(-1)  # numpy 2.0.0 returns it as (n, 1)
         n = inv.max() + 1
@@ -269,15 +276,14 @@ def _certified_transport(cost, a_w, b_w):
     return None
 
 
-def obstruction_report(graph_or_current, eps, mu0=None, normalized=True,
-                       boundary_loop=None, q=None):
+def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=None):
     """Classifier masses, mixed/vertical ratio and transport gap to mu0.
 
     Accepts a zero-boundary FunctionalQGraph (verified) or a
     TriangulatedCurrent (boundary verified against boundary_loop when given,
     otherwise the boundary chain must lie at height zero).  The transport
     distance compares the Gaussian image with mu0, both normalised to
-    probability measures when `normalized` (the default), raw otherwise.
+    probability measures.
     """
     from . import construction, currents
 
@@ -306,10 +312,7 @@ def obstruction_report(graph_or_current, eps, mu0=None, normalized=True,
     m_v = masses["vertical"]
     m_m = masses["mixed"]
     ratio = math.inf if m_v == 0.0 else m_m / m_v
-    if normalized:
-        dist = transport_distance(gamma.normalized(), mu0.normalized())
-    else:
-        dist = transport_distance(gamma, mu0)
+    dist = transport_distance(gamma.normalized(), mu0.normalized())
     return {
         "Q": int(q),
         "eps": eps,

@@ -239,12 +239,12 @@ def test_c10_metric_suites():
         for _ in range(500):
             q = int(rng.integers(2, 7))
             xs, ys = rng.normal(size=(2, q, 2))
-            d1 = mp.g_metric(mp.QPoint(xs), mp.QPoint(ys))
-            d2 = mp.g_metric_hungarian(mp.QPoint(xs), mp.QPoint(ys))
+            d1 = mp.g_metric(xs, ys)
+            d2 = mp.g_metric_hungarian(xs, ys)
             assert abs(d1 - d2) <= 1e-10
         for _ in range(100):
             q = int(rng.integers(1, 5))
-            a, b_, c = (mp.QPoint(rng.normal(size=(q, 2))) for _ in range(3))
+            a, b_, c = (rng.normal(size=(q, 2)) for _ in range(3))
             assert mp.g_metric(a, b_) <= mp.g_metric(a, c) + mp.g_metric(c, b_) + 1e-10
             assert abs(mp.g_metric(a, b_) - mp.g_metric(b_, a)) <= 1e-10
 

@@ -5,32 +5,57 @@ import numpy as np
 import pytest
 
 from anisoq import approx as ap
-from anisoq.multipoint import QJet, QPoint, g_metric
+from anisoq.multipoint import g_metric
 from tests.test_multipoint import _pairwise_g_metric
 
 
 def test_profiles_lipschitz_increments():
-    for f in (ap.smooth_profile(), ap.twosheet_profile(), ap.branched_profile()):
+    for f in (ap.smooth_profile(), ap.twosheet_profile()):
         assert f.check_increments(seed=11)
+
+
+def _old_check_increments(f, seed, n_pairs=200, tol=1e-9):
+    """The per-pair loop that the stacked check_increments replaced."""
+    rng = np.random.default_rng(seed)
+    c, s = f.domain_center, f.domain_side
+    for _ in range(n_pairs):
+        x, y = c + s * (rng.random((2, 2)) - 0.5)
+        if _pairwise_g_metric(f.values_at(x), f.values_at(y)) > \
+                f.lipschitz * np.linalg.norm(x - y) + tol:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("profile", [ap.smooth_profile, ap.twosheet_profile])
+def test_check_increments_matches_pairwise_loop(profile):
+    f = profile()
+    for seed in (0, 11):
+        for n_pairs in (1, 3, 200):
+            # the largest increment ratio over the pairs, in the loop's draw order:
+            # constants just above it pass, just below it fail
+            rng = np.random.default_rng(seed)
+            pairs = [f.domain_center + f.domain_side * (rng.random((2, 2)) - 0.5)
+                     for _ in range(n_pairs)]
+            crit = max(_pairwise_g_metric(f.values_at(x), f.values_at(y))
+                       / np.linalg.norm(x - y) for x, y in pairs)
+            verdicts = []
+            for lip in (f.lipschitz, 1.001 * crit, 0.999 * crit, 0.0):
+                g = dataclasses.replace(f, lipschitz=lip)
+                verdicts.append(g.check_increments(seed, n_pairs))
+                assert verdicts[-1] == _old_check_increments(g, seed, n_pairs)
+            assert verdicts == [True, True, False, False]
 
 
 def test_profile_jets_match_fd():
     f = ap.smooth_profile()
     x = np.array([0.17, -0.23])
-    jet = f.jet(x)
+    grad = f.part_grads(x)[0]
     h = 1e-6
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
         fd = (f.parts[0][1](x + e) - f.parts[0][1](x - e)) / (2 * h)
-        assert np.allclose(jet.grads()[0][:, k], fd, atol=1e-8)
-
-
-def test_branched_profile_matched_fd_jet():
-    f = ap.branched_profile()
-    jet = f.jet(np.array([0.2, 0.1]))
-    assert isinstance(jet, QJet)
-    assert jet.values().shape == (2, 2)
+        assert np.allclose(grad[:, k], fd, atol=1e-8)
 
 
 def test_interpolant_same_constant():
@@ -39,7 +64,7 @@ def test_interpolant_same_constant():
     outer = [(2, (const, np.zeros((2, 2))))]
     I = ap.interpolate_annulus(inner, outer, np.zeros(2), 0.4, 0.5)
     for x in (np.array([0.21, 0.05]), np.array([-0.28, 0.28])):
-        assert np.allclose(I.part_value(x, 0), const)
+        assert np.allclose(I.part_values(x)[0], const)
 
 
 def test_interpolant_affine_both_sides():
@@ -48,7 +73,7 @@ def test_interpolant_affine_both_sides():
         [(1, (a, X))], [(1, (a, X))], np.zeros(2), 0.5, 0.4
     )
     for x in (np.array([0.3, 0.1]), np.array([-0.33, 0.2])):
-        assert np.allclose(I.part_value(x, 0), a + X @ x, atol=1e-14)
+        assert np.allclose(I.part_values(x)[0], a + X @ x, atol=1e-14)
     assert I.trace_error() <= 1e-12
 
 
@@ -123,9 +148,8 @@ def test_subdivision_models_match_jets():
     sub = ap.cubic_subdivision(f, 0.2)
     row = sub.n_cubes // 2
     z = sub.centers[row]
-    jet = f.jet(z)
-    assert np.allclose(sub.part_a[row, 0], jet.values()[0], atol=1e-3)
-    assert np.allclose(sub.part_X[row, 0], jet.grads()[0], atol=1e-2)
+    assert np.allclose(sub.part_a[row, 0], f.part_values(z)[0], atol=1e-3)
+    assert np.allclose(sub.part_X[row, 0], f.part_grads(z)[0], atol=1e-2)
 
 
 def test_subdivision_twosheet_multiplicities():
@@ -188,18 +212,28 @@ def test_sequence_region_structure(cfg01):
     assert g.region_of(corner)[0] == "outside"
     # continuity across the collar: values at the cube face agree with f
     face = z + np.array([0.5 * g.sub.r, 0.0])
-    assert g_metric(g(face), f(face)) <= 1e-9
+    assert g_metric(g.values_at(face), f.values_at(face)) <= 1e-9
 
 
-def test_hybrid_requires_parts(cfg01):
-    f = ap.branched_profile()
-    with pytest.raises((ValueError, RuntimeError)):
-        ap.piecewise_affine_sequence(f, 4, cfg01)
+def test_hybrid_requires_parts():
+    sub = ap.cubic_subdivision(ap.twosheet_profile(), 0.25)
+    with pytest.raises(ValueError, match="^cube model multiplicities do not match the map parts$"):
+        ap.HybridQMap(ap.smooth_profile(), sub, 4)
 
 
-def test_subdivision_requires_parts():
+def test_map_requires_parts_with_gradients():
+    f = ap.twosheet_profile()
+    fields = dict(q=2, lipschitz=1.0, domain_center=np.zeros(2), domain_side=1.0)
+    for parts in (None, []):
+        with pytest.raises(ValueError,
+                           match="^not sheetwise-decomposable: the map carries no parts$"):
+            ap.SampledLipschitzQMap(**fields, parts=parts)
     with pytest.raises(ValueError, match="^not sheetwise-decomposable: the map carries no parts$"):
-        ap.cubic_subdivision(ap.branched_profile(), 0.25)
+        ap.SampledLipschitzQMap(**fields)
+    no_grad = [f.parts[0], (1, f.parts[1][1], None)]
+    with pytest.raises(ValueError,
+                       match="^not sheetwise-decomposable: part 1 carries no gradient$"):
+        ap.SampledLipschitzQMap(**fields, parts=no_grad)
 
 
 # -- the scalar evaluation path that part_values and the stacked Lipschitz
@@ -288,7 +322,7 @@ def test_part_values_match_scalar_regions(profile):
     ref = [[old.part_value(x, j) for j in range(len(g.f.parts))] for x in pts]
     assert np.array_equal(g.part_values(pts), np.array(ref))
     assert np.array_equal(g.values_at(pts), np.array([old(x) for x in pts]))
-    assert g(pts[0]) == QPoint(old(pts[0]))
+    assert np.array_equal(g.values_at(pts[0]), old(pts[0]))
 
 
 @pytest.mark.parametrize("k", [4, 8])
@@ -319,7 +353,7 @@ def _old_annulus_lipschitz(I, n_perim=96, n_rad=8):
     for a, s in enumerate(radii):
         for b, tau in enumerate(taus):
             pts[a, b] = ap._square_perimeter(I.center, s, tau)
-    vals = [[I(pts[a, b]).points for b in range(n_perim)] for a in range(n_rad + 1)]
+    vals = [[I.values_at(pts[a, b]) for b in range(n_perim)] for a in range(n_rad + 1)]
     for a in range(n_rad + 1):
         for b in range(n_perim):
             nb = (b + 1) % n_perim
@@ -442,9 +476,8 @@ def test_annulus_part_values_match_scalar_code():
         assert np.array_equal(I.part_values(pts.reshape(-1, 1, 2))[:, 0], ref)
         assert np.array_equal(I.values_at(pts), np.repeat(ref, I.mults, axis=-2))
         for row in (0, 7, len(pts) - 1):
-            assert all(np.array_equal(I.part_value(pts[row], j), ref[row, j])
-                       for j in range(len(I.mults)))
-            assert I(pts[row]) == QPoint(np.repeat(ref[row], I.mults, axis=0))
+            assert np.array_equal(I.part_values(pts[row]), ref[row])
+            assert np.array_equal(I.values_at(pts[row]), np.repeat(ref[row], I.mults, axis=0))
 
 
 def test_annulus_trace_error_and_gap_match_scalar_loops():

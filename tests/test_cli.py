@@ -84,6 +84,17 @@ def test_counts_below_one_rejected(tmp_path, args):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("samples", ["7", "10"])
+def test_branched_samples_beyond_family_rejected(tmp_path, samples):
+    res = run_cli(["obstruction", "--eps", "0.1", "--q", "2", "--samples", samples,
+                   "--family", "branched"], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == ("error: --samples must be <= 6 for --family branched, "
+                          "which has 6 amplitudes\n")
+    assert res.stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [

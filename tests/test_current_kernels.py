@@ -338,12 +338,19 @@ def test_mass_in_ball_matches_loop_on_currents(monkeypatch):
 
 def test_mass_in_ball_rejects_bad_inputs():
     D = currents.flat_disk_current(8, 32)
-    for rho in (-0.5, 0.0):
+    for rho in (-0.5, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rho"):
             D.mass_in_ball(np.zeros(4), rho)
     for subdiv in (0, -2):
         with pytest.raises(ValueError, match="subdiv"):
             D.mass_in_ball(np.zeros(4), 0.5, subdiv=subdiv)
+
+
+def test_slice_mass_rejects_bad_radius():
+    D = currents.flat_disk_current(8, 32)
+    for rho in (-0.5, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^rho must be positive and finite$"):
+            D.slice_mass(np.zeros(4), rho)
 
 
 # -- boundary chains, vertex keys and JSON ----------------------------------------------

@@ -286,11 +286,6 @@ def test_plane_roundtrip_through_bivector(rng):
         assert np.allclose(p.vector, w, atol=1e-10)
 
 
-def test_multivector_json_roundtrip():
-    v = ext.MultiVector2([1.0, 0.25, -0.5, 0.125, 3.0, -2.0])
-    assert ext.MultiVector2.from_json(v.to_json()) == v
-
-
 def test_construction_spanning_vectors_match_wedges(bundle01):
     u = spanning_vectors(0.1, bundle01.delta)
     for i in range(3):

@@ -61,6 +61,22 @@ def test_atom_validation():
         gm.GrassmannMeasure(E12[None, :], [-1.0])  # negative weight
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_atoms_and_weights_rejected(bad):
+    good = np.stack([E12, E34])
+    atoms = good.copy()
+    atoms[1, 2] = bad
+    with pytest.raises(ValueError, match="^atom coordinates must be finite$"):
+        gm.GrassmannMeasure(atoms, [1.0, 1.0])
+    with pytest.raises(ValueError, match="^atom weights must be positive and finite$"):
+        gm.GrassmannMeasure(good, [1.0, bad])
+    # the same through JSON, which writes and reads NaN and Infinity
+    for pts, wts, what in ((atoms, [1.0, 1.0], "coordinates"), (good, [1.0, bad], "weights")):
+        text = gm.GrassmannMeasure(pts, wts, validate=False).to_json()
+        with pytest.raises(ValueError, match=f"^atom {what} must be"):
+            gm.GrassmannMeasure.from_json(text)
+
+
 def test_transport_identical_measures(rng):
     pts = np.stack([random_unit_simple(rng) for _ in range(3)])
     mu = gm.GrassmannMeasure(pts, [1.0, 2.0, 0.5])
