@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import psi_batch
-from .multipoint import g_metric, maximal_decomposition
+from .multipoint import g_metric
 
 # Validation samples per cube side: N_VALID x N_VALID points out to
 # +-0.499 r, so the centre and the four corners are sampled.  On the smooth
@@ -486,12 +486,6 @@ def cubic_subdivision(f, delta):
     )
 
 
-def decomposition_of_cube(sub, row, tol=1e-9):
-    """Maximal decomposition of the model jet of one cube."""
-    rows = np.concatenate([sub.part_a[row], sub.part_X[row].reshape(-1, 4)], axis=1)
-    return maximal_decomposition(np.repeat(rows, sub.part_mults, axis=0), tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # the almost piecewise-affine sequence g_k
 # ---------------------------------------------------------------------------
@@ -522,14 +516,6 @@ class HybridQMap:
         inn = rows >= 0
         d[inn] = _sup_radius(x[inn], self.sub.centers[rows[inn]])
         return rows, d
-
-    def region_of(self, x):
-        rows, d = self._cubes_of(np.asarray(x, dtype=float)[None])
-        if rows[0] < 0:
-            return "outside", None
-        if d[0] <= 0.5 * self.shrink * self.sub.r:
-            return "cube", int(rows[0])
-        return "collar", int(rows[0])
 
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""

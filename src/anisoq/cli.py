@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import construction, currents, gmeasures
-from .energy import PsiConfig, envelope_bracket, envelope_lower_at_zero, envelope_upper
+from .energy import (LOWER_BOUND_RATIO_CONSTANT, PsiConfig, envelope_bracket,
+                     envelope_lower_at_zero, envelope_upper)
 from .multipoint import MaximalDecomposition
 
 EXIT_OK = 0
@@ -112,7 +113,8 @@ def _upsample_matrix(n, m_ctl):
 
 
 def _obstruction_adversarial(args, mu0, out_dir):
-    """Pattern search over a coarse control field minimising the mu0 gap."""
+    """Pattern search over a coarse control field minimising the mu0 gap,
+    for at most args.samples iterations (its budget)."""
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=args.mesh)
     rng = np.random.default_rng(args.seed)
     m_ctl = 3
@@ -133,7 +135,7 @@ def _obstruction_adversarial(args, mu0, out_dir):
     frontier = [(0, best_val)]
     step = 2.0
     it = 0
-    budget = max(args.samples, 8)
+    budget = args.samples
     while it < budget and step > 1e-3:
         it += 1
         improved = False
@@ -189,7 +191,7 @@ def cmd_obstruction(args):
                 _fmt(rep["w1_dist_mu0"]),
             ]
         )
-        if rep["mV"] > 0.0 and rep["ratio"] < 1.0 / 200.0 - 1e-8:
+        if rep["mV"] > 0.0 and rep["ratio"] < LOWER_BOUND_RATIO_CONSTANT - 1e-8:
             failures.append(gid)
     path = os.path.join(out_dir, f"obstruction_{args.family}_q{args.q}_s{args.seed}.csv")
     _write_csv(path, header, csv_rows)
@@ -226,6 +228,10 @@ def cmd_approx(args):
     out_dir = _out_dir(args)
     cfg = PsiConfig.for_eps(args.eps)
     f = ap.smooth_profile() if args.profile == "smooth" else ap.twosheet_profile()
+    if not f.check_increments(seed=11):
+        print(f"declared Lipschitz constant {f.lipschitz!r} violated on sampled increments",
+              file=sys.stderr)
+        return EXIT_ASSERTION
     e_ref = ap.energy_of_map(f, cfg)
     rows = []
     errs = []
@@ -251,6 +257,9 @@ def cmd_approx(args):
         )
         if rep["bad_set_full"] > 2.0 / k or rep["bad_set_shrunk"] > 3.0 / k:
             print(f"bad-set bound violated at k={k}", file=sys.stderr)
+            return EXIT_ASSERTION
+        if rep["lipschitz"] > rep["lip_bound"]:
+            print(f"Lipschitz bound lip <= lip_tol violated at k={k}", file=sys.stderr)
             return EXIT_ASSERTION
     path = os.path.join(out_dir, f"approx_{args.profile}.csv")
     _write_csv(

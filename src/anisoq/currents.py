@@ -29,7 +29,6 @@ merges vertices with _merge_keys, which holds at any finite scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -318,12 +317,6 @@ class TriangulatedCurrent:
             np.einsum("ab,tvb->tva", L, self.verts), self.mults, validate=False
         )
 
-    def projected_mass_h(self):
-        """Mass of the h-plane pushforward, no cancellation (positive tangents)."""
-        u1, u2 = self.edge_vectors()
-        det = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
-        return float(np.sum(self.mults * 0.5 * np.abs(det)))
-
     # -- slicing -------------------------------------------------------------------
 
     def slice_mass(self, p, rho):
@@ -403,9 +396,6 @@ class TriangulatedCurrent:
         verts = np.array([[vertices[a], vertices[b], vertices[c]] for (a, b, c, _m) in tris])
         mults = np.array([m for (_a, _b, _c, m) in tris], dtype=np.int64)
         return cls(verts, mults)
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def _subtriangle_centroids(k):
@@ -561,21 +551,9 @@ def triangulate(g):
     return TriangulatedCurrent(verts.reshape(-1, 3, 4), np.tile(g.mults, n_tri))
 
 
-def graph_boundary_is_q_square(g):
-    """Check the graph current boundary equals Q times the mesh boundary square."""
-    T = triangulate(g)
-    loop = np.array(g.mesh.boundary_nodes())
-    return T.boundary_equals_loop(loop, g.q, height=(0.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
-
-
-def affine_graph(mesh, parts):
-    """Graph of sum_j q_j [a_j + X_j (x - x0)] over the mesh."""
-    return FunctionalQGraph.affine(mesh, parts)
 
 
 def random_lipschitz_graph(seed, lip, q, mesh):

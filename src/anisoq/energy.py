@@ -2,8 +2,11 @@
 
 psi vanishes exactly on the three lift matrices X1, X2, X3 (equivalently,
 where the graph tangent LambdaM(X) is positively proportional to one of the
-three construction rays) and equals ||LambdaM(X)|| elsewhere.  The envelope
-of the induced Q-integrand at an affine target is bracketed numerically:
+three construction rays) and equals ||LambdaM(X)|| elsewhere; psi_batch
+evaluates exactly this integrand, zero within the angle DEFAULT_RAY_TOL of a
+ray, and psi_mass_of_current its mass on a triangulated current.  The
+envelope of the induced Q-integrand at an affine target is bracketed
+numerically:
 
 * upper bound: the exact psi-mass of a concrete competitor current with
   the target's affine boundary, the least of closed-form families per part
@@ -27,6 +30,7 @@ from .currents import FunctionalQGraph, Mesh, TriangulatedCurrent, triangulate
 from .exterior import lambda_m_batch
 from .multipoint import MaximalDecomposition
 
+# angle (rad) to a ray within which psi is 0
 DEFAULT_RAY_TOL = 1e-9
 # angle (rad) added to psi's cut-off before rows are screened off by cosine
 RAY_SCREEN_MARGIN = 1e-3
@@ -35,22 +39,16 @@ LOWER_BOUND_RATIO_CONSTANT = 1.0 / 200.0
 
 @dataclass
 class PsiConfig:
-    """Zero rays and tolerances for the degenerate integrand."""
+    """Zero rays of the degenerate integrand."""
 
     eps: float
     rays: np.ndarray  # (3, 6) unit simple 2-vectors
-    ray_tol: float = DEFAULT_RAY_TOL
-    eta: float = 0.0  # 0 = exact psi; eta > 0 smooths the cutoff
 
     @classmethod
-    def for_eps(cls, eps, ray_tol=DEFAULT_RAY_TOL, eta=0.0):
+    def for_eps(cls, eps):
         b = construction.build(eps)
         rays = lambda_m_batch(b.X)
-        rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-        return cls(eps=eps, rays=rays, ray_tol=ray_tol, eta=eta)
-
-    def with_eta(self, eta):
-        return PsiConfig(eps=self.eps, rays=self.rays, ray_tol=self.ray_tol, eta=eta)
+        return cls(eps=eps, rays=rays / np.linalg.norm(rays, axis=1, keepdims=True))
 
 
 def _ray_angles(unit, cosang, cfg):
@@ -58,9 +56,9 @@ def _ray_angles(unit, cosang, cfg):
 
     Evaluated through the projection residual (sine) rather than arccos of
     the cosine, which would lose all resolution below ~1e-8; with this
-    formula angles resolve down to machine precision, so the 1e-9 default
-    tolerance is meaningful.  psi reads the angle only up to
-    max(eta, ray_tol): beyond it psi is 1 whatever the angle, so
+    formula angles resolve down to machine precision, so the 1e-9
+    DEFAULT_RAY_TOL is meaningful.  psi reads the angle only up to
+    DEFAULT_RAY_TOL: beyond it psi is 1 whatever the angle, so
     psi_of_unit_tangents calls this only on rows its cosine screen keeps.
     """
     resid = unit[:, None, :] - cosang[:, :, None] * cfg.rays[None, :, :]
@@ -70,7 +68,7 @@ def _ray_angles(unit, cosang, cfg):
 
 
 def psi_batch(Xs, cfg):
-    """psi (or its eta-smoothed variant) on an (N, 2, 2) stack of gradients."""
+    """psi on an (N, 2, 2) stack of gradients."""
     lams = lambda_m_batch(Xs)
     norms = np.linalg.norm(lams, axis=1)
     return norms * psi_of_unit_tangents(lams, cfg, norms)
@@ -86,7 +84,7 @@ def psi_of_unit_tangents(unit_ws, cfg, norms=None):
 
     Only the direction of each row is used, so the rows need not be unit;
     norms, when given, are the row norms.  psi differs from 1 only within
-    max(eta, ray_tol) of a ray, so one matmul gives every row's cosines to
+    DEFAULT_RAY_TOL of a ray, so one matmul gives every row's cosines to
     the rays and only rows whose largest cosine reaches the cosine of that
     angle plus RAY_SCREEN_MARGIN (or is not finite) get the exact angle of
     _ray_angles; every other row is exactly 1.  The margin dwarfs the
@@ -98,23 +96,13 @@ def psi_of_unit_tangents(unit_ws, cfg, norms=None):
         norms = np.linalg.norm(ws, axis=1)
     unit = ws / norms[:, None]
     cosang = unit @ cfg.rays.T  # (N, 3)
-    reach = max(cfg.eta, cfg.ray_tol) + RAY_SCREEN_MARGIN
-    cut = math.cos(reach) if reach < math.pi else -math.inf
+    cut = math.cos(DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN)
     near = np.flatnonzero(~(cosang.max(axis=1) < cut))
     out = np.ones(ws.shape[0])
     if near.size:
         ang = _ray_angles(unit[near], cosang[near], cfg)
-        if cfg.eta > 0.0:
-            out[near] = np.minimum(1.0, ang / cfg.eta)
-        out[near[ang <= cfg.ray_tol]] = 0.0
+        out[near[ang <= DEFAULT_RAY_TOL]] = 0.0
     return out
-
-
-def psi_bar_energy(g, cfg):
-    """Integral over the domain of sum_sheets psi(gradient), exactly per triangle."""
-    tri_area = 0.5 * g.mesh.h * g.mesh.h
-    wts = np.tile(g.mults * tri_area, g.X.shape[0])
-    return float(wts @ psi_batch(g.X.reshape(-1, 2, 2), cfg))
 
 
 def psi_mass_of_current(T, cfg):
@@ -306,41 +294,3 @@ def envelope_bracket(eps, q, target_kind):
 def affine_competitor_bound(target, cfg):
     """The explicit affine-competitor value sum_j q_j psi(X_j)."""
     return float(sum(mult * psi(X, cfg) for (mult, _a, X) in target.parts))
-
-
-def property_b_spotcheck(q, a, X, samples, seed, cfg, mesh_n=6, amp=0.3,
-                         slack=1e-9):
-    """Sampled mean-comparison check for the part-wise envelope.
-
-    For sampled competitors f matching the affine boundary q[a + X x], the
-    mean over the domain of the cheap per-jet upper bound (the affine
-    competitor value at (f(x), grad f(x))) is compared with the envelope
-    upper bound of the target.  Both sides are upper bounds, so a negative
-    margin beyond `slack` is only flagged for inspection, never asserted.
-    """
-    target = MaximalDecomposition.single(q, a, X)
-    left, _comp, _meta = envelope_upper(target, cfg)
-    rng = np.random.default_rng(seed)
-    mesh = Mesh(x0=(0.0, 0.0), r=1.0, n=mesh_n)
-    affine_vals = np.asarray(a, dtype=float) + np.einsum(
-        "ab,ijb->ija", np.asarray(X, dtype=float), mesh.nodes_array())
-    bump = np.sin(math.pi * np.linspace(0, 1, mesh_n + 1))
-    bump2 = np.outer(bump, bump)[..., None]
-    margins = []
-    flagged = []
-    for s in range(samples):
-        nodal = [(1, affine_vals + amp * bump2 * rng.normal(size=2)[None, None, :])
-                 for _ in range(q)]
-        f = FunctionalQGraph.from_nodal_sheets(mesh, nodal)
-        right = psi_bar_energy(f, cfg)  # |D| = 1, so this is the mean
-        margin = right - left
-        margins.append(margin)
-        if margin < -slack:
-            flagged.append(s)
-    return {
-        "q": q,
-        "left_upper": left,
-        "margins": margins,
-        "flagged_samples": flagged,
-        "slack": slack,
-    }

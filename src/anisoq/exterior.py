@@ -21,8 +21,6 @@ therefore (e13, e14, e23, e24, e34) <-> (+X01, +X11, -X00, -X10, +det).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # index pairs (i, j) of the ordered basis e_i ^ e_j
@@ -37,8 +35,6 @@ VERTICAL = "vertical"
 MIXED = "mixed"
 CLASS_LABELS = np.array([HORIZONTAL, VERTICAL, MIXED], dtype=object)
 
-DEFAULT_SIMPLE_TOL = 1e-10
-
 
 def wedge(u, v):
     """Wedge product of two vectors of R^4 (or of the rows of two (N, 4) stacks)."""
@@ -51,14 +47,6 @@ def plucker(v):
     """Pluecker quadratic form; zero exactly on simple 2-vectors."""
     p = np.asarray(v, dtype=float)
     return float(p[0] * p[5] - p[1] * p[4] + p[2] * p[3])
-
-
-def is_simple(v, tol=DEFAULT_SIMPLE_TOL):
-    """Relative simplicity test: |Pl(v)| <= tol * (1 + ||v||^2)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    p = np.asarray(v, dtype=float)
-    return bool(abs(plucker(p)) <= tol * (1.0 + float(p @ p)))
 
 
 def lambda_m(X):
@@ -95,78 +83,11 @@ def ad(X):
     )
 
 
-@dataclass(frozen=True)
-class OrientedPlane:
-    """Oriented 2-plane in R^4: an orthonormal basis plus its unit wedge.
+def classify_bivector(v, eps, strict=False):
+    """eps-horizontal / eps-vertical / mixed decision for the plane of a simple 2-vector.
 
-    basis is a (4, 2) array whose columns b1, b2 are orthonormal; vector is
-    the length-6 coefficient array of b1 ^ b2 (unit and simple).
-    """
-
-    basis: np.ndarray
-    vector: np.ndarray
-
-    @classmethod
-    def from_basis(cls, b1, b2, tol=1e-12):
-        b1 = np.asarray(b1, dtype=float)
-        b2 = np.asarray(b2, dtype=float)
-        g = np.array([[b1 @ b1, b1 @ b2], [b1 @ b2, b2 @ b2]])
-        if np.max(np.abs(g - np.eye(2))) > tol:
-            raise ValueError("non-orthonormal basis")
-        return cls(basis=np.stack([b1, b2], axis=1), vector=wedge(b1, b2))
-
-    @classmethod
-    def from_bivector(cls, v, tol=1e-9):
-        """Recover the oriented plane of a unit simple 2-vector.
-
-        The 2-vector is viewed as the antisymmetric contraction matrix
-        A x = sum_ij p_ij (e_i <e_j, x> - e_j <e_i, x>); for a simple
-        2-vector the range of A is the plane, recovered by SVD.
-        """
-        p = np.asarray(v, dtype=float)
-        nrm = float(np.linalg.norm(p))
-        if nrm == 0.0:
-            raise ValueError("zero 2-vector has no plane")
-        if not is_simple(p / nrm, tol):
-            raise ValueError("2-vector is not simple")
-        A = np.zeros((4, 4))
-        for k, (i, j) in enumerate(BASIS_PAIRS):
-            A[i, j] = p[k]
-            A[j, i] = -p[k]
-        U, _, _ = np.linalg.svd(A)
-        b1, b2 = U[:, 0], U[:, 1]
-        if wedge(b1, b2) @ p < 0.0:
-            b1, b2 = b2, b1
-        return cls.from_basis(b1, b2)
-
-    def check(self, tol=1e-12):
-        g = self.basis.T @ self.basis
-        if np.max(np.abs(g - np.eye(2))) > tol:
-            raise ValueError("non-orthonormal basis")
-        if abs(plucker(self.vector)) > tol:
-            raise ValueError("plane 2-vector is not simple")
-        if abs(np.linalg.norm(self.vector) - 1.0) > tol:
-            raise ValueError("plane 2-vector is not unit")
-
-
-def principal_angles(p, q):
-    """Principal angles (theta1 <= theta2) between two oriented planes, radians.
-
-    The cosines are the singular values of the 2x2 matrix of pairwise basis
-    inner products; for compatibly oriented planes their product equals the
-    inner product of the two unit wedges.
-    """
-    p.check()
-    q.check()
-    g = p.basis.T @ q.basis
-    s = np.linalg.svd(g, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    th = np.sort(np.arccos(s))
-    return float(th[0]), float(th[1])
-
-
-def classify_plane(plane, eps, strict=False):
-    """eps-horizontal / eps-vertical / mixed decision for an oriented plane.
+    Takes one 2-vector (a label is returned) or an (N, 6) stack (an array
+    of labels is returned); the 2-vectors need not be unit.
 
     Horizontal: the projection onto the e12-plane restricted to the plane is
     orientation-preserving with (1+eps)-Lipschitz inverse, i.e. both singular
@@ -192,16 +113,6 @@ def classify_plane(plane, eps, strict=False):
     The decision is by singular values directly; the scalar inner-product
     test <v, e12> >= ||v||/(1+eps) is only a sufficient condition for
     horizontal and is deliberately not used here.
-    """
-    plane.check(tol=1e-9)
-    return classify_bivector(plane.vector, eps, strict)
-
-
-def classify_bivector(v, eps, strict=False):
-    """Classify the plane of a simple 2-vector (need not be unit), per classify_plane.
-
-    Takes one 2-vector (a label is returned) or an (N, 6) stack (an array
-    of labels is returned).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")

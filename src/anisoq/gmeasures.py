@@ -9,7 +9,6 @@ downstream depends on this choice.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -124,19 +123,11 @@ class GrassmannMeasure:
     def to_json_obj(self):
         return [[p.tolist(), float(w)] for p, w in zip(self.points, self.weights)]
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj):
         pts = [a[0] for a in obj]
         wts = [a[1] for a in obj]
         return cls(np.array(pts), np.array(wts))
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_obj(json.loads(s))
-
 
 def transport_distance(mu, nu):
     """Exact 1-Wasserstein distance between two atomic Grassmann measures.

@@ -19,7 +19,7 @@ from anisoq import gmeasures as gm
 from anisoq import multipoint as mp
 from anisoq.energy import PsiConfig
 from anisoq.multipoint import MaximalDecomposition
-from tests.conftest import cli_env
+from tests.conftest import cli_env, g_metric_hungarian, projected_mass_h
 
 EPS_GRID = (0.02, 0.05, 0.1, 0.15, 0.2)
 E12 = np.array([1.0, 0, 0, 0, 0, 0])
@@ -112,7 +112,7 @@ def test_c04_current_engine():
             assert np.linalg.norm(bary - q * E12) <= 1e-8
             pm, parts = T.partition(0.1)
             assert abs(pm.total() - T.mass()) <= 1e-10
-            assert parts[exterior.HORIZONTAL].projected_mass_h() <= q + 1e-8
+            assert projected_mass_h(parts[exterior.HORIZONTAL]) <= q + 1e-8
             count += 1
         assert count == 100
         # tangential Jacobian identity for the squeeze on the three planes
@@ -240,7 +240,7 @@ def test_c10_metric_suites():
             q = int(rng.integers(2, 7))
             xs, ys = rng.normal(size=(2, q, 2))
             d1 = mp.g_metric(xs, ys)
-            d2 = mp.g_metric_hungarian(xs, ys)
+            d2 = g_metric_hungarian(xs, ys)
             assert abs(d1 - d2) <= 1e-10
         for _ in range(100):
             q = int(rng.integers(1, 5))

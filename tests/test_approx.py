@@ -157,8 +157,9 @@ def test_subdivision_twosheet_multiplicities():
     sub = ap.cubic_subdivision(f, 0.25)
     assert sub.ok
     assert tuple(sub.part_mults) == (1, 1)
-    md = ap.decomposition_of_cube(sub, 0, tol=1e-6)
-    assert md.multiplicities == [1, 1]
+    # the two sheets' model jets on a cube stay distinct parts
+    jets = np.concatenate([sub.part_a[0], sub.part_X[0].reshape(-1, 4)], axis=1)
+    assert np.linalg.norm(jets[0] - jets[1]) > 1e-6
 
 
 def test_subdivision_lattice_margin():
@@ -200,16 +201,26 @@ def test_sequence_smooth_bounds_and_convergence(cfg01):
     assert max(lips) <= 10.0 * (f.lipschitz + 2.0)
 
 
+def _region_of(g, x):
+    """Region ("cube", "collar" or "outside") of g_k at one point x, with its cube row."""
+    rows, d = g._cubes_of(np.asarray(x, dtype=float)[None])
+    if rows[0] < 0:
+        return "outside", None
+    if d[0] <= 0.5 * g.shrink * g.sub.r:
+        return "cube", int(rows[0])
+    return "collar", int(rows[0])
+
+
 def test_sequence_region_structure(cfg01):
     f = ap.twosheet_profile()
     g, rep = ap.piecewise_affine_sequence(f, 4, cfg01)
     row = g.sub.n_cubes // 3
     z = g.sub.centers[row]
-    assert g.region_of(z)[0] == "cube"
+    assert _region_of(g, z)[0] == "cube"
     edge = z + np.array([0.5 * g.sub.r * (1 - 0.5 / g.k), 0.0])
-    assert g.region_of(edge)[0] == "collar"
+    assert _region_of(g, edge)[0] == "collar"
     corner = g.sub.domain_center + 0.499 * g.sub.domain_side * np.ones(2)
-    assert g.region_of(corner)[0] == "outside"
+    assert _region_of(g, corner)[0] == "outside"
     # continuity across the collar: values at the cube face agree with f
     face = z + np.array([0.5 * g.sub.r, 0.0])
     assert g_metric(g.values_at(face), f.values_at(face)) <= 1e-9
@@ -318,7 +329,7 @@ def test_part_values_match_scalar_regions(profile):
     old = _OldHybrid(g)
     regions = [old.region_of(x) for x in pts]
     assert {w for w, _row in regions} == {"cube", "collar", "outside"}
-    assert [g.region_of(x) for x in pts] == regions
+    assert [_region_of(g, x) for x in pts] == regions
     ref = [[old.part_value(x, j) for j in range(len(g.f.parts))] for x in pts]
     assert np.array_equal(g.part_values(pts), np.array(ref))
     assert np.array_equal(g.values_at(pts), np.array([old(x) for x in pts]))

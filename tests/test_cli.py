@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from anisoq import approx, cli, construction
+from anisoq import approx, cli, construction, energy, gmeasures
 from tests.conftest import cli_env
 
 BASE = [sys.executable, "-m", "anisoq.cli"]
@@ -255,6 +256,63 @@ def test_obstruction_branched(tmp_path):
         tmp_path,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_adversarial_samples_is_the_search_budget(tmp_path, capsys):
+    outputs = {}
+    for samples in (1, 8):
+        out = tmp_path / f"s{samples}"
+        assert cli.main(["--out", str(out), "obstruction", "--eps", "0.1", "--q", "1",
+                         "--samples", str(samples), "--seed", "0", "--family", "adversarial",
+                         "--mesh", "4"]) == 0
+        outputs[samples] = read_outputs(out)
+    capsys.readouterr()
+    # the frontier holds the start and one row per iteration
+    rows = {s: out["adversarial_frontier_q1_s0.csv"].decode().splitlines()[1:]
+            for s, out in outputs.items()}
+    assert len(rows[1]) <= 2 and len(rows[8]) == 9
+    assert outputs[1].keys() == outputs[8].keys()
+    for name in outputs[1]:
+        assert outputs[1][name] != outputs[8][name], name
+
+
+def _fake_report(ratio):
+    def report(*args, **kwargs):
+        return {"Q": 1, "mH": 1.0, "mV": 1.0, "mM": ratio, "ratio": ratio, "w1_dist_mu0": 0.5}
+    return report
+
+
+def test_obstruction_ratio_check_reads_the_lower_bound_constant(tmp_path, monkeypatch,
+                                                                capsys):
+    assert cli.LOWER_BOUND_RATIO_CONSTANT is energy.LOWER_BOUND_RATIO_CONSTANT
+    args = ["--out", str(tmp_path), "obstruction", "--eps", "0.1", "--q", "1",
+            "--samples", "1", "--mesh", "3"]
+    monkeypatch.setattr(gmeasures, "obstruction_report", _fake_report(0.004))
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "mixed/vertical ratio below 1/200 - 1e-8 for: random_0\n"
+    monkeypatch.setattr(cli, "LOWER_BOUND_RATIO_CONSTANT", 0.004)
+    assert cli.main(args) == 0
+
+
+def test_approx_checks_the_declared_lipschitz_constant(tmp_path, monkeypatch, capsys):
+    smooth = approx.smooth_profile
+    monkeypatch.setattr(approx, "smooth_profile",
+                        lambda: dataclasses.replace(smooth(), lipschitz=0.0))
+    assert cli.main(["--out", str(tmp_path), "approx", "--profile", "smooth", "--k", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "declared Lipschitz constant 0.0 violated on sampled increments\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_approx_checks_the_lipschitz_bound_per_k(tmp_path, monkeypatch, capsys):
+    def sequence(f, k, cfg):
+        return None, {"r": 0.1, "covered": 1.0, "lipschitz": 30.5, "energy_psi_bar": 1.0,
+                      "bad_set_full": 0.0, "bad_set_shrunk": 0.0, "lip_bound": 30.0}
+
+    monkeypatch.setattr(approx, "piecewise_affine_sequence", sequence)
+    assert cli.main(["--out", str(tmp_path), "approx", "--profile", "smooth", "--k", "4,8"]) == 2
+    assert capsys.readouterr().err == "Lipschitz bound lip <= lip_tol violated at k=4\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_certificate_valid(tmp_path):

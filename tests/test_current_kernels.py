@@ -374,7 +374,7 @@ def test_boundary_matches_loop():
                  for q in (1, 2, 3) for n in (2, 5)]
     currents_ += [currents.branched_graph(2, 0.8, 1.0, n_r=6, n_theta=12),
                   currents.branched_graph(3, 1.0, 0.4, n_r=4, n_theta=10)]
-    g = currents.affine_graph(unit_mesh(2), [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(2), [(1, np.zeros(2), np.zeros((2, 2)))])
     T = currents.triangulate(g)
     closed = T.concatenated(currents.TriangulatedCurrent(T.verts[:, [0, 2, 1], :], T.mults))
     currents_.append(closed)
@@ -407,7 +407,7 @@ def test_boundary_equals_loop_matches_loop():
     assert not B.boundary_equals_loop(loop, 2, height=(0.0, 1e-3))
     for q in (1, 3):
         g = currents.random_lipschitz_graph(70 + q, 1.5, q, unit_mesh(4))
-        assert currents.graph_boundary_is_q_square(g)
+        assert currents.triangulate(g).boundary_equals_loop(g.mesh.boundary_nodes(), g.q)
 
 
 def test_vertex_keys_round_half_to_even():
@@ -427,7 +427,8 @@ def test_current_json_matches_loop():
     # vertices that differ below the key resolution merge into the first seen
     shaken = T.verts + rng.uniform(-1e-11, 1e-11, size=T.verts.shape)
     for cur in (T, currents.TriangulatedCurrent(shaken, T.mults + 1), _random_triangles(rng, 5)):
-        assert cur.to_json() == json.dumps(_ref_to_json_obj(cur), sort_keys=True)
+        assert json.dumps(cur.to_json_obj(), sort_keys=True) == \
+            json.dumps(_ref_to_json_obj(cur), sort_keys=True)
 
 
 # -- branched_graph -------------------------------------------------------------------

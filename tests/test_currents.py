@@ -5,6 +5,7 @@ import pytest
 
 from anisoq import currents, energy, exterior
 from anisoq.multipoint import g_metric
+from tests.conftest import projected_mass_h
 
 E12 = np.array([1.0, 0, 0, 0, 0, 0])
 
@@ -14,7 +15,7 @@ def unit_mesh(n):
 
 
 def test_flat_graph_mass_and_tangents():
-    g = currents.affine_graph(unit_mesh(4), [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(4), [(1, np.zeros(2), np.zeros((2, 2)))])
     T = currents.triangulate(g)
     assert abs(T.mass() - 1.0) < 1e-12
     assert np.allclose(T.unit_tangents(), E12[None, :])
@@ -23,7 +24,7 @@ def test_flat_graph_mass_and_tangents():
 def test_affine_graph_area_formula(rng):
     for _ in range(10):
         X = rng.normal(size=(2, 2))
-        g = currents.affine_graph(unit_mesh(3), [(1, rng.normal(size=2), X)])
+        g = currents.FunctionalQGraph.affine(unit_mesh(3), [(1, rng.normal(size=2), X)])
         T = currents.triangulate(g)
         expected = np.linalg.norm(exterior.lambda_m(X))
         assert abs(T.mass() - expected) < 1e-10
@@ -36,7 +37,7 @@ def test_affine_graph_area_formula(rng):
 
 def test_two_parallel_sheets():
     parts = [(1, np.array([0.0, 1.0]), np.zeros((2, 2))), (1, np.array([0.0, -1.0]), np.zeros((2, 2)))]
-    g = currents.affine_graph(unit_mesh(3), parts)
+    g = currents.FunctionalQGraph.affine(unit_mesh(3), parts)
     T = currents.triangulate(g)
     assert abs(T.mass() - 2.0) < 1e-12
     # boundary: one square loop at each of the two heights
@@ -49,12 +50,12 @@ def test_zero_boundary_chain_is_q_square():
     for q in (1, 2):
         g = currents.random_lipschitz_graph(7 + q, 1.5, q, unit_mesh(5))
         assert g.is_zero_boundary()
-        assert currents.graph_boundary_is_q_square(g)
+        assert currents.triangulate(g).boundary_equals_loop(g.mesh.boundary_nodes(), g.q)
 
 
 def test_closed_surface_empty_boundary():
     # a flat square traversed with opposite orientations cancels entirely
-    g = currents.affine_graph(unit_mesh(2), [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(2), [(1, np.zeros(2), np.zeros((2, 2)))])
     T = currents.triangulate(g)
     reversed_T = currents.TriangulatedCurrent(T.verts[:, [0, 2, 1], :], T.mults)
     both = T.concatenated(reversed_T)
@@ -78,7 +79,7 @@ def test_gaussian_barycenter_stokes(rng):
 
 
 def test_partition_flat_all_horizontal():
-    g = currents.affine_graph(unit_mesh(3), [(2, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(3), [(2, np.zeros(2), np.zeros((2, 2)))])
     T = currents.triangulate(g)
     pm, parts = T.partition(0.1)
     assert pm.mH == pytest.approx(T.mass())
@@ -95,7 +96,7 @@ def test_partition_additivity(rng):
 
 def test_partition_x1_affine_classification(bundle01):
     # the v1-plane at eps = 0.1: check against a direct SVD of the blocks
-    g = currents.affine_graph(unit_mesh(2), [(1, np.zeros(2), bundle01.X[0])])
+    g = currents.FunctionalQGraph.affine(unit_mesh(2), [(1, np.zeros(2), bundle01.X[0])])
     T = currents.triangulate(g)
     labels = set(T.classify_triangles(0.1))
     expected = exterior.classify_bivector(bundle01.v[0], 0.1)
@@ -191,7 +192,7 @@ def test_projection_multiplicity_bound(rng):
         g = currents.random_lipschitz_graph(200 + q, 2.0, q, unit_mesh(5))
         T = currents.triangulate(g)
         pm, parts = T.partition(0.1)
-        proj = parts[exterior.HORIZONTAL].projected_mass_h()
+        proj = projected_mass_h(parts[exterior.HORIZONTAL])
         assert proj <= q * 1.0 + 1e-8
 
 
@@ -281,7 +282,7 @@ def test_ratio_lower_bound_where_vertical(bundle01):
 def test_graph_evaluation_and_trace():
     mesh = unit_mesh(3)
     X = np.array([[0.5, 0.0], [0.0, -0.25]])
-    g = currents.affine_graph(mesh, [(2, np.array([1.0, 2.0]), X)])
+    g = currents.FunctionalQGraph.affine(mesh, [(2, np.array([1.0, 2.0]), X)])
     x = np.array([0.21, -0.37])
     expected = np.tile(np.array([1.0, 2.0]) + X @ x, (2, 1))
     assert g_metric(g.values_at(x), expected) < 1e-12
@@ -371,7 +372,9 @@ def _assert_matches_reference(g, mults, vals, cfg):
     T = currents.triangulate(g)
     verts, tri_mults = _ref_triangulate(g.mesh, mults, vals)
     assert np.array_equal(T.verts, verts) and np.array_equal(T.mults, tri_mults)
-    assert energy.psi_bar_energy(g, cfg) == _ref_psi_bar(g.mesh, mults, grads, cfg)
+    # the psi-mass of the graph current is the summed-psi energy of its gradients
+    assert energy.psi_mass_of_current(T, cfg) == pytest.approx(
+        _ref_psi_bar(g.mesh, mults, grads, cfg), rel=1e-12)
     # the nodes themselves, then random points of the domain and a margin
     # outside it (located in the nearest cell)
     x = np.concatenate([g.mesh.nodes_array().reshape(-1, 2),
@@ -413,8 +416,8 @@ def test_array_layout_matches_triangle_loops(bundle01, cfg01, nodal_calls):
 def test_affine_layout_matches_triangle_loops(cfg01, rng):
     mesh = currents.Mesh(x0=(0.3, -0.2), r=1.5, n=5)
     parts = [(int(m), rng.normal(size=2), rng.normal(size=(2, 2))) for m in (1, 3)]
-    _assert_matches_reference(currents.affine_graph(mesh, parts), [m for m, _a, _X in parts],
-                              _ref_affine_vals(mesh, parts), cfg01)
+    _assert_matches_reference(currents.FunctionalQGraph.affine(mesh, parts),
+                              [m for m, _a, _X in parts], _ref_affine_vals(mesh, parts), cfg01)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anisoq import exterior as ext
-from anisoq.construction import build, spanning_vectors
+from anisoq.construction import spanning_vectors
 
 E = np.eye(4)
 
@@ -100,42 +100,8 @@ def test_ad_matches_lambda_m_signs(rng):
         assert np.allclose(lam[1:], [a[1], a[3], -a[0], -a[2], a[4]])
 
 
-def test_is_simple():
-    assert ext.is_simple(np.array([1, 0, 0, 0, 0, 0.0]))
-    assert not ext.is_simple(np.array([1, 0, 0, 0, 0, 1.0]))  # Pl = 1
-    with pytest.raises(ValueError):
-        ext.is_simple(np.zeros(6), tol=0.0)
-
-
-def test_is_simple_v3():
-    b = build(0.1)
-    assert ext.is_simple(b.v[2])
-
-
-def test_principal_angles_same_and_orthogonal():
-    p = ext.OrientedPlane.from_basis(E[0], E[1])
-    q = ext.OrientedPlane.from_basis(E[2], E[3])
-    assert ext.principal_angles(p, p) == (0.0, 0.0)
-    th = ext.principal_angles(p, q)
-    assert np.allclose(th, [np.pi / 2, np.pi / 2])
-
-
-def test_principal_angles_cosine_product(bundle01):
-    w1 = bundle01.w[0]
-    pw1 = ext.OrientedPlane.from_bivector(w1 / np.linalg.norm(w1))
-    h = ext.OrientedPlane.from_basis(E[0], E[1])
-    t1, t2 = ext.principal_angles(pw1, h)
-    assert abs(np.cos(t1) * np.cos(t2) - w1[0] / np.linalg.norm(w1)) < 1e-12
-
-
-def test_principal_angles_rejects_bad_basis():
-    with pytest.raises(ValueError, match="non-orthonormal basis"):
-        ext.OrientedPlane.from_basis(E[0], E[0])
-
-
 def test_classify_plane_basic(bundle01):
-    h = ext.OrientedPlane.from_basis(E[0], E[1])
-    assert ext.classify_plane(h, 0.1) == ext.HORIZONTAL
+    assert ext.classify_bivector(ext.E12, 0.1) == ext.HORIZONTAL
     assert ext.classify_bivector(bundle01.w[2], 0.1) == ext.VERTICAL
     # the plane of lambda_m(diag(1,1)) has projection singular values 1/sqrt(2)
     lam = ext.lambda_m(np.eye(2))
@@ -150,19 +116,6 @@ def test_classify_mixed_svd_oracle():
     assert s[-1] < 1 / 1.1  # fails the horizontal criterion at eps = 0.1
 
 
-def test_classify_invariant_under_oriented_reparam(rng):
-    for _ in range(100):
-        w = random_simple(rng)
-        p = ext.OrientedPlane.from_bivector(w / np.linalg.norm(w))
-        th = rng.uniform(0, 2 * np.pi)
-        c, s = np.cos(th), np.sin(th)
-        b1 = c * p.basis[:, 0] + s * p.basis[:, 1]
-        b2 = -s * p.basis[:, 0] + c * p.basis[:, 1]
-        q = ext.OrientedPlane.from_basis(b1, b2)
-        for eps in (0.05, 0.1, 0.3):
-            assert ext.classify_plane(p, eps) == ext.classify_plane(q, eps)
-
-
 def _mixed_sampler(rng, n):
     """Half generic simple 2-vectors, half perturbations of the h/v planes."""
     out = []
@@ -175,6 +128,30 @@ def _mixed_sampler(rng, n):
             v = base[1] + 0.2 * rng.normal(size=4)
             out.append(ext.wedge(u, v))
     return out
+
+
+def _spanning_pair(rng, i):
+    """Spanning vectors of a generic plane (even i), of a perturbed e1 ^ e2 plane
+    (i % 4 == 1) or of a perturbed e4 ^ e3 plane (i % 4 == 3)."""
+    u, v = rng.normal(size=(2, 4))
+    if i % 2:
+        u, v = u * 0.2 + E[0], v * 0.2 + E[1]
+        if i % 4 == 3:
+            u, v = u[[3, 2, 1, 0]], v[[3, 2, 1, 0]]
+    return u, v
+
+
+def test_classify_invariant_under_oriented_reparam(rng):
+    # rotating the spanning pair within its plane keeps the plane and its
+    # orientation: (c b1 + s b2) ^ (-s b1 + c b2) = b1 ^ b2
+    b1, b2 = map(np.array, zip(*(_spanning_pair(rng, i) for i in range(400))))
+    th = rng.uniform(0, 2 * np.pi, size=(len(b1), 1))
+    c, s = np.cos(th), np.sin(th)
+    for eps in (0.05, 0.1, 0.3):
+        labels = ext.classify_batch(b1, b2, eps)
+        assert labels.tolist() == ext.classify_batch(c * b1 + s * b2, -s * b1 + c * b2,
+                                                     eps).tolist()
+        assert set(labels) == {ext.HORIZONTAL, ext.VERTICAL, ext.MIXED}
 
 
 def test_scalar_test_implies_classification(rng):
@@ -220,14 +197,7 @@ def _isoclinic_pair(rng, sigma, vertical):
 
 
 def test_classify_batch_matches_svd_oracle(rng):
-    pairs = []
-    for i in range(600):  # generic planes, and perturbed h and v planes
-        u, v = rng.normal(size=(2, 4))
-        if i % 2:
-            u, v = u * 0.2 + E[0], v * 0.2 + E[1]
-            if i % 4 == 3:
-                u, v = u[[3, 2, 0, 1]], v[[3, 2, 0, 1]]
-        pairs.append((u, v))
+    pairs = [_spanning_pair(rng, i) for i in range(600)]
     for eps in (0.05, 0.1, 0.2):
         for k in range(100):
             sigma = (1.0 + (-1) ** k * 1e-6) / (1.0 + eps)
@@ -276,14 +246,6 @@ def test_classify_input_errors():
         ext.classify_bivector(np.stack([ext.E12, np.zeros(6)]), 0.1)
     with pytest.raises(ValueError, match="not simple"):
         ext.classify_bivector(ext.E12 + ext.E34, 0.1)
-
-
-def test_plane_roundtrip_through_bivector(rng):
-    for _ in range(50):
-        w = random_simple(rng)
-        w = w / np.linalg.norm(w)
-        p = ext.OrientedPlane.from_bivector(w)
-        assert np.allclose(p.vector, w, atol=1e-10)
 
 
 def test_construction_spanning_vectors_match_wedges(bundle01):

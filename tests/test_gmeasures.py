@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -72,9 +73,9 @@ def test_non_finite_atoms_and_weights_rejected(bad):
         gm.GrassmannMeasure(good, [1.0, bad])
     # the same through JSON, which writes and reads NaN and Infinity
     for pts, wts, what in ((atoms, [1.0, 1.0], "coordinates"), (good, [1.0, bad], "weights")):
-        text = gm.GrassmannMeasure(pts, wts, validate=False).to_json()
+        text = json.dumps(gm.GrassmannMeasure(pts, wts, validate=False).to_json_obj())
         with pytest.raises(ValueError, match=f"^atom {what} must be"):
-            gm.GrassmannMeasure.from_json(text)
+            gm.GrassmannMeasure.from_json_obj(json.loads(text))
 
 
 def test_transport_identical_measures(rng):
@@ -160,7 +161,7 @@ def test_mass_by_class_matches_atom_loop():
 def test_json_roundtrip(rng):
     pts = np.stack([random_unit_simple(rng) for _ in range(3)])
     mu = gm.GrassmannMeasure(pts, [1.0, 2.0, 3.0])
-    mu2 = gm.GrassmannMeasure.from_json(mu.to_json())
+    mu2 = gm.GrassmannMeasure.from_json_obj(json.loads(json.dumps(mu.to_json_obj())))
     assert np.allclose(mu.points, mu2.points)
     assert np.allclose(mu.weights, mu2.weights)
 
@@ -202,7 +203,7 @@ def test_merged_matches_atom_loop(rng):
 
 def test_obstruction_report_flat_graph():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
-    g = currents.affine_graph(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])
     rep = gm.obstruction_report(g, 0.1)
     assert rep["mV"] == 0.0 and rep["mM"] == 0.0
     assert rep["ratio"] == float("inf")
@@ -214,7 +215,7 @@ def test_obstruction_report_flat_graph():
 
 def test_obstruction_report_rejects_nonzero_boundary():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
-    g = currents.affine_graph(mesh, [(1, np.zeros(2), np.eye(2))])
+    g = currents.FunctionalQGraph.affine(mesh, [(1, np.zeros(2), np.eye(2))])
     with pytest.raises(ValueError):
         gm.obstruction_report(g, 0.1)
 

@@ -1,0 +1,82 @@
+"""The library surface stays small: every public name is reached.
+
+A public function, method or class of src/anisoq that no module of the
+package and no benchmark script names is code that only tests reach.  Such a
+name is wired into a command, moved into tests/ as an oracle, or deleted;
+the few that stay are listed here with the reason they stay.
+
+A name counts as reached when it appears, outside its own definition, as a
+name or an attribute in src/anisoq/*.py or perfbench/*.py, or as a part of
+a dotted string in perfbench/*.py (the benchmark's span table patches
+functions by their dotted path).  Matching is by bare name, so a method
+shares its reach with every other definition or use of the same name.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALLOWED_UNREACHED = {
+    "approx.interpolate_annulus": "acceptance C08 and the README pin the annulus interpolant",
+    "approx.AnnulusInterpolant.trace_error": "acceptance C08 checks the exact trace with it",
+    "approx.AnnulusInterpolant.boundary_gap": "acceptance C08 checks the boundary gap with it",
+    "currents.TriangulatedCurrent.from_json_obj":
+        "tests re-read the competitor files that envelope writes",
+    "gmeasures.GrassmannMeasure.from_json_obj":
+        "tests re-read written measures; it rejects NaN and inf atoms",
+    "currents.TriangulatedCurrent.mass": "the mass identities of the current engine read it",
+}
+
+
+def _public_defs(tree, module):
+    """{qualified name: node} of the module-level and class-level public defs."""
+    out = {}
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    out[f"{prefix}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}.{node.name}")
+
+    visit(tree.body, module)
+    return out
+
+
+def _references(tree, with_strings):
+    """(name, line) of every name, attribute and (optionally) dotted-string part."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def unreached_names():
+    """Qualified public names of src/anisoq named nowhere outside their definition."""
+    defs, refs = {}, []
+    for path in sorted((ROOT / "src" / "anisoq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += [(name, path, line) for name, line in _references(tree, False)]
+        defs.update({q: (path, node) for q, node in _public_defs(tree, path.stem).items()})
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        refs += [(name, path, line) for name, line in _references(ast.parse(path.read_text()),
+                                                                  True)]
+    unreached = set()
+    for qual, (path, node) in defs.items():
+        inside = range(node.lineno, node.end_lineno + 1)
+        if not any(name == node.name and not (where == path and line in inside)
+                   for name, where, line in refs):
+            unreached.add(qual)
+    return unreached
+
+
+def test_every_public_name_is_reached_or_allowlisted():
+    assert unreached_names() == set(ALLOWED_UNREACHED)

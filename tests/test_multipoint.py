@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from anisoq import multipoint as mp
+from tests.conftest import g_metric_hungarian
 
 
 def brute_force_g(xs, ys):
@@ -13,11 +14,6 @@ def brute_force_g(xs, ys):
         c = sum(np.sum((xs[i] - ys[p]) ** 2) for i, p in enumerate(perm))
         best = min(best, c)
     return np.sqrt(best)
-
-
-def _jet(values, grads):
-    """(Q, 6) Q-jet rows (a_x, a_y, X00, X01, X10, X11)."""
-    return np.concatenate([np.reshape(values, (-1, 2)), np.reshape(grads, (-1, 4))], axis=1)
 
 
 def test_full_multiplicity_translation():
@@ -62,7 +58,7 @@ def test_hungarian_equals_exhaustive(rng):
         xs = rng.normal(size=(q, 2)) * rng.uniform(0.1, 10)
         ys = rng.normal(size=(q, 2)) * rng.uniform(0.1, 10)
         d_exh = mp.g_metric(xs, ys)  # exhaustive for Q <= 6
-        d_hun = mp.g_metric_hungarian(xs, ys)
+        d_hun = g_metric_hungarian(xs, ys)
         d_ora = brute_force_g(xs, ys)
         assert abs(d_exh - d_hun) < 1e-10
         assert abs(d_exh - d_ora) < 1e-10
@@ -72,7 +68,7 @@ def test_hungarian_used_above_threshold(rng):
     q = 8
     xs, ys = rng.normal(size=(q, 2)), rng.normal(size=(q, 2))
     d = mp.g_metric(xs, ys)
-    assert abs(d - mp.g_metric_hungarian(xs, ys)) < 1e-12
+    assert abs(d - g_metric_hungarian(xs, ys)) < 1e-12
 
 
 def test_qpoint_order_independence(rng):
@@ -83,60 +79,6 @@ def test_qpoint_order_independence(rng):
         perms = pts[np.array(list(itertools.permutations(range(q))))]
         assert np.array_equal(mp.g_metric(pts, perms), np.zeros(perms.shape[0]))
         assert mp.g_metric(perms[-1], pts) == 0.0
-
-
-def test_maximal_decomposition_full_point():
-    jet = _jet(np.tile([1.0, 2.0], (3, 1)), np.tile(np.eye(2), (3, 1, 1)))
-    md = mp.maximal_decomposition(jet)
-    assert len(md.parts) == 1
-    assert md.parts[0][0] == 3
-    assert not md.ambiguous
-
-
-def test_maximal_decomposition_two_parts():
-    jet = _jet(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2, 2)))
-    md = mp.maximal_decomposition(jet, tol=1e-6)
-    assert md.multiplicities == [1, 1]
-    assert not md.ambiguous
-
-
-def test_maximal_decomposition_ambiguous_flag():
-    jet = _jet(np.array([[0.0, 0.0], [1e-6, 0.0]]), np.zeros((2, 2, 2)))
-    md = mp.maximal_decomposition(jet, tol=1e-6)
-    assert md.ambiguous
-
-
-def test_decomposition_reconstruction_roundtrip(rng):
-    for _ in range(50):
-        j = int(rng.integers(1, 4))
-        parts = []
-        total = 0
-        for _i in range(j):
-            m = int(rng.integers(1, 3))
-            total += m
-            parts.append((m, rng.normal(size=2) * 5, rng.normal(size=(2, 2))))
-        md = mp.MaximalDecomposition(parts=parts, tol=1e-9)
-        rows = md.reconstruct()
-        assert rows.shape == (total, 6)
-        want = np.repeat([np.concatenate([a, X.ravel()]) for _m, a, X in parts],
-                         [m for m, _a, _X in parts], axis=0)
-        assert np.array_equal(rows, want[np.lexsort(want.T[::-1])])  # canonical order
-        back = mp.maximal_decomposition(rows, tol=1e-9)
-        assert back.q == total
-        assert back.multiplicities == md.multiplicities or back.ambiguous
-        if not back.ambiguous:
-            assert np.array_equal(back.reconstruct(), rows)
-
-
-def test_same_maximal_multiplicities_distinct_vs_collapsed(rng):
-    q = 3
-    distinct = _jet(rng.normal(size=(q, 2)) * 10, np.zeros((q, 2, 2)))
-    collapsed = _jet(np.zeros((q, 2)), np.zeros((q, 2, 2)))
-    md_d = mp.maximal_decomposition(distinct)
-    md_c = mp.maximal_decomposition(collapsed)
-    assert md_d.multiplicities == [1, 1, 1]
-    assert md_c.multiplicities == [3]
-    assert md_d.multiplicities != md_c.multiplicities
 
 
 def _pairwise_g_metric(p, q):
