@@ -13,7 +13,9 @@ Two building blocks:
   squares around the cube centre, validated by a sup condition and a
   gradient measure condition; cubes failing validation are dropped, and the
   sequence g_k glues the models on shrunken cubes to the map itself through
-  the annulus blend.
+  the annulus blend.  The kept cubes are one record, CubicSubdivision (a
+  lattice of row indices and per-cube model arrays); a search that finds no
+  subdivision raises RuntimeError.
 
 Almost-everywhere objects (differentiability points, Lebesgue points) are
 replaced by sampled interior points with validation and retry, so the
@@ -22,14 +24,15 @@ sheetwise-decomposable maps are handled: a Q-map is its list of parts, each
 with a multiplicity and an analytic gradient.  Every Q-map here
 (SampledLipschitzQMap, AnnulusInterpolant, HybridQMap) evaluates arrays of
 points through part_values ((..., 2) -> (..., J, 2)) and values_at
-((..., 2) -> (..., Q, 2), the parts repeated by multiplicity), and every
-summed-psi energy goes through the one kernel _psi_bar.
+((..., 2) -> (..., Q, 2), the parts repeated by multiplicity).  Both
+annulus blends go through _blend, every tensor grid of offsets through
+_grid, and every summed-psi energy through the one kernel _psi_bar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,6 +184,20 @@ def _sup_radius(x, c):
     return np.max(np.abs(np.asarray(x, dtype=float) - c), axis=-1)
 
 
+def _grid(ts):
+    """Tensor grid (n^2, 2) of the offsets ts (n): the pairs (a, b) for a in
+    ts, b in ts, b running fastest."""
+    return np.stack(np.meshgrid(ts, ts, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _blend(d, s_in, s_out, outer, inner):
+    """Annulus blend t * outer + (1 - t) * inner of part values (..., J, 2),
+    t the sup-radius d (...) normalised from [s_in, s_out] and clipped to
+    [0, 1]: inner up to s_in, outer from s_out on."""
+    t = np.clip((d - s_in) / (s_out - s_in), 0.0, 1.0)[..., None, None]
+    return t * outer + (1.0 - t) * inner
+
+
 def _radial_project(x, c, s_half):
     """Sup-norm radial projection of points x (..., 2) onto the square of
     half-side s_half; the centre itself goes to c + (s_half, 0)."""
@@ -202,36 +219,19 @@ def _square_perimeter(c, s_half, tau):
                          np.choose(side, [-h, w, h, -w])], axis=-1)
 
 
-class _PartDatum:
-    """Boundary datum of one part: affine (a, X relative to center) or callable."""
-
-    def __init__(self, datum, center, s_half):
-        self.center = center
-        self.s_half = s_half
-        if callable(datum):
-            self.fn = datum
-            self.affine = None
-        else:
-            a, X = datum
-            self.affine = (np.asarray(a, dtype=float), np.asarray(X, dtype=float))
-            self.fn = None
-
-    def extend(self, x):
-        """Lipschitz extension to points x (..., 2) of the annulus: affine
-        data extend as themselves, callables through the radial projection
-        onto their boundary square."""
-        x = np.asarray(x, dtype=float)
-        if self.affine is not None:
-            a, X = self.affine
-            return a + (X @ (x - self.center)[..., None])[..., 0]
-        return np.asarray(
-            self.fn(_radial_project(x, self.center, self.s_half)), dtype=float
-        )
+def _extension(datum, center, s_half):
+    """Lipschitz extension (..., 2) -> (..., 2) of one part's boundary datum:
+    an affine datum (a, X relative to center) extends as itself, a callable
+    through the radial projection onto its boundary square."""
+    if callable(datum):
+        return lambda x: np.asarray(datum(_radial_project(x, center, s_half)), dtype=float)
+    a, X = (np.asarray(v, dtype=float) for v in datum)
+    return lambda x: a + (X @ (np.asarray(x, dtype=float) - center)[..., None])[..., 0]
 
 
 def _extensions(data, x):
     """Extensions (..., J, 2) of the part data at points x (..., 2)."""
-    return np.stack([d.extend(x) for d in data], axis=-2)
+    return np.stack([extend(x) for extend in data], axis=-2)
 
 
 class AnnulusInterpolant:
@@ -239,7 +239,7 @@ class AnnulusInterpolant:
 
     Each part's value is t(x) * outer_extension + (1 - t(x)) * inner_extension
     with t the normalised sup-norm radius; traces match both boundaries
-    exactly.
+    exactly.  inner and outer hold the part extensions.
     """
 
     def __init__(self, inner_parts, outer_parts, center, r, sigma):
@@ -253,15 +253,14 @@ class AnnulusInterpolant:
         self.s_in = 0.5 * r
         self.s_out = 0.5 * (1.0 + sigma) * r
         self.mults = [int(m) for m, _ in inner_parts]
-        self.inner = [_PartDatum(d, self.center, self.s_in) for _, d in inner_parts]
-        self.outer = [_PartDatum(d, self.center, self.s_out) for _, d in outer_parts]
+        self.inner = [_extension(d, self.center, self.s_in) for _, d in inner_parts]
+        self.outer = [_extension(d, self.center, self.s_out) for _, d in outer_parts]
 
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""
         x = np.asarray(x, dtype=float)
-        t = (_sup_radius(x, self.center) - self.s_in) / (self.s_out - self.s_in)
-        t = np.clip(t, 0.0, 1.0)[..., None, None]
-        return t * _extensions(self.outer, x) + (1.0 - t) * _extensions(self.inner, x)
+        return _blend(_sup_radius(x, self.center), self.s_in, self.s_out,
+                      _extensions(self.outer, x), _extensions(self.inner, x))
 
     def values_at(self, x):
         """Q-point values (..., Q, 2) at points x (..., 2)."""
@@ -328,46 +327,33 @@ def interpolate_annulus(inner_parts, outer_parts, center, r, sigma):
 
 @dataclass
 class CubicSubdivision:
-    """Lattice of disjoint validated cubes covering all but delta of the domain.
+    """Validated cubes of side r on a regular m x m lattice.
 
-    Kept cubes live on a regular m x m lattice of pitch r; per-cube model
-    parts are stored as arrays (n_cubes, J, ...) sharing one multiplicity
-    vector.  `lattice` (m, m) holds the row index of the cube at each
-    lattice position, -1 where the cube was dropped.
+    `lattice` (m, m) holds the row index of the cube at each lattice
+    position, -1 where the cube was dropped; per-cube model parts are arrays
+    (n_cubes, J, ...) in the part order of the subdivided map.  The search
+    record is diagnostics["attempts"]: r, kept, dropped and uncovered per
+    lattice tried, the last one kept.
     """
 
-    ok: bool
     r: float
-    delta: float
-    domain_center: np.ndarray
-    domain_side: float
-    lattice_m: int = 0
-    lattice_origin: np.ndarray = None
-    lattice: np.ndarray = None
-    part_mults: tuple = ()
-    centers: np.ndarray = None
-    part_a: np.ndarray = None  # (n_cubes, J, 2)
-    part_X: np.ndarray = None  # (n_cubes, J, 2, 2)
-    dropped: int = 0
-    uncovered: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
+    lattice_origin: np.ndarray
+    lattice: np.ndarray
+    centers: np.ndarray
+    part_a: np.ndarray  # (n_cubes, J, 2)
+    part_X: np.ndarray  # (n_cubes, J, 2, 2)
+    diagnostics: dict
 
     @property
     def n_cubes(self):
-        return 0 if self.centers is None else self.centers.shape[0]
-
-    @property
-    def covered(self):
-        return self.n_cubes * self.r * self.r
+        return self.centers.shape[0]
 
     def locate(self, x):
         """Row index of the cube containing each point x (..., 2), -1 where none."""
         x = np.asarray(x, dtype=float)
         rows = np.full(x.shape[:-1], -1)
-        if self.n_cubes == 0:
-            return rows
         cell = np.floor((x - self.lattice_origin) / self.r)
-        on = np.all((cell >= 0) & (cell < self.lattice_m), axis=-1)
+        on = np.all((cell >= 0) & (cell < self.lattice.shape[0]), axis=-1)
         i, j = cell[on].astype(np.int64).T
         rows[on] = self.lattice[i, j]
         hit = rows >= 0
@@ -376,33 +362,15 @@ class CubicSubdivision:
         return rows
 
 
-def _lattice(c, s, r):
-    m = int(math.floor((s - 3.0 * r) / r))
-    if m <= 0:
-        return 0, None, None
-    origin = c - 0.5 * m * r
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    centers = origin[None, None, :] + r * (
-        np.stack([ii, jj], axis=-1).astype(float) + 0.5
-    )
-    return m, origin, centers.reshape(-1, 2)
-
-
 def _fit_parts_batched(f, centers, r):
     """Least-squares affine model per part over a 3x3 stencil, all cubes at once."""
     span = 0.45 * r
-    ts = np.array([-span, 0.0, span])
-    off = np.array([[a, b] for a in ts for b in ts])  # (9, 2)
+    off = _grid([-span, 0.0, span])  # (9, 2)
     design = np.column_stack([np.ones(9), off[:, 0], off[:, 1]])
     P = np.linalg.pinv(design)  # (3, 9)
-    pts = centers[:, None, :] + off[None, :, :]  # (N, 9, 2)
-    As, Xs = [], []
-    for _mult, fn, _g in f.parts:
-        Y = np.asarray(fn(pts), dtype=float)  # (N, 9, 2)
-        coef = np.einsum("ks,nsd->nkd", P, Y)  # (N, 3, 2)
-        As.append(coef[:, 0, :])
-        Xs.append(np.transpose(coef[:, 1:, :], (0, 2, 1)))
-    return np.stack(As, axis=1), np.stack(Xs, axis=1)  # (N, J, 2), (N, J, 2, 2)
+    Y = f.part_values(centers[:, None, :] + off[None, :, :])  # (N, 9, J, 2)
+    coef = np.einsum("ks,nsjd->njkd", P, Y)  # (N, J, 3, 2)
+    return coef[:, :, 0, :], np.swapaxes(coef[:, :, 1:, :], -2, -1)
 
 
 def _validate_batched(f, centers, r, part_a, part_X, delta):
@@ -411,18 +379,14 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     Part-wise distances upper-bound the matching metric, so validation is
     conservative: every kept cube genuinely satisfies both conditions.
     """
-    ts = np.linspace(-0.499, 0.499, N_VALID) * r
-    off = np.array([[a, b] for a in ts for b in ts])  # (S, 2)
-    S = off.shape[0]
+    off = _grid(np.linspace(-0.499, 0.499, N_VALID) * r)  # (S, 2)
     pts = centers[:, None, :] + off[None, :, :]  # (N, S, 2)
     mults = np.array(f.mults, dtype=float)
     gap2 = np.zeros(pts.shape[:2])
     grad2 = np.zeros(pts.shape[:2])
     for j, (_mult, fn, gfn) in enumerate(f.parts):
         vals = np.asarray(fn(pts), dtype=float)
-        model = part_a[:, j][:, None, :] + np.einsum(
-            "nab,nsb->nsa", part_X[:, j], off[None, :, :] * np.ones_like(pts)
-        )
+        model = part_a[:, j][:, None, :] + np.einsum("nab,sb->nsa", part_X[:, j], off)
         gap2 += mults[j] * np.sum((vals - model) ** 2, axis=-1)
         gf = np.asarray(gfn(pts), dtype=float)  # (N, S, 2, 2)
         grad2 += mults[j] * np.sum(
@@ -432,7 +396,7 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     gd = np.sqrt(grad2)
     meas_ok = np.ones(centers.shape[0], dtype=bool)
     for alpha in (delta, 2.0 * delta, 4.0 * delta):
-        frac = np.count_nonzero(gd > alpha, axis=1) / S
+        frac = np.count_nonzero(gd > alpha, axis=1) / off.shape[0]
         meas_ok &= frac <= delta / alpha
     return sup_ok & meas_ok
 
@@ -446,9 +410,9 @@ def cubic_subdivision(f, delta):
     |{𝒢(grad f, grad model) > alpha}| <= (delta/alpha) r^2 sampled on an
     N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, all cubes
     at once.  Cubes failing validation are dropped; the search halves r
-    until the uncovered measure is at most delta |U|, or reports failure
-    when r falls below R_MIN_FRAC times the side.  Every kept cube
-    satisfies D(z, 3r) inside the domain.
+    until the uncovered measure is at most delta |U|, and raises
+    RuntimeError when r falls below R_MIN_FRAC times the side.  Every kept
+    cube satisfies D(z, 3r) inside the domain.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
@@ -458,32 +422,28 @@ def cubic_subdivision(f, delta):
     r_min = s * R_MIN_FRAC
     attempts = []
     while r >= r_min:
-        m, origin, centers = _lattice(c, s, r)
+        m = int(math.floor((s - 3.0 * r) / r))
         if m > 0:
+            origin = c - 0.5 * m * r
+            centers = origin + r * _grid(np.arange(m) + 0.5)
             part_a, part_X = _fit_parts_batched(f, centers, r)
             keep = _validate_batched(f, centers, r, part_a, part_X, delta)
             kept_rows = np.flatnonzero(keep)
             lattice = np.full(m * m, -1)
             lattice[kept_rows] = np.arange(kept_rows.size)
-            n_drop = centers.shape[0] - kept_rows.size
             uncovered = area - kept_rows.size * r * r
-            attempts.append({"r": r, "kept": int(kept_rows.size), "dropped": int(n_drop),
+            attempts.append({"r": r, "kept": int(kept_rows.size),
+                             "dropped": int(centers.shape[0] - kept_rows.size),
                              "uncovered": float(uncovered)})
             if uncovered <= delta * area:
                 return CubicSubdivision(
-                    ok=True, r=r, delta=delta, domain_center=c, domain_side=s,
-                    lattice_m=m, lattice_origin=origin, lattice=lattice.reshape(m, m),
-                    part_mults=f.mults, centers=centers[kept_rows],
-                    part_a=part_a[kept_rows], part_X=part_X[kept_rows],
-                    dropped=int(n_drop), uncovered=float(uncovered),
-                    diagnostics={"attempts": attempts},
+                    r=r, lattice_origin=origin, lattice=lattice.reshape(m, m),
+                    centers=centers[kept_rows], part_a=part_a[kept_rows],
+                    part_X=part_X[kept_rows], diagnostics={"attempts": attempts},
                 )
         r *= 0.5
-    return CubicSubdivision(
-        ok=False, r=r, delta=delta, domain_center=c, domain_side=s,
-        uncovered=area,
-        diagnostics={"attempts": attempts, "reason": "r fell below r_min"},
-    )
+    diagnostics = {"attempts": attempts, "reason": "r fell below r_min"}
+    raise RuntimeError(f"cubic subdivision search failed: {diagnostics}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,55 +456,44 @@ class HybridQMap:
 
     The collar value is the annulus blend with t the normalised sup-radius
     between the shrunken and the full cube: part j takes
-    t * f_j(x) + (1 - t) * model_j(x).  Since f is defined on the whole
-    domain it serves as its own outer extension (same trace, same Lipschitz
-    constant), and the blend reduces to f exactly when f is affine.
+    t * f_j(x) + (1 - t) * model_j(x), which is the model itself on the
+    shrunken cube (t = 0).  Since f is defined on the whole domain it serves
+    as its own outer extension (same trace, same Lipschitz constant), and
+    the blend reduces to f exactly when f is affine.
     """
 
     def __init__(self, f, sub, k):
-        if f.mults != tuple(sub.part_mults):
+        if sub.part_a.shape[1] != len(f.mults):
             raise ValueError("cube model multiplicities do not match the map parts")
         self.f = f
         self.sub = sub
         self.k = int(k)
         self.shrink = 1.0 - 1.0 / k
 
-    def _cubes_of(self, x):
-        """Cube rows of points x (N, 2) (-1 outside) and sup-radii to their centres."""
-        rows = self.sub.locate(x)
-        d = np.full(rows.shape, np.inf)
-        inn = rows >= 0
-        d[inn] = _sup_radius(x[inn], self.sub.centers[rows[inn]])
-        return rows, d
-
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""
         x = np.asarray(x, dtype=float)
+        sub = self.sub
         flat = x.reshape(-1, 2)
-        rows, d = self._cubes_of(flat)
+        rows = sub.locate(flat)
         out = self.f.part_values(flat)
         inn = rows >= 0
-        rows, d = rows[inn], d[inn]
-        model = self.sub.part_a[rows] + (
-            self.sub.part_X[rows] @ (flat[inn] - self.sub.centers[rows])[:, None, :, None]
-        )[..., 0]
-        s_in = 0.5 * self.shrink * self.sub.r
-        s_out = 0.5 * self.sub.r
-        t = np.clip((d - s_in) / (s_out - s_in), 0.0, 1.0)[:, None, None]
-        cube = (d <= s_in)[:, None, None]
-        out[inn] = np.where(cube, model, t * out[inn] + (1.0 - t) * model)
+        rows, rel = rows[inn], flat[inn] - sub.centers[rows[inn]]
+        model = sub.part_a[rows] + (sub.part_X[rows] @ rel[:, None, :, None])[..., 0]
+        out[inn] = _blend(np.max(np.abs(rel), axis=-1), 0.5 * self.shrink * sub.r,
+                          0.5 * sub.r, out[inn], model)
         return out.reshape(x.shape[:-1] + out.shape[-2:])
 
     def values_at(self, x):
         """Q-point values (..., Q, 2) at points x (..., 2)."""
-        return np.repeat(self.part_values(x), self.sub.part_mults, axis=-2)
+        return np.repeat(self.part_values(x), self.f.mults, axis=-2)
 
     def measured_lipschitz(self, grid_m=64):
         """Largest difference quotient between neighbouring nodes of a
         (grid_m + 1)^2 grid over the domain."""
-        c, s = self.sub.domain_center, self.sub.domain_side
+        c, s = self.f.domain_center, self.f.domain_side
         xs = np.linspace(-0.5, 0.5, grid_m + 1) * s
-        vals = self.values_at(c + np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1))
+        vals = self.values_at(c + _grid(xs).reshape(grid_m + 1, grid_m + 1, 2))
         h = s / grid_m
         steps = (g_metric(vals[:-1], vals[1:]), g_metric(vals[:, :-1], vals[:, 1:]))
         return max(0.0, *(float(np.max(step / h)) for step in steps))
@@ -553,10 +502,8 @@ class HybridQMap:
 def energy_of_map(f, cfg):
     """Midpoint-rule quadrature of the summed-psi energy over the domain."""
     c, s = f.domain_center, f.domain_side
-    xs = (np.arange(ENERGY_GRID_M) + 0.5) / ENERGY_GRID_M - 0.5
     cell = (s / ENERGY_GRID_M) ** 2
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = c[None, :] + s * np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = c[None, :] + s * _grid((np.arange(ENERGY_GRID_M) + 0.5) / ENERGY_GRID_M - 0.5)
     return float(np.sum(_psi_bar(f.part_grads(pts), f.mults, cfg))) * cell
 
 
@@ -564,13 +511,6 @@ _GAUSS3 = (
     np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]),
     np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]),
 )
-
-_ROT4 = [
-    np.array([[1.0, 0.0], [0.0, 1.0]]),
-    np.array([[0.0, -1.0], [1.0, 0.0]]),
-    np.array([[-1.0, 0.0], [0.0, -1.0]]),
-    np.array([[0.0, 1.0], [-1.0, 0.0]]),
-]
 
 
 def _psi_bar(grads, mults, cfg):
@@ -587,25 +527,19 @@ def energy_of_hybrid(g, cfg):
     reference-rule value of f and only the difference over cubes and collars
     is quadratured: the shrunken cubes exactly (affine models), f on them by
     a per-cube 3x3 Gauss rule, and the collar rings by a Gauss rule on their
-    four trapezoids with the analytic blend gradient
+    four trapezoids (the quarter turns of the right-hand one) with the
+    analytic blend gradient
 
         grad Phi = (f - M) otimes grad t + t grad f + (1 - t) X.
 
     This keeps the 1/k-scale collar contribution fully resolved instead of
     relying on a global grid that samples the thin rings noisily.
     """
-    f = g.f
+    f, sub, sh = g.f, g.sub, g.shrink
     e_ref = energy_of_map(f, cfg)
-    sub = g.sub
-    n = sub.n_cubes
-    if n == 0:
-        return e_ref
-    r = sub.r
-    sh = g.shrink
+    r, centers, mults = sub.r, sub.centers, f.mults
     s_in, s_out = 0.5 * sh * r, 0.5 * r
     w = s_out - s_in
-    centers = sub.centers
-    mults = sub.part_mults
 
     # exact model energy on the shrunken cubes
     cube_model = float(np.sum(_psi_bar(sub.part_X, mults, cfg)) * (sh * r) ** 2)
@@ -613,24 +547,21 @@ def energy_of_hybrid(g, cfg):
     # f on the shrunken cubes: tensor Gauss 3x3 per cube, one node at a time
     # so psi_batch's temporaries stay at n * J rows
     gp, gw = _GAUSS3
-    offs = np.array([[a, b] for a in gp for b in gp]) * s_in  # (9, 2)
+    offs = _grid(gp) * s_in  # (9, 2)
     # Gauss weights on [-1,1]^2 sum to 4; scaled by s_in^2 they total (2 s_in)^2
-    wts = np.array([wa * wb for wa in gw for wb in gw]) * (s_in**2)
+    wts = np.prod(_grid(gw), axis=1) * (s_in**2)
     vals = np.stack([_psi_bar(f.part_grads(centers + o), mults, cfg) for o in offs], axis=1)
     cube_f = float(np.sum(vals * wts[None, :]))
 
     # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv
-    collar_g = 0.0
-    collar_f = 0.0
-    for rot in _ROT4:
+    collar_g = collar_f = 0.0
+    for turns in range(4):
+        rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
         grad_t = (rot @ np.array([1.0, 0.0])) / w
-        for iv, vnode in enumerate(gp):
+        for vnode, wv in zip(gp, 0.5 * gw):
             v = 0.5 * (vnode + 1.0)
             xi = s_in + v * w
-            wv = 0.5 * gw[iv]
-            for iu, unode in enumerate(gp):
-                u = unode  # in [-1, 1]
-                wu = gw[iu]
+            for u, wu in zip(gp, gw):  # u in [-1, 1]
                 jac = w * xi * wv * wu
                 ry = rot @ np.array([xi, u * xi])
                 x_pts = centers + ry[None, :]
@@ -640,8 +571,7 @@ def energy_of_hybrid(g, cfg):
                 Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * sub.part_X
                 collar_g += float(np.sum(_psi_bar(Gg, mults, cfg))) * jac
                 collar_f += float(np.sum(_psi_bar(Gf, mults, cfg))) * jac
-    delta = (cube_model - cube_f) + (collar_g - collar_f)
-    return e_ref + delta
+    return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))
 
 
 def piecewise_affine_sequence(f, k, cfg):
@@ -651,15 +581,14 @@ def piecewise_affine_sequence(f, k, cfg):
     full cubes, target <= 2/k), bad_set_shrunk (not covered by the shrunken
     cubes, target <= 3/k), covered, lipschitz (sampled), lip_bound
     (10 (L + 2), uniform in k), energy_psi_bar, boundary_trace_error.
+    Raises RuntimeError when the cubic subdivision search fails.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     sub = cubic_subdivision(f, 1.0 / k)
-    if not sub.ok:
-        raise RuntimeError(f"cubic subdivision search failed: {sub.diagnostics}")
     g = HybridQMap(f, sub, k)
     area = f.domain_side**2
-    bad_full = area - sub.covered
+    covered = sub.n_cubes * sub.r * sub.r
     bad_shrunk = area - sub.n_cubes * (g.shrink * sub.r) ** 2
     energy = energy_of_hybrid(g, cfg)
     x = _square_perimeter(f.domain_center, 0.5 * f.domain_side,
@@ -669,13 +598,12 @@ def piecewise_affine_sequence(f, k, cfg):
         "k": k,
         "r": sub.r,
         "n_cubes": sub.n_cubes,
-        "bad_set_full": bad_full,
+        "bad_set_full": area - covered,
         "bad_set_shrunk": bad_shrunk,
-        "covered": sub.covered,
+        "covered": covered,
         "lipschitz": g.measured_lipschitz(),
         "lip_bound": 10.0 * (f.lipschitz + 2.0),
         "energy_psi_bar": energy,
         "boundary_trace_error": trace_err,
     }
     return g, report
-

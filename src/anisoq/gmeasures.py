@@ -98,9 +98,6 @@ class GrassmannMeasure:
             raise ValueError("cannot normalise an empty measure")
         return GrassmannMeasure(self.points, self.weights / m, validate=False)
 
-    def scaled(self, factor):
-        return GrassmannMeasure(self.points, self.weights * factor, validate=False)
-
     def merged(self):
         """Merge coinciding atoms (coordinates rounded to MERGE_DECIMALS)
         summing weights.
@@ -133,11 +130,9 @@ def transport_distance(mu, nu):
     """Exact 1-Wasserstein distance between two atomic Grassmann measures.
 
     Solves the transport linear program on the bipartite atom graph with
-    Euclidean ground costs.  Requires equal total masses up to relative
-    tolerance 1e-9; otherwise the measures are normalised to the smaller
-    mass and the mass difference is added as a penalty term (documented
-    convention; ground distances on the unit locus are bounded by 2, so the
-    penalty dominates any redistribution of the excess).
+    Euclidean ground costs.  The total masses must agree to relative
+    tolerance MASS_MATCH_RTOL, else ValueError; callers normalise both
+    measures first.
 
     When one side has many atoms and the other few, the value comes from
     `_certified_transport` (a primal plan and a dual bound that agree to
@@ -147,12 +142,8 @@ def transport_distance(mu, nu):
     if mu.n_atoms == 0 or nu.n_atoms == 0:
         raise ValueError("transport distance needs non-empty measures")
     m1, m2 = mu.total_mass(), nu.total_mass()
-    penalty = 0.0
     if abs(m1 - m2) > MASS_MATCH_RTOL * max(m1, m2):
-        m = min(m1, m2)
-        penalty = abs(m1 - m2)
-        mu = mu.normalized().scaled(m)
-        nu = nu.normalized().scaled(m)
+        raise ValueError(f"transport distance needs equal masses; got {m1!r} and {m2!r}")
     a = mu.merged()
     b = nu.merged()
     cost = np.sqrt(
@@ -168,7 +159,7 @@ def transport_distance(mu, nu):
         value = _certified_transport(cost, a_w, b_w)
     if value is None:
         value = _transport_lp(cost, a_w, b_w)[0]
-    return value + penalty
+    return value
 
 
 def _transport_lp(cost, a_w, b_w):
@@ -271,8 +262,8 @@ def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=No
     """Classifier masses, mixed/vertical ratio and transport gap to mu0.
 
     Accepts a zero-boundary FunctionalQGraph (verified) or a
-    TriangulatedCurrent (boundary verified against boundary_loop when given,
-    otherwise the boundary chain must lie at height zero).  The transport
+    TriangulatedCurrent with its multiplicity q and boundary_loop (its
+    boundary verified to be q times the loop).  The transport
     distance compares the Gaussian image with mu0, both normalised to
     probability measures.
     """
@@ -286,15 +277,10 @@ def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=No
         q = g.q
     else:
         T = graph_or_current
-        if q is None:
-            raise ValueError("q is required for a raw current")
-        if boundary_loop is not None:
-            if not T.boundary_equals_loop(boundary_loop, q):
-                raise ValueError("current boundary is not q times the given loop")
-        else:
-            for (ka, kb) in T.boundary():
-                if ka[2:] != (0, 0) or kb[2:] != (0, 0):
-                    raise ValueError("current boundary does not lie at height zero")
+        if q is None or boundary_loop is None:
+            raise ValueError("a raw current needs q and boundary_loop")
+        if not T.boundary_equals_loop(boundary_loop, q):
+            raise ValueError("current boundary is not q times the given loop")
     if mu0 is None:
         mu0 = construction.make_mu0(eps)
     gamma = T.gaussian_image()

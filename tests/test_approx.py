@@ -123,9 +123,9 @@ def _affine_profile(a, X):
 def test_subdivision_affine_exact():
     f = _affine_profile([0.5, -1.0], [[0.2, 0.1], [0.0, -0.3]])
     sub = ap.cubic_subdivision(f, 0.25)
-    assert sub.ok
-    assert sub.dropped == 0
-    assert sub.uncovered <= 0.25 * 1.0
+    last = sub.diagnostics["attempts"][-1]
+    assert last["dropped"] == 0
+    assert last["uncovered"] <= 0.25 * 1.0
     # every cube model is exact
     assert np.allclose(sub.part_X, np.array([[0.2, 0.1], [0.0, -0.3]]), atol=1e-12)
     # single pass: no halving beyond the first attempt
@@ -136,7 +136,7 @@ def test_subdivision_smooth_taylor_remainder():
     f = ap.smooth_profile()
     delta = 0.2
     sub = ap.cubic_subdivision(f, delta)
-    assert sub.ok and sub.dropped == 0
+    assert sub.diagnostics["attempts"][-1]["dropped"] == 0
     # Taylor remainder oracle: sup gap per cube <= 0.5 * ||H|| * (2r)^2 with
     # the Hessian bound ||H|| <= amp * pi^2 * 2
     hess = 0.2 * np.pi**2 * 2.0
@@ -155,8 +155,10 @@ def test_subdivision_models_match_jets():
 def test_subdivision_twosheet_multiplicities():
     f = ap.twosheet_profile()
     sub = ap.cubic_subdivision(f, 0.25)
-    assert sub.ok
-    assert tuple(sub.part_mults) == (1, 1)
+    # one model per part of f, whose multiplicities are (1, 1)
+    assert f.mults == (1, 1)
+    assert sub.part_a.shape == (sub.n_cubes, 2, 2)
+    assert sub.part_X.shape == (sub.n_cubes, 2, 2, 2)
     # the two sheets' model jets on a cube stay distinct parts
     jets = np.concatenate([sub.part_a[0], sub.part_X[0].reshape(-1, 4)], axis=1)
     assert np.linalg.norm(jets[0] - jets[1]) > 1e-6
@@ -203,12 +205,13 @@ def test_sequence_smooth_bounds_and_convergence(cfg01):
 
 def _region_of(g, x):
     """Region ("cube", "collar" or "outside") of g_k at one point x, with its cube row."""
-    rows, d = g._cubes_of(np.asarray(x, dtype=float)[None])
-    if rows[0] < 0:
+    x = np.asarray(x, dtype=float)
+    row = g.sub.locate(x[None])[0]
+    if row < 0:
         return "outside", None
-    if d[0] <= 0.5 * g.shrink * g.sub.r:
-        return "cube", int(rows[0])
-    return "collar", int(rows[0])
+    if np.max(np.abs(x - g.sub.centers[row])) <= 0.5 * g.shrink * g.sub.r:
+        return "cube", int(row)
+    return "collar", int(row)
 
 
 def test_sequence_region_structure(cfg01):
@@ -219,7 +222,7 @@ def test_sequence_region_structure(cfg01):
     assert _region_of(g, z)[0] == "cube"
     edge = z + np.array([0.5 * g.sub.r * (1 - 0.5 / g.k), 0.0])
     assert _region_of(g, edge)[0] == "collar"
-    corner = g.sub.domain_center + 0.499 * g.sub.domain_side * np.ones(2)
+    corner = f.domain_center + 0.499 * f.domain_side * np.ones(2)
     assert _region_of(g, corner)[0] == "outside"
     # continuity across the collar: values at the cube face agree with f
     face = z + np.array([0.5 * g.sub.r, 0.0])
@@ -309,7 +312,7 @@ def _hybrid(f, k, drop=()):
 def test_part_values_match_scalar_regions(profile):
     g = _hybrid(profile(), 4, drop=[(0, 0), (2, 3)])
     sub = g.sub
-    r, m, o = sub.r, sub.lattice_m, sub.lattice_origin
+    r, m, o = sub.r, sub.lattice.shape[0], sub.lattice_origin
     s_in = 0.5 * g.shrink * r
     rng = np.random.default_rng(5)
     z = sub.centers[[1, sub.n_cubes // 2, sub.n_cubes - 1]]
@@ -342,7 +345,7 @@ def test_measured_lipschitz_matches_double_loop(profile, k):
     g = _hybrid(profile(), k)
     old = _OldHybrid(g)
     grid_m = 64
-    c, s = g.sub.domain_center, g.sub.domain_side
+    c, s = g.f.domain_center, g.f.domain_side
     xs = np.linspace(-0.5, 0.5, grid_m + 1) * s
     vals = [[old(c + np.array([a, b])) for b in xs] for a in xs]
     h = s / grid_m
@@ -423,32 +426,35 @@ def _old_square_perimeter(c, s_half, tau):
     return c + np.array([-s_half, -w])
 
 
-def _old_extend(datum, x):
-    if datum.affine is not None:
-        a, X = datum.affine
-        return a + X @ (np.asarray(x, dtype=float) - datum.center)
-    return np.asarray(datum.fn(_old_radial_project(x, datum.center, datum.s_half)), dtype=float)
+def _old_extend(datum, c, s_half, x):
+    """Extension of one raw part datum (a callable, or an affine (a, X))."""
+    if callable(datum):
+        return np.asarray(datum(_old_radial_project(x, c, s_half)), dtype=float)
+    a, X = (np.asarray(v, dtype=float) for v in datum)
+    return a + X @ (np.asarray(x, dtype=float) - c)
 
 
-def _old_annulus_part_value(I, x, j):
+def _old_annulus_part_value(I, inner, outer, x, j):
     t = float(np.clip((_old_sup_radius(x, I.center) - I.s_in) / (I.s_out - I.s_in), 0.0, 1.0))
-    return t * _old_extend(I.outer[j], x) + (1.0 - t) * _old_extend(I.inner[j], x)
+    return (t * _old_extend(outer[j][1], I.center, I.s_out, x)
+            + (1.0 - t) * _old_extend(inner[j][1], I.center, I.s_in, x))
 
 
-def _old_rows(data, mults, x):
-    return np.array([_old_extend(d, x) for d, m in zip(data, mults) for _ in range(m)])
+def _old_rows(parts, c, s_half, x):
+    return np.array([_old_extend(d, c, s_half, x) for m, d in parts for _ in range(m)])
 
 
 def _annulus_cases():
+    """(interpolant, inner parts, outer parts) of three annuli."""
     f = ap.smooth_profile()
     const, a, X = np.array([0.7, -0.3]), np.array([1.0, 2.0]), np.array([[0.3, -0.1], [0.2, 0.5]])
     c = np.array([0.013, -0.021])
-    return [
-        ap.interpolate_annulus([(1, (a, X))], [(1, (const, 0.5 * X))], np.zeros(2), 0.5, 0.4),
-        ap.interpolate_annulus([(1, f.parts[0][1])], [(1, (a, X))], c, 0.5, 0.3),
-        ap.interpolate_annulus([(1, f.parts[0][1]), (2, (a, X))],
-                               [(1, (const, X)), (2, f.parts[0][1])], c, 0.4, 0.5),
+    cases = [
+        ([(1, (a, X))], [(1, (const, 0.5 * X))], np.zeros(2), 0.5, 0.4),
+        ([(1, f.parts[0][1])], [(1, (a, X))], c, 0.5, 0.3),
+        ([(1, f.parts[0][1]), (2, (a, X))], [(1, (const, X)), (2, f.parts[0][1])], c, 0.4, 0.5),
     ]
+    return [(ap.interpolate_annulus(*case), case[0], case[1]) for case in cases]
 
 
 def _annulus_points(I, rng):
@@ -479,10 +485,10 @@ def test_square_perimeter_and_radial_project_match_scalar_code():
 
 def test_annulus_part_values_match_scalar_code():
     rng = np.random.default_rng(4)
-    for I in _annulus_cases():
+    for I, inner, outer in _annulus_cases():
         pts = _annulus_points(I, rng)
-        ref = np.array([[_old_annulus_part_value(I, x, j) for j in range(len(I.mults))]
-                        for x in pts])
+        ref = np.array([[_old_annulus_part_value(I, inner, outer, x, j)
+                         for j in range(len(I.mults))] for x in pts])
         assert np.array_equal(I.part_values(pts), ref)
         assert np.array_equal(I.part_values(pts.reshape(-1, 1, 2))[:, 0], ref)
         assert np.array_equal(I.values_at(pts), np.repeat(ref, I.mults, axis=-2))
@@ -492,7 +498,7 @@ def test_annulus_part_values_match_scalar_code():
 
 
 def test_annulus_trace_error_and_gap_match_scalar_loops():
-    for I in _annulus_cases():
+    for I, inner, outer in _annulus_cases():
         for n in (1, 4, 32, 64):
             err = gap = 0.0
             for k in range(n):
@@ -501,12 +507,14 @@ def test_annulus_trace_error_and_gap_match_scalar_loops():
                 for j in range(len(I.mults)):
                     err = max(
                         err,
-                        float(np.linalg.norm(_old_annulus_part_value(I, xi, j)
-                                             - _old_extend(I.inner[j], xi))),
-                        float(np.linalg.norm(_old_annulus_part_value(I, xo, j)
-                                             - _old_extend(I.outer[j], xo))),
+                        float(np.linalg.norm(
+                            _old_annulus_part_value(I, inner, outer, xi, j)
+                            - _old_extend(inner[j][1], I.center, I.s_in, xi))),
+                        float(np.linalg.norm(
+                            _old_annulus_part_value(I, inner, outer, xo, j)
+                            - _old_extend(outer[j][1], I.center, I.s_out, xo))),
                     )
-                gap = max(gap, _pairwise_g_metric(_old_rows(I.inner, I.mults, xi),
-                                                  _old_rows(I.outer, I.mults, xo)))
+                gap = max(gap, _pairwise_g_metric(_old_rows(inner, I.center, I.s_in, xi),
+                                                  _old_rows(outer, I.center, I.s_out, xo)))
             assert I.trace_error(n) == err
             assert I.boundary_gap(n) == gap

@@ -108,10 +108,13 @@ def test_branched_samples_beyond_family_rejected(tmp_path, samples):
         ["approx", "--profile", "smooth", "--k", "4,1"],
         ["approx", "--profile", "smooth", "--k", "4,x"],
         ["approx", "--profile", "smooth", "--k", ""],
+        ["approx", "--profile", "smooth", "--k", "8,4"],
+        ["approx", "--profile", "smooth", "--k", "4,4"],
         ["construct", "--eps", "0.1", "--jsn", "r.json"],
     ],
     ids=["missing-profile", "unknown-command", "no-command", "unknown-family", "q-abc",
-         "eps-x", "k-below-2", "k-not-int", "k-empty", "unknown-option"],
+         "eps-x", "k-below-2", "k-not-int", "k-empty", "k-decreasing", "k-repeated",
+         "unknown-option"],
 )
 def test_usage_errors_exit_1(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -135,12 +138,20 @@ def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_envelope_bracket_ordering_is_checked(tmp_path, monkeypatch, capsys):
+    # a lower bound above the upper one fails the bracket's own check
+    monkeypatch.setattr(energy, "envelope_lower_at_zero", lambda eps, q: (10.0, {}))
+    code = cli.main(["--out", str(tmp_path), "envelope", "--eps", "0.1", "--q", "1",
+                     "--target", "zero"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "assertion failed: bracket ordering violated: lower > upper\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
 def _lp_fails(*args, **kwargs):
     return SimpleNamespace(success=False, message="The problem is infeasible.")
-
-
-def _subdivision_fails(*args, **kwargs):
-    return SimpleNamespace(ok=False, diagnostics={"attempts": []})
 
 
 def _residual_too_large(eps):
@@ -153,10 +164,11 @@ def _residual_too_large(eps):
         (scipy.optimize, "linprog", _lp_fails,
          ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "1", "--mesh", "3"],
          "computation failed (RuntimeError): transport LP failed: The problem is infeasible.\n"),
-        (approx, "cubic_subdivision", _subdivision_fails,
+        # the search starts at r = side / 48 at k = 4, below r_min = side
+        (approx, "R_MIN_FRAC", 1.0,
          ["approx", "--profile", "twosheet", "--k", "4"],
          "computation failed (RuntimeError): cubic subdivision search failed: "
-         "{'attempts': []}\n"),
+         "{'attempts': [], 'reason': 'r fell below r_min'}\n"),
         (construction, "delta_of_eps", _residual_too_large, ["construct", "--eps", "0.1"],
          "computation failed (ArithmeticError): quadratic residual 1e-10 exceeds 1e-12\n"),
     ],
@@ -313,6 +325,41 @@ def test_approx_checks_the_lipschitz_bound_per_k(tmp_path, monkeypatch, capsys):
     assert cli.main(["--out", str(tmp_path), "approx", "--profile", "smooth", "--k", "4,8"]) == 2
     assert capsys.readouterr().err == "Lipschitz bound lip <= lip_tol violated at k=4\n"
     assert os.listdir(tmp_path) == []
+
+
+APPROX_HEADER = ("k,r_k,covered,lip,energy_psi_bar,energy_ref,abs_err,bad_full,bad_full_tol,"
+                 "bad_shrunk,bad_shrunk_tol,lip_tol")
+# approx --k 4,8, pinned as literals: a refactor of the cube search, the blend or the
+# quadrature grids must write every field unchanged
+APPROX_ROWS_4_8 = {
+    "smooth": [
+        "4,0.020833333333333332,0.87890625,0.8882197825016409,1.2735531178267199,"
+        "1.273483236630307,6.988119641282431e-05,0.12109375,0.5,0.505615234375,0.75,"
+        "33.194689145077135",
+        "8,0.010416666666666666,0.9384765625,0.8882197825016409,1.273543453748676,"
+        "1.273483236630307,6.0217118369010336e-05,0.0615234375,0.25,0.2814788818359377,0.375,"
+        "33.194689145077135",
+    ],
+    "twosheet": [
+        "4,0.020833333333333332,0.87890625,0.5749894037878437,2.163709128605367,"
+        "2.163698279777708,1.0848827659337701e-05,0.12109375,0.5,0.505615234375,0.75,"
+        "27.539822368615503",
+        "8,0.010416666666666666,0.9384765625,0.5749900277310651,2.1637127769365847,"
+        "2.163698279777708,1.449715887691383e-05,0.0615234375,0.25,0.2814788818359377,0.375,"
+        "27.539822368615503",
+    ],
+}
+
+
+@pytest.mark.parametrize("profile", ["smooth", "twosheet"])
+def test_approx_csv_is_pinned(tmp_path, capsys, profile):
+    assert cli.main(["--out", str(tmp_path), "approx", "--profile", profile,
+                     "--k", "4,8"]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / f"approx_{profile}.csv").read_text().splitlines()
+    assert lines[0] == APPROX_HEADER
+    assert [row.split(",") for row in lines[1:]] == \
+        [row.split(",") for row in APPROX_ROWS_4_8[profile]]
 
 
 def test_certificate_valid(tmp_path):

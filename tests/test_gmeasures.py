@@ -122,11 +122,13 @@ def test_transport_empty_raises():
         gm.transport_distance(mu, nu)
 
 
-def test_transport_mass_mismatch_penalty():
+def test_transport_rejects_mass_mismatch():
     mu = gm.GrassmannMeasure(E12[None, :], [1.0])
-    nu = gm.GrassmannMeasure(E12[None, :], [1.5])
-    # same support: pure mass penalty
-    assert abs(gm.transport_distance(mu, nu) - 0.5) < 1e-12
+    with pytest.raises(ValueError,
+                       match="^transport distance needs equal masses; got 1.0 and 1.5$"):
+        gm.transport_distance(mu, gm.GrassmannMeasure(E12[None, :], [1.5]))
+    # masses equal to MASS_MATCH_RTOL are transported
+    assert gm.transport_distance(mu, gm.GrassmannMeasure(E12[None, :], [1.0 + 1e-12])) == 0.0
 
 
 def test_mass_by_class(bundle01):
@@ -240,6 +242,16 @@ def test_obstruction_report_mixed_current_distance_bound():
         np.linalg.norm(p - q) for p in gamma.points for q in mu0.points
     )
     assert rep["w1_dist_mu0"] >= min_sep - 1e-9
+
+
+def test_obstruction_report_raw_current_needs_q_and_loop():
+    T = currents.branched_graph(2, 2.0, 1.0, n_r=10, n_theta=24)
+    loop = currents.disk_boundary_loop(24)
+    for kwargs in ({}, {"q": 2}, {"boundary_loop": loop}):
+        with pytest.raises(ValueError, match="^a raw current needs q and boundary_loop$"):
+            gm.obstruction_report(T, 0.1, **kwargs)
+    with pytest.raises(ValueError, match="^current boundary is not q times the given loop$"):
+        gm.obstruction_report(T, 0.1, boundary_loop=loop, q=1)
 
 
 def _gaussian_image(seed, q=2, n=12):

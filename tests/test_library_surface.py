@@ -3,7 +3,9 @@
 A public function, method or class of src/anisoq that no module of the
 package and no benchmark script names is code that only tests reach.  Such a
 name is wired into a command, moved into tests/ as an oracle, or deleted;
-the few that stay are listed here with the reason they stay.
+the few that stay are listed here with the reason they stay.  A private
+function, method, class or module constant that nothing names is dead code,
+and none stays.  Dunder names are not counted.
 
 A name counts as reached when it appears, outside its own definition, as a
 name or an attribute in src/anisoq/*.py or perfbench/*.py, or as a part of
@@ -30,17 +32,28 @@ ALLOWED_UNREACHED = {
 }
 
 
-def _public_defs(tree, module):
-    """{qualified name: node} of the module-level and class-level public defs."""
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defs(tree, module):
+    """{qualified name: (bare name, node)} of the module-level and class-level
+    function and class defs and of the module-level private constants."""
     out = {}
 
     def visit(body, prefix):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    out[f"{prefix}.{node.name}"] = node
+                if not _is_dunder(node.name):
+                    out[f"{prefix}.{node.name}"] = (node.name, node)
                 if isinstance(node, ast.ClassDef):
                     visit(node.body, f"{prefix}.{node.name}")
+            elif prefix == module and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if (isinstance(t, ast.Name) and t.id.startswith("_")
+                            and not _is_dunder(t.id)):
+                        out[f"{prefix}.{t.id}"] = (t.id, node)
 
     visit(tree.body, module)
     return out
@@ -60,23 +73,31 @@ def _references(tree, with_strings):
 
 
 def unreached_names():
-    """Qualified public names of src/anisoq named nowhere outside their definition."""
+    """Qualified names of src/anisoq named nowhere outside their definition."""
     defs, refs = {}, []
     for path in sorted((ROOT / "src" / "anisoq").glob("*.py")):
         tree = ast.parse(path.read_text())
         refs += [(name, path, line) for name, line in _references(tree, False)]
-        defs.update({q: (path, node) for q, node in _public_defs(tree, path.stem).items()})
+        defs.update({q: (path, name, node) for q, (name, node) in _defs(tree, path.stem).items()})
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         refs += [(name, path, line) for name, line in _references(ast.parse(path.read_text()),
                                                                   True)]
     unreached = set()
-    for qual, (path, node) in defs.items():
+    for qual, (path, bare, node) in defs.items():
         inside = range(node.lineno, node.end_lineno + 1)
-        if not any(name == node.name and not (where == path and line in inside)
+        if not any(name == bare and not (where == path and line in inside)
                    for name, where, line in refs):
             unreached.add(qual)
     return unreached
 
 
+def _private(qual):
+    return qual.rsplit(".", 1)[1].startswith("_")
+
+
 def test_every_public_name_is_reached_or_allowlisted():
-    assert unreached_names() == set(ALLOWED_UNREACHED)
+    assert {q for q in unreached_names() if not _private(q)} == set(ALLOWED_UNREACHED)
+
+
+def test_every_private_name_is_reached():
+    assert {q for q in unreached_names() if _private(q)} == set()
