@@ -44,10 +44,20 @@ from .multipoint import g_metric
 # and twosheet profiles at k = 4..32, 3, 5 and 9 keep the same cubes, while
 # the validation time grows as N_VALID^2.
 N_VALID = 5
-# The halving search gives up below r = R_MIN_FRAC * side: a lattice at
-# that pitch holds about 10^6 cubes, whose validation gradients
-# (cubes x N_VALID^2 x 2 x 2 floats) already take about 800 MB.
-R_MIN_FRAC = 1.0 / 1024.0
+# The halving search gives up below r = R_MIN_FRAC * side.  The cube loop runs
+# in blocks, so what bounds the search is the kept record itself: at 1/2048 the
+# finest lattice holds about 4.2M cubes, 120 B each at Q = 2 (centre, a, X and
+# lattice index), about 0.5 GB.
+R_MIN_FRAC = 1.0 / 2048.0
+# The largest k whose first lattice, at pitch side / (12 k), is not below that
+# floor; a larger k would end the search before it tries a single lattice.
+K_MAX = int(1.0 / (12.0 * R_MIN_FRAC))
+# Cubes per block of the one cube loop (_blocks) in cubic_subdivision and
+# energy_of_hybrid.  A block's temporaries take about 4 KiB per cube, mostly
+# the validation's N_VALID^2 sample points, values and gradients (traced at
+# Q = 1 and 2), so a block holds about 16 MiB whatever the lattice; only the
+# per-cube records and sums outlive it.
+BLOCK_CUBES = 4096
 # Midpoint-rule cells per side of the reference energy energy_of_map, which
 # energy_of_hybrid also reuses outside the cubes.  Every caller uses this one
 # grid, and the energy_ref and energy_psi_bar columns of the approx CSV (and
@@ -363,7 +373,7 @@ class CubicSubdivision:
 
 
 def _fit_parts_batched(f, centers, r):
-    """Least-squares affine model per part over a 3x3 stencil, all cubes at once."""
+    """Least-squares affine model per part over a 3x3 stencil, per cube centre."""
     span = 0.45 * r
     off = _grid([-span, 0.0, span])  # (9, 2)
     design = np.column_stack([np.ones(9), off[:, 0], off[:, 1]])
@@ -401,6 +411,11 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     return sup_ok & meas_ok
 
 
+def _blocks(n):
+    """Slices of at most BLOCK_CUBES consecutive rows covering range(n)."""
+    return (slice(lo, min(lo + BLOCK_CUBES, n)) for lo in range(0, n, BLOCK_CUBES))
+
+
 def cubic_subdivision(f, delta):
     """Halving search for a validated r-cubic subdivision of f's domain.
 
@@ -408,11 +423,13 @@ def cubic_subdivision(f, delta):
     3x3 stencil around the cube centre and validated against
     sup 𝒢(f, model) <= delta * r  and the gradient measure condition
     |{𝒢(grad f, grad model) > alpha}| <= (delta/alpha) r^2 sampled on an
-    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, all cubes
-    at once.  Cubes failing validation are dropped; the search halves r
-    until the uncovered measure is at most delta |U|, and raises
-    RuntimeError when r falls below R_MIN_FRAC times the side.  Every kept
-    cube satisfies D(z, 3r) inside the domain.
+    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, one block
+    of BLOCK_CUBES cubes at a time; the kept cubes' models are moved to the
+    front of the lattice-sized record as each block is validated.  Cubes
+    failing validation are dropped; the search halves r until the uncovered
+    measure is at most delta |U|, and raises RuntimeError when r falls below
+    R_MIN_FRAC times the side.  Every kept cube satisfies D(z, 3r) inside
+    the domain.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
@@ -420,26 +437,36 @@ def cubic_subdivision(f, delta):
     area = s * s
     r = delta * s / 12.0
     r_min = s * R_MIN_FRAC
+    n_parts = len(f.mults)
     attempts = []
     while r >= r_min:
         m = int(math.floor((s - 3.0 * r) / r))
         if m > 0:
             origin = c - 0.5 * m * r
             centers = origin + r * _grid(np.arange(m) + 0.5)
-            part_a, part_X = _fit_parts_batched(f, centers, r)
-            keep = _validate_batched(f, centers, r, part_a, part_X, delta)
-            kept_rows = np.flatnonzero(keep)
-            lattice = np.full(m * m, -1)
-            lattice[kept_rows] = np.arange(kept_rows.size)
-            uncovered = area - kept_rows.size * r * r
-            attempts.append({"r": r, "kept": int(kept_rows.size),
-                             "dropped": int(centers.shape[0] - kept_rows.size),
+            n = centers.shape[0]
+            part_a = np.empty((n, n_parts, 2))
+            part_X = np.empty((n, n_parts, 2, 2))
+            lattice = np.full(n, -1)
+            kept = 0
+            for blk in _blocks(n):
+                z = centers[blk]
+                a, X = _fit_parts_batched(f, z, r)
+                keep = np.flatnonzero(_validate_batched(f, z, r, a, X, delta))
+                # kept <= blk.start: the kept rows move forward, over rows already read
+                rows = slice(kept, kept + keep.size)
+                lattice[blk.start + keep] = np.arange(rows.start, rows.stop)
+                centers[rows], part_a[rows], part_X[rows] = z[keep], a[keep], X[keep]
+                kept = rows.stop
+            uncovered = area - kept * r * r
+            attempts.append({"r": r, "kept": kept, "dropped": n - kept,
                              "uncovered": float(uncovered)})
             if uncovered <= delta * area:
+                # the views keep the dropped rows' memory, at most a delta share
                 return CubicSubdivision(
                     r=r, lattice_origin=origin, lattice=lattice.reshape(m, m),
-                    centers=centers[kept_rows], part_a=part_a[kept_rows],
-                    part_X=part_X[kept_rows], diagnostics={"attempts": attempts},
+                    centers=centers[:kept], part_a=part_a[:kept],
+                    part_X=part_X[:kept], diagnostics={"attempts": attempts},
                 )
         r *= 0.5
     diagnostics = {"attempts": attempts, "reason": "r fell below r_min"}
@@ -540,18 +567,27 @@ def energy_of_hybrid(g, cfg):
     r, centers, mults = sub.r, sub.centers, f.mults
     s_in, s_out = 0.5 * sh * r, 0.5 * r
     w = s_out - s_in
-
-    # exact model energy on the shrunken cubes
-    cube_model = float(np.sum(_psi_bar(sub.part_X, mults, cfg)) * (sh * r) ** 2)
-
-    # f on the shrunken cubes: tensor Gauss 3x3 per cube, one node at a time
-    # so psi_batch's temporaries stay at n * J rows
+    n = sub.n_cubes
+    # Every term runs one block of cubes at a time and writes its per-cube psi
+    # values into a full-length vector (the cube_f Gauss table for f on the
+    # shrunken cubes), which is summed once: the sums do not depend on the
+    # block size.
     gp, gw = _GAUSS3
     offs = _grid(gp) * s_in  # (9, 2)
     # Gauss weights on [-1,1]^2 sum to 4; scaled by s_in^2 they total (2 s_in)^2
     wts = np.prod(_grid(gw), axis=1) * (s_in**2)
-    vals = np.stack([_psi_bar(f.part_grads(centers + o), mults, cfg) for o in offs], axis=1)
-    cube_f = float(np.sum(vals * wts[None, :]))
+    per_cube_g, per_cube_f = np.empty(n), np.empty(n)
+    table = np.empty((n, offs.shape[0]))
+    for blk in _blocks(n):
+        # exact model energy on the shrunken cubes
+        per_cube_g[blk] = _psi_bar(sub.part_X[blk], mults, cfg)
+        # f on the shrunken cubes: tensor Gauss 3x3 per cube
+        for i, o in enumerate(offs):
+            table[blk, i] = _psi_bar(f.part_grads(centers[blk] + o), mults, cfg)
+    cube_model = float(np.sum(per_cube_g) * (sh * r) ** 2)
+    table *= wts
+    cube_f = float(np.sum(table))
+    del table
 
     # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv
     collar_g = collar_f = 0.0
@@ -564,13 +600,17 @@ def energy_of_hybrid(g, cfg):
             for u, wu in zip(gp, gw):  # u in [-1, 1]
                 jac = w * xi * wv * wu
                 ry = rot @ np.array([xi, u * xi])
-                x_pts = centers + ry[None, :]
-                F = f.part_values(x_pts)  # (N, J, 2)
-                Gf = f.part_grads(x_pts)  # (N, J, 2, 2)
-                M = sub.part_a + np.einsum("njab,b->nja", sub.part_X, ry)
-                Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * sub.part_X
-                collar_g += float(np.sum(_psi_bar(Gg, mults, cfg))) * jac
-                collar_f += float(np.sum(_psi_bar(Gf, mults, cfg))) * jac
+                for blk in _blocks(n):
+                    x_pts = centers[blk] + ry[None, :]
+                    F = f.part_values(x_pts)  # (B, J, 2)
+                    Gf = f.part_grads(x_pts)  # (B, J, 2, 2)
+                    X = sub.part_X[blk]
+                    M = sub.part_a[blk] + np.einsum("njab,b->nja", X, ry)
+                    Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * X
+                    per_cube_g[blk] = _psi_bar(Gg, mults, cfg)
+                    per_cube_f[blk] = _psi_bar(Gf, mults, cfg)
+                collar_g += float(np.sum(per_cube_g)) * jac
+                collar_f += float(np.sum(per_cube_f)) * jac
     return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))
 
 

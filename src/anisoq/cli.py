@@ -233,7 +233,8 @@ def cmd_approx(args):
     rows = []
     errs = []
     for k in args.k:
-        _g, rep = ap.piecewise_affine_sequence(f, k, cfg)
+        # only the report: the previous g_k is freed before the next is built
+        rep = ap.piecewise_affine_sequence(f, k, cfg)[1]
         err = abs(rep["energy_psi_bar"] - e_ref)
         errs.append(err)
         rows.append(
@@ -313,7 +314,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _k_list(text):
-    """--k: a comma-separated, strictly increasing list of integers >= 2."""
+    """--k: a comma-separated, strictly increasing list of integers from 2 to
+    approx.K_MAX, past which the cube search would start below its floor."""
+    from .approx import K_MAX
+
     try:
         ks = [int(s) for s in text.split(",")]
     except ValueError:
@@ -322,6 +326,10 @@ def _k_list(text):
         raise argparse.ArgumentTypeError(f"every k must be >= 2: {text!r}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise argparse.ArgumentTypeError(f"the k list must be strictly increasing: {text!r}")
+    if max(ks) > K_MAX:
+        raise argparse.ArgumentTypeError(
+            f"every k must be <= {K_MAX}: beyond it the first cube lattice, of pitch "
+            f"side/(12 k), is finer than the search allows: {text!r}")
     return ks
 
 
@@ -366,7 +374,8 @@ def build_parser():
     a = sub.add_parser("approx", help="piecewise-affine approximation convergence")
     a.add_argument("--profile", choices=["smooth", "twosheet"], required=True)
     a.add_argument("--k", type=_k_list, default="4,8,16,32",
-                   help="comma-separated, strictly increasing list of integers >= 2")
+                   help="comma-separated, strictly increasing list of integers >= 2, none "
+                        "above the largest k the cube search can start at")
     a.add_argument("--eps", type=float, default=0.1)
     a.set_defaults(fn=cmd_approx)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,71 @@ def test_subdivision_lattice_margin():
 def test_subdivision_rejects_bad_delta():
     with pytest.raises(ValueError):
         ap.cubic_subdivision(ap.smooth_profile(), 1.5)
+
+
+def _kinked_profile():
+    """A map with a crease along x = 0.1: the cubes across it fail validation."""
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([3.0 * np.abs(x[..., 0] - 0.1), 0.2 * x[..., 1]], axis=-1)
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 3.0 * np.sign(x[..., 0] - 0.1)
+        g[..., 1, 1] = 0.2
+        return g
+
+    return ap.SampledLipschitzQMap(q=1, lipschitz=3.1, domain_center=np.zeros(2),
+                                   domain_side=1.0, parts=[(1, fn, grad)])
+
+
+def _blocked_run(monkeypatch, f, k, cfg, block):
+    monkeypatch.setattr(ap, "BLOCK_CUBES", block)
+    sub = ap.cubic_subdivision(f, 1.0 / k)
+    return sub, ap.energy_of_hybrid(ap.HybridQMap(f, sub, k), cfg)
+
+
+@pytest.mark.parametrize("profile, k", [(ap.smooth_profile, 4), (ap.smooth_profile, 8),
+                                        (ap.twosheet_profile, 4), (ap.twosheet_profile, 8),
+                                        (_kinked_profile, 4)])
+def test_blocked_cube_loop_matches_one_block(monkeypatch, cfg01, profile, k):
+    f = profile()
+    one, e_one = _blocked_run(monkeypatch, f, k, cfg01, 10**9)
+    # 1000 divides neither 2,025 nor 8,649 cubes, so the last block is short
+    sub, e = _blocked_run(monkeypatch, f, k, cfg01, 1000)
+    assert one.n_cubes > 1000 and e == e_one
+    for name in ("lattice", "lattice_origin", "centers", "part_a", "part_X"):
+        assert np.array_equal(getattr(sub, name), getattr(one, name))
+    assert sub.r == one.r and sub.diagnostics == one.diagnostics
+    if profile is _kinked_profile:
+        # dropped cubes: the kept models are moved forward across blocks
+        assert sub.diagnostics["attempts"][-1]["dropped"] > 0
+        assert np.array_equal(sub.lattice[sub.lattice >= 0], np.arange(sub.n_cubes))
+
+
+def test_cube_loop_memory_is_bounded(cfg01):
+    # holding every cube's temporaries at once peaks at 138 MiB here
+    f = ap.smooth_profile()
+    tracemalloc.start()
+    try:
+        sub = ap.cubic_subdivision(f, 1.0 / 16)
+        ap.energy_of_hybrid(ap.HybridQMap(f, sub, 16), cfg01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
+def test_smooth_abs_err_at_k64_is_pinned(cfg01):
+    f = ap.smooth_profile()
+    _g, rep = ap.piecewise_affine_sequence(f, 64, cfg01)
+    assert rep["bad_set_full"] <= 2.0 / 64 and rep["bad_set_shrunk"] <= 3.0 / 64
+    assert rep["lipschitz"] <= rep["lip_bound"]
+    # the quadrature sums over 585,225 cubes: allow rounding far above one ulp
+    err = abs(rep["energy_psi_bar"] - ap.energy_of_map(f, cfg01))
+    assert err == pytest.approx(1.1815780324608838e-05, rel=0.0, abs=1e-13)
 
 
 def test_sequence_affine_energy_exact(cfg01):

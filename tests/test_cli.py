@@ -110,11 +110,13 @@ def test_branched_samples_beyond_family_rejected(tmp_path, samples):
         ["approx", "--profile", "smooth", "--k", ""],
         ["approx", "--profile", "smooth", "--k", "8,4"],
         ["approx", "--profile", "smooth", "--k", "4,4"],
+        ["approx", "--profile", "twosheet", "--k", "4,171"],
+        ["approx", "--profile", "smooth", "--k", "2048"],
         ["construct", "--eps", "0.1", "--jsn", "r.json"],
     ],
     ids=["missing-profile", "unknown-command", "no-command", "unknown-family", "q-abc",
          "eps-x", "k-below-2", "k-not-int", "k-empty", "k-decreasing", "k-repeated",
-         "unknown-option"],
+         "k-above-170", "k-far-above-170", "unknown-option"],
 )
 def test_usage_errors_exit_1(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -123,6 +125,14 @@ def test_usage_errors_exit_1(tmp_path, capsys, args):
     assert err.startswith("error: ")
     assert "usage: anisoq" in err
     assert not out.exists() and os.listdir(tmp_path) == []
+
+
+def test_k_bound_is_the_cube_search_floor():
+    # k = K_MAX starts the cube search at or above its floor, K_MAX + 1 below it
+    assert approx.K_MAX == 170
+    assert 1.0 / approx.K_MAX / 12.0 >= approx.R_MIN_FRAC > 1.0 / (approx.K_MAX + 1) / 12.0
+    args = cli.build_parser().parse_args(["approx", "--profile", "smooth", "--k", "4,170"])
+    assert args.k == [4, 170]
 
 
 def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
