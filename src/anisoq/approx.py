@@ -394,14 +394,17 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     mults = np.array(f.mults, dtype=float)
     gap2 = np.zeros(pts.shape[:2])
     grad2 = np.zeros(pts.shape[:2])
+    # The contractions and the length-2 and length-4 sums are written out
+    # column by column, in the order (and so to the bit) of einsum and np.sum,
+    # which spend several times the arithmetic on axes this short.
+    o0, o1 = off[:, 0, None], off[:, 1, None]  # (S, 1)
     for j, (_mult, fn, gfn) in enumerate(f.parts):
         vals = np.asarray(fn(pts), dtype=float)
-        model = part_a[:, j][:, None, :] + np.einsum("nab,sb->nsa", part_X[:, j], off)
-        gap2 += mults[j] * np.sum((vals - model) ** 2, axis=-1)
-        gf = np.asarray(gfn(pts), dtype=float)  # (N, S, 2, 2)
-        grad2 += mults[j] * np.sum(
-            (gf - part_X[:, j][:, None, :, :]) ** 2, axis=(-2, -1)
-        )
+        X = part_X[:, j, None]  # (N, 1, 2, 2)
+        d = vals - (part_a[:, j, None] + (X[..., 0] * o0 + X[..., 1] * o1))
+        gap2 += mults[j] * (d[..., 0] ** 2 + d[..., 1] ** 2)
+        e = (np.asarray(gfn(pts), dtype=float) - X) ** 2  # (N, S, 2, 2)
+        grad2 += mults[j] * (((e[..., 0, 0] + e[..., 0, 1]) + e[..., 1, 0]) + e[..., 1, 1])
     sup_ok = np.sqrt(np.max(gap2, axis=1)) <= delta * r
     gd = np.sqrt(grad2)
     meas_ok = np.ones(centers.shape[0], dtype=bool)
@@ -544,7 +547,9 @@ def _psi_bar(grads, mults, cfg):
     """Summed psi, sum_j mults_j psi(grads_j), of gradients (..., J, 2, 2)
     with one psi_batch call; shape (...)."""
     vals = psi_batch(grads.reshape(-1, 2, 2), cfg).reshape(grads.shape[:-2])
-    return np.sum(vals * np.asarray(mults, dtype=float), axis=-1)
+    # the J-sum column by column, in np.sum's order (psi >= 0, so the leading
+    # 0 + is exact)
+    return sum(vals[..., j] * float(m) for j, m in enumerate(mults))
 
 
 def energy_of_hybrid(g, cfg):
@@ -605,7 +610,7 @@ def energy_of_hybrid(g, cfg):
                     F = f.part_values(x_pts)  # (B, J, 2)
                     Gf = f.part_grads(x_pts)  # (B, J, 2, 2)
                     X = sub.part_X[blk]
-                    M = sub.part_a[blk] + np.einsum("njab,b->nja", X, ry)
+                    M = sub.part_a[blk] + (X[..., 0] * ry[0] + X[..., 1] * ry[1])
                     Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * X
                     per_cube_g[blk] = _psi_bar(Gg, mults, cfg)
                     per_cube_f[blk] = _psi_bar(Gf, mults, cfg)

@@ -367,7 +367,8 @@ def build_parser():
     e = sub.add_parser("envelope", help="two-sided envelope bracket at a target")
     e.add_argument("--eps", type=float, required=True)
     e.add_argument("--q", type=int, required=True)
-    e.add_argument("--target", choices=["zero", "ray1", "ray2", "ray3"], required=True)
+    e.add_argument("--target", choices=["zero", "ray1", "ray2", "ray3", "nearray3"],
+                   required=True)
     _ignored_search_flags(e)
     e.set_defaults(fn=cmd_envelope)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from anisoq import approx as ap
+from anisoq.exterior import lambda_m_batch
 from anisoq.multipoint import g_metric
+from tests.test_energy import _full_psi_of_unit_tangents
 from tests.test_multipoint import _pairwise_g_metric
 
 
@@ -218,6 +220,83 @@ def test_blocked_cube_loop_matches_one_block(monkeypatch, cfg01, profile, k):
         # dropped cubes: the kept models are moved forward across blocks
         assert sub.diagnostics["attempts"][-1]["dropped"] > 0
         assert np.array_equal(sub.lattice[sub.lattice >= 0], np.arange(sub.n_cubes))
+
+
+def _oracle_psi_bar(grads, mults, cfg):
+    """Summed psi with np.linalg.norm row norms, unscreened ray angles and
+    np.sum over the parts."""
+    lams = lambda_m_batch(grads.reshape(-1, 2, 2))
+    vals = np.linalg.norm(lams, axis=1) * _full_psi_of_unit_tangents(lams, cfg)
+    return np.sum(vals.reshape(grads.shape[:-2]) * np.asarray(mults, dtype=float), axis=-1)
+
+
+def _oracle_validate(f, centers, r, part_a, part_X, delta):
+    """The validation keep mask with einsum models and np.sum reductions."""
+    off = ap._grid(np.linspace(-0.499, 0.499, ap.N_VALID) * r)
+    pts = centers[:, None, :] + off[None, :, :]
+    gap2 = np.zeros(pts.shape[:2])
+    grad2 = np.zeros(pts.shape[:2])
+    for j, (mult, fn, gfn) in enumerate(f.parts):
+        model = part_a[:, j][:, None, :] + np.einsum("nab,sb->nsa", part_X[:, j], off)
+        gap2 += float(mult) * np.sum((fn(pts) - model) ** 2, axis=-1)
+        grad2 += float(mult) * np.sum((gfn(pts) - part_X[:, j][:, None]) ** 2, axis=(-2, -1))
+    keep = np.sqrt(np.max(gap2, axis=1)) <= delta * r
+    for alpha in (delta, 2.0 * delta, 4.0 * delta):
+        keep &= np.count_nonzero(np.sqrt(grad2) > alpha, axis=1) / off.shape[0] <= delta / alpha
+    return keep
+
+
+def _oracle_energy_of_hybrid(g, cfg):
+    """energy_of_hybrid over all cubes at once, with einsum collar models and
+    the oracle summed psi."""
+    f, sub, sh = g.f, g.sub, g.shrink
+    m = ap.ENERGY_GRID_M
+    pts = f.domain_center + f.domain_side * ap._grid((np.arange(m) + 0.5) / m - 0.5)
+    e_ref = float(np.sum(_oracle_psi_bar(f.part_grads(pts), f.mults, cfg))) * (
+        f.domain_side / m) ** 2
+    r, centers, mults = sub.r, sub.centers, f.mults
+    s_in, w = 0.5 * sh * r, 0.5 * r - 0.5 * sh * r
+    gp, gw = ap._GAUSS3
+    offs = ap._grid(gp) * s_in
+    table = np.stack([_oracle_psi_bar(f.part_grads(centers + o), mults, cfg) for o in offs],
+                     axis=1) * (np.prod(ap._grid(gw), axis=1) * s_in**2)
+    cube_f = float(np.sum(table))
+    cube_model = float(np.sum(_oracle_psi_bar(sub.part_X, mults, cfg)) * (sh * r) ** 2)
+    collar_g = collar_f = 0.0
+    for turns in range(4):
+        rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
+        grad_t = (rot @ np.array([1.0, 0.0])) / w
+        for vnode, wv in zip(gp, 0.5 * gw):
+            v = 0.5 * (vnode + 1.0)
+            xi = s_in + v * w
+            for u, wu in zip(gp, gw):
+                ry = rot @ np.array([xi, u * xi])
+                F, Gf = f.part_values(centers + ry), f.part_grads(centers + ry)
+                M = sub.part_a + np.einsum("njab,b->nja", sub.part_X, ry)
+                Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * sub.part_X
+                jac = w * xi * wv * wu
+                collar_g += float(np.sum(_oracle_psi_bar(Gg, mults, cfg))) * jac
+                collar_f += float(np.sum(_oracle_psi_bar(Gf, mults, cfg))) * jac
+    return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))
+
+
+@pytest.mark.parametrize("profile, k", [(ap.smooth_profile, 4), (ap.smooth_profile, 8),
+                                        (ap.twosheet_profile, 4), (ap.twosheet_profile, 8),
+                                        (_kinked_profile, 4)])
+def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
+    # the column-wise contractions, sums and row norms of the cube kernels are
+    # the einsum, np.sum and np.linalg.norm arithmetic to the bit
+    f = profile()
+    delta = 1.0 / k
+    r = delta * f.domain_side / 12.0  # the search's first lattice
+    m = int(math.floor((f.domain_side - 3.0 * r) / r))
+    centers = f.domain_center - 0.5 * m * r + r * ap._grid(np.arange(m) + 0.5)
+    a, X = ap._fit_parts_batched(f, centers, r)
+    keep = ap._validate_batched(f, centers, r, a, X, delta)
+    assert np.array_equal(keep, _oracle_validate(f, centers, r, a, X, delta))
+    assert keep.any() and (profile is not _kinked_profile or not keep.all())
+    g = ap.HybridQMap(f, ap.cubic_subdivision(f, delta), k)
+    assert ap.energy_of_hybrid(g, cfg01) == _oracle_energy_of_hybrid(g, cfg01)
 
 
 def test_cube_loop_memory_is_bounded(cfg01):

@@ -234,6 +234,25 @@ def test_envelope_ray_and_zero(tmp_path):
     assert data["lower"] <= data["upper"] + 1e-9
 
 
+def test_envelope_near_ray_target(tmp_path):
+    # X3 + 1e-3 E11: the ray-3 ring undercuts the affine graph's 639,999
+    jsonschema = pytest.importorskip("jsonschema")
+    from anisoq.currents import TriangulatedCurrent
+
+    res = run_cli(["envelope", "--eps", "0.05", "--q", "1", "--target", "nearray3"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    result = json.loads((tmp_path / "envelope_nearray3_q1.json").read_text())
+    with open(os.path.join(os.path.dirname(__file__), "..", "docs", "schemas",
+                           "envelope_result.schema.json")) as fh:
+        jsonschema.validate(result, json.load(fh))
+    assert result["lower"] == 0.0 and 0.0 < result["upper"] < 10.0
+    assert result["upper_meta"]["parts"][0]["method"] == "ray-ring"
+    comp = json.loads((tmp_path / result["competitor_file"]).read_text())
+    value = energy.psi_mass_of_current(TriangulatedCurrent.from_json_obj(comp),
+                                       energy.PsiConfig.for_eps(0.05))
+    assert value == pytest.approx(result["upper"], rel=1e-12)
+
+
 def test_obstruction_random_csv(tmp_path):
     res = run_cli(
         ["obstruction", "--eps", "0.1", "--q", "2", "--samples", "2",

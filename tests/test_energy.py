@@ -237,24 +237,38 @@ def test_screened_psi_matches_full_ray_angles(bundle01, cfg01):
             w -= (w @ ray) * ray
             w /= np.linalg.norm(w)
             rows.append(rng.uniform(0.1, 10) * (np.cos(theta) * ray + np.sin(theta) * w))
-    # rows whose largest cosine is the screen's cut, give or take an ulp
+    # rows whose largest cosine is the screen's cut, give or take an ulp; the
+    # screen compares raw inner products with the cut times the row norm, so
+    # the same rows also come at norms 1e-3 and 1e6
     cut = np.cos(reach)
     for ray in cfg01.rays:
         w = rng.normal(size=6)
         w -= (w @ ray) * ray
         w /= np.linalg.norm(w)
         for c in (np.nextafter(cut, -1), cut, np.nextafter(cut, 2)):
-            rows.append(c * ray + np.sqrt(1 - c * c) * w)
+            for scale in (1.0, 1e-3, 1e6):
+                rows.append(scale * (c * ray + np.sqrt(1 - c * c) * w))
     nan_rows = np.full((2, 6), np.nan)
     nan_rows[1, 1:] = rng.normal(size=5)
-    ws = np.concatenate([np.array(rows), rng.normal(size=(500, 6)), nan_rows])
+    # +-inf rows: an infinite first coordinate puts every inner product at
+    # +-inf (all ray coordinates e12 are positive), others mix inf with finite
+    inf_rows = np.tile(rng.normal(size=6), (6, 1))
+    for row, (col, sign) in enumerate([(0, 1.0), (0, -1.0), (3, 1.0), (5, -1.0)]):
+        inf_rows[row, col] = sign * np.inf
+    inf_rows[4] = np.inf
+    inf_rows[5] = np.copysign(np.inf, cfg01.rays[2])
+    ws = np.concatenate([np.array(rows), rng.normal(size=(500, 6)), nan_rows, inf_rows])
     with np.errstate(invalid="ignore"):
         assert np.array_equal(energy.psi_of_unit_tangents(ws, cfg01),
                               _full_psi_of_unit_tangents(ws, cfg01), equal_nan=True)
-    # gradients on and near the lift matrices, and far from them
+    # gradients on and near the lift matrices, and far from them; psi_batch
+    # sums the squared columns itself, so 40,000 rows over six decades check
+    # its norms against np.linalg.norm's bit for bit
     E = rng.normal(size=(2, 2))
     grads = [bundle01.X[i] + t * E for i in range(3) for t in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1)]
-    Xs = np.concatenate([np.array(grads), rng.normal(size=(2000, 2, 2)) * 3])
-    full = np.linalg.norm(lambda_m_batch(Xs), axis=1) * _full_psi_of_unit_tangents(
-        lambda_m_batch(Xs), cfg01)
-    assert np.array_equal(energy.psi_batch(Xs, cfg01), full)
+    scales = rng.uniform(1e-3, 1e3, size=(40_000, 1, 1))
+    for Xs in (np.concatenate([np.array(grads), rng.normal(size=(2000, 2, 2)) * 3]),
+               rng.normal(size=(40_000, 2, 2)) * scales, np.zeros((0, 2, 2))):
+        lams = lambda_m_batch(Xs)
+        full = np.linalg.norm(lams, axis=1) * _full_psi_of_unit_tangents(lams, cfg01)
+        assert np.array_equal(energy.psi_batch(Xs, cfg01), full)
