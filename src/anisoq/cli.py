@@ -4,9 +4,11 @@ Commands: construct, obstruction, envelope, approx, certificate.  Exit code
 0 means every checked assertion passed, 1 a domain or usage error (argparse's
 own errors included, which would otherwise exit 2), 2 an
 assertion failure or a failed computation (a RuntimeError or ArithmeticError,
-such as a failed transport LP or cubic subdivision); the failure is named on
-stderr.  All outputs are deterministic for a fixed seed: JSON is dumped with
-sorted keys and CSV rows in a fixed order, with no timestamps.
+such as a failed cubic subdivision, or a transport problem whose certificate
+and fallback LP both fail); the failure is named on stderr.  A command whose
+stdout is closed early exits 1 without a message.  All outputs are
+deterministic for a fixed seed: JSON is dumped with sorted keys and CSV rows
+in a fixed order, with no timestamps.
 """
 
 from __future__ import annotations
@@ -399,7 +401,14 @@ def main(argv=None):
             print(f"error: --{name} must be >= 1", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed (say, by `| head -1`): what is left goes to
+        # devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

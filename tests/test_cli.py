@@ -169,24 +169,25 @@ def _residual_too_large(eps):
 
 
 @pytest.mark.parametrize(
-    "module, name, fake, args, err",
+    "patches, args, err",
     [
-        (scipy.optimize, "linprog", _lp_fails,
+        # no certificate holds, so the LP runs, and fails
+        ([(gmeasures, "CERT_RTOL", -1.0), (scipy.optimize, "linprog", _lp_fails)],
          ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "1", "--mesh", "3"],
          "computation failed (RuntimeError): transport LP failed: The problem is infeasible.\n"),
         # the search starts at r = side / 48 at k = 4, below r_min = side
-        (approx, "R_MIN_FRAC", 1.0,
+        ([(approx, "R_MIN_FRAC", 1.0)],
          ["approx", "--profile", "twosheet", "--k", "4"],
          "computation failed (RuntimeError): cubic subdivision search failed: "
          "{'attempts': [], 'reason': 'r fell below r_min'}\n"),
-        (construction, "delta_of_eps", _residual_too_large, ["construct", "--eps", "0.1"],
+        ([(construction, "delta_of_eps", _residual_too_large)], ["construct", "--eps", "0.1"],
          "computation failed (ArithmeticError): quadratic residual 1e-10 exceeds 1e-12\n"),
     ],
     ids=["transport-lp", "cubic-subdivision", "construction-residual"],
 )
-def test_failed_computation_exits_2(tmp_path, monkeypatch, capsys, module, name, fake,
-                                    args, err):
-    monkeypatch.setattr(module, name, fake)
+def test_failed_computation_exits_2(tmp_path, monkeypatch, capsys, patches, args, err):
+    for module, name, fake in patches:
+        monkeypatch.setattr(module, name, fake)
     assert cli.main(["--out", str(tmp_path)] + args) == 2
     assert capsys.readouterr().err == err
 
@@ -464,3 +465,38 @@ def test_determinism_byte_identical(tmp_path, args):
     r2 = run_cli(a2, d2)
     assert r1.returncode == r2.returncode == 0, r1.stderr + r2.stderr
     assert read_outputs(d1) == read_outputs(d2)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
+    """The reader of stdout leaves after the first line, as `| head -1` does.
+
+    construct prints its checks, then waits to open its --json path, here a
+    FIFO, until the test opens the other end, after it closed stdout: at the
+    latest the closing "wrote" line finds no reader.  Buffered, no line is
+    written before the command ends, so the reader leaves at once.
+    """
+    fifo = tmp_path / "report.json"
+    os.mkfifo(fifo)
+    env = cli_env(tmp_path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(BASE + ["construct", "--eps", "0.1", "--json", str(fifo)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    try:
+        if unbuffered:
+            assert proc.stdout.readline().startswith("pass  ")
+        proc.stdout.close()
+        # non-blocking: the command may have met the closed pipe before the FIFO
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert proc.wait(timeout=120) == 1
+        finally:
+            os.close(fd)
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

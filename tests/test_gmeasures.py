@@ -129,6 +129,11 @@ def test_transport_rejects_mass_mismatch():
         gm.transport_distance(mu, gm.GrassmannMeasure(E12[None, :], [1.5]))
     # masses equal to MASS_MATCH_RTOL are transported
     assert gm.transport_distance(mu, gm.GrassmannMeasure(E12[None, :], [1.0 + 1e-12])) == 0.0
+    # also when a sink is lighter than the difference, so that the north-west
+    # corner plan leaves it empty and the LP solves the problem
+    two = gm.GrassmannMeasure(np.stack([E12, np.eye(6)[1]]), [0.5, 0.5])
+    light = gm.GrassmannMeasure(np.stack([E34, E12]), [1.0, 1e-12])
+    assert abs(gm.transport_distance(two, light) - np.sqrt(2.0)) < 1e-9
 
 
 def test_mass_by_class(bundle01):
@@ -262,39 +267,38 @@ def _gaussian_image(seed, q=2, n=12):
 
 def _full_lp_distance(monkeypatch, mu, nu):
     with monkeypatch.context() as m:
-        m.setattr(gm, "CERT_MIN_ATOMS", 10**9)
+        m.setattr(gm, "CERT_MAX_SINKS", 0)
         return gm.transport_distance(mu, nu)
 
 
 def _spy_certified(monkeypatch):
-    """Record the result of every certified solve."""
+    """Record the result of every sink-cycle solve."""
     results = []
-    solve = gm._certified_transport
+    solve = gm._sink_cycle_transport
 
     def spy(*args):
         results.append(solve(*args))
         return results[-1]
 
-    monkeypatch.setattr(gm, "_certified_transport", spy)
+    monkeypatch.setattr(gm, "_sink_cycle_transport", spy)
     return results
+
+
+def _twelve_atoms(seed):
+    rng = np.random.default_rng(seed)
+    pts = np.stack([random_unit_simple(rng) for _ in range(12)])
+    return gm.GrassmannMeasure(pts, rng.uniform(0.5, 2.0, 12)).normalized()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_certified_transport_matches_full_lp(monkeypatch, seed):
-    mu = _gaussian_image(seed)
-    rng = np.random.default_rng(seed)
-    pts = np.stack([random_unit_simple(rng) for _ in range(12)])
-    twelve = gm.GrassmannMeasure(pts, rng.uniform(0.5, 2.0, 12)).normalized()
-    assert mu.merged().n_atoms > gm.CERT_MIN_ATOMS
-    for nu in (construction.make_mu0(0.1).normalized(), twelve):
+    mu = _gaussian_image(seed)  # about 400-570 atoms
+    for nu in (construction.make_mu0(0.1).normalized(), _twelve_atoms(seed)):
         full = _full_lp_distance(monkeypatch, mu, nu)
         certified = _spy_certified(monkeypatch)
         v = gm.transport_distance(mu, nu)
         assert abs(v - full) <= gm.CERT_RTOL * max(1.0, abs(full))
-        if nu.n_atoms == 3:
-            assert certified == [v]  # the certificate held, and its value is returned
-        else:  # 12 sinks for ~45 sources each: the full LP may have run instead
-            assert certified in ([v], [None])
+        assert certified == [v]  # the certificate held, and its value is returned
 
 
 def test_certified_transport_argument_order(monkeypatch):
@@ -306,28 +310,34 @@ def test_certified_transport_argument_order(monkeypatch):
         assert certified == [d1, d2] and d1 == d2
 
 
-@pytest.mark.parametrize("name, value", [("CERT_RTOL", -1.0), ("NEAR_FRACTIONS", ())],
-                         ids=["tolerance", "cut"])
+@pytest.mark.parametrize("name, value", [("CERT_RTOL", -1.0), ("MAX_PUSHES", 0)],
+                         ids=["tolerance", "push-cap"])
 def test_failed_certificate_returns_full_lp(monkeypatch, name, value):
-    mu = _gaussian_image(4)
-    nu = construction.make_mu0(0.1).normalized()
-    full = _full_lp_distance(monkeypatch, mu, nu)
-    monkeypatch.setattr(gm, name, value)
+    mu = _gaussian_image(4)  # takes 2 pushes against mu0
+    for nu in (construction.make_mu0(0.1).normalized(), _twelve_atoms(4)):
+        full = _full_lp_distance(monkeypatch, mu, nu)
+        monkeypatch.setattr(gm, name, value)
+        certified = _spy_certified(monkeypatch)
+        assert gm.transport_distance(mu, nu) == full
+        assert certified == [None]
+        monkeypatch.undo()
+
+
+def test_more_sinks_than_the_cap_take_the_lp(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = gm.CERT_MAX_SINKS + 1
+    mu = gm.GrassmannMeasure(np.stack([random_unit_simple(rng) for _ in range(n)]),
+                             np.full(n, 1.0 / n))
+    nu = gm.GrassmannMeasure(np.stack([random_unit_simple(rng) for _ in range(n)]),
+                             rng.dirichlet(np.ones(n)))
     certified = _spy_certified(monkeypatch)
-    assert gm.transport_distance(mu, nu) == full
-    assert certified == [None]
-
-
-def test_failed_restricted_lp_falls_back(monkeypatch):
-    mu = _gaussian_image(6)
-    nu = construction.make_mu0(0.1).normalized()
-    full = _full_lp_distance(monkeypatch, mu, nu)
+    lps = []
     solve = gm._transport_lp
 
-    def small_lps_fail(cost, a_w, b_w):
-        if cost.shape[0] < mu.merged().n_atoms:
-            raise RuntimeError("transport LP failed: injected")
-        return solve(cost, a_w, b_w)
+    def spy(*args):
+        lps.append(solve(*args))
+        return lps[-1]
 
-    monkeypatch.setattr(gm, "_transport_lp", small_lps_fail)
-    assert gm.transport_distance(mu, nu) == full
+    monkeypatch.setattr(gm, "_transport_lp", spy)
+    v = gm.transport_distance(mu, nu)
+    assert lps == [v] and certified == []
