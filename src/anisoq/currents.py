@@ -13,7 +13,11 @@ values (J, n+1, n+1, 2) at the mesh nodes, so every sheet is continuous by
 construction.  Its per-triangle gradients (T, J, 2, 2), T = 2 n^2 triangles
 numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half of cell (i, j)),
 are derived from them by p1_gradients, the one P1 gradient kernel;
-triangle_nodes gives the node indices of the triangles.
+triangle_nodes gives the node indices of the triangles.  What depends on
+the mesh alone, the triangle nodes, the inverse edge matrices, the base
+triangles and the boundary nodes, is its MeshFrame, computed once per Mesh
+and shared by every graph on it.  A P1 sheet equals its nodal value at a
+node, so the zero-boundary check reads the boundary nodal values.
 
 A TriangulatedCurrent is an (N, 3, 4) array of oriented 2-simplices in R^4
 with N integer multiplicities; mass, boundary chain, Gaussian image,
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +68,15 @@ RAMP_FRAC = 0.2
 # lies within ATOM_TOL of the unit w_i, far above the rounding of the
 # squeeze pushforward, so every plateau triangle of ray_plateau_graph counts
 ATOM_TOL = 1e-8
+
+
+class MeshFrame(NamedTuple):
+    """The arrays of a mesh that every graph on it shares (Mesh.frame)."""
+
+    tris: np.ndarray  # (T, 3, 2) node indices, triangle_nodes(n)
+    inv_edges: np.ndarray  # (T, 2, 2) inverse edge matrices, for p1_gradients
+    base: np.ndarray  # (T, 3, 2) node coordinates of the triangles
+    boundary: np.ndarray  # (4 n, 2) node indices in boundary_nodes order
 
 
 @dataclass(frozen=True)
@@ -96,18 +111,35 @@ class Mesh:
         return ij[..., 0], ij[..., 1]
 
     def boundary_nodes(self):
-        """Boundary nodes in counterclockwise order starting at the SW corner."""
-        n = self.n
-        out = []
-        for i in range(n):
-            out.append((i, 0))
-        for j in range(n):
-            out.append((n, j))
-        for i in range(n, 0, -1):
-            out.append((i, n))
-        for j in range(n, 0, -1):
-            out.append((0, j))
-        return [self.node(i, j) for (i, j) in out]
+        """Boundary nodes (4 n, 2) in counterclockwise order starting at the SW corner."""
+        ij = self.frame.boundary
+        return self.node(ij[:, 0], ij[:, 1])
+
+    @cached_property
+    def frame(self):
+        """The mesh's MeshFrame, computed on first use; its arrays are read-only."""
+        tris = triangle_nodes(self.n)
+        frame = MeshFrame(
+            tris=tris,
+            inv_edges=np.linalg.inv(self.h * np.swapaxes(tris[:, 1:] - tris[:, :1], 1, 2)),
+            base=self.nodes_array()[tris[..., 0], tris[..., 1]],
+            boundary=_boundary_node_indices(self.n),
+        )
+        for arr in frame:
+            arr.flags.writeable = False
+        return frame
+
+
+def _boundary_node_indices(n):
+    """Node indices (4 n, 2) of the mesh boundary, counterclockwise from (0, 0):
+    the south side from west to east, then the east, north and west sides,
+    each ending before the next corner."""
+    k = np.arange(n)
+    side = np.full(n, n)
+    zero = np.zeros(n, dtype=k.dtype)
+    i = np.concatenate([k, side, n - k, zero])
+    j = np.concatenate([zero, k, side, n - k])
+    return np.stack([i, j], axis=-1)
 
 
 # triangle-local node offsets: lower (t=0) and upper (t=1) of each cell,
@@ -126,17 +158,18 @@ def triangle_nodes(n):
     return (cells.reshape(-1, 1, 1, 2) + np.array(TRI_NODES)).reshape(-1, 3, 2)
 
 
-def p1_gradients(vals, h, tris):
+def p1_gradients(vals, tris, inv_edges):
     """Gradients of the P1 interpolants of nodal values on mesh triangles.
 
-    vals: (..., n+1, n+1, 2) nodal values on a mesh of spacing h; tris:
-    (K, 3, 2) node indices, rows of triangle_nodes.  Returns (..., K, 2, 2):
-    per triangle the X with X (p_m - p_0) = f_m - f_0 for m = 1, 2.
+    vals: (..., n+1, n+1, 2) nodal values; tris: (K, 3, 2) node indices,
+    rows of triangle_nodes; inv_edges: (K, 2, 2) the inverses of the edge
+    matrices E = [p_1 - p_0, p_2 - p_0] (MeshFrame.inv_edges).  Returns
+    (..., K, 2, 2): per triangle the X with X (p_m - p_0) = f_m - f_0 for
+    m = 1, 2.
     """
     f = vals[..., tris[..., 0], tris[..., 1], :]
     F = np.stack([f[..., 1, :] - f[..., 0, :], f[..., 2, :] - f[..., 0, :]], axis=-1)
-    E = h * np.swapaxes(tris[:, 1:] - tris[:, :1], 1, 2)
-    return F @ np.linalg.inv(E)
+    return F @ inv_edges
 
 
 class FunctionalQGraph:
@@ -157,7 +190,8 @@ class FunctionalQGraph:
         if self.vals.shape != (self.mults.shape[0], mesh.n + 1, mesh.n + 1, 2):
             raise ValueError("nodal values do not match the mesh and the multiplicities")
         self.q = int(self.mults.sum())
-        self.X = p1_gradients(self.vals, mesh.h, triangle_nodes(mesh.n)).swapaxes(0, 1)
+        frame = mesh.frame
+        self.X = p1_gradients(self.vals, frame.tris, frame.inv_edges).swapaxes(0, 1)
 
     # -- construction helpers -------------------------------------------------
 
@@ -193,7 +227,11 @@ class FunctionalQGraph:
         return np.repeat(v, self.mults, axis=-2)
 
     def is_zero_boundary(self):
-        vals = self.values_at(np.array(self.mesh.boundary_nodes()))
+        """Whether every boundary node's Q-point lies within ZERO_BOUNDARY_TOL
+        of Q times 0: each P1 sheet equals its nodal value at a node."""
+        ij = self.mesh.frame.boundary
+        vals = np.repeat(np.moveaxis(self.vals[:, ij[:, 0], ij[:, 1]], 0, -2), self.mults,
+                         axis=-2)
         return not np.any(g_metric(vals, np.zeros((self.q, 2))) > ZERO_BOUNDARY_TOL)
 
 
@@ -281,9 +319,9 @@ class TriangulatedCurrent:
         return self.boundary() == expected
 
     def gaussian_image(self):
-        return GrassmannMeasure(
-            self.unit_tangents(), self.mults * self.areas(), validate=False
-        )
+        w = self.tangent_wedges()
+        nrm = np.linalg.norm(w, axis=1)
+        return GrassmannMeasure(w / nrm[:, None], self.mults * (0.5 * nrm), validate=False)
 
     def classify_triangles(self, eps, strict=False):
         u1, u2 = self.edge_vectors()
@@ -541,8 +579,7 @@ def triangulate(g):
     affine sheets the triangle mass equals the area-formula value
     ||LambdaM(X)|| * base area exactly.
     """
-    tris = triangle_nodes(g.mesh.n)
-    base = g.mesh.nodes_array()[tris[..., 0], tris[..., 1]]
+    tris, base = g.mesh.frame.tris, g.mesh.frame.base
     lift = g.vals[:, tris[..., 0], tris[..., 1]].swapaxes(0, 1)
     n_tri, n_sheets = lift.shape[:2]
     verts = np.concatenate(

@@ -114,13 +114,15 @@ class GrassmannMeasure:
         if self.n_atoms == 0:
             return self
         key = np.round(self.points, MERGE_DECIMALS)
-        _, inv = np.unique(key, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)  # numpy 2.0.0 returns it as (n, 1)
-        n = inv.max() + 1
-        wts = np.zeros(n)
+        order = np.lexsort(key.T[::-1])  # stable: each group lists its atoms in order
+        key = key[order]
+        start = np.ones(self.n_atoms, dtype=bool)
+        start[1:] = np.any(key[1:] != key[:-1], axis=1)
+        inv = np.empty(self.n_atoms, dtype=np.intp)
+        inv[order] = np.cumsum(start) - 1
+        wts = np.zeros(np.count_nonzero(start))
         np.add.at(wts, inv, self.weights)  # unbuffered: adds in atom order
-        last = np.full(n, -1)
-        np.maximum.at(last, inv, np.arange(self.n_atoms))
+        last = order[np.append(start[1:], True)]  # each group's last atom
         return GrassmannMeasure(self.points[last], wts, validate=False)
 
     def to_json_obj(self):
@@ -213,11 +215,15 @@ def _balanced_duals(cost, a_w, b_w):
     t_i at which the atoms it wins carry the mass b_j.
     """
     n, m = cost.shape
+    cols = np.ascontiguousarray(cost.T)  # sink-major: the min over sinks is elementwise
     g = np.zeros(m)
+    red = np.empty_like(cols)
     for _ in range(BALANCE_SWEEPS):
         for j in range(m):
-            t = cost[:, j] - np.delete(cost - g, j, axis=1).min(axis=1)
-            order = np.argsort(t, kind="stable")
+            np.subtract(cols, g[:, None], out=red)
+            red[j] = np.inf
+            t = cols[j] - red.min(axis=0)
+            order = np.argsort(t)
             k = np.searchsorted(np.cumsum(a_w[order]), b_w[j])
             g[j] = t[order[min(k, n - 1)]]
     return g

@@ -5,9 +5,11 @@ d = 6 for jets, i.e. (value, 2x2 gradient) pairs flattened), held as a
 (Q, d) array whose row order carries no meaning; a (..., Q, d) array is a
 stack of them.  Its canonical form sorts the rows lexicographically.  The
 metric is the min-cost perfect matching with squared Euclidean costs,
-square-rooted.  Matching is solved exhaustively for Q <= 6 and with the
-Hungarian method (scipy's linear_sum_assignment) above; the two agree on
-the overlap, which the test suite asserts.  g_metric matches stacks of
+square-rooted.  When every row of the second Q-point is the same point,
+every matching costs the same, and that sum is returned in closed form;
+otherwise matching is solved exhaustively for Q <= 6 and with the
+Hungarian method (scipy's linear_sum_assignment) above.  The three agree on
+their overlaps, which the test suite asserts.  g_metric matches stacks of
 Q-points pair by pair.  A MaximalDecomposition holds an affine target of
 the envelope bracket as its distinct (multiplicity, value, gradient) parts.
 """
@@ -62,6 +64,18 @@ def _match_cost_sq(xs, ys):
     return best
 
 
+def _constant_cost_sq(xs, y):
+    """_match_cost_sq against Q-points whose rows all equal y (..., 1, d).
+
+    Every permutation there sums the same terms ||x_i - y||^2 in the same
+    row order, so this one sum has its bits, and a NaN sum gives inf.  (With
+    the constant side first, each permutation sums the terms in its own
+    order and the least sum can round lower, so that side keeps matching.)
+    """
+    c = np.sum((xs - y) ** 2, axis=-1).sum(axis=-1)
+    return np.where(np.isnan(c), np.inf, c)
+
+
 def g_metric(p, q):
     """Matching metric between Q-points with equal Q and d.
 
@@ -71,7 +85,10 @@ def g_metric(p, q):
     xs, ys = _canonical(p), _canonical(q)
     if xs.shape[-2:] != ys.shape[-2:]:
         raise ValueError("Q-points have mismatched cardinality or dimension")
-    dist = np.sqrt(_match_cost_sq(*np.broadcast_arrays(xs, ys)))
+    if np.all(ys == ys[..., :1, :]):
+        dist = np.sqrt(_constant_cost_sq(xs, ys[..., :1, :]))
+    else:
+        dist = np.sqrt(_match_cost_sq(*np.broadcast_arrays(xs, ys)))
     return float(dist) if dist.ndim == 0 else dist
 
 

@@ -444,12 +444,14 @@ def test_envelope_tiny_eps_writes_competitor(tmp_path, eps):
          "--seed", "5", "--family", "adversarial", "--mesh", "6"],
         ["obstruction", "--eps", "0.1", "--q", "2", "--samples", "2",
          "--seed", "0", "--family", "random", "--mesh", "24"],
+        ["obstruction", "--eps", "0.1", "--q", "8", "--samples", "2",
+         "--seed", "0", "--family", "random", "--mesh", "8"],
         ["approx", "--profile", "smooth", "--k", "4,8"],
         ["certificate", "--eps", "0.1", "--q", "1", "--mesh", "4",
          "--starts", "1", "--seed", "0"],
     ],
-    ids=["construct", "envelope", "obstruction", "adversarial", "certified-transport", "approx",
-         "certificate"],
+    ids=["construct", "envelope", "obstruction", "adversarial", "certified-transport",
+         "obstruction-q8", "approx", "certificate"],
 )
 def test_determinism_byte_identical(tmp_path, args):
     d1 = tmp_path / "run1"

@@ -430,6 +430,64 @@ def test_nodal_values_must_match_mesh_and_mults(shape, mults):
         currents.FunctionalQGraph(unit_mesh(4), mults, np.zeros(shape))
 
 
+def _loop_boundary_nodes(mesh):
+    """The node-by-node loop that Mesh.boundary_nodes replaced."""
+    n = mesh.n
+    ij = ([(i, 0) for i in range(n)] + [(n, j) for j in range(n)]
+          + [(i, n) for i in range(n, 0, -1)] + [(0, j) for j in range(n, 0, -1)])
+    return [mesh.node(i, j) for (i, j) in ij]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_boundary_nodes_match_node_loop(n):
+    mesh = currents.Mesh(x0=(0.2, -0.1), r=1.3, n=n)
+    nodes = mesh.boundary_nodes()
+    assert nodes.shape == (4 * n, 2)
+    assert np.array_equal(nodes, np.array(_loop_boundary_nodes(mesh)))
+    ij = mesh.frame.boundary
+    assert np.array_equal(mesh.nodes_array()[ij[:, 0], ij[:, 1]], nodes)
+
+
+def _values_at_zero_boundary(g):
+    """The located, extrapolated boundary check that is_zero_boundary replaced."""
+    vals = g.values_at(np.array(g.mesh.boundary_nodes()))
+    return not np.any(g_metric(vals, np.zeros((g.q, 2))) > currents.ZERO_BOUNDARY_TOL)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_is_zero_boundary_matches_values_at_oracle(q):
+    rng = np.random.default_rng(300 + q)
+    mesh = currents.Mesh(x0=(0.1, 0.3), r=1.7, n=5)
+    mults = [1] + [2] * ((q - 1) // 2) + [1] * ((q - 1) % 2)
+    vals = rng.normal(size=(len(mults), 6, 6, 2))
+    vals[:, [0, -1]] = 0.0
+    vals[:, :, [0, -1]] = 0.0
+    g = currents.FunctionalQGraph(mesh, mults, vals)
+    assert g.q == q and g.is_zero_boundary() and _values_at_zero_boundary(g)
+    tol = currents.ZERO_BOUNDARY_TOL
+    for i, j in ((0, 0), (5, 0), (5, 5), (0, 5), (2, 0), (5, 3), (1, 5), (0, 4)):
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            off = vals.copy()
+            direction = rng.normal(size=2)
+            off[0, i, j] = tol * factor * direction / np.linalg.norm(direction)
+            g = currents.FunctionalQGraph(mesh, mults, off)
+            assert g.is_zero_boundary() == _values_at_zero_boundary(g) == (factor < 1.0)
+
+
+def test_mesh_frame_is_memoised_and_read_only():
+    mesh = currents.Mesh(x0=(0.2, -0.1), r=1.3, n=4)
+    frame = mesh.frame
+    assert mesh.frame is frame
+    tris = currents.triangle_nodes(4)
+    assert np.array_equal(frame.tris, tris)
+    assert np.array_equal(frame.inv_edges, np.linalg.inv(
+        mesh.h * np.swapaxes(tris[:, 1:] - tris[:, :1], 1, 2)))
+    assert np.array_equal(frame.base, mesh.nodes_array()[tris[..., 0], tris[..., 1]])
+    for arr in frame:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_current_json_roundtrip():
     T = currents.branched_graph(2, 0.5, 1.0, n_r=4, n_theta=12)
     T2 = currents.TriangulatedCurrent.from_json_obj(T.to_json_obj())

@@ -208,6 +208,39 @@ def test_merged_matches_atom_loop(rng):
         assert np.array_equal(m.points, ref_pts) and np.array_equal(m.weights, ref_wts)
 
 
+def _unique_merged(mu, decimals=gm.MERGE_DECIMALS):
+    """The np.unique(axis=0) grouping that merged() replaced."""
+    _, inv = np.unique(np.round(mu.points, decimals), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    n = inv.max() + 1
+    wts = np.zeros(n)
+    np.add.at(wts, inv, mu.weights)
+    last = np.full(n, -1)
+    np.maximum.at(last, inv, np.arange(mu.n_atoms))
+    return mu.points[last], wts
+
+
+def test_merged_matches_unique_oracle(rng):
+    pts = np.stack([random_unit_simple(rng) for _ in range(30)])
+    on_grid = np.round(pts[:8], gm.MERGE_DECIMALS)
+    # rows that tie after rounding, and rows that differ only in the sign of zero
+    ties = on_grid + rng.choice([-2e-13, 0.0, 2e-13], size=(3, 8, 6))
+    zeros = np.array([[0.0, 0.0, 1.0, 0.0, -0.0, 0.0], [-0.0, 0.0, 1.0, 0.0, 0.0, -0.0],
+                      [-1e-14, 0.0, 1.0, 1e-14, 0.0, -0.0], [0.0, -0.0, 1.0, 0.0, 0.0, 0.0]])
+    atoms = np.concatenate([pts, ties.reshape(-1, 6), zeros, pts[::-4], zeros[::-1]])
+    mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=64)
+    images = [
+        gm.GrassmannMeasure(atoms, rng.uniform(0.1, 2.0, atoms.shape[0]), validate=False),
+        currents.triangulate(currents.random_lipschitz_graph(0, 2.0, 8, mesh)).gaussian_image(),
+    ]
+    assert images[0].merged().n_atoms == 31  # the 30 random planes and e13
+    assert images[1].n_atoms == 65_536
+    for mu in images:
+        m = mu.merged()
+        ref_pts, ref_wts = _unique_merged(mu)
+        assert np.array_equal(m.points, ref_pts) and np.array_equal(m.weights, ref_wts)
+
+
 def test_obstruction_report_flat_graph():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
     g = currents.FunctionalQGraph.affine(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])

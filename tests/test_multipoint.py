@@ -81,21 +81,35 @@ def test_qpoint_order_independence(rng):
         assert mp.g_metric(perms[-1], pts) == 0.0
 
 
-def _pairwise_g_metric(p, q):
-    """One pair at a time: canonical sort, then permutations or Hungarian."""
+def _canonical_cost(p, q):
+    """Squared-distance cost matrix between the canonical forms of two Q-points."""
     xs, ys = (np.asarray(v, float)[np.lexsort(np.asarray(v, float).T[::-1])] for v in (p, q))
-    cost = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2)
-    n = xs.shape[0]
-    if n > mp.EXHAUSTIVE_MAX_Q:
-        rows, cols = linear_sum_assignment(cost)
-        return float(np.sqrt(float(cost[rows, cols].sum())))
+    return np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2)
+
+
+def _exhaustive_g(p, q):
+    """Every permutation in turn; a NaN sum never wins."""
+    cost = _canonical_cost(p, q)
     best = np.inf
-    idx = np.arange(n)
-    for perm in itertools.permutations(range(n)):
+    idx = np.arange(cost.shape[0])
+    for perm in itertools.permutations(range(cost.shape[0])):
         c = float(cost[idx, list(perm)].sum())
         if c < best:
             best = c
     return float(np.sqrt(best))
+
+
+def _hungarian_g(p, q):
+    cost = _canonical_cost(p, q)
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(float(cost[rows, cols].sum())))
+
+
+def _pairwise_g_metric(p, q):
+    """One pair at a time: canonical sort, then permutations or Hungarian."""
+    if np.shape(p)[0] > mp.EXHAUSTIVE_MAX_Q:
+        return _hungarian_g(p, q)
+    return _exhaustive_g(p, q)
 
 
 @pytest.mark.parametrize("q", range(1, 8))
@@ -121,3 +135,31 @@ def test_stacked_metric_matches_pairwise(q):
         assert type(one) is float and one == want[0, 0]
     with pytest.raises(ValueError):
         mp.g_metric(np.zeros((3, q, 2)), np.zeros((3, q + 1, 2)))
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_constant_qpoint_closed_form(q, monkeypatch):
+    """A constant second Q-point takes the closed form, with the bits of
+    both matchings; a constant first one keeps the matching path."""
+    rng = np.random.default_rng(200 + q)
+    for d in (2, 6):
+        P = rng.normal(size=(8, q, d)) * 10.0 ** rng.uniform(-6, 6, (8, 1, 1))
+        P[::3, 1:] = P[::3, :1]  # repeated rows
+        P[4, 0, -1] = np.nan  # a NaN row: the pair gives inf
+        fin = np.all(np.isfinite(P), axis=(1, 2))  # scipy's Hungarian rejects NaN costs
+        consts = np.repeat(rng.normal(size=(8, 1, d)), q, axis=1)
+        c = consts[0]
+        exh = np.array([_exhaustive_g(a, c) for a in P])
+        assert exh[4] == np.inf
+        with monkeypatch.context() as m:
+            m.setattr(mp, "_match_cost_sq", None)  # the closed form needs no matching
+            got = mp.g_metric(P, c)
+            assert np.array_equal(got, exh)
+            assert np.array_equal(got[fin], [_hungarian_g(a, c) for a in P[fin]])
+            # a single Q-point broadcast against a stack of constants, and one pair
+            assert np.array_equal(mp.g_metric(P[0], consts),
+                                  [_hungarian_g(P[0], k) for k in consts])
+            assert mp.g_metric(P[1], c) == exh[1]
+        # first constant: each matching sums the terms in its own order
+        assert np.array_equal(mp.g_metric(c, P[fin]),
+                              [_pairwise_g_metric(c, a) for a in P[fin]])

@@ -32,17 +32,18 @@ def test_setup_imports_no_scipy_solvers(tmp_path):
 OBSTRUCTION = """
 import sys
 from anisoq import cli
-for family, mesh in (("random", "4"), ("adversarial", "3")):
-    code = cli.main(["--out", sys.argv[1], "obstruction", "--eps", "0.1", "--q", "2",
+for family, q, mesh in (("random", "2", "4"), ("adversarial", "2", "3"), ("random", "8", "4")):
+    code = cli.main(["--out", sys.argv[1], "obstruction", "--eps", "0.1", "--q", q,
                      "--samples", "2", "--mesh", mesh, "--family", family])
-    assert code == 0, family
+    assert code == 0, (family, q)
 print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"],
                                                            ["scipy", "sparse"])))
 """
 
 
 def test_obstruction_imports_no_scipy_solvers(tmp_path):
-    # mu0 has three atoms: every transport problem is solved without the LP
+    # mu0 has three atoms: every transport problem is solved without the LP,
+    # and the zero-boundary check at q 8 needs no Hungarian matching
     res = subprocess.run([sys.executable, "-c", OBSTRUCTION, str(tmp_path)],
                          capture_output=True, text=True, env=cli_env(tmp_path), timeout=120)
     assert res.returncode == 0, res.stderr
