@@ -21,12 +21,16 @@ Almost-everywhere objects (differentiability points, Lebesgue points) are
 replaced by sampled interior points with validation and retry, so the
 pipeline is a verified search, not a proof transcription.  Only
 sheetwise-decomposable maps are handled: a Q-map is its list of parts, each
-with a multiplicity and an analytic gradient.  Every Q-map here
-(SampledLipschitzQMap, AnnulusInterpolant, HybridQMap) evaluates arrays of
-points through part_values ((..., 2) -> (..., J, 2)) and values_at
-((..., 2) -> (..., Q, 2), the parts repeated by multiplicity).  Both
-annulus blends go through _blend, every tensor grid of offsets through
-_grid, and every summed-psi energy through the one kernel _psi_bar.
+a multiplicity and a jet, one call that returns the part's values and
+analytic gradient entries at coordinate arrays.  The cube kernels (fit,
+validation, Gauss table and collar) call each jet once per sample point and
+work on component arrays, one array per coordinate, value or gradient
+entry.  Every Q-map here (SampledLipschitzQMap, AnnulusInterpolant,
+HybridQMap) also evaluates arrays of points through part_values
+((..., 2) -> (..., J, 2)) and values_at ((..., 2) -> (..., Q, 2), the parts
+repeated by multiplicity).  Both annulus blends go through _blend, every
+tensor grid of offsets through _grid, and every summed-psi energy through
+the one kernel _psi_bar.
 """
 
 from __future__ import annotations
@@ -74,10 +78,13 @@ ENERGY_GRID_M = 97
 class SampledLipschitzQMap:
     """Sheetwise-decomposable Q-valued map with declared Lipschitz constant.
 
-    parts is a list of (multiplicity, value_callable, grad_callable) with
-    vectorised callables (..., 2) -> (..., 2) and (..., 2) -> (..., 2, 2):
-    every part carries its analytic gradient.  mults is the tuple of the
-    part multiplicities.
+    parts is a list of (multiplicity, jet).  A jet takes the two coordinate
+    arrays x0, x1 of some points (one shape) and returns six arrays of that
+    shape, the part's values and gradient entries (v0, v1, g00, g01, g10,
+    g11) with g_ab = d v_a / d x_b, so one call computes the transcendentals
+    of a point once.  The cube kernels call the jets on component arrays;
+    part_values, part_grads and values_at stack them for point arrays
+    (..., 2).  mults is the tuple of the part multiplicities.
     """
 
     q: int
@@ -90,21 +97,24 @@ class SampledLipschitzQMap:
         self.domain_center = np.asarray(self.domain_center, dtype=float)
         if not self.parts:
             raise ValueError("not sheetwise-decomposable: the map carries no parts")
-        for j, (_m, _fn, gfn) in enumerate(self.parts):
-            if gfn is None:
-                raise ValueError(f"not sheetwise-decomposable: part {j} carries no gradient")
-        self.mults = tuple(int(m) for m, _f, _g in self.parts)
+        for j, (_m, jet) in enumerate(self.parts):
+            if not callable(jet):
+                raise ValueError(f"not sheetwise-decomposable: part {j} carries no jet")
+        self.mults = tuple(int(m) for m, _jet in self.parts)
+
+    def _jets(self, x):
+        """Every part's jet at points x (..., 2): per part, six (...) arrays."""
+        x = np.asarray(x, dtype=float)
+        return [jet(x[..., 0], x[..., 1]) for _m, jet in self.parts]
 
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.asarray(fn(x), dtype=float) for _m, fn, _g in self.parts], axis=-2)
+        return np.stack([np.stack(jt[:2], axis=-1) for jt in self._jets(x)], axis=-2)
 
     def part_grads(self, x):
         """Gradients (..., J, 2, 2) of every part at points x (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.asarray(gfn(x), dtype=float) for _m, _f, gfn in self.parts],
-                        axis=-3)
+        g = np.stack([np.stack(jt[2:], axis=-1) for jt in self._jets(x)], axis=-2)
+        return g.reshape(g.shape[:-1] + (2, 2))
 
     def values_at(self, x):
         """Q-point values (..., Q, 2) at points x (..., 2)."""
@@ -121,67 +131,41 @@ class SampledLipschitzQMap:
 
 def smooth_profile(amp=0.2):
     """Single-valued smooth test map on the unit square."""
+    k = amp * np.pi
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
-        out[..., 1] = np.cos(np.pi * x[..., 0]) + np.sin(np.pi * x[..., 1])
-        return amp * out
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        g = np.empty(x.shape[:-1] + (2, 2))
-        c1, s1 = np.cos(np.pi * x[..., 0]), np.sin(np.pi * x[..., 0])
-        c2, s2 = np.cos(np.pi * x[..., 1]), np.sin(np.pi * x[..., 1])
-        g[..., 0, 0] = c1 * s2
-        g[..., 0, 1] = s1 * c2
-        g[..., 1, 0] = -s1
-        g[..., 1, 1] = c2
-        return amp * np.pi * g
+    def jet(x0, x1):
+        t0, t1 = np.pi * x0, np.pi * x1
+        s0, c0, s1, c1 = np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
+        return amp * (s0 * s1), amp * (c0 + s1), k * (c0 * s1), k * (s0 * c1), k * -s0, k * c1
 
     lip = amp * math.pi * 2.1
     return SampledLipschitzQMap(
         q=1, lipschitz=lip, domain_center=np.zeros(2), domain_side=1.0,
-        parts=[(1, fn, grad)],
+        parts=[(1, jet)],
     )
 
 
 def twosheet_profile(sep=1.2, amp=0.15):
     """Two separated smooth sheets (maximal multiplicities (1, 1))."""
+    amp2 = 0.7 * amp
+    k1, k2 = amp * np.pi, amp2 * np.pi
 
-    def f1(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = amp * np.sin(np.pi * x[..., 0])
-        out[..., 1] = 0.5 * sep + amp * np.cos(np.pi * x[..., 1])
-        return out
+    def jet1(x0, x1):
+        t0, t1 = np.pi * x0, np.pi * x1
+        zero = np.zeros_like(t0)
+        return (amp * np.sin(t0), 0.5 * sep + amp * np.cos(t1),
+                k1 * np.cos(t0), zero, zero, k1 * -np.sin(t1))
 
-    def g1(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = np.cos(np.pi * x[..., 0])
-        g[..., 1, 1] = -np.sin(np.pi * x[..., 1])
-        return amp * np.pi * g
-
-    def f2(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = 0.7 * amp * np.cos(np.pi * x[..., 1])
-        out[..., 1] = -0.5 * sep + 0.7 * amp * np.sin(np.pi * x[..., 0])
-        return out
-
-    def g2(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 1] = -np.sin(np.pi * x[..., 1])
-        g[..., 1, 0] = np.cos(np.pi * x[..., 0])
-        return 0.7 * amp * np.pi * g
+    def jet2(x0, x1):
+        t0, t1 = np.pi * x0, np.pi * x1
+        zero = np.zeros_like(t0)
+        return (amp2 * np.cos(t1), -0.5 * sep + amp2 * np.sin(t0),
+                zero, k2 * -np.sin(t1), k2 * np.cos(t0), zero)
 
     lip = amp * math.pi * 1.6
     return SampledLipschitzQMap(
         q=2, lipschitz=lip, domain_center=np.zeros(2), domain_side=1.0,
-        parts=[(1, f1, g1), (1, f2, g2)],
+        parts=[(1, jet1), (1, jet2)],
     )
 
 
@@ -372,15 +356,30 @@ class CubicSubdivision:
         return rows
 
 
+def _stencil_points(centers, off):
+    """Coordinate arrays x0, x1 (S, N) of the offsets off (S, 2) around the
+    centres (N, 2): one row per offset."""
+    return off[:, 0, None] + centers[:, 0], off[:, 1, None] + centers[:, 1]
+
+
 def _fit_parts_batched(f, centers, r):
     """Least-squares affine model per part over a 3x3 stencil, per cube centre."""
     span = 0.45 * r
     off = _grid([-span, 0.0, span])  # (9, 2)
-    design = np.column_stack([np.ones(9), off[:, 0], off[:, 1]])
-    P = np.linalg.pinv(design)  # (3, 9)
-    Y = f.part_values(centers[:, None, :] + off[None, :, :])  # (N, 9, J, 2)
-    coef = np.einsum("ks,nsjd->njkd", P, Y)  # (N, J, 3, 2)
-    return coef[:, :, 0, :], np.swapaxes(coef[:, :, 1:, :], -2, -1)
+    P = np.linalg.pinv(np.column_stack([np.ones(9), off]))  # (3, 9)
+    x0, x1 = _stencil_points(centers, off)
+    a = np.empty((centers.shape[0], len(f.parts), 2))
+    X = np.empty((centers.shape[0], len(f.parts), 2, 2))
+    for j, (_m, jet) in enumerate(f.parts):
+        V = np.stack(jet(x0, x1)[:2], axis=1)  # (9, 2, N)
+        # coef (3, 2, N) = P V, summed over the stencil in stencil order,
+        # which is einsum's order and so its bits
+        coef = P[:, 0, None, None] * V[0]
+        for s in range(1, 9):
+            coef = coef + P[:, s, None, None] * V[s]
+        a[:, j] = coef[0].T
+        X[:, j] = coef[1:].transpose(2, 1, 0)
+    return a, X
 
 
 def _validate_batched(f, centers, r, part_a, part_X, delta):
@@ -390,26 +389,27 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     conservative: every kept cube genuinely satisfies both conditions.
     """
     off = _grid(np.linspace(-0.499, 0.499, N_VALID) * r)  # (S, 2)
-    pts = centers[:, None, :] + off[None, :, :]  # (N, S, 2)
-    mults = np.array(f.mults, dtype=float)
-    gap2 = np.zeros(pts.shape[:2])
-    grad2 = np.zeros(pts.shape[:2])
-    # The contractions and the length-2 and length-4 sums are written out
-    # column by column, in the order (and so to the bit) of einsum and np.sum,
-    # which spend several times the arithmetic on axes this short.
     o0, o1 = off[:, 0, None], off[:, 1, None]  # (S, 1)
-    for j, (_mult, fn, gfn) in enumerate(f.parts):
-        vals = np.asarray(fn(pts), dtype=float)
-        X = part_X[:, j, None]  # (N, 1, 2, 2)
-        d = vals - (part_a[:, j, None] + (X[..., 0] * o0 + X[..., 1] * o1))
-        gap2 += mults[j] * (d[..., 0] ** 2 + d[..., 1] ** 2)
-        e = (np.asarray(gfn(pts), dtype=float) - X) ** 2  # (N, S, 2, 2)
-        grad2 += mults[j] * (((e[..., 0, 0] + e[..., 0, 1]) + e[..., 1, 0]) + e[..., 1, 1])
-    sup_ok = np.sqrt(np.max(gap2, axis=1)) <= delta * r
+    x0, x1 = _stencil_points(centers, off)
+    gap2 = grad2 = 0.0
+    # Component arrays (S, N), one jet call per part: the contractions and
+    # the length-2 and length-4 sums are written out entry by entry, in the
+    # order (and so to the bit) of einsum and np.sum, which spend several
+    # times the arithmetic on axes this short.
+    for j, (mult, jet) in enumerate(f.parts):
+        v0, v1, g00, g01, g10, g11 = jet(x0, x1)
+        a, X = part_a[:, j], part_X[:, j]
+        X00, X01, X10, X11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+        d0 = v0 - (a[:, 0] + (X00 * o0 + X01 * o1))
+        d1 = v1 - (a[:, 1] + (X10 * o0 + X11 * o1))
+        gap2 = gap2 + float(mult) * (d0**2 + d1**2)
+        e = (((g00 - X00) ** 2 + (g01 - X01) ** 2) + (g10 - X10) ** 2) + (g11 - X11) ** 2
+        grad2 = grad2 + float(mult) * e
+    sup_ok = np.sqrt(np.max(gap2, axis=0)) <= delta * r
     gd = np.sqrt(grad2)
     meas_ok = np.ones(centers.shape[0], dtype=bool)
     for alpha in (delta, 2.0 * delta, 4.0 * delta):
-        frac = np.count_nonzero(gd > alpha, axis=1) / off.shape[0]
+        frac = np.count_nonzero(gd > alpha, axis=0) / off.shape[0]
         meas_ok &= frac <= delta / alpha
     return sup_ok & meas_ok
 
@@ -594,7 +594,9 @@ def energy_of_hybrid(g, cfg):
     cube_f = float(np.sum(table))
     del table
 
-    # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv
+    # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv;
+    # one jet call per part gives F and Gf at a node, and one psi_batch call
+    # takes Gg and Gf
     collar_g = collar_f = 0.0
     for turns in range(4):
         rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
@@ -606,14 +608,23 @@ def energy_of_hybrid(g, cfg):
                 jac = w * xi * wv * wu
                 ry = rot @ np.array([xi, u * xi])
                 for blk in _blocks(n):
-                    x_pts = centers[blk] + ry[None, :]
-                    F = f.part_values(x_pts)  # (B, J, 2)
-                    Gf = f.part_grads(x_pts)  # (B, J, 2, 2)
-                    X = sub.part_X[blk]
-                    M = sub.part_a[blk] + (X[..., 0] * ry[0] + X[..., 1] * ry[1])
-                    Gg = (F - M)[..., None] * grad_t + v * Gf + (1.0 - v) * X
-                    per_cube_g[blk] = _psi_bar(Gg, mults, cfg)
-                    per_cube_f[blk] = _psi_bar(Gf, mults, cfg)
+                    z, A, X = centers[blk], sub.part_a[blk], sub.part_X[blk]
+                    # G[c, b, 0] = Gg and G[c, b, 1] = Gf, entry (c, b) for every
+                    # cube and part, so that psi_batch reads each entry as one run
+                    G = np.empty((2, 2, 2, z.shape[0], len(mults)))
+                    for j, (_m, jet) in enumerate(f.parts):
+                        v0, v1, *gf = jet(z[:, 0] + ry[0], z[:, 1] + ry[1])
+                        for c, F in enumerate((v0, v1)):
+                            # Gg = (F - M) (x) grad t + v Gf + (1 - v) X, row c,
+                            # M = a + X (x - z) the model
+                            Xc = X[:, j, c]
+                            dF = F - (A[:, j, c] + (Xc[:, 0] * ry[0] + Xc[:, 1] * ry[1]))
+                            for b in range(2):
+                                np.add(dF * grad_t[b] + v * gf[2 * c + b], (1.0 - v) * Xc[:, b],
+                                       out=G[c, b, 0, :, j])
+                                G[c, b, 1, :, j] = gf[2 * c + b]
+                    per_cube_g[blk], per_cube_f[blk] = _psi_bar(G.transpose(2, 3, 4, 0, 1),
+                                                                mults, cfg)
                 collar_g += float(np.sum(per_cube_g)) * jac
                 collar_f += float(np.sum(per_cube_f)) * jac
     return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))

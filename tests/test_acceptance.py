@@ -209,10 +209,11 @@ def test_c07_certificate():
 def test_c08_interpolation():
     with criterion(8, "annulus interpolation"):
         f = ap.smooth_profile()
+        inner = [(1, lambda x: f.part_values(x)[..., 0, :])]
         r, sigma = 0.5, 0.3
         for s in (0.0, 0.1, 0.4):
             outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
-            interp = ap.interpolate_annulus([(1, f.parts[0][1])], outer, np.zeros(2), r, sigma)
+            interp = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
             assert interp.trace_error() <= 1e-12
             gap = interp.boundary_gap()
             lf, lg = f.lipschitz, 0.1 * math.sqrt(2)

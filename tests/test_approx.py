@@ -49,16 +49,136 @@ def test_check_increments_matches_pairwise_loop(profile):
             assert verdicts == [True, True, False, False]
 
 
+# -- the per-part value and gradient callables (..., 2) -> (..., 2) and
+# (..., 2) -> (..., 2, 2) that the jets replaced, kept here as a reference ----
+
+
+def _old_smooth_parts(amp=0.2):
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+        out[..., 1] = np.cos(np.pi * x[..., 0]) + np.sin(np.pi * x[..., 1])
+        return amp * out
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        g = np.empty(x.shape[:-1] + (2, 2))
+        c1, s1 = np.cos(np.pi * x[..., 0]), np.sin(np.pi * x[..., 0])
+        c2, s2 = np.cos(np.pi * x[..., 1]), np.sin(np.pi * x[..., 1])
+        g[..., 0, 0] = c1 * s2
+        g[..., 0, 1] = s1 * c2
+        g[..., 1, 0] = -s1
+        g[..., 1, 1] = c2
+        return amp * np.pi * g
+
+    return [(fn, grad)]
+
+
+def _old_twosheet_parts(sep=1.2, amp=0.15):
+    def f1(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = amp * np.sin(np.pi * x[..., 0])
+        out[..., 1] = 0.5 * sep + amp * np.cos(np.pi * x[..., 1])
+        return out
+
+    def g1(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = np.cos(np.pi * x[..., 0])
+        g[..., 1, 1] = -np.sin(np.pi * x[..., 1])
+        return amp * np.pi * g
+
+    def f2(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = 0.7 * amp * np.cos(np.pi * x[..., 1])
+        out[..., 1] = -0.5 * sep + 0.7 * amp * np.sin(np.pi * x[..., 0])
+        return out
+
+    def g2(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 1] = -np.sin(np.pi * x[..., 1])
+        g[..., 1, 0] = np.cos(np.pi * x[..., 0])
+        return 0.7 * amp * np.pi * g
+
+    return [(f1, g1), (f2, g2)]
+
+
+def _old_affine_parts(a, X):
+    a = np.asarray(a, float)
+    X = np.asarray(X, float)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return a + np.einsum("ab,...b->...a", X, x)
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(X, x.shape[:-1] + (2, 2)).copy()
+
+    return [(fn, grad)]
+
+
+def _old_kinked_parts():
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([3.0 * np.abs(x[..., 0] - 0.1), 0.2 * x[..., 1]], axis=-1)
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 3.0 * np.sign(x[..., 0] - 0.1)
+        g[..., 1, 1] = 0.2
+        return g
+
+    return [(fn, grad)]
+
+
+_AFFINE_A, _AFFINE_X = [0.5, -1.0], [[0.2, 0.1], [0.0, -0.3]]
+
+
+def _jet_cases():
+    """(map, the old (fn, grad) of each of its parts) for every test map."""
+    return [
+        (ap.smooth_profile(), _old_smooth_parts()),
+        (ap.twosheet_profile(), _old_twosheet_parts()),
+        (_affine_profile(_AFFINE_A, _AFFINE_X), _old_affine_parts(_AFFINE_A, _AFFINE_X)),
+        (_affine_profile([0.0, 0.0], [[0.3, 0.0], [0.0, 0.2]]),
+         _old_affine_parts([0.0, 0.0], [[0.3, 0.0], [0.0, 0.2]])),
+        (_kinked_profile(), _old_kinked_parts()),
+    ]
+
+
 def test_profile_jets_match_fd():
-    f = ap.smooth_profile()
-    x = np.array([0.17, -0.23])
-    grad = f.part_grads(x)[0]
+    # a 41 x 41 grid over the domain and its edges, plus points off the grid
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([ap._grid(np.linspace(-0.5, 0.5, 41)), rng.uniform(-0.5, 0.5, (50, 2)),
+                          [[0.1, 0.0], [0.1 + 1e-9, 0.3]]])
     h = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        fd = (f.parts[0][1](x + e) - f.parts[0][1](x - e)) / (2 * h)
-        assert np.allclose(grad[:, k], fd, atol=1e-8)
+    for f, old in _jet_cases():
+        vals, grads = f.part_values(pts), f.part_grads(pts)
+        assert vals.shape == (len(pts), len(f.parts), 2)
+        assert grads.shape == (len(pts), len(f.parts), 2, 2)
+        for j, ((_m, jet), (fn, gfn)) in enumerate(zip(f.parts, old)):
+            # the jet is the old closed forms to the bit, at any one shape
+            ref = np.concatenate([fn(pts), gfn(pts).reshape(-1, 4)], axis=1)
+            assert np.array_equal(np.stack(jet(pts[:, 0], pts[:, 1]), axis=1), ref)
+            grid = pts[:41 * 41].reshape(41, 41, 2)
+            assert np.array_equal(np.stack(jet(grid[..., 0], grid[..., 1]), axis=-1),
+                                  ref[:41 * 41].reshape(41, 41, 6))
+            assert np.array_equal(vals[:, j], fn(pts)) and np.array_equal(grads[:, j], gfn(pts))
+            assert np.array_equal(f.part_grads(pts[7])[j], gfn(pts[7]))
+            # the gradient is the central difference of the jet's own values,
+            # away from the kinked map's crease at x0 = 0.1
+            smooth = np.abs(pts[:, 0] - 0.1) > 1e-3
+            for k in range(2):
+                e = np.zeros(2)
+                e[k] = h
+                fd = (f.part_values(pts + e)[:, j] - f.part_values(pts - e)[:, j]) / (2 * h)
+                assert np.allclose(grads[smooth, j, :, k], fd[smooth], rtol=0.0, atol=1e-8)
 
 
 def test_interpolant_same_constant():
@@ -80,6 +200,11 @@ def test_interpolant_affine_both_sides():
     assert I.trace_error() <= 1e-12
 
 
+def _part_fn(f, j=0):
+    """Part j of f as a value callable (..., 2) -> (..., 2), an annulus datum."""
+    return lambda x: f.part_values(x)[..., j, :]
+
+
 def test_interpolant_trace_and_lipschitz_families():
     f = ap.smooth_profile()
     r, sigma = 0.5, 0.3
@@ -87,7 +212,7 @@ def test_interpolant_trace_and_lipschitz_families():
     # smooth inner against a perturbed affine outer at several gap sizes
     for s in (0.0, 0.1, 0.4):
         outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
-        cases.append((([(1, f.parts[0][1])]), outer, f.lipschitz, 0.1 * np.sqrt(2)))
+        cases.append((([(1, _part_fn(f))]), outer, f.lipschitz, 0.1 * np.sqrt(2)))
     for inner, outer, lf, lg in cases:
         I = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
         assert I.trace_error() <= 1e-12
@@ -109,17 +234,13 @@ def _affine_profile(a, X):
     a = np.asarray(a, float)
     X = np.asarray(X, float)
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return a + np.einsum("ab,...b->...a", X, x)
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(X, x.shape[:-1] + (2, 2)).copy()
+    def jet(x0, x1):
+        return (a[0] + (X[0, 0] * x0 + X[0, 1] * x1), a[1] + (X[1, 0] * x0 + X[1, 1] * x1),
+                *(np.full_like(x0, x) for x in X.ravel()))
 
     return ap.SampledLipschitzQMap(
         q=1, lipschitz=float(np.linalg.norm(X, 2)) + 0.1,
-        domain_center=np.zeros(2), domain_side=1.0, parts=[(1, fn, grad)],
+        domain_center=np.zeros(2), domain_side=1.0, parts=[(1, jet)],
     )
 
 
@@ -183,19 +304,13 @@ def test_subdivision_rejects_bad_delta():
 def _kinked_profile():
     """A map with a crease along x = 0.1: the cubes across it fail validation."""
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([3.0 * np.abs(x[..., 0] - 0.1), 0.2 * x[..., 1]], axis=-1)
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 3.0 * np.sign(x[..., 0] - 0.1)
-        g[..., 1, 1] = 0.2
-        return g
+    def jet(x0, x1):
+        zero = np.zeros_like(x0)
+        return (3.0 * np.abs(x0 - 0.1), 0.2 * x1, 3.0 * np.sign(x0 - 0.1), zero, zero,
+                np.full_like(x0, 0.2))
 
     return ap.SampledLipschitzQMap(q=1, lipschitz=3.1, domain_center=np.zeros(2),
-                                   domain_side=1.0, parts=[(1, fn, grad)])
+                                   domain_side=1.0, parts=[(1, jet)])
 
 
 def _blocked_run(monkeypatch, f, k, cfg, block):
@@ -230,16 +345,27 @@ def _oracle_psi_bar(grads, mults, cfg):
     return np.sum(vals.reshape(grads.shape[:-2]) * np.asarray(mults, dtype=float), axis=-1)
 
 
+def _oracle_fit(f, centers, r):
+    """The least-squares stencil fit with one einsum over the stacked part values."""
+    span = 0.45 * r
+    off = ap._grid([-span, 0.0, span])
+    P = np.linalg.pinv(np.column_stack([np.ones(9), off[:, 0], off[:, 1]]))
+    coef = np.einsum("ks,nsjd->njkd", P, f.part_values(centers[:, None, :] + off[None, :, :]))
+    return coef[:, :, 0, :], np.swapaxes(coef[:, :, 1:, :], -2, -1)
+
+
 def _oracle_validate(f, centers, r, part_a, part_X, delta):
     """The validation keep mask with einsum models and np.sum reductions."""
     off = ap._grid(np.linspace(-0.499, 0.499, ap.N_VALID) * r)
     pts = centers[:, None, :] + off[None, :, :]
     gap2 = np.zeros(pts.shape[:2])
     grad2 = np.zeros(pts.shape[:2])
-    for j, (mult, fn, gfn) in enumerate(f.parts):
+    vals, grads = f.part_values(pts), f.part_grads(pts)
+    for j, mult in enumerate(f.mults):
         model = part_a[:, j][:, None, :] + np.einsum("nab,sb->nsa", part_X[:, j], off)
-        gap2 += float(mult) * np.sum((fn(pts) - model) ** 2, axis=-1)
-        grad2 += float(mult) * np.sum((gfn(pts) - part_X[:, j][:, None]) ** 2, axis=(-2, -1))
+        gap2 += float(mult) * np.sum((vals[:, :, j] - model) ** 2, axis=-1)
+        grad2 += float(mult) * np.sum((grads[:, :, j] - part_X[:, j][:, None]) ** 2,
+                                      axis=(-2, -1))
     keep = np.sqrt(np.max(gap2, axis=1)) <= delta * r
     for alpha in (delta, 2.0 * delta, 4.0 * delta):
         keep &= np.count_nonzero(np.sqrt(grad2) > alpha, axis=1) / off.shape[0] <= delta / alpha
@@ -284,19 +410,49 @@ def _oracle_energy_of_hybrid(g, cfg):
                                         (ap.twosheet_profile, 4), (ap.twosheet_profile, 8),
                                         (_kinked_profile, 4)])
 def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
-    # the column-wise contractions, sums and row norms of the cube kernels are
-    # the einsum, np.sum and np.linalg.norm arithmetic to the bit
+    # the component-wise stencil sums, contractions and row norms of the cube
+    # kernels are the einsum, np.sum and np.linalg.norm arithmetic to the bit
     f = profile()
     delta = 1.0 / k
     r = delta * f.domain_side / 12.0  # the search's first lattice
     m = int(math.floor((f.domain_side - 3.0 * r) / r))
     centers = f.domain_center - 0.5 * m * r + r * ap._grid(np.arange(m) + 0.5)
     a, X = ap._fit_parts_batched(f, centers, r)
+    a_ref, X_ref = _oracle_fit(f, centers, r)
+    assert np.array_equal(a, a_ref) and np.array_equal(X, X_ref)
     keep = ap._validate_batched(f, centers, r, a, X, delta)
     assert np.array_equal(keep, _oracle_validate(f, centers, r, a, X, delta))
     assert keep.any() and (profile is not _kinked_profile or not keep.all())
     g = ap.HybridQMap(f, ap.cubic_subdivision(f, delta), k)
     assert ap.energy_of_hybrid(g, cfg01) == _oracle_energy_of_hybrid(g, cfg01)
+
+
+def _counted(f):
+    """f with every part's jet wrapped in a counter of the points it evaluates."""
+    counts = [0] * len(f.parts)
+
+    def counter(j, jet):
+        def counted(x0, x1):
+            counts[j] += np.size(x0)
+            return jet(x0, x1)
+        return counted
+
+    parts = [(m, counter(j, jet)) for j, (m, jet) in enumerate(f.parts)]
+    return dataclasses.replace(f, parts=parts), counts
+
+
+@pytest.mark.parametrize("profile", [ap.smooth_profile, ap.twosheet_profile])
+def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
+    # one jet call gives a point's values and gradient: per lattice cube the
+    # 3x3 fit stencil and the N_VALID^2 validation samples, per kept cube the
+    # 3x3 Gauss points and the 4 x 3 x 3 collar nodes, and the reference grid
+    f, counts = _counted(profile())
+    sub = ap.cubic_subdivision(f, 1.0 / 4)
+    lattice = sum(t["kept"] + t["dropped"] for t in sub.diagnostics["attempts"])
+    assert counts == [lattice * (9 + ap.N_VALID**2)] * len(f.parts)
+    counts[:] = [0] * len(f.parts)
+    ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01)
+    assert counts == [sub.n_cubes * (9 + 36) + ap.ENERGY_GRID_M**2] * len(f.parts)
 
 
 def test_cube_loop_memory_is_bounded(cfg01):
@@ -320,6 +476,19 @@ def test_smooth_abs_err_at_k64_is_pinned(cfg01):
     # the quadrature sums over 585,225 cubes: allow rounding far above one ulp
     err = abs(rep["energy_psi_bar"] - ap.energy_of_map(f, cfg01))
     assert err == pytest.approx(1.1815780324608838e-05, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("profile, pin", [(ap.smooth_profile, 6.096594844295922e-06),
+                                          (ap.twosheet_profile, 1.7595968242467563e-06)])
+def test_abs_err_at_k128_is_pinned(cfg01, profile, pin):
+    # about a minute each: run with -m slow
+    f = profile()
+    _g, rep = ap.piecewise_affine_sequence(f, 128, cfg01)
+    assert rep["bad_set_full"] <= 2.0 / 128 and rep["bad_set_shrunk"] <= 3.0 / 128
+    assert rep["lipschitz"] <= rep["lip_bound"]
+    err = abs(rep["energy_psi_bar"] - ap.energy_of_map(f, cfg01))
+    assert err == pytest.approx(pin, rel=0.0, abs=1e-13)
 
 
 def test_sequence_affine_energy_exact(cfg01):
@@ -389,10 +558,10 @@ def test_map_requires_parts_with_gradients():
             ap.SampledLipschitzQMap(**fields, parts=parts)
     with pytest.raises(ValueError, match="^not sheetwise-decomposable: the map carries no parts$"):
         ap.SampledLipschitzQMap(**fields)
-    no_grad = [f.parts[0], (1, f.parts[1][1], None)]
+    no_jet = [f.parts[0], (1, None)]
     with pytest.raises(ValueError,
-                       match="^not sheetwise-decomposable: part 1 carries no gradient$"):
-        ap.SampledLipschitzQMap(**fields, parts=no_grad)
+                       match="^not sheetwise-decomposable: part 1 carries no jet$"):
+        ap.SampledLipschitzQMap(**fields, parts=no_jet)
 
 
 # -- the scalar evaluation path that part_values and the stacked Lipschitz
@@ -426,7 +595,7 @@ class _OldHybrid:
         g, x = self.g, np.asarray(x, dtype=float)
         where, row = self.region_of(x)
         if where == "outside":
-            return np.asarray(g.f.parts[j][1](x), dtype=float)
+            return g.f.part_values(x)[j]
         z = g.sub.centers[row]
         model = g.sub.part_a[row, j] + g.sub.part_X[row, j] @ (x - z)
         if where == "cube":
@@ -434,12 +603,12 @@ class _OldHybrid:
         s_in = 0.5 * g.shrink * g.sub.r
         s_out = 0.5 * g.sub.r
         t = np.clip((_old_sup_radius(x, z) - s_in) / (s_out - s_in), 0.0, 1.0)
-        outer = np.asarray(g.f.parts[j][1](x), dtype=float)
+        outer = g.f.part_values(x)[j]
         return t * outer + (1.0 - t) * model
 
     def __call__(self, x):
         rows = []
-        for j, (m, _fn, _g) in enumerate(self.g.f.parts):
+        for j, m in enumerate(self.g.f.mults):
             rows.extend([self.part_value(x, j)] * m)
         return np.array(rows)
 
@@ -535,8 +704,8 @@ def test_annulus_lipschitz_matches_double_loop():
     ]
     for s in (0.0, 0.1, 0.4):
         outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
-        cases.append(([(1, f.parts[0][1])], outer, 0.5, 0.3))
-    cases.append(([(1, f.parts[0][1]), (1, (a, X))], [(1, (const, X)), (1, f.parts[0][1])],
+        cases.append(([(1, _part_fn(f))], outer, 0.5, 0.3))
+    cases.append(([(1, _part_fn(f)), (1, (a, X))], [(1, (const, X)), (1, _part_fn(f))],
                   0.5, 0.3))
     for inner, outer, r, sigma in cases:
         I = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
@@ -596,8 +765,8 @@ def _annulus_cases():
     c = np.array([0.013, -0.021])
     cases = [
         ([(1, (a, X))], [(1, (const, 0.5 * X))], np.zeros(2), 0.5, 0.4),
-        ([(1, f.parts[0][1])], [(1, (a, X))], c, 0.5, 0.3),
-        ([(1, f.parts[0][1]), (2, (a, X))], [(1, (const, X)), (2, f.parts[0][1])], c, 0.4, 0.5),
+        ([(1, _part_fn(f))], [(1, (a, X))], c, 0.5, 0.3),
+        ([(1, _part_fn(f)), (2, (a, X))], [(1, (const, X)), (2, _part_fn(f))], c, 0.4, 0.5),
     ]
     return [(ap.interpolate_annulus(*case), case[0], case[1]) for case in cases]
 
