@@ -261,6 +261,9 @@ def cmd_approx(args):
         if rep["lipschitz"] > rep["lip_bound"]:
             print(f"Lipschitz bound lip <= lip_tol violated at k={k}", file=sys.stderr)
             return EXIT_ASSERTION
+        if rep["boundary_trace_error"] > 1e-9:
+            print(f"boundary trace error above 1e-9 at k={k}", file=sys.stderr)
+            return EXIT_ASSERTION
     path = os.path.join(out_dir, f"approx_{args.profile}.csv")
     _write_csv(
         path,

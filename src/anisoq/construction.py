@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior
-from .exterior import E12, ad, lambda_m, plucker, wedge
+from .exterior import E12, ad, lambda_m_batch, plucker, wedge
 from .gmeasures import GrassmannMeasure
 
 EPS_DOMAIN_MAX = (4.0 / 3.0) ** 0.25
@@ -65,7 +65,7 @@ class ConstructionBundle:
     delta: float
     v: np.ndarray  # (3, 6) simple 2-vectors of equal norm
     w: np.ndarray  # (3, 6) images under R acting on wedges
-    X: np.ndarray  # (3, 2, 2) lift matrices with v_i = c_i * lambda_m(X_i)
+    X: np.ndarray  # (3, 2, 2) lift matrices with v_i = c_i * LambdaM(X_i)
     c: np.ndarray  # (3,) positive lift constants
     R: np.ndarray  # 4x4 squeeze diag(1, 1, eps, eps)
     u: np.ndarray  # (3, 2, 4) spanning vector pairs with v_i = u_i1 ^ u_i2
@@ -77,12 +77,13 @@ class ConstructionBundle:
         bary = self.v.sum(axis=0) - 2.0 * self.delta**2 * E12
         if np.linalg.norm(bary) > tol_norm:
             raise AssertionError("barycenter invariant failed")
+        pl, lam = plucker(self.v), lambda_m_batch(self.X)
         for i in range(3):
-            if abs(plucker(self.v[i])) > tol_norm:
+            if abs(pl[i]) > tol_norm:
                 raise AssertionError(f"v{i + 1} is not simple")
             if self.c[i] <= 0:
                 raise AssertionError(f"c{i + 1} is not positive")
-            if np.linalg.norm(self.v[i] - self.c[i] * lambda_m(self.X[i])) > tol_lift:
+            if np.linalg.norm(self.v[i] - self.c[i] * lam[i]) > tol_lift:
                 raise AssertionError(f"lift identity failed for v{i + 1}")
         rw = _wedge_squeeze(self.eps)
         if np.max(np.abs(self.w - self.v * rw[None, :])) > tol_lift:
@@ -123,7 +124,7 @@ def build(eps):
     u = spanning_vectors(eps, delta)
     v = np.stack([wedge(u[i, 0], u[i, 1]) for i in range(3)])
     # read the lift off the e12-normalised coordinates:
-    # lambda_m(X) = (1, X01, X11, -X00, -X10, det X)
+    # LambdaM(X) = (1, X01, X11, -X00, -X10, det X)
     c = v[:, 0].copy()
     X = np.empty((3, 2, 2))
     for i in range(3):
@@ -207,9 +208,10 @@ def verification_report(eps):
     add("equal_norms_v1_v2", abs(nrm[0] - nrm[1]), 1e-12)
     add("equal_norms_v1_v3", abs(nrm[0] - nrm[2]), 1e-12)
     add("barycenter_sum", np.linalg.norm(b.v.sum(axis=0) - 2.0 * t * E12), 1e-12)
+    pl, lam = plucker(b.v), lambda_m_batch(b.X)
     for i in range(3):
-        add(f"plucker_v{i + 1}", abs(plucker(b.v[i])), 1e-12)
-        add(f"lift_v{i + 1}", np.linalg.norm(b.v[i] - b.c[i] * lambda_m(b.X[i])), 1e-10)
+        add(f"plucker_v{i + 1}", abs(pl[i]), 1e-12)
+        add(f"lift_v{i + 1}", np.linalg.norm(b.v[i] - b.c[i] * lam[i]), 1e-10)
     add("norm_v1_closed_form", abs(nrm[0] ** 2 - cf["norm_v1_sq"]), 1e-12)
     add("norm_v3_closed_form", abs(nrm[2] ** 2 - cf["norm_v3_sq"]), 1e-12)
     add("w1_dot_e12_closed_form", abs(b.w[0, 0] - cf["w1_dot_e12"]), 1e-12)

@@ -8,16 +8,15 @@ the separable form phi(x) + chi(y), which admits no nontrivial zero-boundary
 instances; the triangle space is the usual P1 space and supports the random
 zero-boundary families used throughout the test harness.
 
-The graph is stored as its nodal values: sheet multiplicities (J,) and
-values (J, n+1, n+1, 2) at the mesh nodes, so every sheet is continuous by
-construction.  Its per-triangle gradients (T, J, 2, 2), T = 2 n^2 triangles
-numbered 2 (i n + j) + t (t = 0 lower, t = 1 upper half of cell (i, j)),
-are derived from them by p1_gradients, the one P1 gradient kernel;
-triangle_nodes gives the node indices of the triangles.  What depends on
-the mesh alone, the triangle nodes, the inverse edge matrices, the base
-triangles and the boundary nodes, is its MeshFrame, computed once per Mesh
-and shared by every graph on it.  A P1 sheet equals its nodal value at a
-node, so the zero-boundary check reads the boundary nodal values.
+The graph is its nodal values: sheet multiplicities (J,) and values
+(J, n+1, n+1, 2) at the mesh nodes, so every sheet is continuous by
+construction.  Its T = 2 n^2 triangles are numbered 2 (i n + j) + t (t = 0
+lower, t = 1 upper half of cell (i, j)); triangle_nodes gives their node
+indices, and triangulate lifts the nodal values to them.  What depends on
+the mesh alone, the triangle nodes, the base triangles and the boundary
+nodes, is its MeshFrame, computed once per Mesh and shared by every graph
+on it.  A P1 sheet equals its nodal value at a node, so the zero-boundary
+check reads the boundary nodal values.
 
 A TriangulatedCurrent is an (N, 3, 4) array of oriented 2-simplices in R^4
 with N integer multiplicities; mass, boundary chain, Gaussian image,
@@ -74,7 +73,6 @@ class MeshFrame(NamedTuple):
     """The arrays of a mesh that every graph on it shares (Mesh.frame)."""
 
     tris: np.ndarray  # (T, 3, 2) node indices, triangle_nodes(n)
-    inv_edges: np.ndarray  # (T, 2, 2) inverse edge matrices, for p1_gradients
     base: np.ndarray  # (T, 3, 2) node coordinates of the triangles
     boundary: np.ndarray  # (4 n, 2) node indices in boundary_nodes order
 
@@ -104,12 +102,6 @@ class Mesh:
         gx, gy = np.meshgrid(idx, idx, indexing="ij")
         return self.origin[None, None, :] + self.h * np.stack([gx, gy], axis=-1)
 
-    def locate(self, x):
-        """Cell indices (i, j) containing x (..., 2), clamped to the mesh."""
-        rel = (np.asarray(x, dtype=float) - self.origin) / self.h
-        ij = np.clip(np.floor(rel), 0, self.n - 1).astype(np.int64)
-        return ij[..., 0], ij[..., 1]
-
     def boundary_nodes(self):
         """Boundary nodes (4 n, 2) in counterclockwise order starting at the SW corner."""
         ij = self.frame.boundary
@@ -121,7 +113,6 @@ class Mesh:
         tris = triangle_nodes(self.n)
         frame = MeshFrame(
             tris=tris,
-            inv_edges=np.linalg.inv(self.h * np.swapaxes(tris[:, 1:] - tris[:, :1], 1, 2)),
             base=self.nodes_array()[tris[..., 0], tris[..., 1]],
             boundary=_boundary_node_indices(self.n),
         )
@@ -158,29 +149,13 @@ def triangle_nodes(n):
     return (cells.reshape(-1, 1, 1, 2) + np.array(TRI_NODES)).reshape(-1, 3, 2)
 
 
-def p1_gradients(vals, tris, inv_edges):
-    """Gradients of the P1 interpolants of nodal values on mesh triangles.
-
-    vals: (..., n+1, n+1, 2) nodal values; tris: (K, 3, 2) node indices,
-    rows of triangle_nodes; inv_edges: (K, 2, 2) the inverses of the edge
-    matrices E = [p_1 - p_0, p_2 - p_0] (MeshFrame.inv_edges).  Returns
-    (..., K, 2, 2): per triangle the X with X (p_m - p_0) = f_m - f_0 for
-    m = 1, 2.
-    """
-    f = vals[..., tris[..., 0], tris[..., 1], :]
-    F = np.stack([f[..., 1, :] - f[..., 0, :], f[..., 2, :] - f[..., 0, :]], axis=-1)
-    return F @ inv_edges
-
-
 class FunctionalQGraph:
     """Continuous piecewise-affine Q-valued map on a mesh, given by its nodal values.
 
     mults (J,) holds the sheet multiplicities, so q = mults.sum(), and vals
     (J, n+1, n+1, 2) each sheet's values at the nodes (i, j).  Each sheet is
     the P1 interpolant of its nodal values, so it is continuous by
-    construction.  X (T, J, 2, 2) holds each sheet's gradient on each
-    triangle, T = 2 n^2, triangle id 2 (i n + j) + t as in triangle_nodes,
-    derived from vals once, on construction.
+    construction.
     """
 
     def __init__(self, mesh, mults, vals):
@@ -190,8 +165,6 @@ class FunctionalQGraph:
         if self.vals.shape != (self.mults.shape[0], mesh.n + 1, mesh.n + 1, 2):
             raise ValueError("nodal values do not match the mesh and the multiplicities")
         self.q = int(self.mults.sum())
-        frame = mesh.frame
-        self.X = p1_gradients(self.vals, frame.tris, frame.inv_edges).swapaxes(0, 1)
 
     # -- construction helpers -------------------------------------------------
 
@@ -214,18 +187,6 @@ class FunctionalQGraph:
         """
         return cls(mesh, [int(m) for m, _v in nodal_list], [v for _m, v in nodal_list])
 
-    # -- evaluation ------------------------------------------------------------
-
-    def values_at(self, x):
-        """Q-point values (..., Q, 2) at points x (..., 2), located as in locate."""
-        x = np.asarray(x, float)
-        i, j = self.mesh.locate(x)
-        # node (i, j) is node 0 of both triangles of cell (i, j)
-        d = x - self.mesh.node(i, j)
-        k = 2 * (i * self.mesh.n + j) + ~(d[..., 1] <= d[..., 0])
-        v = np.moveaxis(self.vals[:, i, j], 0, -2) + (self.X[k] @ d[..., None, :, None])[..., 0]
-        return np.repeat(v, self.mults, axis=-2)
-
     def is_zero_boundary(self):
         """Whether every boundary node's Q-point lies within ZERO_BOUNDARY_TOL
         of Q times 0: each P1 sheet equals its nodal value at a node."""
@@ -243,9 +204,6 @@ class PartitionMasses:
     mV: float
     mM: float
     eps: float
-
-    def total(self):
-        return self.mH + self.mV + self.mM
 
 
 class TriangulatedCurrent:
@@ -728,8 +686,7 @@ def chain_report(T, q, eps, domain_area=1.0):
     together with  q * |D| <= total mass (projection without cancellation).
     """
     b = build(eps)
-    R = np.diag([1.0, 1.0, eps, eps])
-    G = T.pushforward(R)
+    G = T.pushforward(b.R)
     what = b.unit_planes_w()
     ut = G.unit_tangents()
     wts = G.mults * G.areas()

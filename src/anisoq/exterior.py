@@ -44,25 +44,18 @@ def wedge(u, v):
 
 
 def plucker(v):
-    """Pluecker quadratic form; zero exactly on simple 2-vectors."""
+    """Pluecker quadratic form of a 2-vector (..., 6), zero exactly on simple ones."""
     p = np.asarray(v, dtype=float)
-    return float(p[0] * p[5] - p[1] * p[4] + p[2] * p[3])
+    return p[..., 0] * p[..., 5] - p[..., 1] * p[..., 4] + p[..., 2] * p[..., 3]
 
 
-def lambda_m(X):
-    """Tangent 2-vector of the graph of x -> X x, i.e. wedge of the columns of (id; X).
+def lambda_m_batch(Xs):
+    """Tangent 2-vectors (N, 6) of the graphs of x -> X x for an (N, 2, 2)
+    stack of matrices X: the wedge of the columns of (id; X).
 
     The e12 coefficient is identically 1; the remaining coefficients are the
     signed 1x1 minors of X and det(X), per the module sign table.
     """
-    X = np.asarray(X, dtype=float)
-    return np.array(
-        [1.0, X[0, 1], X[1, 1], -X[0, 0], -X[1, 0], X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0]]
-    )
-
-
-def lambda_m_batch(Xs):
-    """Vectorised lambda_m for an (N, 2, 2) stack of matrices."""
     Xs = np.asarray(Xs, dtype=float)
     n = Xs.shape[0]
     out = np.empty((n, 6))
@@ -121,10 +114,9 @@ def classify_bivector(v, eps, strict=False):
     if np.any(nrm == 0.0):
         raise ValueError("zero 2-vector has no plane")
     p = p / nrm
-    p12, p13, p14, p23, p24, p34 = np.moveaxis(p, -1, 0)
-    pl = p12 * p34 - p13 * p24 + p14 * p23
-    if np.any(np.abs(pl) > 1e-9 * (1.0 + np.sum(p * p, axis=-1))):
+    if np.any(np.abs(plucker(p)) > 1e-9 * (1.0 + np.sum(p * p, axis=-1))):
         raise ValueError("2-vector is not simple")
+    p12, p13, p14, p23, p24, p34 = np.moveaxis(p, -1, 0)
     m = p13**2 + p14**2 + p23**2 + p24**2
     r = np.sqrt(((p13 - p24) ** 2 + (p14 + p23) ** 2) * ((p13 + p24) ** 2 + (p14 - p23) ** 2))
     thresh_sq = (1.0 / (1.0 + eps)) ** 2

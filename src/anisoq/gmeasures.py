@@ -64,12 +64,7 @@ class GrassmannMeasure:
         nrm = np.linalg.norm(self.points, axis=1)
         if np.max(np.abs(nrm - 1.0)) > UNIT_SIMPLE_TOL:
             raise ValueError("atoms must be unit 2-vectors")
-        pl = np.abs(
-            self.points[:, 0] * self.points[:, 5]
-            - self.points[:, 1] * self.points[:, 4]
-            + self.points[:, 2] * self.points[:, 3]
-        )
-        if np.max(pl) > UNIT_SIMPLE_TOL:
+        if np.max(np.abs(exterior.plucker(self.points))) > UNIT_SIMPLE_TOL:
             raise ValueError("atoms must be simple 2-vectors")
 
     @property
@@ -125,14 +120,6 @@ class GrassmannMeasure:
         last = order[np.append(start[1:], True)]  # each group's last atom
         return GrassmannMeasure(self.points[last], wts, validate=False)
 
-    def to_json_obj(self):
-        return [[p.tolist(), float(w)] for p, w in zip(self.points, self.weights)]
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        pts = [a[0] for a in obj]
-        wts = [a[1] for a in obj]
-        return cls(np.array(pts), np.array(wts))
 
 def transport_distance(mu, nu):
     """Exact 1-Wasserstein distance between two atomic Grassmann measures.

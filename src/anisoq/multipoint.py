@@ -104,10 +104,6 @@ class MaximalDecomposition:
     tol: float
     ambiguous: bool = False
 
-    @property
-    def q(self):
-        return sum(p[0] for p in self.parts)
-
     @classmethod
     def single(cls, q, a, X):
         a = np.asarray(a, dtype=float).reshape(2)

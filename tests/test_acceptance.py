@@ -61,9 +61,9 @@ def test_c02_construction_identities():
             # lift identity; the derived constant is c1 = delta^2 (4 - eps^4)/4,
             # equivalently LambdaM(X1) = (4 / (delta^2 (4 - eps^4))) v1
             c1 = b.delta**2 * (4 - eps**4) / 4.0
-            assert np.linalg.norm(b.v[0] - c1 * exterior.lambda_m(b.X[0])) <= 1e-10
+            assert np.linalg.norm(b.v[0] - c1 * exterior.lambda_m_batch(b.X)[0]) <= 1e-10
             k1 = 4.0 / (b.delta**2 * (4 - eps**4))
-            assert np.linalg.norm(k1 * b.v[0] - exterior.lambda_m(b.X[0])) <= 1e-10
+            assert np.linalg.norm(k1 * b.v[0] - exterior.lambda_m_batch(b.X)[0]) <= 1e-10
             assert abs(nrm[0] ** 2 - cf["norm_v1_sq"]) <= 1e-12
             assert abs(nrm[2] ** 2 - cf["norm_v3_sq"]) <= 1e-12
             assert abs(b.w[0, 0] - cf["w1_dot_e12"]) <= 1e-12
@@ -111,7 +111,7 @@ def test_c04_current_engine():
             bary = T.gaussian_image().barycenter()
             assert np.linalg.norm(bary - q * E12) <= 1e-8
             pm, parts = T.partition(0.1)
-            assert abs(pm.total() - T.mass()) <= 1e-10
+            assert abs(pm.mH + pm.mV + pm.mM - T.mass()) <= 1e-10
             assert projected_mass_h(parts[exterior.HORIZONTAL]) <= q + 1e-8
             count += 1
         assert count == 100

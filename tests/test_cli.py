@@ -357,6 +357,18 @@ def test_approx_checks_the_lipschitz_bound_per_k(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_approx_checks_the_boundary_trace_per_k(tmp_path, monkeypatch, capsys):
+    def sequence(f, k, cfg):
+        return None, {"r": 0.1, "covered": 1.0, "lipschitz": 1.0, "energy_psi_bar": 1.0,
+                      "bad_set_full": 0.0, "bad_set_shrunk": 0.0, "lip_bound": 30.0,
+                      "boundary_trace_error": 0.0 if k == 4 else 2e-9}
+
+    monkeypatch.setattr(approx, "piecewise_affine_sequence", sequence)
+    assert cli.main(["--out", str(tmp_path), "approx", "--profile", "smooth", "--k", "4,8"]) == 2
+    assert capsys.readouterr().err == "boundary trace error above 1e-9 at k=8\n"
+    assert os.listdir(tmp_path) == []
+
+
 APPROX_HEADER = ("k,r_k,covered,lip,energy_psi_bar,energy_ref,abs_err,bad_full,bad_full_tol,"
                  "bad_shrunk,bad_shrunk_tol,lip_tol")
 # approx --k 4,8, pinned as literals: a refactor of the cube search, the blend or the

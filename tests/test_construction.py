@@ -61,9 +61,10 @@ def test_bundle_invariants_on_grid():
         nrm = np.linalg.norm(b.v, axis=1)
         assert abs(nrm[0] - nrm[2]) <= 1e-12
         assert np.linalg.norm(b.v.sum(axis=0) - 2 * b.delta**2 * E12) <= 1e-12
+        lam = exterior.lambda_m_batch(b.X)
         for i in range(3):
             assert abs(exterior.plucker(b.v[i])) <= 1e-12
-            assert np.linalg.norm(b.v[i] - b.c[i] * exterior.lambda_m(b.X[i])) <= 1e-10
+            assert np.linalg.norm(b.v[i] - b.c[i] * lam[i]) <= 1e-10
 
 
 def test_closed_forms_on_grid():
@@ -87,7 +88,7 @@ def test_lift_constants_derived_values():
         assert abs(b.c[2] - eps**4 * t / 2.0) <= 1e-15
         # equivalently, the lift of X1 is (4 / (delta^2 (4 - eps^4))) v1
         k = 4.0 / (t * (4 - eps**4))
-        assert np.linalg.norm(exterior.lambda_m(b.X[0]) - k * b.v[0]) <= 1e-10
+        assert np.linalg.norm(exterior.lambda_m_batch(b.X)[0] - k * b.v[0]) <= 1e-10
 
 
 def test_classification_on_grid():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anisoq import construction, currents, energy
-from anisoq.exterior import lambda_m, lambda_m_batch
+from anisoq.exterior import lambda_m_batch
 from anisoq.multipoint import MaximalDecomposition
 from tests.conftest import EPS_GRID
 
@@ -34,7 +34,7 @@ def test_psi_off_ray_rotated_direction(bundle01, cfg01):
     # lift: normalise the e12-coefficient and read the matrix off the display
     p = direction / direction[0]
     Y = np.array([[-p[3], p[1]], [-p[4], p[2]]])
-    lam = lambda_m(Y)
+    lam = lambda_m_batch(Y[None])[0]
     cosang = lam @ ray / np.linalg.norm(lam)
     angle = np.arccos(np.clip(cosang, -1, 1))
     assert angle > energy.DEFAULT_RAY_TOL
@@ -49,11 +49,22 @@ def test_psi_lower_bound_off_rays(cfg01, rng):
         assert val == 0.0 or val >= 1.0
 
 
+def _p1_gradients(g):
+    """Per-triangle sheet gradients (T, J, 2, 2) of a graph: on each triangle
+    the X with X (p_m - p_0) = f_m - f_0 for its nodes p_0, p_1, p_2."""
+    tris = g.mesh.frame.tris
+    f = g.vals[:, tris[..., 0], tris[..., 1]]
+    F = np.stack([f[..., 1, :] - f[..., 0, :], f[..., 2, :] - f[..., 0, :]], axis=-1)
+    E = g.mesh.h * np.swapaxes(tris[:, 1:] - tris[:, :1], 1, 2)
+    return (F @ np.linalg.inv(E)).swapaxes(0, 1)
+
+
 def _psi_bar_energy(g, cfg):
     """Integral over the domain of sum_sheets psi(gradient), exactly per triangle."""
     tri_area = 0.5 * g.mesh.h * g.mesh.h
-    wts = np.tile(g.mults * tri_area, g.X.shape[0])
-    return float(wts @ energy.psi_batch(g.X.reshape(-1, 2, 2), cfg))
+    X = _p1_gradients(g)
+    wts = np.tile(g.mults * tri_area, X.shape[0])
+    return float(wts @ energy.psi_batch(X.reshape(-1, 2, 2), cfg))
 
 
 def test_psi_bar_energy_cases(bundle01, cfg01):

@@ -40,9 +40,11 @@ def test_wedge_construction_leading_coefficient():
 
 
 def test_plucker_vanishes_on_wedges(rng):
-    for _ in range(1000):
-        w = random_simple(rng, scale=rng.uniform(0.1, 5.0))
+    ws = np.array([random_simple(rng, scale=rng.uniform(0.1, 5.0)) for _ in range(1000)])
+    for w in ws:
         assert abs(ext.plucker(w)) <= 1e-10 * (1.0 + w @ w)
+    # a stack gives each row's form, with the same bits
+    assert np.array_equal(ext.plucker(ws), [ext.plucker(w) for w in ws])
 
 
 def test_gram_identity(rng):
@@ -54,27 +56,33 @@ def test_gram_identity(rng):
 
 
 def test_lambda_m_zero_and_leading_one(rng):
-    assert np.allclose(ext.lambda_m(np.zeros((2, 2))), [1, 0, 0, 0, 0, 0])
-    for _ in range(200):
-        X = rng.normal(size=(2, 2)) * 3.0
-        lam = ext.lambda_m(X)
-        assert lam[0] == 1.0
-        nrm2 = 1.0 + np.sum(X * X) + np.linalg.det(X) ** 2
-        assert abs(lam @ lam - nrm2) <= 1e-10 * nrm2
+    assert np.allclose(ext.lambda_m_batch(np.zeros((1, 2, 2))), [[1, 0, 0, 0, 0, 0]])
+    Xs = rng.normal(size=(200, 2, 2)) * 3.0
+    lams = ext.lambda_m_batch(Xs)
+    assert np.all(lams[:, 0] == 1.0)
+    nrm2 = 1.0 + np.sum(Xs * Xs, axis=(1, 2)) + np.linalg.det(Xs) ** 2
+    assert np.all(np.abs(np.sum(lams * lams, axis=1) - nrm2) <= 1e-10 * nrm2)
+
+
+def test_lambda_m_is_the_wedge_of_the_columns(rng):
+    Xs = rng.normal(size=(200, 2, 2)) * 3.0
+    cols = np.concatenate([np.broadcast_to(np.eye(2), Xs.shape), Xs], axis=1)  # (id; X)
+    assert np.allclose(ext.lambda_m_batch(Xs), ext.wedge(cols[..., 0], cols[..., 1]),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_lambda_m_x1_display(bundle01):
     # coefficients of the lift of X1 in closed form
     eps, d = 0.1, bundle01.delta
-    lam = ext.lambda_m(bundle01.X[0])
+    lam = ext.lambda_m_batch(bundle01.X)[0]
     k = 1.0 / (d * (4 - eps**4))
     expected = np.array([1.0, -eps**2 * k, 2 * k, -2 * k, eps**2 * k, k / d])
     assert np.allclose(lam, expected, atol=1e-13)
 
 
 def test_lambda_m_diagonal_symbolic():
-    for t in (0.3, -1.7, 2.0):
-        lam = ext.lambda_m(np.diag([t, t]))
+    ts = (0.3, -1.7, 2.0)
+    for t, lam in zip(ts, ext.lambda_m_batch(np.array([np.diag([t, t]) for t in ts]))):
         assert np.allclose(lam, [1, 0, t, -t, 0, t * t])
         assert abs(ext.plucker(lam)) < 1e-14
         # cross-check against the column wedge
@@ -93,9 +101,8 @@ def test_ad_cases(bundle01):
 
 def test_ad_matches_lambda_m_signs(rng):
     # (e13, e14, e23, e24, e34) <-> (+X01, +X11, -X00, -X10, +det)
-    for _ in range(50):
-        X = rng.normal(size=(2, 2))
-        lam = ext.lambda_m(X)
+    Xs = rng.normal(size=(50, 2, 2))
+    for X, lam in zip(Xs, ext.lambda_m_batch(Xs)):
         a = ext.ad(X)
         assert np.allclose(lam[1:], [a[1], a[3], -a[0], -a[2], a[4]])
 
@@ -103,8 +110,8 @@ def test_ad_matches_lambda_m_signs(rng):
 def test_classify_plane_basic(bundle01):
     assert ext.classify_bivector(ext.E12, 0.1) == ext.HORIZONTAL
     assert ext.classify_bivector(bundle01.w[2], 0.1) == ext.VERTICAL
-    # the plane of lambda_m(diag(1,1)) has projection singular values 1/sqrt(2)
-    lam = ext.lambda_m(np.eye(2))
+    # the plane of LambdaM(diag(1,1)) has projection singular values 1/sqrt(2)
+    lam = ext.lambda_m_batch(np.eye(2)[None])[0]
     assert ext.classify_bivector(lam, 0.1) == ext.MIXED
 
 

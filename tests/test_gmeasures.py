@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -71,11 +70,6 @@ def test_non_finite_atoms_and_weights_rejected(bad):
         gm.GrassmannMeasure(atoms, [1.0, 1.0])
     with pytest.raises(ValueError, match="^atom weights must be positive and finite$"):
         gm.GrassmannMeasure(good, [1.0, bad])
-    # the same through JSON, which writes and reads NaN and Infinity
-    for pts, wts, what in ((atoms, [1.0, 1.0], "coordinates"), (good, [1.0, bad], "weights")):
-        text = json.dumps(gm.GrassmannMeasure(pts, wts, validate=False).to_json_obj())
-        with pytest.raises(ValueError, match=f"^atom {what} must be"):
-            gm.GrassmannMeasure.from_json_obj(json.loads(text))
 
 
 def test_transport_identical_measures(rng):
@@ -163,14 +157,6 @@ def test_mass_by_class_matches_atom_loop():
     empty = gm.GrassmannMeasure(np.zeros((0, 6)), [])
     assert empty.mass_by_class(0.2) == {exterior.HORIZONTAL: 0.0, exterior.VERTICAL: 0.0,
                                         exterior.MIXED: 0.0}
-
-
-def test_json_roundtrip(rng):
-    pts = np.stack([random_unit_simple(rng) for _ in range(3)])
-    mu = gm.GrassmannMeasure(pts, [1.0, 2.0, 3.0])
-    mu2 = gm.GrassmannMeasure.from_json_obj(json.loads(json.dumps(mu.to_json_obj())))
-    assert np.allclose(mu.points, mu2.points)
-    assert np.allclose(mu.weights, mu2.weights)
 
 
 def test_merged_sums_weights():

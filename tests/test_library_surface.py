@@ -11,7 +11,10 @@ A name counts as reached when it appears, outside its own definition, as a
 name or an attribute in src/anisoq/*.py or perfbench/*.py, or as a part of
 a dotted string in perfbench/*.py (the benchmark's span table patches
 functions by their dotted path).  Matching is by bare name, so a method
-shares its reach with every other definition or use of the same name.
+shares its reach with every other definition or use of the same name: a
+dead method whose name a live one shares passes here.
+tests/test_library_reach.py closes that blind spot by recording which
+functions run.
 """
 
 import ast
@@ -26,8 +29,6 @@ ALLOWED_UNREACHED = {
     "approx.AnnulusInterpolant.boundary_gap": "acceptance C08 checks the boundary gap with it",
     "currents.TriangulatedCurrent.from_json_obj":
         "tests re-read the competitor files that envelope writes",
-    "gmeasures.GrassmannMeasure.from_json_obj":
-        "tests re-read written measures; it rejects NaN and inf atoms",
     "currents.TriangulatedCurrent.mass": "the mass identities of the current engine read it",
 }
 
