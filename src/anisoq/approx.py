@@ -20,10 +20,11 @@ Two building blocks:
 Almost-everywhere objects (differentiability points, Lebesgue points) are
 replaced by sampled interior points with validation and retry, so the
 pipeline is a verified search, not a proof transcription.  Only
-sheetwise-decomposable maps are handled: a Q-map is its list of parts, each
-a multiplicity and a jet, one call that returns the part's values and
+sheetwise-decomposable maps on the unit square centred at the origin are
+handled: a Q-map is its part multiplicities, one jet and its Lipschitz
+constant, the jet being one call that returns every part's values and
 analytic gradient entries at coordinate arrays.  The cube kernels (fit,
-validation, Gauss table and collar) call each jet once per sample point and
+validation, Gauss table and collar) call the jet once per sample point and
 work on component arrays, one array per coordinate, value or gradient
 entry.  Every Q-map here (SampledLipschitzQMap, AnnulusInterpolant,
 HybridQMap) also evaluates arrays of points through part_values
@@ -76,44 +77,42 @@ ENERGY_GRID_M = 97
 
 @dataclass
 class SampledLipschitzQMap:
-    """Sheetwise-decomposable Q-valued map with declared Lipschitz constant.
+    """Sheetwise-decomposable Q-valued map on the unit square centred at the
+    origin, with declared Lipschitz constant.
 
-    parts is a list of (multiplicity, jet).  A jet takes the two coordinate
-    arrays x0, x1 of some points (one shape) and returns six arrays of that
-    shape, the part's values and gradient entries (v0, v1, g00, g01, g10,
-    g11) with g_ab = d v_a / d x_b, so one call computes the transcendentals
-    of a point once.  The cube kernels call the jets on component arrays;
-    part_values, part_grads and values_at stack them for point arrays
-    (..., 2).  mults is the tuple of the part multiplicities.
+    mults is the tuple of the part multiplicities.  jet takes the two
+    coordinate arrays x0, x1 of some points (one shape) and returns, per
+    part, a six-tuple of arrays of that shape: the part's values and
+    gradient entries (v0, v1, g00, g01, g10, g11) with g_ab = d v_a / d x_b.
+    One call covers every part, so the transcendentals of a point are
+    computed once.  The cube kernels call the jet on component arrays;
+    part_values, part_grads and values_at stack it for point arrays (..., 2).
     """
 
-    q: int
+    mults: tuple
+    jet: object
     lipschitz: float
-    domain_center: np.ndarray
-    domain_side: float
-    parts: list = None
 
     def __post_init__(self):
-        self.domain_center = np.asarray(self.domain_center, dtype=float)
-        if not self.parts:
+        self.mults = tuple(int(m) for m in self.mults)
+        if not self.mults:
             raise ValueError("not sheetwise-decomposable: the map carries no parts")
-        for j, (_m, jet) in enumerate(self.parts):
-            if not callable(jet):
-                raise ValueError(f"not sheetwise-decomposable: part {j} carries no jet")
-        self.mults = tuple(int(m) for m, _jet in self.parts)
+        if not callable(self.jet):
+            raise ValueError("not sheetwise-decomposable: the map carries no jet")
 
-    def _jets(self, x):
-        """Every part's jet at points x (..., 2): per part, six (...) arrays."""
+    def _jet_at(self, x):
+        """The jet at points x (..., 2): per part, six (...) arrays; a part
+        count other than len(mults) raises ValueError."""
         x = np.asarray(x, dtype=float)
-        return [jet(x[..., 0], x[..., 1]) for _m, jet in self.parts]
+        return [jt for _m, jt in zip(self.mults, self.jet(x[..., 0], x[..., 1]), strict=True)]
 
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""
-        return np.stack([np.stack(jt[:2], axis=-1) for jt in self._jets(x)], axis=-2)
+        return np.stack([np.stack(jt[:2], axis=-1) for jt in self._jet_at(x)], axis=-2)
 
     def part_grads(self, x):
         """Gradients (..., J, 2, 2) of every part at points x (..., 2)."""
-        g = np.stack([np.stack(jt[2:], axis=-1) for jt in self._jets(x)], axis=-2)
+        g = np.stack([np.stack(jt[2:], axis=-1) for jt in self._jet_at(x)], axis=-2)
         return g.reshape(g.shape[:-1] + (2, 2))
 
     def values_at(self, x):
@@ -123,7 +122,7 @@ class SampledLipschitzQMap:
     def check_increments(self, seed, n_pairs=200, tol=1e-9):
         """Whether 𝒢(f(x), f(y)) <= L |x - y| + tol on n_pairs random pairs."""
         rng = np.random.default_rng(seed)
-        xy = self.domain_center + self.domain_side * (rng.random((n_pairs, 2, 2)) - 0.5)
+        xy = rng.random((n_pairs, 2, 2)) - 0.5
         vals = self.values_at(xy)
         dist = np.linalg.norm(xy[:, 0] - xy[:, 1], axis=-1)
         return not np.any(g_metric(vals[:, 0], vals[:, 1]) > self.lipschitz * dist + tol)
@@ -136,13 +135,10 @@ def smooth_profile(amp=0.2):
     def jet(x0, x1):
         t0, t1 = np.pi * x0, np.pi * x1
         s0, c0, s1, c1 = np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
-        return amp * (s0 * s1), amp * (c0 + s1), k * (c0 * s1), k * (s0 * c1), k * -s0, k * c1
+        return ((amp * (s0 * s1), amp * (c0 + s1), k * (c0 * s1), k * (s0 * c1), k * -s0,
+                 k * c1),)
 
-    lip = amp * math.pi * 2.1
-    return SampledLipschitzQMap(
-        q=1, lipschitz=lip, domain_center=np.zeros(2), domain_side=1.0,
-        parts=[(1, jet)],
-    )
+    return SampledLipschitzQMap(mults=(1,), jet=jet, lipschitz=amp * math.pi * 2.1)
 
 
 def twosheet_profile(sep=1.2, amp=0.15):
@@ -150,23 +146,14 @@ def twosheet_profile(sep=1.2, amp=0.15):
     amp2 = 0.7 * amp
     k1, k2 = amp * np.pi, amp2 * np.pi
 
-    def jet1(x0, x1):
+    def jet(x0, x1):
         t0, t1 = np.pi * x0, np.pi * x1
+        s0, c0, s1, c1 = np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
         zero = np.zeros_like(t0)
-        return (amp * np.sin(t0), 0.5 * sep + amp * np.cos(t1),
-                k1 * np.cos(t0), zero, zero, k1 * -np.sin(t1))
+        return ((amp * s0, 0.5 * sep + amp * c1, k1 * c0, zero, zero, k1 * -s1),
+                (amp2 * c1, -0.5 * sep + amp2 * s0, zero, k2 * -s1, k2 * c0, zero))
 
-    def jet2(x0, x1):
-        t0, t1 = np.pi * x0, np.pi * x1
-        zero = np.zeros_like(t0)
-        return (amp2 * np.cos(t1), -0.5 * sep + amp2 * np.sin(t0),
-                zero, k2 * -np.sin(t1), k2 * np.cos(t0), zero)
-
-    lip = amp * math.pi * 1.6
-    return SampledLipschitzQMap(
-        q=2, lipschitz=lip, domain_center=np.zeros(2), domain_side=1.0,
-        parts=[(1, jet1), (1, jet2)],
-    )
+    return SampledLipschitzQMap(mults=(1, 1), jet=jet, lipschitz=amp * math.pi * 1.6)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +355,10 @@ def _fit_parts_batched(f, centers, r):
     off = _grid([-span, 0.0, span])  # (9, 2)
     P = np.linalg.pinv(np.column_stack([np.ones(9), off]))  # (3, 9)
     x0, x1 = _stencil_points(centers, off)
-    a = np.empty((centers.shape[0], len(f.parts), 2))
-    X = np.empty((centers.shape[0], len(f.parts), 2, 2))
-    for j, (_m, jet) in enumerate(f.parts):
-        V = np.stack(jet(x0, x1)[:2], axis=1)  # (9, 2, N)
+    a = np.empty((centers.shape[0], len(f.mults), 2))
+    X = np.empty((centers.shape[0], len(f.mults), 2, 2))
+    for j, (_m, jt) in enumerate(zip(f.mults, f.jet(x0, x1), strict=True)):
+        V = np.stack(jt[:2], axis=1)  # (9, 2, N)
         # coef (3, 2, N) = P V, summed over the stencil in stencil order,
         # which is einsum's order and so its bits
         coef = P[:, 0, None, None] * V[0]
@@ -392,12 +379,12 @@ def _validate_batched(f, centers, r, part_a, part_X, delta):
     o0, o1 = off[:, 0, None], off[:, 1, None]  # (S, 1)
     x0, x1 = _stencil_points(centers, off)
     gap2 = grad2 = 0.0
-    # Component arrays (S, N), one jet call per part: the contractions and
-    # the length-2 and length-4 sums are written out entry by entry, in the
+    # Component arrays (S, N), one jet call: the contractions and the
+    # length-2 and length-4 sums are written out entry by entry, in the
     # order (and so to the bit) of einsum and np.sum, which spend several
     # times the arithmetic on axes this short.
-    for j, (mult, jet) in enumerate(f.parts):
-        v0, v1, g00, g01, g10, g11 = jet(x0, x1)
+    for j, (mult, jt) in enumerate(zip(f.mults, f.jet(x0, x1), strict=True)):
+        v0, v1, g00, g01, g10, g11 = jt
         a, X = part_a[:, j], part_X[:, j]
         X00, X01, X10, X11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
         d0 = v0 - (a[:, 0] + (X00 * o0 + X01 * o1))
@@ -420,7 +407,7 @@ def _blocks(n):
 
 
 def cubic_subdivision(f, delta):
-    """Halving search for a validated r-cubic subdivision of f's domain.
+    """Halving search for a validated r-cubic subdivision of the unit square.
 
     Per cube and per part the affine model is fitted by least squares over a
     3x3 stencil around the cube centre and validated against
@@ -430,22 +417,18 @@ def cubic_subdivision(f, delta):
     of BLOCK_CUBES cubes at a time; the kept cubes' models are moved to the
     front of the lattice-sized record as each block is validated.  Cubes
     failing validation are dropped; the search halves r until the uncovered
-    measure is at most delta |U|, and raises RuntimeError when r falls below
-    R_MIN_FRAC times the side.  Every kept cube satisfies D(z, 3r) inside
-    the domain.
+    area is at most delta, and raises RuntimeError when r falls below
+    R_MIN_FRAC.  Every kept cube satisfies D(z, 3r) inside the square.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    c, s = f.domain_center, f.domain_side
-    area = s * s
-    r = delta * s / 12.0
-    r_min = s * R_MIN_FRAC
+    r = delta / 12.0
     n_parts = len(f.mults)
     attempts = []
-    while r >= r_min:
-        m = int(math.floor((s - 3.0 * r) / r))
+    while r >= R_MIN_FRAC:
+        m = int(math.floor((1.0 - 3.0 * r) / r))
         if m > 0:
-            origin = c - 0.5 * m * r
+            origin = np.full(2, -0.5 * m * r)
             centers = origin + r * _grid(np.arange(m) + 0.5)
             n = centers.shape[0]
             part_a = np.empty((n, n_parts, 2))
@@ -461,10 +444,10 @@ def cubic_subdivision(f, delta):
                 lattice[blk.start + keep] = np.arange(rows.start, rows.stop)
                 centers[rows], part_a[rows], part_X[rows] = z[keep], a[keep], X[keep]
                 kept = rows.stop
-            uncovered = area - kept * r * r
+            uncovered = 1.0 - kept * r * r
             attempts.append({"r": r, "kept": kept, "dropped": n - kept,
                              "uncovered": float(uncovered)})
-            if uncovered <= delta * area:
+            if uncovered <= delta:
                 # the views keep the dropped rows' memory, at most a delta share
                 return CubicSubdivision(
                     r=r, lattice_origin=origin, lattice=lattice.reshape(m, m),
@@ -520,20 +503,18 @@ class HybridQMap:
 
     def measured_lipschitz(self, grid_m=64):
         """Largest difference quotient between neighbouring nodes of a
-        (grid_m + 1)^2 grid over the domain."""
-        c, s = self.f.domain_center, self.f.domain_side
-        xs = np.linspace(-0.5, 0.5, grid_m + 1) * s
-        vals = self.values_at(c + _grid(xs).reshape(grid_m + 1, grid_m + 1, 2))
-        h = s / grid_m
+        (grid_m + 1)^2 grid over the unit square."""
+        xs = np.linspace(-0.5, 0.5, grid_m + 1)
+        vals = self.values_at(_grid(xs).reshape(grid_m + 1, grid_m + 1, 2))
+        h = 1.0 / grid_m
         steps = (g_metric(vals[:-1], vals[1:]), g_metric(vals[:, :-1], vals[:, 1:]))
         return max(0.0, *(float(np.max(step / h)) for step in steps))
 
 
 def energy_of_map(f, cfg):
-    """Midpoint-rule quadrature of the summed-psi energy over the domain."""
-    c, s = f.domain_center, f.domain_side
-    cell = (s / ENERGY_GRID_M) ** 2
-    pts = c[None, :] + s * _grid((np.arange(ENERGY_GRID_M) + 0.5) / ENERGY_GRID_M - 0.5)
+    """Midpoint-rule quadrature of the summed-psi energy over the unit square."""
+    cell = (1.0 / ENERGY_GRID_M) ** 2
+    pts = _grid((np.arange(ENERGY_GRID_M) + 0.5) / ENERGY_GRID_M - 0.5)
     return float(np.sum(_psi_bar(f.part_grads(pts), f.mults, cfg))) * cell
 
 
@@ -595,8 +576,8 @@ def energy_of_hybrid(g, cfg):
     del table
 
     # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv;
-    # one jet call per part gives F and Gf at a node, and one psi_batch call
-    # takes Gg and Gf
+    # one jet call gives F and Gf of every part at a node, and one psi_batch
+    # call takes Gg and Gf
     collar_g = collar_f = 0.0
     for turns in range(4):
         rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
@@ -612,8 +593,8 @@ def energy_of_hybrid(g, cfg):
                     # G[c, b, 0] = Gg and G[c, b, 1] = Gf, entry (c, b) for every
                     # cube and part, so that psi_batch reads each entry as one run
                     G = np.empty((2, 2, 2, z.shape[0], len(mults)))
-                    for j, (_m, jet) in enumerate(f.parts):
-                        v0, v1, *gf = jet(z[:, 0] + ry[0], z[:, 1] + ry[1])
+                    jets = f.jet(z[:, 0] + ry[0], z[:, 1] + ry[1])
+                    for j, (_m, (v0, v1, *gf)) in enumerate(zip(mults, jets, strict=True)):
                         for c, F in enumerate((v0, v1)):
                             # Gg = (F - M) (x) grad t + v Gf + (1 - v) X, row c,
                             # M = a + X (x - z) the model
@@ -643,18 +624,16 @@ def piecewise_affine_sequence(f, k, cfg):
         raise ValueError("k must be >= 2")
     sub = cubic_subdivision(f, 1.0 / k)
     g = HybridQMap(f, sub, k)
-    area = f.domain_side**2
     covered = sub.n_cubes * sub.r * sub.r
-    bad_shrunk = area - sub.n_cubes * (g.shrink * sub.r) ** 2
+    bad_shrunk = 1.0 - sub.n_cubes * (g.shrink * sub.r) ** 2
     energy = energy_of_hybrid(g, cfg)
-    x = _square_perimeter(f.domain_center, 0.5 * f.domain_side,
-                          np.linspace(0.0, 1.0, 33)[:-1])
+    x = _square_perimeter(np.zeros(2), 0.5, np.linspace(0.0, 1.0, 33)[:-1])
     trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f.values_at(x)))))
     report = {
         "k": k,
         "r": sub.r,
         "n_cubes": sub.n_cubes,
-        "bad_set_full": area - covered,
+        "bad_set_full": 1.0 - covered,
         "bad_set_shrunk": bad_shrunk,
         "covered": covered,
         "lipschitz": g.measured_lipschitz(),

@@ -2,7 +2,8 @@
 
 Commands: construct, obstruction, envelope, approx, certificate.  Exit code
 0 means every checked assertion passed, 1 a domain or usage error (argparse's
-own errors included, which would otherwise exit 2), 2 an
+own errors included, which would otherwise exit 2, and an output path that
+cannot be written), 2 an
 assertion failure or a failed computation (a RuntimeError or ArithmeticError,
 such as a failed cubic subdivision, or a transport problem whose certificate
 and fallback LP both fail); the failure is named on stderr.  A command whose
@@ -412,7 +413,7 @@ def main(argv=None):
         # devnull, so that the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

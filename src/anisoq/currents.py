@@ -227,14 +227,16 @@ class TriangulatedCurrent:
     def edge_vectors(self):
         return self.verts[:, 1] - self.verts[:, 0], self.verts[:, 2] - self.verts[:, 0]
 
+    @cached_property
     def tangent_wedges(self):
+        """Per-triangle wedges (n, 6) of the edge vectors, computed once."""
         return exterior.wedge(*self.edge_vectors())
 
     def areas(self):
-        return 0.5 * np.linalg.norm(self.tangent_wedges(), axis=1)
+        return 0.5 * np.linalg.norm(self.tangent_wedges, axis=1)
 
     def unit_tangents(self):
-        w = self.tangent_wedges()
+        w = self.tangent_wedges
         return w / np.linalg.norm(w, axis=1, keepdims=True)
 
     def mass(self):
@@ -277,7 +279,7 @@ class TriangulatedCurrent:
         return self.boundary() == expected
 
     def gaussian_image(self):
-        w = self.tangent_wedges()
+        w = self.tangent_wedges
         nrm = np.linalg.norm(w, axis=1)
         return GrassmannMeasure(w / nrm[:, None], self.mults * (0.5 * nrm), validate=False)
 

@@ -20,9 +20,8 @@ def test_profiles_lipschitz_increments():
 def _old_check_increments(f, seed, n_pairs=200, tol=1e-9):
     """The per-pair loop that the stacked check_increments replaced."""
     rng = np.random.default_rng(seed)
-    c, s = f.domain_center, f.domain_side
     for _ in range(n_pairs):
-        x, y = c + s * (rng.random((2, 2)) - 0.5)
+        x, y = rng.random((2, 2)) - 0.5  # a pair in the unit square
         if _pairwise_g_metric(f.values_at(x), f.values_at(y)) > \
                 f.lipschitz * np.linalg.norm(x - y) + tol:
             return False
@@ -37,8 +36,7 @@ def test_check_increments_matches_pairwise_loop(profile):
             # the largest increment ratio over the pairs, in the loop's draw order:
             # constants just above it pass, just below it fail
             rng = np.random.default_rng(seed)
-            pairs = [f.domain_center + f.domain_side * (rng.random((2, 2)) - 0.5)
-                     for _ in range(n_pairs)]
+            pairs = [rng.random((2, 2)) - 0.5 for _ in range(n_pairs)]
             crit = max(_pairwise_g_metric(f.values_at(x), f.values_at(y))
                        / np.linalg.norm(x - y) for x, y in pairs)
             verdicts = []
@@ -160,14 +158,16 @@ def test_profile_jets_match_fd():
     h = 1e-6
     for f, old in _jet_cases():
         vals, grads = f.part_values(pts), f.part_grads(pts)
-        assert vals.shape == (len(pts), len(f.parts), 2)
-        assert grads.shape == (len(pts), len(f.parts), 2, 2)
-        for j, ((_m, jet), (fn, gfn)) in enumerate(zip(f.parts, old)):
-            # the jet is the old closed forms to the bit, at any one shape
+        assert vals.shape == (len(pts), len(f.mults), 2)
+        assert grads.shape == (len(pts), len(f.mults), 2, 2)
+        grid = pts[:41 * 41].reshape(41, 41, 2)
+        jets, grid_jets = f.jet(pts[:, 0], pts[:, 1]), f.jet(grid[..., 0], grid[..., 1])
+        assert len(jets) == len(grid_jets) == len(old) == len(f.mults)
+        for j, (fn, gfn) in enumerate(old):
+            # part j of the map's jet is the old closed forms to the bit, at any one shape
             ref = np.concatenate([fn(pts), gfn(pts).reshape(-1, 4)], axis=1)
-            assert np.array_equal(np.stack(jet(pts[:, 0], pts[:, 1]), axis=1), ref)
-            grid = pts[:41 * 41].reshape(41, 41, 2)
-            assert np.array_equal(np.stack(jet(grid[..., 0], grid[..., 1]), axis=-1),
+            assert np.array_equal(np.stack(jets[j], axis=1), ref)
+            assert np.array_equal(np.stack(grid_jets[j], axis=-1),
                                   ref[:41 * 41].reshape(41, 41, 6))
             assert np.array_equal(vals[:, j], fn(pts)) and np.array_equal(grads[:, j], gfn(pts))
             assert np.array_equal(f.part_grads(pts[7])[j], gfn(pts[7]))
@@ -235,13 +235,11 @@ def _affine_profile(a, X):
     X = np.asarray(X, float)
 
     def jet(x0, x1):
-        return (a[0] + (X[0, 0] * x0 + X[0, 1] * x1), a[1] + (X[1, 0] * x0 + X[1, 1] * x1),
-                *(np.full_like(x0, x) for x in X.ravel()))
+        return ((a[0] + (X[0, 0] * x0 + X[0, 1] * x1), a[1] + (X[1, 0] * x0 + X[1, 1] * x1),
+                 *(np.full_like(x0, x) for x in X.ravel())),)
 
-    return ap.SampledLipschitzQMap(
-        q=1, lipschitz=float(np.linalg.norm(X, 2)) + 0.1,
-        domain_center=np.zeros(2), domain_side=1.0, parts=[(1, jet)],
-    )
+    return ap.SampledLipschitzQMap(mults=(1,), jet=jet,
+                                   lipschitz=float(np.linalg.norm(X, 2)) + 0.1)
 
 
 def test_subdivision_affine_exact():
@@ -306,11 +304,10 @@ def _kinked_profile():
 
     def jet(x0, x1):
         zero = np.zeros_like(x0)
-        return (3.0 * np.abs(x0 - 0.1), 0.2 * x1, 3.0 * np.sign(x0 - 0.1), zero, zero,
-                np.full_like(x0, 0.2))
+        return ((3.0 * np.abs(x0 - 0.1), 0.2 * x1, 3.0 * np.sign(x0 - 0.1), zero, zero,
+                 np.full_like(x0, 0.2)),)
 
-    return ap.SampledLipschitzQMap(q=1, lipschitz=3.1, domain_center=np.zeros(2),
-                                   domain_side=1.0, parts=[(1, jet)])
+    return ap.SampledLipschitzQMap(mults=(1,), jet=jet, lipschitz=3.1)
 
 
 def _blocked_run(monkeypatch, f, k, cfg, block):
@@ -377,9 +374,8 @@ def _oracle_energy_of_hybrid(g, cfg):
     the oracle summed psi."""
     f, sub, sh = g.f, g.sub, g.shrink
     m = ap.ENERGY_GRID_M
-    pts = f.domain_center + f.domain_side * ap._grid((np.arange(m) + 0.5) / m - 0.5)
-    e_ref = float(np.sum(_oracle_psi_bar(f.part_grads(pts), f.mults, cfg))) * (
-        f.domain_side / m) ** 2
+    pts = ap._grid((np.arange(m) + 0.5) / m - 0.5)
+    e_ref = float(np.sum(_oracle_psi_bar(f.part_grads(pts), f.mults, cfg))) * (1.0 / m) ** 2
     r, centers, mults = sub.r, sub.centers, f.mults
     s_in, w = 0.5 * sh * r, 0.5 * r - 0.5 * sh * r
     gp, gw = ap._GAUSS3
@@ -414,9 +410,9 @@ def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
     # kernels are the einsum, np.sum and np.linalg.norm arithmetic to the bit
     f = profile()
     delta = 1.0 / k
-    r = delta * f.domain_side / 12.0  # the search's first lattice
-    m = int(math.floor((f.domain_side - 3.0 * r) / r))
-    centers = f.domain_center - 0.5 * m * r + r * ap._grid(np.arange(m) + 0.5)
+    r = delta / 12.0  # the search's first lattice
+    m = int(math.floor((1.0 - 3.0 * r) / r))
+    centers = -0.5 * m * r + r * ap._grid(np.arange(m) + 0.5)
     a, X = ap._fit_parts_batched(f, centers, r)
     a_ref, X_ref = _oracle_fit(f, centers, r)
     assert np.array_equal(a, a_ref) and np.array_equal(X, X_ref)
@@ -428,31 +424,29 @@ def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
 
 
 def _counted(f):
-    """f with every part's jet wrapped in a counter of the points it evaluates."""
-    counts = [0] * len(f.parts)
+    """f with its jet wrapped in a counter of the points it evaluates."""
+    count = [0]
 
-    def counter(j, jet):
-        def counted(x0, x1):
-            counts[j] += np.size(x0)
-            return jet(x0, x1)
-        return counted
+    def counted(x0, x1):
+        count[0] += np.size(x0)
+        return f.jet(x0, x1)
 
-    parts = [(m, counter(j, jet)) for j, (m, jet) in enumerate(f.parts)]
-    return dataclasses.replace(f, parts=parts), counts
+    return dataclasses.replace(f, jet=counted), count
 
 
 @pytest.mark.parametrize("profile", [ap.smooth_profile, ap.twosheet_profile])
 def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
-    # one jet call gives a point's values and gradient: per lattice cube the
-    # 3x3 fit stencil and the N_VALID^2 validation samples, per kept cube the
-    # 3x3 Gauss points and the 4 x 3 x 3 collar nodes, and the reference grid
-    f, counts = _counted(profile())
+    # one jet call gives every part's values and gradient at a point: per
+    # lattice cube the 3x3 fit stencil and the N_VALID^2 validation samples,
+    # per kept cube the 3x3 Gauss points and the 4 x 3 x 3 collar nodes, and
+    # the reference grid, whatever the number of parts
+    f, count = _counted(profile())
     sub = ap.cubic_subdivision(f, 1.0 / 4)
     lattice = sum(t["kept"] + t["dropped"] for t in sub.diagnostics["attempts"])
-    assert counts == [lattice * (9 + ap.N_VALID**2)] * len(f.parts)
-    counts[:] = [0] * len(f.parts)
+    assert count == [lattice * (9 + ap.N_VALID**2)]
+    count[0] = 0
     ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01)
-    assert counts == [sub.n_cubes * (9 + 36) + ap.ENERGY_GRID_M**2] * len(f.parts)
+    assert count == [sub.n_cubes * (9 + 36) + ap.ENERGY_GRID_M**2]
 
 
 def test_cube_loop_memory_is_bounded(cfg01):
@@ -536,7 +530,7 @@ def test_sequence_region_structure(cfg01):
     assert _region_of(g, z)[0] == "cube"
     edge = z + np.array([0.5 * g.sub.r * (1 - 0.5 / g.k), 0.0])
     assert _region_of(g, edge)[0] == "collar"
-    corner = f.domain_center + 0.499 * f.domain_side * np.ones(2)
+    corner = 0.499 * np.ones(2)
     assert _region_of(g, corner)[0] == "outside"
     # continuity across the collar: values at the cube face agree with f
     face = z + np.array([0.5 * g.sub.r, 0.0])
@@ -549,19 +543,27 @@ def test_hybrid_requires_parts():
         ap.HybridQMap(ap.smooth_profile(), sub, 4)
 
 
-def test_map_requires_parts_with_gradients():
+def test_map_requires_parts_with_gradients(cfg01):
     f = ap.twosheet_profile()
-    fields = dict(q=2, lipschitz=1.0, domain_center=np.zeros(2), domain_side=1.0)
-    for parts in (None, []):
+    assert [fd.name for fd in dataclasses.fields(f)] == ["mults", "jet", "lipschitz"]
+    for mults in ((), []):
         with pytest.raises(ValueError,
                            match="^not sheetwise-decomposable: the map carries no parts$"):
-            ap.SampledLipschitzQMap(**fields, parts=parts)
-    with pytest.raises(ValueError, match="^not sheetwise-decomposable: the map carries no parts$"):
-        ap.SampledLipschitzQMap(**fields)
-    no_jet = [f.parts[0], (1, None)]
-    with pytest.raises(ValueError,
-                       match="^not sheetwise-decomposable: part 1 carries no jet$"):
-        ap.SampledLipschitzQMap(**fields, parts=no_jet)
+            ap.SampledLipschitzQMap(mults=mults, jet=f.jet, lipschitz=1.0)
+    with pytest.raises(ValueError, match="^not sheetwise-decomposable: the map carries no jet$"):
+        ap.SampledLipschitzQMap(mults=(1, 1), jet=None, lipschitz=1.0)
+    # a jet with fewer parts than multiplicities raises instead of leaving
+    # unwritten rows, in every cube kernel and every point evaluation
+    short = dataclasses.replace(f, jet=lambda x0, x1: f.jet(x0, x1)[:1])
+    sub = ap.cubic_subdivision(f, 0.25)
+    calls = [lambda: ap._fit_parts_batched(short, sub.centers, sub.r),
+             lambda: ap._validate_batched(short, sub.centers, sub.r, sub.part_a, sub.part_X, 0.25),
+             lambda: ap.cubic_subdivision(short, 0.25),
+             lambda: ap.energy_of_hybrid(ap.HybridQMap(short, sub, 4), cfg01),
+             lambda: short.part_values(sub.centers), lambda: short.part_grads(sub.centers)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 # -- the scalar evaluation path that part_values and the stacked Lipschitz
@@ -647,7 +649,7 @@ def test_part_values_match_scalar_regions(profile):
     regions = [old.region_of(x) for x in pts]
     assert {w for w, _row in regions} == {"cube", "collar", "outside"}
     assert [_region_of(g, x) for x in pts] == regions
-    ref = [[old.part_value(x, j) for j in range(len(g.f.parts))] for x in pts]
+    ref = [[old.part_value(x, j) for j in range(len(g.f.mults))] for x in pts]
     assert np.array_equal(g.part_values(pts), np.array(ref))
     assert np.array_equal(g.values_at(pts), np.array([old(x) for x in pts]))
     assert np.array_equal(g.values_at(pts[0]), old(pts[0]))
@@ -659,10 +661,9 @@ def test_measured_lipschitz_matches_double_loop(profile, k):
     g = _hybrid(profile(), k)
     old = _OldHybrid(g)
     grid_m = 64
-    c, s = g.f.domain_center, g.f.domain_side
-    xs = np.linspace(-0.5, 0.5, grid_m + 1) * s
-    vals = [[old(c + np.array([a, b])) for b in xs] for a in xs]
-    h = s / grid_m
+    xs = np.linspace(-0.5, 0.5, grid_m + 1)  # over the unit square
+    vals = [[old(np.array([a, b])) for b in xs] for a in xs]
+    h = 1.0 / grid_m
     best = 0.0
     for i in range(grid_m + 1):
         for j in range(grid_m + 1):

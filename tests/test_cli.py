@@ -50,6 +50,23 @@ def test_construct_domain_error(tmp_path):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("where", ["json-in-missing-dir", "out-below-a-file", "out-is-a-file"])
+def test_unwritable_output_path_is_an_input_error(tmp_path, where):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    envelope = ["envelope", "--eps", "0.1", "--q", "1", "--target", "zero"]
+    args = {
+        "json-in-missing-dir": ["construct", "--eps", "0.1",
+                                "--json", str(tmp_path / "nodir" / "report.json")],
+        "out-below-a-file": ["--out", str(afile / "sub"), *envelope],
+        "out-is-a-file": ["--out", str(afile), *envelope],
+    }[where]
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+
 @pytest.mark.parametrize("eps", ["1e-16", "1e-70", "1e-100"])
 def test_construct_tiny_eps_is_an_input_error(tmp_path, eps):
     res = run_cli(["construct", "--eps", eps], tmp_path)

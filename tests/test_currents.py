@@ -153,13 +153,23 @@ def test_gauss_image_pushforward_identity(rng):
     L = np.diag([1.0, 1.0, 0.3, 0.3])
     lhs = T.pushforward(L).gaussian_image()
     wedge_action = np.array([1.0, 0.3, 0.3, 0.3, 0.3, 0.09])
-    tw = T.tangent_wedges() * wedge_action[None, :]
+    tw = T.tangent_wedges * wedge_action[None, :]
     nrm = np.linalg.norm(tw, axis=1)
     jac = nrm / (2.0 * T.areas())
     rhs_points = tw / nrm[:, None]
     rhs_weights = jac * T.mults * T.areas()
     assert np.allclose(lhs.points, rhs_points, atol=1e-10)
     assert np.allclose(lhs.weights, rhs_weights, atol=1e-10)
+
+
+def test_wedges_are_computed_once_per_current(monkeypatch, cfg01):
+    calls = []
+    wedge = exterior.wedge
+    monkeypatch.setattr(exterior, "wedge", lambda *uv: calls.append(1) or wedge(*uv))
+    T = currents.triangulate(currents.random_lipschitz_graph(0, 2.0, 2, unit_mesh(4)))
+    T.gaussian_image(), T.areas(), T.unit_tangents(), T.mass()
+    energy.psi_mass_of_current(T, cfg01)
+    assert len(calls) == 1
 
 
 def test_slice_flat_disk():
