@@ -533,11 +533,12 @@ def _psi_bar(grads, mults, cfg):
     return sum(vals[..., j] * float(m) for j, m in enumerate(mults))
 
 
-def energy_of_hybrid(g, cfg):
+def energy_of_hybrid(g, cfg, e_ref):
     """Region-aware quadrature of the summed-psi energy of g_k.
 
     Outside the cubes g_k equals f, so the outside contribution reuses the
-    reference-rule value of f and only the difference over cubes and collars
+    reference-rule value e_ref = energy_of_map(f, cfg), which the caller
+    computes once for every k, and only the difference over cubes and collars
     is quadratured: the shrunken cubes exactly (affine models), f on them by
     a per-cube 3x3 Gauss rule, and the collar rings by a Gauss rule on their
     four trapezoids (the quarter turns of the right-hand one) with the
@@ -549,7 +550,6 @@ def energy_of_hybrid(g, cfg):
     relying on a global grid that samples the thin rings noisily.
     """
     f, sub, sh = g.f, g.sub, g.shrink
-    e_ref = energy_of_map(f, cfg)
     r, centers, mults = sub.r, sub.centers, f.mults
     s_in, s_out = 0.5 * sh * r, 0.5 * r
     w = s_out - s_in
@@ -611,8 +611,9 @@ def energy_of_hybrid(g, cfg):
     return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))
 
 
-def piecewise_affine_sequence(f, k, cfg):
-    """One member g_k of the approximating sequence plus its report.
+def piecewise_affine_sequence(f, k, cfg, e_ref):
+    """One member g_k of the approximating sequence plus its report;
+    e_ref = energy_of_map(f, cfg) (see energy_of_hybrid).
 
     Report keys: k, r, n_cubes, bad_set_full (measure not covered by the
     full cubes, target <= 2/k), bad_set_shrunk (not covered by the shrunken
@@ -626,7 +627,7 @@ def piecewise_affine_sequence(f, k, cfg):
     g = HybridQMap(f, sub, k)
     covered = sub.n_cubes * sub.r * sub.r
     bad_shrunk = 1.0 - sub.n_cubes * (g.shrink * sub.r) ** 2
-    energy = energy_of_hybrid(g, cfg)
+    energy = energy_of_hybrid(g, cfg, e_ref)
     x = _square_perimeter(np.zeros(2), 0.5, np.linspace(0.0, 1.0, 33)[:-1])
     trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f.values_at(x)))))
     report = {

@@ -127,7 +127,7 @@ def _obstruction_adversarial(args, mu0, out_dir):
     def upsample(c):
         vals = up @ c.reshape(args.q, m_ctl * m_ctl, 2)
         vals = vals.reshape(args.q, mesh.n + 1, mesh.n + 1, 2)
-        return currents.FunctionalQGraph.from_nodal_sheets(mesh, [(1, v) for v in vals])
+        return currents.FunctionalQGraph.from_nodal_sheets(mesh, np.ones(args.q, int), vals)
 
     def objective(c):
         g = upsample(c)
@@ -237,7 +237,7 @@ def cmd_approx(args):
     errs = []
     for k in args.k:
         # only the report: the previous g_k is freed before the next is built
-        rep = ap.piecewise_affine_sequence(f, k, cfg)[1]
+        rep = ap.piecewise_affine_sequence(f, k, cfg, e_ref)[1]
         err = abs(rep["energy_psi_bar"] - e_ref)
         errs.append(err)
         rows.append(
@@ -400,9 +400,9 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for name in ("q", "mesh", "samples", "starts"):
-        if getattr(args, name, 1) < 1:
-            print(f"error: --{name} must be >= 1", file=sys.stderr)
+    for name, least in (("q", 1), ("mesh", 1), ("samples", 1), ("starts", 1), ("seed", 0)):
+        if getattr(args, name, least) < least:
+            print(f"error: --{name} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
     try:
         code = args.fn(args)

@@ -25,9 +25,9 @@ are exact for affine data.  Each is one array kernel over all N triangles:
 slice_mass intersects every sphere circle with every edge line at once
 ((N, 6) critical angles), mass_in_ball screens whole triangles in or out
 of the ball before counting sub-triangle centroids, boundary and the
-expected loop chain of boundary_equals_loop share one vertex-key kernel
-(_vertex_keys) and one edge-chain kernel (_edge_chain), and to_json_obj
-merges vertices with _merge_keys, which holds at any finite scale.
+expected loop chain of boundary_equals_loop share one edge-chain kernel
+(_edge_chain), and these and to_json_obj share one vertex key
+(_vertex_keys), which holds at every finite scale.
 """
 
 from __future__ import annotations
@@ -169,23 +169,19 @@ class FunctionalQGraph:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def affine(cls, mesh, parts):
-        """Graph of the affine map  sum_j q_j [a_j + X_j (x - x0)]."""
-        mults = [int(m) for m, _a, _X in parts]
-        a = np.array([np.asarray(a, float) for _m, a, _X in parts])
-        X = np.array([np.asarray(X, float) for _m, _a, X in parts])
+    def affine(cls, mesh, mults, a, X):
+        """Graph of the affine map  sum_j q_j [a_j + X_j (x - x0)]: mults (J,),
+        a (J, 2), X (J, 2, 2)."""
+        a, X = np.asarray(a, dtype=float), np.asarray(X, dtype=float)
         d = mesh.nodes_array() - np.array(mesh.x0, dtype=float)
         vals = a[:, None, None] + (X[:, None, None] @ d[..., None])[..., 0]
-        return cls.from_nodal_sheets(mesh, list(zip(mults, vals)))
+        return cls.from_nodal_sheets(mesh, mults, vals)
 
     @classmethod
-    def from_nodal_sheets(cls, mesh, nodal_list):
-        """Build from per-sheet nodal values; each sheet is P1 on the triangles.
-
-        nodal_list: list of (multiplicity, values) with values of shape
-        (n+1, n+1, 2) indexed by node (i, j).
-        """
-        return cls(mesh, [int(m) for m, _v in nodal_list], [v for _m, v in nodal_list])
+    def from_nodal_sheets(cls, mesh, mults, vals):
+        """Build from sheet multiplicities (J,) and nodal values (J, n+1, n+1, 2);
+        each sheet is P1 on the triangles."""
+        return cls(mesh, mults, vals)
 
     def is_zero_boundary(self):
         """Whether every boundary node's Q-point lies within ZERO_BOUNDARY_TOL
@@ -263,17 +259,14 @@ class TriangulatedCurrent:
         keys = _vertex_keys(self.verts)
         return _edge_chain(keys, np.roll(keys, -1, axis=1), np.repeat(self.mults, 3))
 
-    def boundary_equals_loop(self, loop_points, multiplicity, height=(0.0, 0.0)):
+    def boundary_equals_loop(self, loop_points, multiplicity):
         """Check the boundary chain equals `multiplicity` times the closed loop.
 
         loop_points: (N, 2) planar vertices in traversal order (closed
-        implicitly); the loop is lifted to R^4 at the given height.
+        implicitly); the loop is lifted to R^4 at height zero.
         """
         pts = np.asarray(loop_points, dtype=float)
-        lift = np.concatenate(
-            [pts, np.tile(np.asarray(height, float), (pts.shape[0], 1))], axis=1
-        )
-        keys = _vertex_keys(lift)
+        keys = _vertex_keys(np.pad(pts, ((0, 0), (0, 2))))
         expected = _edge_chain(keys, np.roll(keys, -1, axis=0),
                                np.full(pts.shape[0], int(multiplicity)))
         return self.boundary() == expected
@@ -375,10 +368,10 @@ class TriangulatedCurrent:
     # -- serialization ----------------------------------------------------------------
 
     def to_json_obj(self):
-        """Shared vertices in first-seen order (merged by _merge_keys) and
+        """Shared vertices in first-seen order (merged by _vertex_keys) and
         triangles as [i, j, k, multiplicity]."""
         flat = self.verts.reshape(-1, 4)
-        _, first, inv = np.unique(_merge_keys(flat), axis=0, return_index=True,
+        _, first, inv = np.unique(_vertex_keys(flat), axis=0, return_index=True,
                                   return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
@@ -389,11 +382,9 @@ class TriangulatedCurrent:
 
     @classmethod
     def from_json_obj(cls, obj):
-        vertices = np.array(obj["vertices"], dtype=float)
-        tris = obj["triangles"]
-        verts = np.array([[vertices[a], vertices[b], vertices[c]] for (a, b, c, _m) in tris])
-        mults = np.array([m for (_a, _b, _c, m) in tris], dtype=np.int64)
-        return cls(verts, mults)
+        vertices = np.array(obj["vertices"], dtype=float).reshape(-1, 4)
+        tris = np.array(obj["triangles"], dtype=np.int64).reshape(-1, 4)
+        return cls(vertices[tris[:, :3]], tris[:, 3])
 
 
 def _subtriangle_centroids(k):
@@ -483,30 +474,18 @@ def _in_triangle(T, pts):
 
 
 def _vertex_keys(points):
-    """Integer keys (..., 4) of points: coordinates rounded to VERTEX_KEY_DECIMALS.
+    """Keys (..., 4) of points: coordinates rounded to VERTEX_KEY_DECIMALS,
+    held as floats.
 
-    np.rint rounds half to even, as Python's round does.
+    np.rint rounds half to even, as Python's round does.  Past 2^53 every
+    float is an integer, so there the key is the scaled coordinate itself,
+    which coordinates within about one float spacing may share; the key is
+    monotone in the coordinate at every scale.
     """
-    points = np.asarray(points, dtype=float)
-    scaled = points * 10.0**VERTEX_KEY_DECIMALS
-    if not np.all(np.abs(scaled) < 2.0**63):
-        raise ValueError("vertex coordinates must be finite and below 9.2e9 in size; "
-                         f"the largest |coordinate| is {np.max(np.abs(points)):.6g}")
-    return np.rint(scaled).astype(np.int64)
-
-
-def _merge_keys(points):
-    """Keys (N, 8) under which points equal to VERTEX_KEY_DECIMALS decimals
-    coincide, at any finite scale.
-
-    A coordinate within the range of _vertex_keys keys by the same rounded
-    integer (held as a float, which keeps the classes); a larger one, where
-    the float spacing exceeds the key resolution, keys by its own value.  The
-    last four columns flag the large ones, so the two ranges never meet.
-    """
-    scaled = points * 10.0**VERTEX_KEY_DECIMALS
-    large = ~(np.abs(scaled) < 2.0**63)
-    return np.concatenate([np.where(large, points, np.rint(scaled)), large], axis=1)
+    scaled = np.asarray(points, dtype=float) * 10.0**VERTEX_KEY_DECIMALS
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("vertex coordinates must be finite, and below 1.8e299 in size")
+    return np.rint(scaled)
 
 
 def _edge_chain(start, end, weights):
@@ -515,6 +494,7 @@ def _edge_chain(start, end, weights):
     start, end: (..., 4) vertex keys; weights: (...,) integers.  Each edge
     is stored with its lexicographically smaller key first, its weight
     negated when that reverses it; edges whose counts cancel are dropped.
+    The keys of the chain are tuples of Python ints.
     """
     start, end = start.reshape(-1, 4), end.reshape(-1, 4)
     # compare the keys at their first differing coordinate (any, if equal)
@@ -527,7 +507,7 @@ def _edge_chain(start, end, weights):
     counts = np.zeros(uniq.shape[0], dtype=np.int64)
     np.add.at(counts, inv.reshape(-1), signed)
     keep = np.flatnonzero(counts)
-    return {(tuple(e[:4]), tuple(e[4:])): c
+    return {(tuple(map(int, e[:4])), tuple(map(int, e[4:]))): c
             for e, c in zip(uniq[keep].tolist(), counts[keep].tolist())}
 
 
@@ -565,19 +545,17 @@ def random_lipschitz_graph(seed, lip, q, mesh):
     nodes = mesh.nodes_array()
     xi = (nodes[..., 0] - mesh.origin[0]) / mesh.r
     eta = (nodes[..., 1] - mesh.origin[1]) / mesh.r
-    nodal = []
-    for _ in range(q):
-        vals = np.zeros((n + 1, n + 1, 2))
+    vals = np.zeros((q, n + 1, n + 1, 2))
+    for sheet in vals:
         for _m in range(N_MODES):
             kx, ky = rng.integers(1, 4, size=2)
             coef = rng.normal(size=2)
             mode = np.sin(math.pi * kx * xi) * np.sin(math.pi * ky * eta)
-            vals += mode[..., None] * coef[None, None, :]
-        grad_bound = _max_nodal_gradient(vals, mesh.h)
+            sheet += mode[..., None] * coef[None, None, :]
+        grad_bound = _max_nodal_gradient(sheet, mesh.h)
         if grad_bound > 0:
-            vals *= 0.9 * lip / max(grad_bound, 0.9 * lip)
-        nodal.append((1, vals))
-    return FunctionalQGraph.from_nodal_sheets(mesh, nodal)
+            sheet *= 0.9 * lip / max(grad_bound, 0.9 * lip)
+    return FunctionalQGraph.from_nodal_sheets(mesh, np.ones(q, int), vals)
 
 
 def steep_plateau_graph(t_slope, q, mesh):
@@ -665,7 +643,7 @@ def ray_plateau_graph(X, q, mesh):
     ramp = np.clip((s_out - dist) / (s_out - s_in), 0.0, 1.0)
     rel = nodes - c[None, None, :]
     vals = ramp[..., None] * np.einsum("ab,ijb->ija", X, rel)
-    return FunctionalQGraph.from_nodal_sheets(mesh, [(1, vals)] * q)
+    return FunctionalQGraph.from_nodal_sheets(mesh, np.ones(q, int), np.stack([vals] * q))
 
 
 # ---------------------------------------------------------------------------

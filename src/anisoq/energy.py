@@ -195,7 +195,7 @@ class EnvelopeBracket:
 def envelope_upper(target, cfg):
     """Upper bound for the envelope at the target, with the achieving competitor.
 
-    Per part (mult, a, X) of the target: the exact minimum over closed-form
+    Per part q_j [a_j + X_j x] of the target: the exact minimum over closed-form
     competitor currents on the unit domain, one psi evaluation per family.
     The families are the affine graph ("affine-ray" when psi(X) = 0, else
     "affine") and, when psi(X) > 0, one graded ray ring per ray ("ray-ring").
@@ -210,9 +210,8 @@ def envelope_upper(target, cfg):
     rays = construction.build(cfg.eps).X
     pieces = []
     meta = {"parts": []}
-    for mult, a, X in target.parts:
-        a = np.asarray(a, dtype=float)
-        affine = triangulate(FunctionalQGraph.affine(UNIT_DOMAIN, [(mult, a, X)]))
+    for mult, a, X in zip(target.mults, target.a, target.X):
+        affine = triangulate(FunctionalQGraph.affine(UNIT_DOMAIN, [mult], [a], [X]))
         best, value = affine, psi_mass_of_current(affine, cfg)
         if psi(X, cfg) == 0.0:
             entry = {"method": "affine-ray"}
@@ -224,8 +223,7 @@ def envelope_upper(target, cfg):
                 if ring_value < value:
                     best, value = ring, ring_value
                     entry = {"method": "ray-ring", "ray": i, "width": RAY_RING_WIDTH}
-        # the affine graph has the affine boundary by definition; from eps
-        # 1e-5 down, ||X3|| ~ 2 / eps^2 is too large for the vertex keys
+        # the affine graph has the affine boundary by definition
         if best is not affine and best.boundary() != affine.boundary():
             raise AssertionError(
                 f"{entry['method']} competitor boundary differs from the affine boundary")
@@ -310,4 +308,4 @@ def envelope_bracket(eps, q, target_kind):
 
 def affine_competitor_bound(target, cfg):
     """The explicit affine-competitor value sum_j q_j psi(X_j)."""
-    return float(sum(mult * psi(X, cfg) for (mult, _a, X) in target.parts))
+    return float(sum(mult * psi(X, cfg) for mult, X in zip(target.mults, target.X)))

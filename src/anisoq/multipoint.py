@@ -11,7 +11,8 @@ otherwise matching is solved exhaustively for Q <= 6 and with the
 Hungarian method (scipy's linear_sum_assignment) above.  The three agree on
 their overlaps, which the test suite asserts.  g_metric matches stacks of
 Q-points pair by pair.  A MaximalDecomposition holds an affine target of
-the envelope bracket as its distinct (multiplicity, value, gradient) parts.
+the envelope bracket as the arrays of its distinct parts: multiplicities
+(J,), values (J, 2) and gradients (J, 2, 2).
 """
 
 from __future__ import annotations
@@ -94,28 +95,27 @@ def g_metric(p, q):
 
 @dataclass
 class MaximalDecomposition:
-    """An affine Q-valued target as distinct (multiplicity, value, gradient) parts.
+    """An affine Q-valued target as the arrays of its distinct parts.
 
     The envelope bracket's target (see energy.envelope_bracket); tol and
     ambiguous are part of its JSON form (envelope_result.schema.json).
     """
 
-    parts: list  # list of (q_j: int, a_j: (2,) array, X_j: (2,2) array)
+    mults: np.ndarray  # (J,) integer multiplicities q_j
+    a: np.ndarray  # (J, 2) values a_j
+    X: np.ndarray  # (J, 2, 2) gradients X_j
     tol: float
     ambiguous: bool = False
 
     @classmethod
     def single(cls, q, a, X):
-        a = np.asarray(a, dtype=float).reshape(2)
-        X = np.asarray(X, dtype=float).reshape(2, 2)
-        return cls(parts=[(int(q), a, X)], tol=TARGET_TOL)
+        return cls(mults=np.array([int(q)]), a=np.asarray(a, dtype=float).reshape(1, 2),
+                   X=np.asarray(X, dtype=float).reshape(1, 2, 2), tol=TARGET_TOL)
 
     def to_json_obj(self):
         return {
-            "parts": [
-                {"q": int(m), "a": np.asarray(a).tolist(), "X": np.asarray(X).tolist()}
-                for (m, a, X) in self.parts
-            ],
+            "parts": [{"q": int(m), "a": a.tolist(), "X": X.tolist()}
+                      for m, a, X in zip(self.mults, self.a, self.X)],
             "tol": self.tol,
             "ambiguous": self.ambiguous,
         }

@@ -227,7 +227,7 @@ def test_c09_approx_pipeline():
         e_ref = ap.energy_of_map(f, cfg)
         errs = []
         for k in (4, 8, 16, 32):
-            _g, rep = ap.piecewise_affine_sequence(f, k, cfg)
+            _g, rep = ap.piecewise_affine_sequence(f, k, cfg, e_ref)
             assert rep["bad_set_full"] <= 2.0 / k
             assert rep["bad_set_shrunk"] <= 3.0 / k
             errs.append(abs(rep["energy_psi_bar"] - e_ref))

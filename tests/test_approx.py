@@ -313,7 +313,7 @@ def _kinked_profile():
 def _blocked_run(monkeypatch, f, k, cfg, block):
     monkeypatch.setattr(ap, "BLOCK_CUBES", block)
     sub = ap.cubic_subdivision(f, 1.0 / k)
-    return sub, ap.energy_of_hybrid(ap.HybridQMap(f, sub, k), cfg)
+    return sub, ap.energy_of_hybrid(ap.HybridQMap(f, sub, k), cfg, ap.energy_of_map(f, cfg))
 
 
 @pytest.mark.parametrize("profile, k", [(ap.smooth_profile, 4), (ap.smooth_profile, 8),
@@ -420,7 +420,8 @@ def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
     assert np.array_equal(keep, _oracle_validate(f, centers, r, a, X, delta))
     assert keep.any() and (profile is not _kinked_profile or not keep.all())
     g = ap.HybridQMap(f, ap.cubic_subdivision(f, delta), k)
-    assert ap.energy_of_hybrid(g, cfg01) == _oracle_energy_of_hybrid(g, cfg01)
+    assert ap.energy_of_hybrid(g, cfg01, ap.energy_of_map(f, cfg01)) == \
+        _oracle_energy_of_hybrid(g, cfg01)
 
 
 def _counted(f):
@@ -438,15 +439,16 @@ def _counted(f):
 def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
     # one jet call gives every part's values and gradient at a point: per
     # lattice cube the 3x3 fit stencil and the N_VALID^2 validation samples,
-    # per kept cube the 3x3 Gauss points and the 4 x 3 x 3 collar nodes, and
-    # the reference grid, whatever the number of parts
+    # per kept cube the 3x3 Gauss points and the 4 x 3 x 3 collar nodes,
+    # whatever the number of parts; the reference energy is the caller's
     f, count = _counted(profile())
     sub = ap.cubic_subdivision(f, 1.0 / 4)
     lattice = sum(t["kept"] + t["dropped"] for t in sub.diagnostics["attempts"])
     assert count == [lattice * (9 + ap.N_VALID**2)]
+    e_ref = ap.energy_of_map(f, cfg01)
     count[0] = 0
-    ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01)
-    assert count == [sub.n_cubes * (9 + 36) + ap.ENERGY_GRID_M**2]
+    ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01, e_ref)
+    assert count == [sub.n_cubes * (9 + 36)]
 
 
 def test_cube_loop_memory_is_bounded(cfg01):
@@ -455,7 +457,7 @@ def test_cube_loop_memory_is_bounded(cfg01):
     tracemalloc.start()
     try:
         sub = ap.cubic_subdivision(f, 1.0 / 16)
-        ap.energy_of_hybrid(ap.HybridQMap(f, sub, 16), cfg01)
+        ap.energy_of_hybrid(ap.HybridQMap(f, sub, 16), cfg01, ap.energy_of_map(f, cfg01))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -464,11 +466,12 @@ def test_cube_loop_memory_is_bounded(cfg01):
 
 def test_smooth_abs_err_at_k64_is_pinned(cfg01):
     f = ap.smooth_profile()
-    _g, rep = ap.piecewise_affine_sequence(f, 64, cfg01)
+    e_ref = ap.energy_of_map(f, cfg01)
+    _g, rep = ap.piecewise_affine_sequence(f, 64, cfg01, e_ref)
     assert rep["bad_set_full"] <= 2.0 / 64 and rep["bad_set_shrunk"] <= 3.0 / 64
     assert rep["lipschitz"] <= rep["lip_bound"]
     # the quadrature sums over 585,225 cubes: allow rounding far above one ulp
-    err = abs(rep["energy_psi_bar"] - ap.energy_of_map(f, cfg01))
+    err = abs(rep["energy_psi_bar"] - e_ref)
     assert err == pytest.approx(1.1815780324608838e-05, rel=0.0, abs=1e-13)
 
 
@@ -478,17 +481,18 @@ def test_smooth_abs_err_at_k64_is_pinned(cfg01):
 def test_abs_err_at_k128_is_pinned(cfg01, profile, pin):
     # about a minute each: run with -m slow
     f = profile()
-    _g, rep = ap.piecewise_affine_sequence(f, 128, cfg01)
+    e_ref = ap.energy_of_map(f, cfg01)
+    _g, rep = ap.piecewise_affine_sequence(f, 128, cfg01, e_ref)
     assert rep["bad_set_full"] <= 2.0 / 128 and rep["bad_set_shrunk"] <= 3.0 / 128
     assert rep["lipschitz"] <= rep["lip_bound"]
-    err = abs(rep["energy_psi_bar"] - ap.energy_of_map(f, cfg01))
+    err = abs(rep["energy_psi_bar"] - e_ref)
     assert err == pytest.approx(pin, rel=0.0, abs=1e-13)
 
 
 def test_sequence_affine_energy_exact(cfg01):
     f = _affine_profile([0.0, 0.0], [[0.3, 0.0], [0.0, 0.2]])
     e_ref = ap.energy_of_map(f, cfg01)
-    g, rep = ap.piecewise_affine_sequence(f, 4, cfg01)
+    g, rep = ap.piecewise_affine_sequence(f, 4, cfg01, e_ref)
     assert abs(rep["energy_psi_bar"] - e_ref) <= 1e-9
     assert rep["boundary_trace_error"] <= 1e-9
 
@@ -499,7 +503,7 @@ def test_sequence_smooth_bounds_and_convergence(cfg01):
     errs = []
     lips = []
     for k in (4, 8, 16):
-        g, rep = ap.piecewise_affine_sequence(f, k, cfg01)
+        g, rep = ap.piecewise_affine_sequence(f, k, cfg01, e_ref)
         assert rep["bad_set_full"] <= 2.0 / k
         assert rep["bad_set_shrunk"] <= 3.0 / k
         assert rep["boundary_trace_error"] <= 1e-9
@@ -524,7 +528,7 @@ def _region_of(g, x):
 
 def test_sequence_region_structure(cfg01):
     f = ap.twosheet_profile()
-    g, rep = ap.piecewise_affine_sequence(f, 4, cfg01)
+    g, rep = ap.piecewise_affine_sequence(f, 4, cfg01, ap.energy_of_map(f, cfg01))
     row = g.sub.n_cubes // 3
     z = g.sub.centers[row]
     assert _region_of(g, z)[0] == "cube"
@@ -559,7 +563,7 @@ def test_map_requires_parts_with_gradients(cfg01):
     calls = [lambda: ap._fit_parts_batched(short, sub.centers, sub.r),
              lambda: ap._validate_batched(short, sub.centers, sub.r, sub.part_a, sub.part_X, 0.25),
              lambda: ap.cubic_subdivision(short, 0.25),
-             lambda: ap.energy_of_hybrid(ap.HybridQMap(short, sub, 4), cfg01),
+             lambda: ap.energy_of_hybrid(ap.HybridQMap(short, sub, 4), cfg01, 0.0),
              lambda: short.part_values(sub.centers), lambda: short.part_grads(sub.centers)]
     for call in calls:
         with pytest.raises(ValueError):

@@ -102,6 +102,23 @@ def test_counts_below_one_rejected(tmp_path, args):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["obstruction", "--eps", "0.1", "--q", "1", "--family", "random"],
+        ["obstruction", "--eps", "0.1", "--q", "1", "--family", "branched"],
+        ["obstruction", "--eps", "0.1", "--q", "1", "--family", "adversarial"],
+        ["envelope", "--eps", "0.1", "--q", "1", "--target", "zero"],
+    ],
+    ids=["random", "branched", "adversarial", "envelope"],
+)
+def test_negative_seed_rejected(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out)] + args + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("samples", ["7", "10"])
 def test_branched_samples_beyond_family_rejected(tmp_path, samples):
     res = run_cli(["obstruction", "--eps", "0.1", "--q", "2", "--samples", samples,
@@ -364,7 +381,7 @@ def test_approx_checks_the_declared_lipschitz_constant(tmp_path, monkeypatch, ca
 
 
 def test_approx_checks_the_lipschitz_bound_per_k(tmp_path, monkeypatch, capsys):
-    def sequence(f, k, cfg):
+    def sequence(f, k, cfg, e_ref):
         return None, {"r": 0.1, "covered": 1.0, "lipschitz": 30.5, "energy_psi_bar": 1.0,
                       "bad_set_full": 0.0, "bad_set_shrunk": 0.0, "lip_bound": 30.0}
 
@@ -375,7 +392,7 @@ def test_approx_checks_the_lipschitz_bound_per_k(tmp_path, monkeypatch, capsys):
 
 
 def test_approx_checks_the_boundary_trace_per_k(tmp_path, monkeypatch, capsys):
-    def sequence(f, k, cfg):
+    def sequence(f, k, cfg, e_ref):
         return None, {"r": 0.1, "covered": 1.0, "lipschitz": 1.0, "energy_psi_bar": 1.0,
                       "bad_set_full": 0.0, "bad_set_shrunk": 0.0, "lip_bound": 30.0,
                       "boundary_trace_error": 0.0 if k == 4 else 2e-9}
@@ -435,8 +452,7 @@ def test_certificate_valid(tmp_path):
 
 @pytest.mark.parametrize("eps", ["1e-5", "1e-8", "1e-12"])
 def test_certificate_tiny_eps_valid(tmp_path, eps):
-    # the winning affine competitors are not re-keyed, so ||X3|| ~ 2 / eps^2
-    # above the 9.2e9 range of the vertex keys does not stop the certificate
+    # ||X3|| ~ 2 / eps^2 reaches 2e24 at eps 1e-12, and the certificate holds
     res = run_cli(["certificate", "--eps", eps, "--q", "2"], tmp_path)
     assert res.returncode == 0, res.stderr
     data = json.loads((tmp_path / "certificate_q2.json").read_text())
@@ -445,8 +461,8 @@ def test_certificate_tiny_eps_valid(tmp_path, eps):
 
 @pytest.mark.parametrize("eps", ["1e-5", "1e-8"])
 def test_envelope_tiny_eps_writes_competitor(tmp_path, eps):
-    # the affine competitor's lift reaches ||X3|| / 2 ~ 1 / eps^2, past the
-    # 9.2e9 range of the integer vertex keys; the written file merges its
+    # the affine competitor's lift reaches ||X3|| / 2 ~ 1 / eps^2, past 9.2e9,
+    # where 1e9 times a coordinate passes 2^63; the written file merges its
     # vertices at that scale too and re-evaluates to the reported upper bound
     from anisoq.currents import TriangulatedCurrent
     from anisoq.energy import PsiConfig, psi_mass_of_current

@@ -2,7 +2,8 @@
 
 The reference functions below are the former implementations of
 slice_mass, mass_in_ball, boundary, boundary_equals_loop, to_json_obj and
-branched_graph, kept here verbatim in their arithmetic.
+branched_graph, kept here verbatim in their arithmetic, and the former
+large-coordinate vertex merge key of to_json_obj.
 """
 
 import json
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from anisoq import currents
+from anisoq import currents, energy
 
 
 def unit_mesh(n):
@@ -135,6 +136,46 @@ def _ref_to_json_obj(T):
             ids.append(index[k])
         triangles.append([ids[0], ids[1], ids[2], int(m)])
     return {"vertices": vertices, "triangles": triangles}
+
+
+def _old_merge_keys(points):
+    """Keys (N, 8) of the former to_json_obj: a coordinate below 9.2e9 keys
+    by its rounded scaled value, a larger one by its own value, and the last
+    four columns flag the large ones, so the two ranges never meet."""
+    scaled = points * 10.0**currents.VERTEX_KEY_DECIMALS
+    large = ~(np.abs(scaled) < 2.0**63)
+    return np.concatenate([np.where(large, points, np.rint(scaled)), large], axis=1)
+
+
+def _json_by_old_merge_keys(T):
+    """to_json_obj's form, its vertices grouped by _old_merge_keys in first-seen order."""
+    flat = T.verts.reshape(-1, 4)
+    index, vertices, ids = {}, [], []
+    for key, v in zip(map(tuple, _old_merge_keys(flat).tolist()), flat.tolist()):
+        if key not in index:
+            index[key] = len(vertices)
+            vertices.append(v)
+        ids.append(index[key])
+    triangles = np.concatenate([np.reshape(ids, (-1, 3)), T.mults[:, None]], axis=1)
+    return {"vertices": vertices, "triangles": triangles.tolist()}
+
+
+def _far_currents():
+    """Currents whose coordinates straddle 9.2e9, where 1e9 times a
+    coordinate passes 2^63: the ray-3 envelope competitor at eps 1e-8, whose
+    lift reaches 1e16, and a branched graph scaled across that range, its
+    small coordinates shaken below the key resolution."""
+    rng = np.random.default_rng(19)
+    _br, competitor = energy.envelope_bracket(1e-8, 2, "ray3")
+    out = [competitor]
+    B = currents.branched_graph(2, 1.0, 1.0, n_r=4, n_theta=12)
+    for scale in (1e10, 3e10):
+        verts = B.verts * scale
+        shaken = verts + rng.uniform(-1e-11, 1e-11, size=verts.shape)
+        out += [currents.TriangulatedCurrent(verts, B.mults),
+                currents.TriangulatedCurrent(shaken, B.mults + 1)]
+    assert all(np.max(np.abs(T.verts)) > 9.2e9 for T in out)
+    return out
 
 
 def _ref_branched_verts(q, amplitude, cutoff, n_r=24, n_theta=32, p=None):
@@ -374,7 +415,8 @@ def test_boundary_matches_loop():
                  for q in (1, 2, 3) for n in (2, 5)]
     currents_ += [currents.branched_graph(2, 0.8, 1.0, n_r=6, n_theta=12),
                   currents.branched_graph(3, 1.0, 0.4, n_r=4, n_theta=10)]
-    g = currents.FunctionalQGraph.affine(unit_mesh(2), [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(2), [1], np.zeros((1, 2)),
+                                         np.zeros((1, 2, 2)))
     T = currents.triangulate(g)
     closed = T.concatenated(currents.TriangulatedCurrent(T.verts[:, [0, 2, 1], :], T.mults))
     currents_.append(closed)
@@ -404,7 +446,9 @@ def test_boundary_equals_loop_matches_loop():
     for mult, expected in ((2, True), (1, False), (-2, False)):
         assert (B.boundary() == _ref_chain([(lift, mult)])) is expected
         assert B.boundary_equals_loop(loop, mult) is expected
-    assert not B.boundary_equals_loop(loop, 2, height=(0.0, 1e-3))
+    # the current off the loop's height
+    raised = currents.TriangulatedCurrent(B.verts + [0.0, 0.0, 0.0, 1e-3], B.mults)
+    assert not raised.boundary_equals_loop(loop, 2)
     for q in (1, 3):
         g = currents.random_lipschitz_graph(70 + q, 1.5, q, unit_mesh(4))
         assert currents.triangulate(g).boundary_equals_loop(g.mesh.boundary_nodes(), g.q)
@@ -417,8 +461,23 @@ def test_vertex_keys_round_half_to_even():
     assert all(k % 2 == 0 for k in keys.tolist())
     with pytest.raises(ValueError, match="finite"):
         currents._vertex_keys([0.0, np.nan, 0.0, 0.0])
-    with pytest.raises(ValueError, match="finite"):
-        currents._vertex_keys([0.0, 1e10, 0.0, 0.0])
+    # a coordinate whose scaled value passes 2^63 keys to that value
+    assert currents._vertex_keys([0.0, 1e10, 0.0, 0.0]).tolist() == [0.0, 1e19, 0.0, 0.0]
+
+
+def test_far_boundary_matches_loop():
+    far = _far_currents()
+    for cur in far:
+        chain = cur.boundary()
+        assert chain == _ref_boundary(cur)
+        assert all(type(k) is int for e in chain for v in e for k in v)
+    assert len(far[0].boundary()) == 4  # the competitor's unit square
+
+
+def test_far_current_json_matches_old_merge_keys():
+    for cur in _far_currents():
+        assert json.dumps(cur.to_json_obj(), sort_keys=True) == \
+            json.dumps(_json_by_old_merge_keys(cur), sort_keys=True)
 
 
 def test_current_json_matches_loop():

@@ -15,7 +15,7 @@ def unit_mesh(n):
 
 
 def test_flat_graph_mass_and_tangents():
-    g = currents.FunctionalQGraph.affine(unit_mesh(4), [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(4), [1], np.zeros((1, 2)), np.zeros((1, 2, 2)))
     T = currents.triangulate(g)
     assert abs(T.mass() - 1.0) < 1e-12
     assert np.allclose(T.unit_tangents(), E12[None, :])
@@ -24,7 +24,7 @@ def test_flat_graph_mass_and_tangents():
 def test_affine_graph_area_formula(rng):
     for _ in range(10):
         X = rng.normal(size=(2, 2))
-        g = currents.FunctionalQGraph.affine(unit_mesh(3), [(1, rng.normal(size=2), X)])
+        g = currents.FunctionalQGraph.affine(unit_mesh(3), [1], rng.normal(size=(1, 2)), X[None])
         T = currents.triangulate(g)
         lam = exterior.lambda_m_batch(X[None])[0]
         expected = np.linalg.norm(lam)
@@ -36,8 +36,8 @@ def test_affine_graph_area_formula(rng):
 
 
 def test_two_parallel_sheets():
-    parts = [(1, np.array([0.0, 1.0]), np.zeros((2, 2))), (1, np.array([0.0, -1.0]), np.zeros((2, 2)))]
-    g = currents.FunctionalQGraph.affine(unit_mesh(3), parts)
+    g = currents.FunctionalQGraph.affine(unit_mesh(3), [1, 1], [[0.0, 1.0], [0.0, -1.0]],
+                                         np.zeros((2, 2, 2)))
     T = currents.triangulate(g)
     assert abs(T.mass() - 2.0) < 1e-12
     # boundary: one square loop at each of the two heights
@@ -55,7 +55,7 @@ def test_zero_boundary_chain_is_q_square():
 
 def test_closed_surface_empty_boundary():
     # a flat square traversed with opposite orientations cancels entirely
-    g = currents.FunctionalQGraph.affine(unit_mesh(2), [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(2), [1], np.zeros((1, 2)), np.zeros((1, 2, 2)))
     T = currents.triangulate(g)
     reversed_T = currents.TriangulatedCurrent(T.verts[:, [0, 2, 1], :], T.mults)
     both = T.concatenated(reversed_T)
@@ -79,7 +79,7 @@ def test_gaussian_barycenter_stokes(rng):
 
 
 def test_partition_flat_all_horizontal():
-    g = currents.FunctionalQGraph.affine(unit_mesh(3), [(2, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(unit_mesh(3), [2], np.zeros((1, 2)), np.zeros((1, 2, 2)))
     T = currents.triangulate(g)
     pm, parts = T.partition(0.1)
     assert pm.mH == pytest.approx(T.mass())
@@ -96,7 +96,7 @@ def test_partition_additivity(rng):
 
 def test_partition_x1_affine_classification(bundle01):
     # the v1-plane at eps = 0.1: check against a direct SVD of the blocks
-    g = currents.FunctionalQGraph.affine(unit_mesh(2), [(1, np.zeros(2), bundle01.X[0])])
+    g = currents.FunctionalQGraph.affine(unit_mesh(2), [1], np.zeros((1, 2)), bundle01.X[:1])
     T = currents.triangulate(g)
     labels = set(T.classify_triangles(0.1))
     expected = exterior.classify_bivector(bundle01.v[0], 0.1)
@@ -138,8 +138,8 @@ def test_squeeze_pushforward_is_scaled_graph(rng):
     mesh = unit_mesh(4)
     nodal = rng.normal(size=(5, 5, 2)) * 0.5
     nodal[0, :, :] = nodal[-1, :, :] = nodal[:, 0, :] = nodal[:, -1, :] = 0.0
-    g1 = currents.FunctionalQGraph.from_nodal_sheets(mesh, [(1, nodal)])
-    g2 = currents.FunctionalQGraph.from_nodal_sheets(mesh, [(1, eps * nodal)])
+    g1 = currents.FunctionalQGraph.from_nodal_sheets(mesh, [1], nodal[None])
+    g2 = currents.FunctionalQGraph.from_nodal_sheets(mesh, [1], eps * nodal[None])
     T1 = currents.triangulate(g1).pushforward(np.diag([1, 1, eps, eps]))
     T2 = currents.triangulate(g2)
     assert abs(T1.mass() - T2.mass()) <= 1e-10
@@ -292,11 +292,10 @@ def test_ratio_lower_bound_where_vertical(bundle01):
 # -- reference: per-node, per-triangle and per-point loops ---------------------
 
 
-def _ref_affine_vals(mesh, parts):
+def _ref_affine_vals(mesh, a_parts, X_parts):
     x0 = np.array(mesh.x0, dtype=float)
-    vals = np.zeros((len(parts), mesh.n + 1, mesh.n + 1, 2))
-    for s, (_m, a, X) in enumerate(parts):
-        a, X = np.asarray(a, float), np.asarray(X, float)
+    vals = np.zeros((len(a_parts), mesh.n + 1, mesh.n + 1, 2))
+    for s, (a, X) in enumerate(zip(a_parts, X_parts)):
         for i in range(mesh.n + 1):
             for j in range(mesh.n + 1):
                 vals[s, i, j] = a + X @ (mesh.node(i, j) - x0)
@@ -382,9 +381,9 @@ def nodal_calls(monkeypatch):
     calls = []
     build = currents.FunctionalQGraph.from_nodal_sheets.__func__
 
-    def recording(cls, mesh, nodal_list):
-        calls.append(nodal_list)
-        return build(cls, mesh, nodal_list)
+    def recording(cls, mesh, mults, vals):
+        calls.append((mults, vals))
+        return build(cls, mesh, mults, vals)
 
     monkeypatch.setattr(currents.FunctionalQGraph, "from_nodal_sheets", classmethod(recording))
     return calls
@@ -399,16 +398,15 @@ def test_array_layout_matches_triangle_loops(bundle01, cfg01, nodal_calls):
     graphs.append(currents.steep_plateau_graph(4.0, 2, unit_mesh(6)))
     graphs.append(currents.ray_plateau_graph(bundle01.X[2], 1, unit_mesh(6)))
     assert len(nodal_calls) == len(graphs)
-    for g, nodal in zip(graphs, nodal_calls):
-        _assert_matches_reference(g, [m for m, _v in nodal], np.array([v for _m, v in nodal]),
-                                  cfg01)
+    for g, (mults, vals) in zip(graphs, nodal_calls):
+        _assert_matches_reference(g, mults, vals, cfg01)
 
 
 def test_affine_layout_matches_triangle_loops(cfg01, rng):
     mesh = currents.Mesh(x0=(0.3, -0.2), r=1.5, n=5)
-    parts = [(int(m), rng.normal(size=2), rng.normal(size=(2, 2))) for m in (1, 3)]
-    _assert_matches_reference(currents.FunctionalQGraph.affine(mesh, parts),
-                              [m for m, _a, _X in parts], _ref_affine_vals(mesh, parts), cfg01)
+    mults, a, X = [1, 3], rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2))
+    _assert_matches_reference(currents.FunctionalQGraph.affine(mesh, mults, a, X),
+                              mults, _ref_affine_vals(mesh, a, X), cfg01)
 
 
 @pytest.mark.parametrize(

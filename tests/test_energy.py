@@ -68,12 +68,12 @@ def _psi_bar_energy(g, cfg):
 
 
 def test_psi_bar_energy_cases(bundle01, cfg01):
-    g = currents.FunctionalQGraph.affine(unit_mesh(3), [(1, np.zeros(2), bundle01.X[0])])
+    g = currents.FunctionalQGraph.affine(unit_mesh(3), [1], np.zeros((1, 2)), bundle01.X[:1])
     assert _psi_bar_energy(g, cfg01) == 0.0
     assert energy.psi_mass_of_current(currents.triangulate(g), cfg01) == 0.0
     for q in (1, 3):
-        flat = currents.FunctionalQGraph.affine(unit_mesh(3),
-                                                [(q, np.zeros(2), np.zeros((2, 2)))])
+        flat = currents.FunctionalQGraph.affine(unit_mesh(3), [q], np.zeros((1, 2)),
+                                                np.zeros((1, 2, 2)))
         assert _psi_bar_energy(flat, cfg01) == pytest.approx(float(q))
         assert energy.psi_mass_of_current(currents.triangulate(flat), cfg01) == \
             pytest.approx(float(q))
@@ -131,7 +131,7 @@ def test_envelope_upper_ray_ring_beats_affine_near_ray():
         assert energy.psi_mass_of_current(comp, cfg) == val
         assert comp.n_triangles == 10
         affine = currents.triangulate(
-            currents.FunctionalQGraph.affine(energy.UNIT_DOMAIN, [(1, a, X)]))
+            currents.FunctionalQGraph.affine(energy.UNIT_DOMAIN, [1], [a], [X]))
         assert comp.boundary() == affine.boundary()
 
 
@@ -174,13 +174,8 @@ def test_ray_ring_boundary_mismatch_is_an_assertion(cfg01, monkeypatch):
 
 def test_envelope_split_target(bundle01, cfg01):
     # separated parts sharing the first ray gradient: sheetwise affine, zero
-    target = MaximalDecomposition(
-        parts=[
-            (1, np.array([0.0, 0.0]), bundle01.X[0]),
-            (1, np.array([10.0, 0.0]), bundle01.X[0]),
-        ],
-        tol=1e-9,
-    )
+    target = MaximalDecomposition(mults=np.array([1, 1]), a=np.array([[0.0, 0.0], [10.0, 0.0]]),
+                                  X=bundle01.X[[0, 0]], tol=1e-9)
     val, _, _ = energy.envelope_upper(target, cfg01)
     assert val == 0.0
 

@@ -229,7 +229,7 @@ def test_merged_matches_unique_oracle(rng):
 
 def test_obstruction_report_flat_graph():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
-    g = currents.FunctionalQGraph.affine(mesh, [(1, np.zeros(2), np.zeros((2, 2)))])
+    g = currents.FunctionalQGraph.affine(mesh, [1], np.zeros((1, 2)), np.zeros((1, 2, 2)))
     rep = gm.obstruction_report(g, 0.1)
     assert rep["mV"] == 0.0 and rep["mM"] == 0.0
     assert rep["ratio"] == float("inf")
@@ -241,7 +241,7 @@ def test_obstruction_report_flat_graph():
 
 def test_obstruction_report_rejects_nonzero_boundary():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
-    g = currents.FunctionalQGraph.affine(mesh, [(1, np.zeros(2), np.eye(2))])
+    g = currents.FunctionalQGraph.affine(mesh, [1], np.zeros((1, 2)), [np.eye(2)])
     with pytest.raises(ValueError):
         gm.obstruction_report(g, 0.1)
 
