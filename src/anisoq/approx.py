@@ -1,21 +1,15 @@
-"""Constructive interpolation and piecewise-affine approximation.
+"""Constructive piecewise-affine approximation of sheetwise-decomposable maps.
 
-Two building blocks:
-
-* interpolate_annulus joins sheetwise-decomposable boundary data across a
-  square annulus by the convex sup-norm blend of the two radial extensions;
-  the trace is matched exactly on both boundaries and the measured Lipschitz
-  constant is controlled by L_inner + L_outer + gap / (annulus width).
-
-* cubic_subdivision / piecewise_affine_sequence implement a verified-search
-  version of the almost-piecewise-affine approximation of a sheetwise
-  decomposable map: per cube and per sheet an affine model fitted by least
-  squares around the cube centre, validated by a sup condition and a
-  gradient measure condition; cubes failing validation are dropped, and the
-  sequence g_k glues the models on shrunken cubes to the map itself through
-  the annulus blend.  The kept cubes are one record, CubicSubdivision (a
-  lattice of row indices and per-cube model arrays); a search that finds no
-  subdivision raises RuntimeError.
+cubic_subdivision / piecewise_affine_sequence implement a verified-search
+version of the almost-piecewise-affine approximation of a sheetwise
+decomposable map: per cube and per sheet an affine model fitted by least
+squares around the cube centre, validated by a sup condition and a gradient
+measure condition; cubes failing validation are dropped, and the sequence
+g_k glues the models on shrunken cubes to the map itself through the
+annulus blend on each collar (see HybridQMap), the one annulus
+interpolation here.  The kept cubes are one record, CubicSubdivision (a
+lattice of row indices and per-cube model arrays); a search that finds no
+subdivision raises RuntimeError.
 
 Almost-everywhere objects (differentiability points, Lebesgue points) are
 replaced by sampled interior points with validation and retry, so the
@@ -26,12 +20,12 @@ constant, the jet being one call that returns every part's values and
 analytic gradient entries at coordinate arrays.  The cube kernels (fit,
 validation, Gauss table and collar) call the jet once per sample point and
 work on component arrays, one array per coordinate, value or gradient
-entry.  Every Q-map here (SampledLipschitzQMap, AnnulusInterpolant,
-HybridQMap) also evaluates arrays of points through part_values
-((..., 2) -> (..., J, 2)) and values_at ((..., 2) -> (..., Q, 2), the parts
-repeated by multiplicity).  Both annulus blends go through _blend, every
-tensor grid of offsets through _grid, and every summed-psi energy through
-the one kernel _psi_bar.
+entry.  Both Q-maps here (SampledLipschitzQMap and HybridQMap) also
+evaluate arrays of points through part_values ((..., 2) -> (..., J, 2))
+and values_at ((..., 2) -> (..., Q, 2), the parts repeated by
+multiplicity).  The collar blend goes through _blend, every tensor grid of
+offsets through _grid, and every summed-psi energy through the one kernel
+_psi_bar.
 """
 
 from __future__ import annotations
@@ -157,7 +151,7 @@ def twosheet_profile(sep=1.2, amp=0.15):
 
 
 # ---------------------------------------------------------------------------
-# annulus interpolation
+# squares, grids and the collar blend
 # ---------------------------------------------------------------------------
 
 
@@ -179,15 +173,6 @@ def _blend(d, s_in, s_out, outer, inner):
     return t * outer + (1.0 - t) * inner
 
 
-def _radial_project(x, c, s_half):
-    """Sup-norm radial projection of points x (..., 2) onto the square of
-    half-side s_half; the centre itself goes to c + (s_half, 0)."""
-    d = np.asarray(x, dtype=float) - c
-    nrm = np.max(np.abs(d), axis=-1, keepdims=True)
-    at_c = nrm == 0.0
-    return c + np.where(at_c, [s_half, 0.0], d * (s_half / np.where(at_c, 1.0, nrm)))
-
-
 def _square_perimeter(c, s_half, tau):
     """Points (..., 2) on the square of half-side s_half at perimeter
     parameters tau (...) in [0, 1), counter-clockwise from the corner
@@ -198,107 +183,6 @@ def _square_perimeter(c, s_half, tau):
     h = np.full(w.shape, s_half)
     return c + np.stack([np.choose(side, [w, h, -w, -h]),
                          np.choose(side, [-h, w, h, -w])], axis=-1)
-
-
-def _extension(datum, center, s_half):
-    """Lipschitz extension (..., 2) -> (..., 2) of one part's boundary datum:
-    an affine datum (a, X relative to center) extends as itself, a callable
-    through the radial projection onto its boundary square."""
-    if callable(datum):
-        return lambda x: np.asarray(datum(_radial_project(x, center, s_half)), dtype=float)
-    a, X = (np.asarray(v, dtype=float) for v in datum)
-    return lambda x: a + (X @ (np.asarray(x, dtype=float) - center)[..., None])[..., 0]
-
-
-def _extensions(data, x):
-    """Extensions (..., J, 2) of the part data at points x (..., 2)."""
-    return np.stack([extend(x) for extend in data], axis=-2)
-
-
-class AnnulusInterpolant:
-    """Sheetwise blend between inner and outer boundary data on a square annulus.
-
-    Each part's value is t(x) * outer_extension + (1 - t(x)) * inner_extension
-    with t the normalised sup-norm radius; traces match both boundaries
-    exactly.  inner and outer hold the part extensions.
-    """
-
-    def __init__(self, inner_parts, outer_parts, center, r, sigma):
-        if not (0.0 < sigma < 1.0):
-            raise ValueError("sigma must be in (0, 1)")
-        if [m for m, _ in inner_parts] != [m for m, _ in outer_parts]:
-            raise ValueError("not sheetwise-decomposable: part multiplicities differ")
-        self.center = np.asarray(center, dtype=float)
-        self.r = float(r)
-        self.sigma = float(sigma)
-        self.s_in = 0.5 * r
-        self.s_out = 0.5 * (1.0 + sigma) * r
-        self.mults = [int(m) for m, _ in inner_parts]
-        self.inner = [_extension(d, self.center, self.s_in) for _, d in inner_parts]
-        self.outer = [_extension(d, self.center, self.s_out) for _, d in outer_parts]
-
-    def part_values(self, x):
-        """Values (..., J, 2) of every part at points x (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        return _blend(_sup_radius(x, self.center), self.s_in, self.s_out,
-                      _extensions(self.outer, x), _extensions(self.inner, x))
-
-    def values_at(self, x):
-        """Q-point values (..., Q, 2) at points x (..., 2)."""
-        return np.repeat(self.part_values(x), self.mults, axis=-2)
-
-    # -- diagnostics --------------------------------------------------------
-
-    def _rings(self, n_nodes):
-        """n_nodes matching points (n_nodes, 2) on the inner and the outer square."""
-        taus = np.arange(n_nodes) / n_nodes
-        return tuple(_square_perimeter(self.center, s, taus) for s in (self.s_in, self.s_out))
-
-    def trace_error(self, n_nodes=32):
-        """Max mismatch against the prescribed data at boundary mesh nodes."""
-        xi, xo = self._rings(n_nodes)
-        diff = self.part_values(np.stack([xi, xo])) - np.stack(
-            [_extensions(self.inner, xi), _extensions(self.outer, xo)])
-        # the dot product np.linalg.norm takes of a single vector
-        d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-        return float(np.max(d, initial=0.0))
-
-    def measured_lipschitz(self, n_perim=96, n_rad=8):
-        """Finite-difference Lipschitz estimate over a fine annulus grid.
-
-        Difference quotients between ring neighbours (cyclic in the perimeter
-        parameter) and radial neighbours, skipping coincident points.
-        """
-        radii = np.linspace(self.s_in, self.s_out, n_rad + 1)
-        taus = np.arange(n_perim) / n_perim
-        pts = np.stack([_square_perimeter(self.center, s, taus) for s in radii])
-        vals = self.values_at(pts)
-        # ring-neighbour pairs stacked over radial-neighbour pairs
-        x, vx = (np.concatenate([v, v[:-1]]) for v in (pts, vals))
-        y, vy = (np.concatenate([np.roll(v, -1, axis=1), v[1:]]) for v in (pts, vals))
-        diff = x - y
-        d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-        far = d > 1e-14
-        return float(np.max(g_metric(vx[far], vy[far]) / d[far], initial=0.0))
-
-    def boundary_gap(self, n_nodes=64):
-        """sup over matching boundary points of the Q-point data gap."""
-        xi, xo = self._rings(n_nodes)
-        gaps = g_metric(np.repeat(_extensions(self.inner, xi), self.mults, axis=-2),
-                        np.repeat(_extensions(self.outer, xo), self.mults, axis=-2))
-        return float(np.max(gaps, initial=0.0))
-
-
-def interpolate_annulus(inner_parts, outer_parts, center, r, sigma):
-    """Interpolant across D_{(1+sigma)r} minus D_r matching both traces exactly.
-
-    inner_parts / outer_parts: lists of (multiplicity, datum), a datum being
-    either a vectorised callable (..., 2) -> (..., 2) defined (at least) on
-    its boundary square, or a pair (a, X) for the affine map
-    a + X (x - center).  Multiplicity vectors must match part by part, else
-    ValueError ("not sheetwise-decomposable").
-    """
-    return AnnulusInterpolant(inner_parts, outer_parts, center, r, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +354,12 @@ class HybridQMap:
     The collar value is the annulus blend with t the normalised sup-radius
     between the shrunken and the full cube: part j takes
     t * f_j(x) + (1 - t) * model_j(x), which is the model itself on the
-    shrunken cube (t = 0).  Since f is defined on the whole domain it serves
-    as its own outer extension (same trace, same Lipschitz constant), and
-    the blend reduces to f exactly when f is affine.
+    shrunken cube (t = 0) and f on the full cube's square (t = 1).  Since f
+    is defined on the whole domain it serves as its own outer extension (same
+    trace, same Lipschitz constant), and the blend reduces to f exactly when
+    f is affine.  These collars are the lab's one annulus interpolation;
+    acceptance C08 checks both traces and the Lipschitz bound
+    10 (L_f + |X| + gap / (collar width)) on them.
     """
 
     def __init__(self, f, sub, k):

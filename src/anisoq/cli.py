@@ -3,13 +3,14 @@
 Commands: construct, obstruction, envelope, approx, certificate.  Exit code
 0 means every checked assertion passed, 1 a domain or usage error (argparse's
 own errors included, which would otherwise exit 2, and an output path that
-cannot be written), 2 an
-assertion failure or a failed computation (a RuntimeError or ArithmeticError,
-such as a failed cubic subdivision, or a transport problem whose certificate
-and fallback LP both fail); the failure is named on stderr.  A command whose
-stdout is closed early exits 1 without a message.  All outputs are
-deterministic for a fixed seed: JSON is dumped with sorted keys and CSV rows
-in a fixed order, with no timestamps.
+cannot be written), 2 an assertion failure (a violated invariant, such as a
+generated current whose boundary is not q times its loop) or a failed
+computation (a RuntimeError, ArithmeticError or MemoryError, such as a
+failed cubic subdivision, a transport problem whose certificate and
+fallback LP both fail, or an allocation numpy cannot make); the failure is
+named on stderr.  A command whose stdout is closed early exits 1 without a
+message.  All outputs are deterministic for a fixed seed: JSON is dumped
+with sorted keys and CSV rows in a fixed order, with no timestamps.
 """
 
 from __future__ import annotations
@@ -419,7 +420,7 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 

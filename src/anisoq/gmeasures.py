@@ -321,7 +321,9 @@ def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=No
 
     Accepts a zero-boundary FunctionalQGraph (verified) or a
     TriangulatedCurrent with its multiplicity q and boundary_loop (its
-    boundary verified to be q times the loop).  The transport
+    boundary verified to be q times the loop).  A failed verification is a
+    violated invariant of the generator and raises AssertionError; a raw
+    current without q or boundary_loop raises ValueError.  The transport
     distance compares the Gaussian image with mu0, both normalised to
     probability measures.
     """
@@ -330,7 +332,7 @@ def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=No
     if isinstance(graph_or_current, currents.FunctionalQGraph):
         g = graph_or_current
         if not g.is_zero_boundary():
-            raise ValueError("obstruction report requires a zero-boundary graph")
+            raise AssertionError("obstruction report requires a zero-boundary graph")
         T = currents.triangulate(g)
         q = g.q
     else:
@@ -338,7 +340,7 @@ def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=No
         if q is None or boundary_loop is None:
             raise ValueError("a raw current needs q and boundary_loop")
         if not T.boundary_equals_loop(boundary_loop, q):
-            raise ValueError("current boundary is not q times the given loop")
+            raise AssertionError("current boundary is not q times the given loop")
     if mu0 is None:
         mu0 = construction.make_mu0(eps)
     gamma = T.gaussian_image()

@@ -5,7 +5,6 @@ pinned in the assertions, nothing is deferred to runtime calibration.
 """
 
 import contextlib
-import math
 import os
 import subprocess
 import sys
@@ -207,17 +206,33 @@ def test_c07_certificate():
 
 
 def test_c08_interpolation():
+    # g_k's collar blend, the lab's one annulus interpolation: on every kept
+    # cube its trace is the affine model on the shrunken square and f on the
+    # full square, and g_k's sampled Lipschitz constant stays within
+    # 10 (L_f + max |X| + gap / w), gap the largest 𝒢(f, model) on the full
+    # squares and w the collar width
     with criterion(8, "annulus interpolation"):
-        f = ap.smooth_profile()
-        inner = [(1, lambda x: f.part_values(x)[..., 0, :])]
-        r, sigma = 0.5, 0.3
-        for s in (0.0, 0.1, 0.4):
-            outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
-            interp = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
-            assert interp.trace_error() <= 1e-12
-            gap = interp.boundary_gap()
-            lf, lg = f.lipschitz, 0.1 * math.sqrt(2)
-            assert interp.measured_lipschitz() <= 10.0 * (lf + lg + gap / (sigma * r))
+        cfg = PsiConfig.for_eps(0.1)
+        taus = np.arange(32) / 32
+        for f in (ap.smooth_profile(), ap.twosheet_profile()):
+            e_ref = ap.energy_of_map(f, cfg)
+            for k in (4, 8):
+                g, rep = ap.piecewise_affine_sequence(f, k, cfg, e_ref)
+                sub = g.sub
+                z = sub.centers[:, None]  # (n_cubes, 1, 2)
+                s_in, s_out = 0.5 * g.shrink * sub.r, 0.5 * sub.r
+                # one ring (n_cubes, 32, 2) per square, all cubes at once
+                x_in, x_out = (ap._square_perimeter(z, s, taus) for s in (s_in, s_out))
+                # the cubes' models there, (n_cubes, 32, J, 2)
+                a, X = sub.part_a[:, None], sub.part_X[:, None]
+                m_in, m_out = (a + (X @ (x - z)[..., None, :, None])[..., 0] for x in (x_in, x_out))
+                assert np.max(np.abs(g.part_values(x_in) - m_in)) <= 1e-12
+                f_out = f.part_values(x_out)
+                assert np.max(np.abs(g.part_values(x_out) - f_out)) <= 1e-12
+                gap = np.max(mp.g_metric(np.repeat(f_out, f.mults, axis=-2),
+                                         np.repeat(m_out, f.mults, axis=-2)))
+                lx = np.max(np.linalg.norm(sub.part_X, axis=(-2, -1)))
+                assert rep["lipschitz"] <= 10.0 * (f.lipschitz + lx + gap / (s_out - s_in))
 
 
 def test_c09_approx_pipeline():

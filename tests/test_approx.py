@@ -181,55 +181,6 @@ def test_profile_jets_match_fd():
                 assert np.allclose(grads[smooth, j, :, k], fd[smooth], rtol=0.0, atol=1e-8)
 
 
-def test_interpolant_same_constant():
-    const = np.array([0.7, -0.3])
-    inner = [(2, (const, np.zeros((2, 2))))]
-    outer = [(2, (const, np.zeros((2, 2))))]
-    I = ap.interpolate_annulus(inner, outer, np.zeros(2), 0.4, 0.5)
-    for x in (np.array([0.21, 0.05]), np.array([-0.28, 0.28])):
-        assert np.allclose(I.part_values(x)[0], const)
-
-
-def test_interpolant_affine_both_sides():
-    a, X = np.array([1.0, 2.0]), np.array([[0.3, -0.1], [0.2, 0.5]])
-    I = ap.interpolate_annulus(
-        [(1, (a, X))], [(1, (a, X))], np.zeros(2), 0.5, 0.4
-    )
-    for x in (np.array([0.3, 0.1]), np.array([-0.33, 0.2])):
-        assert np.allclose(I.part_values(x)[0], a + X @ x, atol=1e-14)
-    assert I.trace_error() <= 1e-12
-
-
-def _part_fn(f, j=0):
-    """Part j of f as a value callable (..., 2) -> (..., 2), an annulus datum."""
-    return lambda x: f.part_values(x)[..., j, :]
-
-
-def test_interpolant_trace_and_lipschitz_families():
-    f = ap.smooth_profile()
-    r, sigma = 0.5, 0.3
-    cases = []
-    # smooth inner against a perturbed affine outer at several gap sizes
-    for s in (0.0, 0.1, 0.4):
-        outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
-        cases.append((([(1, _part_fn(f))]), outer, f.lipschitz, 0.1 * np.sqrt(2)))
-    for inner, outer, lf, lg in cases:
-        I = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
-        assert I.trace_error() <= 1e-12
-        gap = I.boundary_gap()
-        bound = 10.0 * (lf + lg + gap / (sigma * r))
-        assert I.measured_lipschitz() <= bound
-
-
-def test_interpolant_multiplicity_mismatch():
-    with pytest.raises(ValueError, match="not sheetwise-decomposable"):
-        ap.interpolate_annulus(
-            [(1, (np.zeros(2), np.zeros((2, 2))))],
-            [(2, (np.zeros(2), np.zeros((2, 2))))],
-            np.zeros(2), 0.5, 0.3,
-        )
-
-
 def _affine_profile(a, X):
     a = np.asarray(a, float)
     X = np.asarray(X, float)
@@ -678,58 +629,8 @@ def test_measured_lipschitz_matches_double_loop(profile, k):
     assert g.measured_lipschitz(grid_m) == best
 
 
-def _old_annulus_lipschitz(I, n_perim=96, n_rad=8):
-    best = 0.0
-    radii = np.linspace(I.s_in, I.s_out, n_rad + 1)
-    taus = np.arange(n_perim) / n_perim
-    pts = np.empty((n_rad + 1, n_perim, 2))
-    for a, s in enumerate(radii):
-        for b, tau in enumerate(taus):
-            pts[a, b] = ap._square_perimeter(I.center, s, tau)
-    vals = [[I.values_at(pts[a, b]) for b in range(n_perim)] for a in range(n_rad + 1)]
-    for a in range(n_rad + 1):
-        for b in range(n_perim):
-            nb = (b + 1) % n_perim
-            d = np.linalg.norm(pts[a, b] - pts[a, nb])
-            if d > 1e-14:
-                best = max(best, _pairwise_g_metric(vals[a][b], vals[a][nb]) / d)
-            if a + 1 <= n_rad:
-                d = np.linalg.norm(pts[a, b] - pts[a + 1, b])
-                if d > 1e-14:
-                    best = max(best, _pairwise_g_metric(vals[a][b], vals[a + 1][b]) / d)
-    return best
-
-
-def test_annulus_lipschitz_matches_double_loop():
-    f = ap.smooth_profile()
-    const, a, X = np.array([0.7, -0.3]), np.array([1.0, 2.0]), np.array([[0.3, -0.1], [0.2, 0.5]])
-    cases = [
-        ([(2, (const, np.zeros((2, 2))))], [(2, (const, np.zeros((2, 2))))], 0.4, 0.5),
-        ([(1, (a, X))], [(1, (a, X))], 0.5, 0.4),
-    ]
-    for s in (0.0, 0.1, 0.4):
-        outer = [(1, (np.array([s, 0.2]), np.array([[0.1, 0.0], [0.0, -0.1]])))]
-        cases.append(([(1, _part_fn(f))], outer, 0.5, 0.3))
-    cases.append(([(1, _part_fn(f)), (1, (a, X))], [(1, (const, X)), (1, _part_fn(f))],
-                  0.5, 0.3))
-    for inner, outer, r, sigma in cases:
-        I = ap.interpolate_annulus(inner, outer, np.zeros(2), r, sigma)
-        assert I.measured_lipschitz() == _old_annulus_lipschitz(I)
-    # a degenerate ring whose neighbours coincide is skipped, not divided by
-    I = ap.interpolate_annulus(*cases[2][:2], np.zeros(2), 0.5, 0.3)
-    assert I.measured_lipschitz(n_perim=1, n_rad=2) == _old_annulus_lipschitz(I, 1, 2)
-
-
-# -- the scalar annulus path that part_values and the stacked diagnostics
-# replaced, kept here as a reference ----------------------------------------
-
-
-def _old_radial_project(x, c, s_half):
-    d = np.asarray(x, dtype=float) - c
-    nrm = max(abs(d[0]), abs(d[1]))
-    if nrm == 0.0:
-        return c + np.array([s_half, 0.0])
-    return c + d * (s_half / nrm)
+# -- the scalar perimeter walk that _square_perimeter replaced, kept here as
+# a reference --------------------------------------------------------------
 
 
 def _old_square_perimeter(c, s_half, tau):
@@ -745,49 +646,7 @@ def _old_square_perimeter(c, s_half, tau):
     return c + np.array([-s_half, -w])
 
 
-def _old_extend(datum, c, s_half, x):
-    """Extension of one raw part datum (a callable, or an affine (a, X))."""
-    if callable(datum):
-        return np.asarray(datum(_old_radial_project(x, c, s_half)), dtype=float)
-    a, X = (np.asarray(v, dtype=float) for v in datum)
-    return a + X @ (np.asarray(x, dtype=float) - c)
-
-
-def _old_annulus_part_value(I, inner, outer, x, j):
-    t = float(np.clip((_old_sup_radius(x, I.center) - I.s_in) / (I.s_out - I.s_in), 0.0, 1.0))
-    return (t * _old_extend(outer[j][1], I.center, I.s_out, x)
-            + (1.0 - t) * _old_extend(inner[j][1], I.center, I.s_in, x))
-
-
-def _old_rows(parts, c, s_half, x):
-    return np.array([_old_extend(d, c, s_half, x) for m, d in parts for _ in range(m)])
-
-
-def _annulus_cases():
-    """(interpolant, inner parts, outer parts) of three annuli."""
-    f = ap.smooth_profile()
-    const, a, X = np.array([0.7, -0.3]), np.array([1.0, 2.0]), np.array([[0.3, -0.1], [0.2, 0.5]])
-    c = np.array([0.013, -0.021])
-    cases = [
-        ([(1, (a, X))], [(1, (const, 0.5 * X))], np.zeros(2), 0.5, 0.4),
-        ([(1, _part_fn(f))], [(1, (a, X))], c, 0.5, 0.3),
-        ([(1, _part_fn(f)), (2, (a, X))], [(1, (const, X)), (2, _part_fn(f))], c, 0.4, 0.5),
-    ]
-    return [(ap.interpolate_annulus(*case), case[0], case[1]) for case in cases]
-
-
-def _annulus_points(I, rng):
-    taus = np.concatenate([np.arange(5) / 4, np.arange(96) / 96, rng.random(20)])
-    return np.concatenate([
-        [I.center],
-        I.center + I.s_out * rng.uniform(-1.2, 1.2, (300, 2)),  # inside, annulus, outside
-        *(I.center + s * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])
-          for s in (I.s_in, I.s_out)),  # corners of both squares
-        *(ap._square_perimeter(I.center, s, taus) for s in (I.s_in, I.s_out)),
-    ])
-
-
-def test_square_perimeter_and_radial_project_match_scalar_code():
+def test_square_perimeter_matches_scalar_code():
     rng = np.random.default_rng(3)
     c = np.array([0.013, -0.021])
     taus = np.concatenate([np.arange(9) / 4, np.arange(64) / 64, rng.random(50)])
@@ -795,45 +654,3 @@ def test_square_perimeter_and_radial_project_match_scalar_code():
         ref = np.array([_old_square_perimeter(c, s, t) for t in taus])
         assert np.array_equal(ap._square_perimeter(c, s, taus), ref)
         assert np.array_equal(ap._square_perimeter(c, s, taus[5]), ref[5])
-        pts = np.concatenate([[c], ref, c + rng.uniform(-1, 1, (200, 2)), c + [[s, 0], [0, -s]]])
-        ref = np.array([_old_radial_project(x, c, s) for x in pts])
-        assert np.array_equal(ap._radial_project(pts, c, s), ref)
-        assert np.array_equal(ap._radial_project(pts[0], c, s), ref[0])
-        assert np.array_equal(ap._radial_project(c, c, s), c + [s, 0.0])
-
-
-def test_annulus_part_values_match_scalar_code():
-    rng = np.random.default_rng(4)
-    for I, inner, outer in _annulus_cases():
-        pts = _annulus_points(I, rng)
-        ref = np.array([[_old_annulus_part_value(I, inner, outer, x, j)
-                         for j in range(len(I.mults))] for x in pts])
-        assert np.array_equal(I.part_values(pts), ref)
-        assert np.array_equal(I.part_values(pts.reshape(-1, 1, 2))[:, 0], ref)
-        assert np.array_equal(I.values_at(pts), np.repeat(ref, I.mults, axis=-2))
-        for row in (0, 7, len(pts) - 1):
-            assert np.array_equal(I.part_values(pts[row]), ref[row])
-            assert np.array_equal(I.values_at(pts[row]), np.repeat(ref[row], I.mults, axis=0))
-
-
-def test_annulus_trace_error_and_gap_match_scalar_loops():
-    for I, inner, outer in _annulus_cases():
-        for n in (1, 4, 32, 64):
-            err = gap = 0.0
-            for k in range(n):
-                xi = _old_square_perimeter(I.center, I.s_in, k / n)
-                xo = _old_square_perimeter(I.center, I.s_out, k / n)
-                for j in range(len(I.mults)):
-                    err = max(
-                        err,
-                        float(np.linalg.norm(
-                            _old_annulus_part_value(I, inner, outer, xi, j)
-                            - _old_extend(inner[j][1], I.center, I.s_in, xi))),
-                        float(np.linalg.norm(
-                            _old_annulus_part_value(I, inner, outer, xo, j)
-                            - _old_extend(outer[j][1], I.center, I.s_out, xo))),
-                    )
-                gap = max(gap, _pairwise_g_metric(_old_rows(inner, I.center, I.s_in, xi),
-                                                  _old_rows(outer, I.center, I.s_out, xo)))
-            assert I.trace_error(n) == err
-            assert I.boundary_gap(n) == gap

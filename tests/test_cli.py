@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from anisoq import approx, cli, construction, energy, gmeasures
+from anisoq import approx, cli, construction, currents, energy, gmeasures
 from tests.conftest import cli_env
 
 BASE = [sys.executable, "-m", "anisoq.cli"]
@@ -368,6 +368,53 @@ def test_obstruction_ratio_check_reads_the_lower_bound_constant(tmp_path, monkey
     assert capsys.readouterr().err == "mixed/vertical ratio below 1/200 - 1e-8 for: random_0\n"
     monkeypatch.setattr(cli, "LOWER_BOUND_RATIO_CONSTANT", 0.004)
     assert cli.main(args) == 0
+
+
+def _branched_one_fold_too_many(branched_graph):
+    return lambda q, *args, **kwargs: branched_graph(q + 1, *args, **kwargs)
+
+
+def _affine_not_zero_boundary(seed, lip, q, mesh):
+    return currents.FunctionalQGraph.affine(mesh, np.array([q]), np.zeros((1, 2)),
+                                            np.eye(2)[None])
+
+
+@pytest.mark.parametrize(
+    "family, name, fake, err",
+    [
+        ("branched", "branched_graph", _branched_one_fold_too_many(currents.branched_graph),
+         "assertion failed: current boundary is not q times the given loop\n"),
+        ("random", "random_lipschitz_graph", _affine_not_zero_boundary,
+         "assertion failed: obstruction report requires a zero-boundary graph\n"),
+    ],
+    ids=["branched", "random"],
+)
+def test_generated_current_invariants_exit_2(tmp_path, monkeypatch, capsys, family, name,
+                                             fake, err):
+    # a generator that breaks its own boundary invariant is not a usage error
+    monkeypatch.setattr(currents, name, fake)
+    code = cli.main(["--out", str(tmp_path), "obstruction", "--family", family, "--eps", "0.1",
+                     "--q", "2", "--samples", "1", "--mesh", "3"])
+    stderr = capsys.readouterr().err
+    assert code == 2
+    assert stderr == err and "Traceback" not in stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    def report(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape "
+                          "(1152921504606846976,) and data type float64")
+
+    monkeypatch.setattr(gmeasures, "obstruction_report", report)
+    code = cli.main(["--out", str(tmp_path), "obstruction", "--eps", "0.1", "--q", "1",
+                     "--samples", "1", "--mesh", "3"])
+    stderr = capsys.readouterr().err
+    assert code == 2
+    assert stderr == ("computation failed (MemoryError): Unable to allocate 8.00 EiB for an "
+                      "array with shape (1152921504606846976,) and data type float64\n")
+    assert "Traceback" not in stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_approx_checks_the_declared_lipschitz_constant(tmp_path, monkeypatch, capsys):

@@ -242,7 +242,7 @@ def test_obstruction_report_flat_graph():
 def test_obstruction_report_rejects_nonzero_boundary():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
     g = currents.FunctionalQGraph.affine(mesh, [1], np.zeros((1, 2)), [np.eye(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError, match="^obstruction report requires a zero-boundary graph$"):
         gm.obstruction_report(g, 0.1)
 
 
@@ -274,7 +274,7 @@ def test_obstruction_report_raw_current_needs_q_and_loop():
     for kwargs in ({}, {"q": 2}, {"boundary_loop": loop}):
         with pytest.raises(ValueError, match="^a raw current needs q and boundary_loop$"):
             gm.obstruction_report(T, 0.1, **kwargs)
-    with pytest.raises(ValueError, match="^current boundary is not q times the given loop$"):
+    with pytest.raises(AssertionError, match="^current boundary is not q times the given loop$"):
         gm.obstruction_report(T, 0.1, boundary_loop=loop, q=1)
 
 

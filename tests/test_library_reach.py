@@ -20,17 +20,6 @@ import anisoq
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ALLOWED_UNREACHED = {
-    "approx.interpolate_annulus": "acceptance C08 and the README pin the annulus interpolant",
-    "approx.AnnulusInterpolant.__init__": "built by interpolate_annulus",
-    "approx.AnnulusInterpolant.part_values": "AnnulusInterpolant.values_at reads it",
-    "approx.AnnulusInterpolant.values_at": "acceptance C08 evaluates the interpolant",
-    "approx.AnnulusInterpolant._rings": "trace_error and measured_lipschitz sample on it",
-    "approx.AnnulusInterpolant.trace_error": "acceptance C08 checks the exact trace with it",
-    "approx.AnnulusInterpolant.measured_lipschitz": "acceptance C08 checks the Lipschitz bound",
-    "approx.AnnulusInterpolant.boundary_gap": "acceptance C08 checks the boundary gap with it",
-    "approx._extensions": "the annulus interpolant's extension of its two data",
-    "approx._extension": "_extensions extends each datum with it",
-    "approx._radial_project": "_extension projects onto the data's square with it",
     "gmeasures._transport_lp":
         "the HiGHS fallback when the sink-cycle certificate fails; tests force it",
     "currents.TriangulatedCurrent.concatenated": "targets of several parts concatenate currents",

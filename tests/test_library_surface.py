@@ -24,9 +24,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED_UNREACHED = {
-    "approx.interpolate_annulus": "acceptance C08 and the README pin the annulus interpolant",
-    "approx.AnnulusInterpolant.trace_error": "acceptance C08 checks the exact trace with it",
-    "approx.AnnulusInterpolant.boundary_gap": "acceptance C08 checks the boundary gap with it",
     "currents.TriangulatedCurrent.from_json_obj":
         "tests re-read the competitor files that envelope writes",
     "currents.TriangulatedCurrent.mass": "the mass identities of the current engine read it",
