@@ -17,15 +17,17 @@ pipeline is a verified search, not a proof transcription.  Only
 sheetwise-decomposable maps on the unit square centred at the origin are
 handled: a Q-map is its part multiplicities, one jet and its Lipschitz
 constant, the jet being one call that returns every part's values and
-analytic gradient entries at coordinate arrays.  The cube kernels (fit,
-validation, Gauss table and collar) call the jet once per sample point and
-work on component arrays, one array per coordinate, value or gradient
-entry.  Both Q-maps here (SampledLipschitzQMap and HybridQMap) also
-evaluate arrays of points through part_values ((..., 2) -> (..., J, 2))
-and values_at ((..., 2) -> (..., Q, 2), the parts repeated by
-multiplicity).  The collar blend goes through _blend, every tensor grid of
-offsets through _grid, and every summed-psi energy through the one kernel
-_psi_bar.
+analytic gradient entries at coordinate arrays that broadcast together.
+The cube kernels (fit, validation, Gauss table and collar) run one band of
+whole lattice rows at a time and call the jet on the band's lattice lines,
+one coordinate line per row and one per column for each sample offset;
+they work on component arrays, one array per value or gradient entry, and
+hand the gradient entries to psi_entries.  Both Q-maps here
+(SampledLipschitzQMap and HybridQMap) also evaluate arrays of points
+through part_values ((..., 2) -> (..., J, 2)) and values_at
+((..., 2) -> (..., Q, 2), the parts repeated by multiplicity).  The
+collar blend goes through _blend, every tensor grid of offsets through
+_grid, and every summed psi through _summed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import psi_batch
+from .energy import psi_batch, psi_entries
 from .multipoint import g_metric
 
 # Validation samples per cube side: N_VALID x N_VALID points out to
@@ -44,18 +46,19 @@ from .multipoint import g_metric
 # the validation time grows as N_VALID^2.
 N_VALID = 5
 # The halving search gives up below r = R_MIN_FRAC * side.  The cube loop runs
-# in blocks, so what bounds the search is the kept record itself: at 1/2048 the
+# in bands, so what bounds the search is the kept record itself: at 1/2048 the
 # finest lattice holds about 4.2M cubes, 120 B each at Q = 2 (centre, a, X and
 # lattice index), about 0.5 GB.
 R_MIN_FRAC = 1.0 / 2048.0
 # The largest k whose first lattice, at pitch side / (12 k), is not below that
 # floor; a larger k would end the search before it tries a single lattice.
 K_MAX = int(1.0 / (12.0 * R_MIN_FRAC))
-# Cubes per block of the one cube loop (_blocks) in cubic_subdivision and
-# energy_of_hybrid.  A block's temporaries take about 4 KiB per cube, mostly
-# the validation's N_VALID^2 sample points, values and gradients (traced at
-# Q = 1 and 2), so a block holds about 16 MiB whatever the lattice; only the
-# per-cube records and sums outlive it.
+# Most cubes per band of the one cube loop (_bands) in cubic_subdivision and
+# energy_of_hybrid: a band is BLOCK_CUBES // m whole rows of the m x m
+# lattice, and m stays below BLOCK_CUBES down to R_MIN_FRAC.  A band's
+# temporaries take about 4 KiB per cube, mostly the validation's N_VALID^2
+# sample values and gradients (traced at Q = 1 and 2), so a band holds about
+# 16 MiB whatever the lattice; only the per-cube records and sums outlive it.
 BLOCK_CUBES = 4096
 # Midpoint-rule cells per side of the reference energy energy_of_map, which
 # energy_of_hybrid also reuses outside the cubes.  Every caller uses this one
@@ -74,13 +77,16 @@ class SampledLipschitzQMap:
     """Sheetwise-decomposable Q-valued map on the unit square centred at the
     origin, with declared Lipschitz constant.
 
-    mults is the tuple of the part multiplicities.  jet takes the two
-    coordinate arrays x0, x1 of some points (one shape) and returns, per
-    part, a six-tuple of arrays of that shape: the part's values and
-    gradient entries (v0, v1, g00, g01, g10, g11) with g_ab = d v_a / d x_b.
-    One call covers every part, so the transcendentals of a point are
-    computed once.  The cube kernels call the jet on component arrays;
-    part_values, part_grads and values_at stack it for point arrays (..., 2).
+    mults is the tuple of the part multiplicities.  jet takes two
+    coordinate arrays x0, x1 that broadcast together, the points being their
+    broadcast, and returns, per part, a six-tuple of arrays that broadcast
+    to that common shape: the part's values and gradient entries
+    (v0, v1, g00, g01, g10, g11) with g_ab = d v_a / d x_b.  One call covers
+    every part, so the transcendentals of a point are computed once.  The
+    cube kernels call the jet on lattice lines, x0 (..., b, 1) and x1
+    (..., 1, m), so that a transcendental of one coordinate runs on b + m
+    values rather than b m; part_values, part_grads and values_at call it on
+    the components of point arrays (..., 2) and stack it.
     """
 
     mults: tuple
@@ -98,7 +104,8 @@ class SampledLipschitzQMap:
         """The jet at points x (..., 2): per part, six (...) arrays; a part
         count other than len(mults) raises ValueError."""
         x = np.asarray(x, dtype=float)
-        return [jt for _m, jt in zip(self.mults, self.jet(x[..., 0], x[..., 1]), strict=True)]
+        return [[np.broadcast_to(v, x.shape[:-1]) for v in jt]
+                for _m, jt in zip(self.mults, self.jet(x[..., 0], x[..., 1]), strict=True)]
 
     def part_values(self, x):
         """Values (..., J, 2) of every part at points x (..., 2)."""
@@ -195,10 +202,12 @@ class CubicSubdivision:
     """Validated cubes of side r on a regular m x m lattice.
 
     `lattice` (m, m) holds the row index of the cube at each lattice
-    position, -1 where the cube was dropped; per-cube model parts are arrays
-    (n_cubes, J, ...) in the part order of the subdivided map.  The search
-    record is diagnostics["attempts"]: r, kept, dropped and uncovered per
-    lattice tried, the last one kept.
+    position, -1 where the cube was dropped, the rows numbered in lattice
+    order; position (i, j) is centred at (lines[0, i], lines[1, j]) with
+    lines = _lattice_lines(lattice_origin, r, m).  Per-cube model parts are
+    arrays (n_cubes, J, ...) in the part order of the subdivided map.  The
+    search record is diagnostics["attempts"]: r, kept, dropped and uncovered
+    per lattice tried, the last one kept.
     """
 
     r: float
@@ -227,67 +236,80 @@ class CubicSubdivision:
         return rows
 
 
-def _stencil_points(centers, off):
-    """Coordinate arrays x0, x1 (S, N) of the offsets off (S, 2) around the
-    centres (N, 2): one row per offset."""
-    return off[:, 0, None] + centers[:, 0], off[:, 1, None] + centers[:, 1]
+def _lattice_lines(origin, r, m):
+    """Coordinates (2, m) of the lattice centres along each axis: centre
+    (i, j) is (lines[0, i], lines[1, j])."""
+    return origin[:, None] + r * (np.arange(m) + 0.5)
 
 
-def _fit_parts_batched(f, centers, r):
-    """Least-squares affine model per part over a 3x3 stencil, per cube centre."""
+def _bands(m):
+    """Slices of max(1, BLOCK_CUBES // m) consecutive lattice rows covering range(m)."""
+    b = max(1, BLOCK_CUBES // m)
+    return [slice(lo, min(lo + b, m)) for lo in range(0, m, b)]
+
+
+def _band_lines(off, c0, c1):
+    """The jet's arguments at the offsets off (S, 2) or (2,) around the
+    centres of a band: x0 (S, b, 1) from its b row coordinates c0 and x1
+    (S, 1, m) from the m column coordinates c1 ((b, 1) and (1, m) for one
+    offset), lines whose broadcast is the stencil in lattice order."""
+    return off[..., 0, None, None] + c0[:, None], off[..., 1, None, None] + c1
+
+
+def _fit_band(f, c0, c1, r):
+    """Least-squares affine model per part over a 3x3 stencil, per cube of a
+    band (rows c0, columns c1), the cubes in lattice order."""
     span = 0.45 * r
     off = _grid([-span, 0.0, span])  # (9, 2)
     P = np.linalg.pinv(np.column_stack([np.ones(9), off]))  # (3, 9)
-    x0, x1 = _stencil_points(centers, off)
-    a = np.empty((centers.shape[0], len(f.mults), 2))
-    X = np.empty((centers.shape[0], len(f.mults), 2, 2))
-    for j, (_m, jt) in enumerate(zip(f.mults, f.jet(x0, x1), strict=True)):
-        V = np.stack(jt[:2], axis=1)  # (9, 2, N)
-        # coef (3, 2, N) = P V, summed over the stencil in stencil order,
+    n = c0.size * c1.size
+    a = np.empty((n, len(f.mults), 2))
+    X = np.empty((n, len(f.mults), 2, 2))
+    V = np.empty((9, 2, c0.size, c1.size))
+    for j, (_m, jt) in enumerate(zip(f.mults, f.jet(*_band_lines(off, c0, c1)), strict=True)):
+        V[:, 0], V[:, 1] = jt[:2]
+        # coef (3, 2, n) = P V, summed over the stencil in stencil order,
         # which is einsum's order and so its bits
-        coef = P[:, 0, None, None] * V[0]
+        coef = P[:, 0, None, None] * V[0].reshape(2, n)
         for s in range(1, 9):
-            coef = coef + P[:, s, None, None] * V[s]
+            coef = coef + P[:, s, None, None] * V[s].reshape(2, n)
         a[:, j] = coef[0].T
         X[:, j] = coef[1:].transpose(2, 1, 0)
     return a, X
 
 
-def _validate_batched(f, centers, r, part_a, part_X, delta):
-    """Sup and gradient-measure validation; returns a keep mask.
+def _validate_band(f, c0, c1, r, part_a, part_X, delta):
+    """Sup and gradient-measure validation of a band's cubes (rows c0,
+    columns c1) in lattice order; returns a keep mask.
 
     Part-wise distances upper-bound the matching metric, so validation is
     conservative: every kept cube genuinely satisfies both conditions.
     """
     off = _grid(np.linspace(-0.499, 0.499, N_VALID) * r)  # (S, 2)
-    o0, o1 = off[:, 0, None], off[:, 1, None]  # (S, 1)
-    x0, x1 = _stencil_points(centers, off)
-    gap2 = grad2 = 0.0
-    # Component arrays (S, N), one jet call: the contractions and the
-    # length-2 and length-4 sums are written out entry by entry, in the
+    o0, o1 = off[:, 0, None, None], off[:, 1, None, None]  # (S, 1, 1)
+    shape = (c0.size, c1.size)
+    gap2 = grad2 = np.zeros((off.shape[0],) + shape)
+    # Component arrays (S, b, m), one jet call on lines: the contractions and
+    # the length-2 and length-4 sums are written out entry by entry, in the
     # order (and so to the bit) of einsum and np.sum, which spend several
     # times the arithmetic on axes this short.
-    for j, (mult, jt) in enumerate(zip(f.mults, f.jet(x0, x1), strict=True)):
+    for j, (mult, jt) in enumerate(zip(f.mults, f.jet(*_band_lines(off, c0, c1)), strict=True)):
         v0, v1, g00, g01, g10, g11 = jt
-        a, X = part_a[:, j], part_X[:, j]
-        X00, X01, X10, X11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
-        d0 = v0 - (a[:, 0] + (X00 * o0 + X01 * o1))
-        d1 = v1 - (a[:, 1] + (X10 * o0 + X11 * o1))
+        a0, a1 = (part_a[:, j, c].reshape(shape) for c in range(2))
+        X00, X01, X10, X11 = (part_X[:, j, c, b].reshape(shape) for c in range(2)
+                              for b in range(2))
+        d0 = v0 - (a0 + (X00 * o0 + X01 * o1))
+        d1 = v1 - (a1 + (X10 * o0 + X11 * o1))
         gap2 = gap2 + float(mult) * (d0**2 + d1**2)
         e = (((g00 - X00) ** 2 + (g01 - X01) ** 2) + (g10 - X10) ** 2) + (g11 - X11) ** 2
         grad2 = grad2 + float(mult) * e
     sup_ok = np.sqrt(np.max(gap2, axis=0)) <= delta * r
     gd = np.sqrt(grad2)
-    meas_ok = np.ones(centers.shape[0], dtype=bool)
+    meas_ok = np.ones(shape, dtype=bool)
     for alpha in (delta, 2.0 * delta, 4.0 * delta):
         frac = np.count_nonzero(gd > alpha, axis=0) / off.shape[0]
         meas_ok &= frac <= delta / alpha
-    return sup_ok & meas_ok
-
-
-def _blocks(n):
-    """Slices of at most BLOCK_CUBES consecutive rows covering range(n)."""
-    return (slice(lo, min(lo + BLOCK_CUBES, n)) for lo in range(0, n, BLOCK_CUBES))
+    return (sup_ok & meas_ok).reshape(-1)
 
 
 def cubic_subdivision(f, delta):
@@ -297,12 +319,13 @@ def cubic_subdivision(f, delta):
     3x3 stencil around the cube centre and validated against
     sup 𝒢(f, model) <= delta * r  and the gradient measure condition
     |{𝒢(grad f, grad model) > alpha}| <= (delta/alpha) r^2 sampled on an
-    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, one block
-    of BLOCK_CUBES cubes at a time; the kept cubes' models are moved to the
-    front of the lattice-sized record as each block is validated.  Cubes
-    failing validation are dropped; the search halves r until the uncovered
-    area is at most delta, and raises RuntimeError when r falls below
-    R_MIN_FRAC.  Every kept cube satisfies D(z, 3r) inside the square.
+    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, one band
+    of whole lattice rows (_bands) at a time; the kept cubes' models are
+    written to the front of the lattice-sized record, in lattice order, as
+    each band is validated.  Cubes failing validation are dropped; the
+    search halves r until the uncovered area is at most delta, and raises
+    RuntimeError when r falls below R_MIN_FRAC.  Every kept cube satisfies
+    D(z, 3r) inside the square.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
@@ -313,20 +336,22 @@ def cubic_subdivision(f, delta):
         m = int(math.floor((1.0 - 3.0 * r) / r))
         if m > 0:
             origin = np.full(2, -0.5 * m * r)
-            centers = origin + r * _grid(np.arange(m) + 0.5)
-            n = centers.shape[0]
+            lines = _lattice_lines(origin, r, m)
+            n = m * m
+            centers = np.empty((n, 2))
             part_a = np.empty((n, n_parts, 2))
             part_X = np.empty((n, n_parts, 2, 2))
             lattice = np.full(n, -1)
             kept = 0
-            for blk in _blocks(n):
-                z = centers[blk]
-                a, X = _fit_parts_batched(f, z, r)
-                keep = np.flatnonzero(_validate_batched(f, z, r, a, X, delta))
-                # kept <= blk.start: the kept rows move forward, over rows already read
+            for band in _bands(m):
+                c0 = lines[0, band]
+                a, X = _fit_band(f, c0, lines[1], r)
+                keep = np.flatnonzero(_validate_band(f, c0, lines[1], r, a, X, delta))
                 rows = slice(kept, kept + keep.size)
-                lattice[blk.start + keep] = np.arange(rows.start, rows.stop)
-                centers[rows], part_a[rows], part_X[rows] = z[keep], a[keep], X[keep]
+                lattice[band.start * m + keep] = np.arange(rows.start, rows.stop)
+                i, j = np.divmod(keep, m)
+                centers[rows, 0], centers[rows, 1] = c0[i], lines[1, j]
+                part_a[rows], part_X[rows] = a[keep], X[keep]
                 kept = rows.stop
             uncovered = 1.0 - kept * r * r
             attempts.append({"r": r, "kept": kept, "dropped": n - kept,
@@ -415,9 +440,19 @@ def _psi_bar(grads, mults, cfg):
     """Summed psi, sum_j mults_j psi(grads_j), of gradients (..., J, 2, 2)
     with one psi_batch call; shape (...)."""
     vals = psi_batch(grads.reshape(-1, 2, 2), cfg).reshape(grads.shape[:-2])
-    # the J-sum column by column, in np.sum's order (psi >= 0, so the leading
-    # 0 + is exact)
-    return sum(vals[..., j] * float(m) for j, m in enumerate(mults))
+    return _summed([vals[..., j] for j in range(len(mults))], mults)
+
+
+def _psi_bar_entries(entries, mults, cfg):
+    """Summed psi of per-part gradient entries (x00, x01, x10, x11), one
+    psi_entries call per part; the entries' broadcast shape."""
+    return _summed([psi_entries(*e, cfg) for e in entries], mults)
+
+
+def _summed(vals, mults):
+    """sum_j mults_j vals_j, part by part in np.sum's order (psi >= 0, so the
+    leading 0 + is exact)."""
+    return sum(v * float(m) for v, m in zip(vals, mults))
 
 
 def energy_of_hybrid(g, cfg, e_ref):
@@ -437,34 +472,52 @@ def energy_of_hybrid(g, cfg, e_ref):
     relying on a global grid that samples the thin rings noisily.
     """
     f, sub, sh = g.f, g.sub, g.shrink
-    r, centers, mults = sub.r, sub.centers, f.mults
+    r, mults = sub.r, f.mults
     s_in, s_out = 0.5 * sh * r, 0.5 * r
     w = s_out - s_in
-    n = sub.n_cubes
-    # Every term runs one block of cubes at a time and writes its per-cube psi
-    # values into a full-length vector (the cube_f Gauss table for f on the
-    # shrunken cubes), which is summed once: the sums do not depend on the
-    # block size.
+    n, m = sub.n_cubes, sub.lattice.shape[0]
+    lines = _lattice_lines(sub.lattice_origin, r, m)
+    # Every term runs one band of lattice rows at a time, with f's jet on the
+    # band's lines, and writes the psi values of the band's kept cubes, in
+    # row order, into a full-length vector (the cube_f Gauss table for f on
+    # the shrunken cubes), which is summed once: the sums do not depend on
+    # the band size.  A band whose cubes are all kept (rows are numbered in
+    # lattice order) reads its rows and their models as slices, 4 % off a
+    # benchmark pass against gathering every band; any other band gathers
+    # its models once here, a dropped position borrowing row 0's model, whose
+    # values are computed and discarded.
+    bands = []
+    for band in _bands(m):
+        at = sub.lattice[band].reshape(-1)
+        keep = np.flatnonzero(at >= 0)
+        if keep.size == at.size:
+            rows = slice(at[0], at[0] + at.size)
+            bands.append((lines[0, band], slice(None), rows, sub.part_a[rows], sub.part_X[rows]))
+        elif keep.size:
+            at = np.maximum(at, 0)
+            bands.append((lines[0, band], keep, at[keep], sub.part_a[at], sub.part_X[at]))
     gp, gw = _GAUSS3
     offs = _grid(gp) * s_in  # (9, 2)
     # Gauss weights on [-1,1]^2 sum to 4; scaled by s_in^2 they total (2 s_in)^2
     wts = np.prod(_grid(gw), axis=1) * (s_in**2)
     per_cube_g, per_cube_f = np.empty(n), np.empty(n)
     table = np.empty((n, offs.shape[0]))
-    for blk in _blocks(n):
+    for c0, keep, rows, _A, _X in bands:
         # exact model energy on the shrunken cubes
-        per_cube_g[blk] = _psi_bar(sub.part_X[blk], mults, cfg)
+        per_cube_g[rows] = _psi_bar(sub.part_X[rows], mults, cfg)
         # f on the shrunken cubes: tensor Gauss 3x3 per cube
-        for i, o in enumerate(offs):
-            table[blk, i] = _psi_bar(f.part_grads(centers[blk] + o), mults, cfg)
+        jets = f.jet(*_band_lines(offs, c0, lines[1]))
+        vals = _psi_bar_entries([jt[2:] for jt in jets], mults, cfg)
+        vals = np.broadcast_to(vals, (offs.shape[0], c0.size, m)).reshape(offs.shape[0], -1)
+        table[rows] = vals[:, keep].T
     cube_model = float(np.sum(per_cube_g) * (sh * r) ** 2)
     table *= wts
     cube_f = float(np.sum(table))
     del table
 
     # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv;
-    # one jet call gives F and Gf of every part at a node, and one psi_batch
-    # call takes Gg and Gf
+    # one jet call per band gives F and Gf of every part at a node, and the
+    # entries of Gg and Gf go to psi_entries
     collar_g = collar_f = 0.0
     for turns in range(4):
         rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
@@ -475,24 +528,24 @@ def energy_of_hybrid(g, cfg, e_ref):
             for u, wu in zip(gp, gw):  # u in [-1, 1]
                 jac = w * xi * wv * wu
                 ry = rot @ np.array([xi, u * xi])
-                for blk in _blocks(n):
-                    z, A, X = centers[blk], sub.part_a[blk], sub.part_X[blk]
-                    # G[c, b, 0] = Gg and G[c, b, 1] = Gf, entry (c, b) for every
-                    # cube and part, so that psi_batch reads each entry as one run
-                    G = np.empty((2, 2, 2, z.shape[0], len(mults)))
-                    jets = f.jet(z[:, 0] + ry[0], z[:, 1] + ry[1])
-                    for j, (_m, (v0, v1, *gf)) in enumerate(zip(mults, jets, strict=True)):
+                for c0, keep, rows, A, X in bands:
+                    shape = (c0.size, m)
+                    jets = f.jet(*_band_lines(ry, c0, lines[1]))
+                    gg, gf = [], []
+                    for j, (_m, (v0, v1, *grad)) in enumerate(zip(mults, jets, strict=True)):
+                        part = []
                         for c, F in enumerate((v0, v1)):
                             # Gg = (F - M) (x) grad t + v Gf + (1 - v) X, row c,
                             # M = a + X (x - z) the model
-                            Xc = X[:, j, c]
-                            dF = F - (A[:, j, c] + (Xc[:, 0] * ry[0] + Xc[:, 1] * ry[1]))
-                            for b in range(2):
-                                np.add(dF * grad_t[b] + v * gf[2 * c + b], (1.0 - v) * Xc[:, b],
-                                       out=G[c, b, 0, :, j])
-                                G[c, b, 1, :, j] = gf[2 * c + b]
-                    per_cube_g[blk], per_cube_f[blk] = _psi_bar(G.transpose(2, 3, 4, 0, 1),
-                                                                mults, cfg)
+                            Xc = [X[:, j, c, b].reshape(shape) for b in range(2)]
+                            dF = F - (A[:, j, c].reshape(shape) + (Xc[0] * ry[0] + Xc[1] * ry[1]))
+                            part += [(dF * grad_t[b] + v * grad[2 * c + b]) + (1.0 - v) * Xc[b]
+                                     for b in range(2)]
+                        gg.append(part)
+                        gf.append(grad)
+                    for per_cube, entries in ((per_cube_g, gg), (per_cube_f, gf)):
+                        vals = _psi_bar_entries(entries, mults, cfg)
+                        per_cube[rows] = np.broadcast_to(vals, shape).reshape(-1)[keep]
                 collar_g += float(np.sum(per_cube_g)) * jac
                 collar_f += float(np.sum(per_cube_f)) * jac
     return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))

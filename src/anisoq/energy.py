@@ -2,14 +2,15 @@
 
 psi vanishes exactly on the three lift matrices X1, X2, X3 (equivalently,
 where the graph tangent LambdaM(X) is positively proportional to one of the
-three construction rays) and equals ||LambdaM(X)|| elsewhere; psi_batch
-evaluates exactly this integrand, zero within the angle DEFAULT_RAY_TOL of a
-ray, and psi_mass_of_current its mass on a triangulated current.  Both go
-through one kernel, which screens the raw rows: only a row whose largest
-inner product with the rays reaches a cosine cut times its norm is
-normalised and gets an exact angle; every other row is 1.  The
-envelope of the induced Q-integrand at an affine target is bracketed
-numerically:
+three construction rays) and equals ||LambdaM(X)|| elsewhere; psi_entries
+evaluates exactly this integrand from the four entries of the gradients,
+zero within the angle DEFAULT_RAY_TOL of a ray, psi_batch on a stack of
+gradients and psi_mass_of_current its mass on a triangulated current.  All
+of them go through one screen on the e12 coefficient of the unit 2-vector:
+only a row whose e12 coefficient is within DEFAULT_RAY_TOL +
+RAY_SCREEN_MARGIN of some ray's gets an exact angle; every other row is off
+the rays.  The envelope of the induced Q-integrand at an affine target is
+bracketed numerically:
 
 * upper bound: the exact psi-mass of a concrete competitor current with
   the target's affine boundary, the least of closed-form families per part
@@ -35,17 +36,23 @@ from .multipoint import MaximalDecomposition
 
 # angle (rad) to a ray within which psi is 0
 DEFAULT_RAY_TOL = 1e-9
-# angle (rad) added to psi's cut-off before rows are screened off by cosine
+# angle (rad) added to psi's cut-off before rows are screened off by their
+# e12 coefficient
 RAY_SCREEN_MARGIN = 1e-3
 LOWER_BOUND_RATIO_CONSTANT = 1.0 / 200.0
 
 
 @dataclass
 class PsiConfig:
-    """Zero rays of the degenerate integrand."""
+    """Zero rays of the degenerate integrand, with their distinct e12
+    coefficients for the screen."""
 
     eps: float
     rays: np.ndarray  # (3, 6) unit simple 2-vectors
+    screen: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.screen = tuple(sorted(set(self.rays[:, 0].tolist())))
 
     @classmethod
     def for_eps(cls, eps):
@@ -54,30 +61,72 @@ class PsiConfig:
         return cls(eps=eps, rays=rays / np.linalg.norm(rays, axis=1, keepdims=True))
 
 
-def _ray_angles(unit, cosang, cfg):
-    """Smallest angle from each unit 2-vector to the ray set, given its cosines.
+def _screened(e12, norms, cfg):
+    """Flat indices of the rows whose unit 2-vector, with e12 coefficient
+    e12 / norms, is within DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN of some ray's
+    in that coefficient, NaN rows included.
+
+    A unit 2-vector within the angle T of a unit ray differs from it by at
+    most 2 sin(T / 2) <= T in every coordinate, so no row left out is within
+    T of a ray.  The margin dwarfs the rounding of the coefficient and of the
+    exact angle, so the screen never drops a row that _ray_angles would put
+    inside DEFAULT_RAY_TOL.  A row whose norm overflowed to inf is left out
+    too: dividing it by its norm would give no direction.
+    """
+    p12 = e12 / norms
+    dist = None
+    for rho in cfg.screen:
+        d = np.abs(p12 - rho)
+        dist = d if dist is None else np.minimum(dist, d)  # NaN stays NaN
+    near = np.flatnonzero(~(dist > DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN))
+    if near.size:
+        near = near[~np.isinf(np.ravel(norms)[near])]
+    return near
+
+
+def _ray_angles(unit, cfg):
+    """Smallest angle from each unit 2-vector (n, 6) to the ray set.
 
     Evaluated through the projection residual (sine) rather than arccos of
     the cosine, which would lose all resolution below ~1e-8; with this
     formula angles resolve down to machine precision, so the 1e-9
     DEFAULT_RAY_TOL is meaningful.  psi reads the angle only up to
-    DEFAULT_RAY_TOL: beyond it psi is 1 whatever the angle, so
-    psi_of_unit_tangents calls this only on rows its cosine screen keeps.
+    DEFAULT_RAY_TOL: beyond it psi is the norm whatever the angle, so the
+    psi kernels call this only on rows that _screened keeps.
     """
+    cosang = unit @ cfg.rays.T
     resid = unit[:, None, :] - cosang[:, :, None] * cfg.rays[None, :, :]
     sinang = np.linalg.norm(resid, axis=2)
     ang = np.arctan2(sinang, cosang)
     return ang.min(axis=1)
 
 
+def psi_entries(x00, x01, x10, x11, cfg):
+    """psi of the gradients with entries x00, x01, x10, x11 (arrays that
+    broadcast together), in their broadcast shape.
+
+    The norm ||LambdaM(X)||^2 = 1 + x01^2 + x11^2 + x00^2 + x10^2 + det^2 is
+    summed in the column order of lambda_m_batch, and so to the bit of
+    np.linalg.norm of its rows.  The e12 coefficient of the unit tangent is
+    1 / ||LambdaM(X)||: only rows that _screened keeps by it are lifted and
+    get an exact angle; every other row is its norm.
+    """
+    det = x00 * x11 - x01 * x10
+    norms = np.sqrt(1.0 + x01 * x01 + x11 * x11 + x00 * x00 + x10 * x10 + det * det)
+    out = norms.reshape(-1)
+    near = _screened(1.0, out, cfg)
+    if near.size:
+        Xs = np.stack([np.ravel(x)[near] for x in np.broadcast_arrays(x00, x01, x10, x11)],
+                      axis=-1)
+        unit = lambda_m_batch(Xs.reshape(-1, 2, 2)) / out[near, None]
+        out[near[_ray_angles(unit, cfg) <= DEFAULT_RAY_TOL]] = 0.0
+    return out.reshape(norms.shape)
+
+
 def psi_batch(Xs, cfg):
     """psi on an (N, 2, 2) stack of gradients."""
-    lams = lambda_m_batch(Xs)
-    # the row norms summed column by column, in the order (and so to the bit)
-    # of np.linalg.norm(lams, axis=1), without its short-axis reduction
-    sq = lams * lams
-    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] + sq[:, 4] + sq[:, 5])
-    return norms * psi_of_unit_tangents(lams, cfg, norms)
+    Xs = np.asarray(Xs, dtype=float)
+    return psi_entries(Xs[:, 0, 0], Xs[:, 0, 1], Xs[:, 1, 0], Xs[:, 1, 1], cfg)
 
 
 def psi(X, cfg):
@@ -85,33 +134,21 @@ def psi(X, cfg):
     return float(psi_batch(np.asarray(X, dtype=float)[None, :, :], cfg)[0])
 
 
-def psi_of_unit_tangents(unit_ws, cfg, norms=None):
+def psi_of_unit_tangents(unit_ws, cfg):
     """The 1-homogeneous extension evaluated on unit tangents: 0 on rays, 1 off.
 
-    Only the direction of each row is used, so the rows need not be unit;
-    norms, when given, are the row norms.  psi differs from 1 only within
-    DEFAULT_RAY_TOL of a ray, so one matmul gives every raw row's inner
-    products with the rays, and only rows whose largest one reaches
-    cos(DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN) times the row norm (or is NaN)
-    are normalised and get the exact angle of _ray_angles; every other row
-    is exactly 1.  The margin dwarfs the rounding of the inner products and
-    the norms, so the screen never drops a row the exact angle would put
-    inside the cut-off.
+    Only the direction of each row is used, so the rows need not be unit.
+    The screen reads the e12 coefficient ws[:, 0] / norm of each row; only
+    the rows it keeps are normalised and get the exact angle of _ray_angles,
+    and every other row is exactly 1.
     """
     ws = np.asarray(unit_ws, dtype=float)
-    if norms is None:
-        norms = np.linalg.norm(ws, axis=1)
-    raw = ws @ cfg.rays.T  # (N, 3)
-    cut = math.cos(DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN)
-    # np.maximum over the columns, not raw.max(axis=1): a short-axis reduction
-    # costs several times the arithmetic; NaN rows stay near
-    top = np.maximum(np.maximum(raw[:, 0], raw[:, 1]), raw[:, 2])
-    near = np.flatnonzero(~(top < cut * norms))
+    norms = np.linalg.norm(ws, axis=1)
+    near = _screened(ws[:, 0], norms, cfg)
     out = np.ones(ws.shape[0])
     if near.size:
         unit = ws[near] / norms[near, None]
-        ang = _ray_angles(unit, unit @ cfg.rays.T, cfg)
-        out[near[ang <= DEFAULT_RAY_TOL]] = 0.0
+        out[near[_ray_angles(unit, cfg) <= DEFAULT_RAY_TOL]] = 0.0
     return out
 
 

@@ -1,4 +1,6 @@
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from anisoq import construction
 from anisoq.energy import PsiConfig
 
 EPS_GRID = (0.02, 0.05, 0.1, 0.15, 0.2)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def cli_env(out_dir):
@@ -47,3 +50,52 @@ def cfg01():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def workload_pass(tmp_path_factory):
+    """One pass of every job of every benchmark workload (perfbench/workloads.py)
+    at seed 0, each job's output checked, for the tests that look at what
+    runs.  Each workload runs under its own spans.Tracer and all of them
+    under sys.setprofile.  Returns (codes, calls): the code objects entered,
+    less those entered while the tracer computes its counters (the
+    benchmark's code, not a job's), and {workload: {each function its
+    `expects` names: calls recorded}}.
+    The benchmark files are imported, never changed."""
+    out = tmp_path_factory.mktemp("workloads")
+    loaded = set(sys.modules)
+    codes, calls = set(), {}
+    tracer = None
+
+    def profile(frame, event, _arg):
+        if event == "call" and not tracer._suspended:
+            codes.add(frame.f_code)
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(PERFBENCH))
+            import spans
+            import workloads
+
+            for name, workload in workloads.WORKLOADS.items():
+                jobs = workload.jobs(0)
+                tracer = spans.Tracer()
+                tracer.install()
+                sys.setprofile(profile)
+                try:
+                    for i, job in enumerate(jobs):
+                        out_dir = out / f"{name}{i}"
+                        out_dir.mkdir()
+                        raw = job.execute(str(out_dir))
+                        assert job.check(raw, str(out_dir))[1] == [], job.name
+                finally:
+                    sys.setprofile(None)
+                    tracer.uninstall()
+                per_name, _totals = spans.summarize(tracer.spans)
+                calls[name] = {fn: int(per_name.get(fn, {}).get("calls", 0))
+                               for fn in workload.expects}
+    finally:
+        for mod in ("spans", "workloads"):
+            if mod not in loaded:
+                sys.modules.pop(mod, None)
+    return codes, calls

@@ -181,6 +181,22 @@ def test_profile_jets_match_fd():
                 assert np.allclose(grads[smooth, j, :, k], fd[smooth], rtol=0.0, atol=1e-8)
 
 
+def test_profile_jets_on_lines_match_full_grid():
+    # the cube kernels call each jet on lattice lines; broadcast, its arrays
+    # are its arrays on the full grid to the bit
+    rng = np.random.default_rng(4)
+    x0, x1 = rng.uniform(-0.5, 0.5, (3, 7, 1)), rng.uniform(-0.5, 0.5, (3, 1, 11))
+    x0[0, 0, 0] = 0.1  # on the kinked map's crease
+    for lines in ((x0, x1), (x0[0], x1[0])):
+        full = np.broadcast_shapes(*(x.shape for x in lines))
+        grid = [np.ascontiguousarray(np.broadcast_to(x, full)) for x in lines]
+        for f, _old in _jet_cases():
+            for jt, ref in zip(f.jet(*lines), f.jet(*grid), strict=True):
+                for v, v_ref in zip(jt, ref, strict=True):
+                    assert np.shape(v_ref) == full
+                    assert np.array_equal(np.broadcast_to(v, full), v_ref)
+
+
 def _affine_profile(a, X):
     a = np.asarray(a, float)
     X = np.asarray(X, float)
@@ -273,16 +289,18 @@ def _blocked_run(monkeypatch, f, k, cfg, block):
 def test_blocked_cube_loop_matches_one_block(monkeypatch, cfg01, profile, k):
     f = profile()
     one, e_one = _blocked_run(monkeypatch, f, k, cfg01, 10**9)
-    # 1000 divides neither 2,025 nor 8,649 cubes, so the last block is short
-    sub, e = _blocked_run(monkeypatch, f, k, cfg01, 1000)
-    assert one.n_cubes > 1000 and e == e_one
-    for name in ("lattice", "lattice_origin", "centers", "part_a", "part_X"):
-        assert np.array_equal(getattr(sub, name), getattr(one, name))
-    assert sub.r == one.r and sub.diagnostics == one.diagnostics
-    if profile is _kinked_profile:
-        # dropped cubes: the kept models are moved forward across blocks
-        assert sub.diagnostics["attempts"][-1]["dropped"] > 0
-        assert np.array_equal(sub.lattice[sub.lattice >= 0], np.arange(sub.n_cubes))
+    # at 1000 cubes a band is 22 rows of the 45 x 45 lattice (10 of 93 x 93),
+    # so the last band is short; at 1 a band is one lattice row
+    for block in (1000, 1):
+        sub, e = _blocked_run(monkeypatch, f, k, cfg01, block)
+        assert one.n_cubes > 1000 and e == e_one
+        for name in ("lattice", "lattice_origin", "centers", "part_a", "part_X"):
+            assert np.array_equal(getattr(sub, name), getattr(one, name))
+        assert sub.r == one.r and sub.diagnostics == one.diagnostics
+        if profile is _kinked_profile:
+            # dropped cubes: the kept models are moved forward across bands
+            assert sub.diagnostics["attempts"][-1]["dropped"] > 0
+            assert np.array_equal(sub.lattice[sub.lattice >= 0], np.arange(sub.n_cubes))
 
 
 def _oracle_psi_bar(grads, mults, cfg):
@@ -364,10 +382,13 @@ def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
     r = delta / 12.0  # the search's first lattice
     m = int(math.floor((1.0 - 3.0 * r) / r))
     centers = -0.5 * m * r + r * ap._grid(np.arange(m) + 0.5)
-    a, X = ap._fit_parts_batched(f, centers, r)
+    # the whole lattice as one band of m rows, its centres on the lines
+    lines = ap._lattice_lines(np.full(2, -0.5 * m * r), r, m)
+    assert np.array_equal(ap._grid(lines[0]), centers)
+    a, X = ap._fit_band(f, lines[0], lines[1], r)
     a_ref, X_ref = _oracle_fit(f, centers, r)
     assert np.array_equal(a, a_ref) and np.array_equal(X, X_ref)
-    keep = ap._validate_batched(f, centers, r, a, X, delta)
+    keep = ap._validate_band(f, lines[0], lines[1], r, a, X, delta)
     assert np.array_equal(keep, _oracle_validate(f, centers, r, a, X, delta))
     assert keep.any() and (profile is not _kinked_profile or not keep.all())
     g = ap.HybridQMap(f, ap.cubic_subdivision(f, delta), k)
@@ -375,31 +396,43 @@ def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
         _oracle_energy_of_hybrid(g, cfg01)
 
 
-def _counted(f):
-    """f with its jet wrapped in a counter of the points it evaluates."""
-    count = [0]
+def _recorded(f):
+    """f with its jet wrapped in a recorder of the argument shapes."""
+    shapes = []
 
-    def counted(x0, x1):
-        count[0] += np.size(x0)
+    def recorded(x0, x1):
+        shapes.append((np.shape(x0), np.shape(x1)))
         return f.jet(x0, x1)
 
-    return dataclasses.replace(f, jet=counted), count
+    return dataclasses.replace(f, jet=recorded), shapes
+
+
+def _line_points(shapes, sides):
+    """Points of the jet calls, each of which must take lines x0 (..., b, 1)
+    and x1 (..., 1, m) with m a lattice side."""
+    for s0, s1 in shapes:
+        assert s0[-1] == 1 and s1[-2] == 1 and s1[-1] in sides and s0[-2] <= s1[-1]
+    return sum(math.prod(np.broadcast_shapes(s0, s1)) for s0, s1 in shapes)
 
 
 @pytest.mark.parametrize("profile", [ap.smooth_profile, ap.twosheet_profile])
 def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
-    # one jet call gives every part's values and gradient at a point: per
-    # lattice cube the 3x3 fit stencil and the N_VALID^2 validation samples,
-    # per kept cube the 3x3 Gauss points and the 4 x 3 x 3 collar nodes,
-    # whatever the number of parts; the reference energy is the caller's
-    f, count = _counted(profile())
+    # one jet call per band gives every part's values and gradient on the
+    # band's lines: per lattice cube the 3x3 fit stencil and the N_VALID^2
+    # validation samples, per cube of a band the 3x3 Gauss points and the
+    # 4 x 3 x 3 collar nodes, whatever the number of parts; the reference
+    # energy is the caller's
+    f, shapes = _recorded(profile())
     sub = ap.cubic_subdivision(f, 1.0 / 4)
-    lattice = sum(t["kept"] + t["dropped"] for t in sub.diagnostics["attempts"])
-    assert count == [lattice * (9 + ap.N_VALID**2)]
+    attempts = sub.diagnostics["attempts"]
+    lattice = sum(t["kept"] + t["dropped"] for t in attempts)
+    sides = {sub.lattice.shape[0]} | {round(math.sqrt(t["kept"] + t["dropped"])) for t in attempts}
+    assert _line_points(shapes, sides) == lattice * (9 + ap.N_VALID**2)
     e_ref = ap.energy_of_map(f, cfg01)
-    count[0] = 0
+    shapes.clear()
     ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01, e_ref)
-    assert count == [sub.n_cubes * (9 + 36)]
+    assert attempts[-1]["dropped"] == 0
+    assert _line_points(shapes, {sub.lattice.shape[0]}) == sub.n_cubes * (9 + 36)
 
 
 def test_cube_loop_memory_is_bounded(cfg01):
@@ -430,7 +463,7 @@ def test_smooth_abs_err_at_k64_is_pinned(cfg01):
 @pytest.mark.parametrize("profile, pin", [(ap.smooth_profile, 6.096594844295922e-06),
                                           (ap.twosheet_profile, 1.7595968242467563e-06)])
 def test_abs_err_at_k128_is_pinned(cfg01, profile, pin):
-    # about a minute each: run with -m slow
+    # about ten seconds each: run with -m slow
     f = profile()
     e_ref = ap.energy_of_map(f, cfg01)
     _g, rep = ap.piecewise_affine_sequence(f, 128, cfg01, e_ref)
@@ -511,8 +544,10 @@ def test_map_requires_parts_with_gradients(cfg01):
     # unwritten rows, in every cube kernel and every point evaluation
     short = dataclasses.replace(f, jet=lambda x0, x1: f.jet(x0, x1)[:1])
     sub = ap.cubic_subdivision(f, 0.25)
-    calls = [lambda: ap._fit_parts_batched(short, sub.centers, sub.r),
-             lambda: ap._validate_batched(short, sub.centers, sub.r, sub.part_a, sub.part_X, 0.25),
+    lines = ap._lattice_lines(sub.lattice_origin, sub.r, sub.lattice.shape[0])
+    a, X = ap._fit_band(f, lines[0], lines[1], sub.r)
+    calls = [lambda: ap._fit_band(short, lines[0], lines[1], sub.r),
+             lambda: ap._validate_band(short, lines[0], lines[1], sub.r, a, X, 0.25),
              lambda: ap.cubic_subdivision(short, 0.25),
              lambda: ap.energy_of_hybrid(ap.HybridQMap(short, sub, 4), cfg01, 0.0),
              lambda: short.part_values(sub.centers), lambda: short.part_grads(sub.centers)]

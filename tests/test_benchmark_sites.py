@@ -3,7 +3,11 @@
 perfbench/spans.py patches public functions of anisoq by name at run time,
 and perfbench/run.py lists the `from ... import` bindings that must be
 patched too.  A renamed or deleted function would leave its span empty; this
-test fails instead.  The benchmark files are imported, never changed.
+test fails instead.  A traced pass of each workload (the workload_pass
+fixture of conftest.py, which tests/test_library_reach.py shares) must also
+record a call of every function its `expects` names: a refactor that routes
+the last call around a wrapped function fails here, not only in a traced
+benchmark run.  The benchmark files are imported, never changed.
 """
 
 import importlib
@@ -36,3 +40,9 @@ def test_benchmark_wraps_every_name_and_binding(monkeypatch):
                 sys.modules.pop(name, None)
     assert (currents.FunctionalQGraph.__dict__["from_nodal_sheets"], cli.envelope_upper) \
         == originals
+
+
+def test_traced_workloads_call_every_expected_function(workload_pass):
+    _codes, calls = workload_pass
+    assert {name: [fn for fn, n in per_fn.items() if n == 0] for name, per_fn in calls.items()} \
+        == {name: [] for name in calls}

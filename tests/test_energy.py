@@ -278,3 +278,34 @@ def test_screened_psi_matches_full_ray_angles(bundle01, cfg01):
         lams = lambda_m_batch(Xs)
         full = np.linalg.norm(lams, axis=1) * _full_psi_of_unit_tangents(lams, cfg01)
         assert np.array_equal(energy.psi_batch(Xs, cfg01), full)
+        # the same gradients through their four entries
+        entries = (Xs[:, 0, 0], Xs[:, 0, 1], Xs[:, 1, 0], Xs[:, 1, 1])
+        assert np.array_equal(energy.psi_entries(*entries, cfg01), full)
+        # broadcast entries: a scalar 0.0 entry, and lines (S, b, 1) x (1, m)
+        for k in range(4):
+            zeroed = Xs.copy()
+            zeroed[:, k // 2, k % 2] = 0.0
+            lams = lambda_m_batch(zeroed)
+            full0 = np.linalg.norm(lams, axis=1) * _full_psi_of_unit_tangents(lams, cfg01)
+            args = list(entries)
+            args[k] = 0.0
+            assert np.array_equal(energy.psi_entries(*args, cfg01), full0)
+    # entries on lines: x00 and x10 vary along the rows, x01 and x11 along
+    # the columns, and the lift matrices sit on the lines
+    col = np.concatenate([bundle01.X[:, :, 1], rng.normal(size=(5, 2))])  # (m, 2)
+    row = np.concatenate([bundle01.X[:, :, 0], rng.normal(size=(4, 2))])  # (b, 2)
+    row = np.stack([row, row + 1e-12, 3 * row])  # (S, b, 2)
+    Xs = np.stack(np.broadcast_arrays(row[:, :, None, :], col[None, None, :, :]), axis=-1)
+    lams = lambda_m_batch(Xs.reshape(-1, 2, 2))
+    full = np.linalg.norm(lams, axis=1) * _full_psi_of_unit_tangents(lams, cfg01)
+    got = energy.psi_entries(row[:, :, None, 0], col[None, :, 0], row[:, :, None, 1],
+                             col[None, :, 1], cfg01)
+    assert got.shape == Xs.shape[:3] and np.array_equal(got.reshape(-1), full)
+    assert np.count_nonzero(got == 0.0) >= 3
+    assert energy.psi_entries(np.zeros((0, 1)), np.zeros((1, 0)), 0.0, 0.0, cfg01).shape == (0, 0)
+    # a norm that overflows puts the e12 coefficient at 0, within the screen's
+    # reach of ray 3's small one; such rows are off the rays, not divided by inf
+    with np.errstate(over="ignore"):
+        assert energy.psi_batch(np.diag([1e155, 0.0])[None], cfg01)[0] == np.inf
+        assert energy.psi_entries(0.0, 0.0, 0.0, 1e155, cfg01) == np.inf
+        assert energy.psi_of_unit_tangents([[0.0, 0.0, 0.0, 1e200, 0.0, 0.0]], cfg01)[0] == 1.0

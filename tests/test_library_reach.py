@@ -3,11 +3,11 @@
 tests/test_library_surface.py matches names bare, so a method shares its
 reach with every same-named definition or use elsewhere: a dead
 `values_at` hides behind a live one.  This test looks at what runs instead.
-It runs every job of every benchmark workload (perfbench/workloads.py) at
-seed 0, plus one command line that argparse rejects, under sys.setprofile,
-and collects the code objects entered.  Every function or method defined
-in the imported anisoq package's modules, nested ones included, must be
-entered or be listed below with the reason it stays.  A listed name that
+It takes the code objects entered in one pass of every benchmark workload's
+jobs at seed 0 (the workload_pass fixture of conftest.py) and in one command
+line that argparse rejects, both under sys.setprofile.  Every function or
+method defined in the imported anisoq package's modules, nested ones
+included, must be entered or be listed below with the reason it stays.  A listed name that
 runs after all must leave the list.
 """
 
@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 import anisoq
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from anisoq import cli
 
 ALLOWED_UNREACHED = {
     "gmeasures._transport_lp":
@@ -67,31 +66,13 @@ def _entered_codes(run):
     return codes
 
 
-def test_every_library_function_is_entered_or_allowlisted(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    loaded = set(sys.modules)
-    try:
-        import workloads
-        from anisoq import cli
+def test_every_library_function_is_entered_or_allowlisted(workload_pass, tmp_path):
+    def usage():
+        argv = ["--out", str(tmp_path), "envelope", "--eps", "0.1", "--q", "2",
+                "--target", "nowhere"]
+        assert cli.main(argv) == cli.EXIT_USAGE
 
-        jobs = [job for wl in workloads.WORKLOADS.values() for job in wl.jobs(0)]
-
-        def run():
-            for i, job in enumerate(jobs):
-                out_dir = tmp_path / f"job{i}"
-                out_dir.mkdir()
-                raw = job.execute(str(out_dir))
-                assert job.check(raw, str(out_dir))[1] == [], job.name
-            usage = ["--out", str(tmp_path), "envelope", "--eps", "0.1", "--q", "2",
-                     "--target", "nowhere"]
-            assert cli.main(usage) == cli.EXIT_USAGE
-
-        codes = _entered_codes(run)
-    finally:
-        for name in ("workloads",):
-            if name not in loaded:
-                sys.modules.pop(name, None)
-
+    codes = workload_pass[0] | _entered_codes(usage)
     src = Path(anisoq.__file__).resolve().parent
     entered = {(Path(c.co_filename).resolve(), c.co_firstlineno, c.co_name) for c in codes}
     unreached = set()
