@@ -27,7 +27,8 @@ hand the gradient entries to psi_entries.  Both Q-maps here
 through part_values ((..., 2) -> (..., J, 2)) and values_at
 ((..., 2) -> (..., Q, 2), the parts repeated by multiplicity).  The
 collar blend goes through _blend, every tensor grid of offsets through
-_grid, and every summed psi through _summed.
+_grid, and every multiplicity-weighted sum over the parts (summed psi, the
+validation's squared gaps) through _summed.
 """
 
 from __future__ import annotations
@@ -285,31 +286,34 @@ def _validate_band(f, c0, c1, r, part_a, part_X, delta):
     Part-wise distances upper-bound the matching metric, so validation is
     conservative: every kept cube genuinely satisfies both conditions.
     """
-    off = _grid(np.linspace(-0.499, 0.499, N_VALID) * r)  # (S, 2)
-    o0, o1 = off[:, 0, None, None], off[:, 1, None, None]  # (S, 1, 1)
+    ts = np.linspace(-0.499, 0.499, N_VALID) * r
+    off = _grid(ts)  # (S, 2)
+    o = ts[:, None, None]  # (N_VALID, 1, 1), the distinct offsets of an axis
     shape = (c0.size, c1.size)
-    gap2 = grad2 = np.zeros((off.shape[0],) + shape)
+    gaps, grads = [], []
     # Component arrays (S, b, m), one jet call on lines: the contractions and
     # the length-2 and length-4 sums are written out entry by entry, in the
     # order (and so to the bit) of einsum and np.sum, which spend several
-    # times the arithmetic on axes this short.
-    for j, (mult, jt) in enumerate(zip(f.mults, f.jet(*_band_lines(off, c0, c1)), strict=True)):
+    # times the arithmetic on axes this short.  The model offsets X o take
+    # N_VALID products per entry, one per distinct offset of each axis, and
+    # are broadcast to the (N_VALID, N_VALID) samples, the second running
+    # fastest as in _grid.
+    for j, (_m, jt) in enumerate(zip(f.mults, f.jet(*_band_lines(off, c0, c1)), strict=True)):
         v0, v1, g00, g01, g10, g11 = jt
         a0, a1 = (part_a[:, j, c].reshape(shape) for c in range(2))
         X00, X01, X10, X11 = (part_X[:, j, c, b].reshape(shape) for c in range(2)
                               for b in range(2))
-        d0 = v0 - (a0 + (X00 * o0 + X01 * o1))
-        d1 = v1 - (a1 + (X10 * o0 + X11 * o1))
-        gap2 = gap2 + float(mult) * (d0**2 + d1**2)
-        e = (((g00 - X00) ** 2 + (g01 - X01) ** 2) + (g10 - X10) ** 2) + (g11 - X11) ** 2
-        grad2 = grad2 + float(mult) * e
-    sup_ok = np.sqrt(np.max(gap2, axis=0)) <= delta * r
-    gd = np.sqrt(grad2)
-    meas_ok = np.ones(shape, dtype=bool)
-    for alpha in (delta, 2.0 * delta, 4.0 * delta):
-        frac = np.count_nonzero(gd > alpha, axis=0) / off.shape[0]
-        meas_ok &= frac <= delta / alpha
-    return (sup_ok & meas_ok).reshape(-1)
+        d0 = v0 - (a0 + ((X00 * o)[:, None] + (X01 * o)[None]).reshape(off.shape[0], *shape))
+        d1 = v1 - (a1 + ((X10 * o)[:, None] + (X11 * o)[None]).reshape(off.shape[0], *shape))
+        gaps.append(d0**2 + d1**2)
+        grads.append((((g00 - X00) ** 2 + (g01 - X01) ** 2) + (g10 - X10) ** 2)
+                     + (g11 - X11) ** 2)
+    keep = np.sqrt(np.max(_summed(gaps, f.mults), axis=0)) <= delta * r
+    gd = np.sqrt(_summed(grads, f.mults))
+    # at alpha = delta the condition count / S <= 1 holds for every count
+    for alpha in (2.0 * delta, 4.0 * delta):
+        keep &= np.count_nonzero(gd > alpha, axis=0) / off.shape[0] <= delta / alpha
+    return keep.reshape(-1)
 
 
 def cubic_subdivision(f, delta):
@@ -319,7 +323,9 @@ def cubic_subdivision(f, delta):
     3x3 stencil around the cube centre and validated against
     sup 𝒢(f, model) <= delta * r  and the gradient measure condition
     |{𝒢(grad f, grad model) > alpha}| <= (delta/alpha) r^2 sampled on an
-    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta}, one band
+    N_VALID x N_VALID grid at alpha in {delta, 2 delta, 4 delta} (the
+    condition at alpha = delta bounds the share by 1 and so always holds,
+    and only 2 delta and 4 delta are tested), one band
     of whole lattice rows (_bands) at a time; the kept cubes' models are
     written to the front of the lattice-sized record, in lattice order, as
     each band is validated.  Cubes failing validation are dropped; the
@@ -450,9 +456,15 @@ def _psi_bar_entries(entries, mults, cfg):
 
 
 def _summed(vals, mults):
-    """sum_j mults_j vals_j, part by part in np.sum's order (psi >= 0, so the
-    leading 0 + is exact)."""
-    return sum(v * float(m) for v, m in zip(vals, mults))
+    """sum_j mults_j vals_j of arrays vals_j >= +0 (psi values, squares),
+    part by part in np.sum's order; a multiplicity-1 part is taken as it is.
+    Neither the leading 0 + of np.sum nor a factor 1.0 changes such a value,
+    so the bits are np.sum's."""
+    total = None
+    for v, m in zip(vals, mults, strict=True):
+        term = v if m == 1 else v * float(m)
+        total = term if total is None else total + term
+    return total
 
 
 def energy_of_hybrid(g, cfg, e_ref):
@@ -469,7 +481,11 @@ def energy_of_hybrid(g, cfg, e_ref):
         grad Phi = (f - M) otimes grad t + t grad f + (1 - t) X.
 
     This keeps the 1/k-scale collar contribution fully resolved instead of
-    relying on a global grid that samples the thin rings noisily.
+    relying on a global grid that samples the thin rings noisily.  The
+    collar loop runs turn by turn, then v by v, then band by band, the
+    three u nodes of a (turn, v) stacked in one call; each node's sum is
+    one row of two (3, n_cubes) node tables and is added in the order
+    turn, v, u.
     """
     f, sub, sh = g.f, g.sub, g.shrink
     r, mults = sub.r, f.mults
@@ -480,12 +496,12 @@ def energy_of_hybrid(g, cfg, e_ref):
     # Every term runs one band of lattice rows at a time, with f's jet on the
     # band's lines, and writes the psi values of the band's kept cubes, in
     # row order, into a full-length vector (the cube_f Gauss table for f on
-    # the shrunken cubes), which is summed once: the sums do not depend on
-    # the band size.  A band whose cubes are all kept (rows are numbered in
-    # lattice order) reads its rows and their models as slices, 4 % off a
-    # benchmark pass against gathering every band; any other band gathers
-    # its models once here, a dropped position borrowing row 0's model, whose
-    # values are computed and discarded.
+    # the shrunken cubes, a node table's row on the collar), which is summed
+    # once: the sums do not depend on the band size.  A band whose cubes are
+    # all kept (rows are numbered in lattice order) reads its rows and their
+    # models as slices, 4 % off a benchmark pass against gathering every
+    # band; any other band gathers its models once here, a dropped position
+    # borrowing row 0's model, whose values are computed and discarded.
     bands = []
     for band in _bands(m):
         at = sub.lattice[band].reshape(-1)
@@ -500,54 +516,65 @@ def energy_of_hybrid(g, cfg, e_ref):
     offs = _grid(gp) * s_in  # (9, 2)
     # Gauss weights on [-1,1]^2 sum to 4; scaled by s_in^2 they total (2 s_in)^2
     wts = np.prod(_grid(gw), axis=1) * (s_in**2)
-    per_cube_g, per_cube_f = np.empty(n), np.empty(n)
+    per_cube = np.empty(n)
     table = np.empty((n, offs.shape[0]))
     for c0, keep, rows, _A, _X in bands:
         # exact model energy on the shrunken cubes
-        per_cube_g[rows] = _psi_bar(sub.part_X[rows], mults, cfg)
+        per_cube[rows] = _psi_bar(sub.part_X[rows], mults, cfg)
         # f on the shrunken cubes: tensor Gauss 3x3 per cube
         jets = f.jet(*_band_lines(offs, c0, lines[1]))
         vals = _psi_bar_entries([jt[2:] for jt in jets], mults, cfg)
         vals = np.broadcast_to(vals, (offs.shape[0], c0.size, m)).reshape(offs.shape[0], -1)
         table[rows] = vals[:, keep].T
-    cube_model = float(np.sum(per_cube_g) * (sh * r) ** 2)
+    cube_model = float(np.sum(per_cube) * (sh * r) ** 2)
     table *= wts
     cube_f = float(np.sum(table))
-    del table
+    del table, per_cube
 
-    # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv;
-    # one jet call per band gives F and Gf of every part at a node, and the
-    # entries of Gg and Gf go to psi_entries
+    # collar rings: per face, Gauss rule in (u, v); area element w * xi du dv.
+    # Per turn and v, each band makes one jet call at the three u nodes,
+    # stacked on a leading axis, which gives F and Gf of every part there,
+    # and hands the entries of Gg and Gf to psi_entries; (1 - v) X is formed
+    # once per band and v, and dF (x) grad t is left out of the column where
+    # grad t is 0 (for finite f that term is +-0 there, so an entry differs
+    # at most in the sign of a zero, which no psi value sees).  Row i of the
+    # node tables holds u node i's per-cube values; each row is summed on its
+    # own, so a node's sum is the one of a call per node.
     collar_g = collar_f = 0.0
+    node_g, node_f = np.empty((3, n)), np.empty((3, n))
     for turns in range(4):
         rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
         grad_t = (rot @ np.array([1.0, 0.0])) / w
         for vnode, wv in zip(gp, 0.5 * gw):
             v = 0.5 * (vnode + 1.0)
             xi = s_in + v * w
-            for u, wu in zip(gp, gw):  # u in [-1, 1]
+            ry = np.stack([rot @ np.array([xi, u * xi]) for u in gp])  # (3, 2), u in [-1, 1]
+            r0, r1 = ry[:, 0, None, None], ry[:, 1, None, None]
+            for c0, keep, rows, A, X in bands:
+                shape = (c0.size, m)
+                jets = f.jet(*_band_lines(ry, c0, lines[1]))
+                gg, gf = [], []
+                for j, (_m, (v0, v1, *grad)) in enumerate(zip(mults, jets, strict=True)):
+                    part = []
+                    for c, F in enumerate((v0, v1)):
+                        # Gg = (F - M) (x) grad t + v Gf + (1 - v) X, row c,
+                        # M = a + X (x - z) the model
+                        Xc = [X[:, j, c, b].reshape(shape) for b in range(2)]
+                        dF = F - (A[:, j, c].reshape(shape) + (Xc[0] * r0 + Xc[1] * r1))
+                        for b in range(2):
+                            term = v * grad[2 * c + b]
+                            if grad_t[b] != 0.0:
+                                term = dF * grad_t[b] + term
+                            part.append(term + (1.0 - v) * Xc[b])
+                    gg.append(part)
+                    gf.append(grad)
+                for node, entries in ((node_g, gg), (node_f, gf)):
+                    vals = _psi_bar_entries(entries, mults, cfg)
+                    node[:, rows] = np.broadcast_to(vals, (3,) + shape).reshape(3, -1)[:, keep]
+            for i, wu in enumerate(gw):
                 jac = w * xi * wv * wu
-                ry = rot @ np.array([xi, u * xi])
-                for c0, keep, rows, A, X in bands:
-                    shape = (c0.size, m)
-                    jets = f.jet(*_band_lines(ry, c0, lines[1]))
-                    gg, gf = [], []
-                    for j, (_m, (v0, v1, *grad)) in enumerate(zip(mults, jets, strict=True)):
-                        part = []
-                        for c, F in enumerate((v0, v1)):
-                            # Gg = (F - M) (x) grad t + v Gf + (1 - v) X, row c,
-                            # M = a + X (x - z) the model
-                            Xc = [X[:, j, c, b].reshape(shape) for b in range(2)]
-                            dF = F - (A[:, j, c].reshape(shape) + (Xc[0] * ry[0] + Xc[1] * ry[1]))
-                            part += [(dF * grad_t[b] + v * grad[2 * c + b]) + (1.0 - v) * Xc[b]
-                                     for b in range(2)]
-                        gg.append(part)
-                        gf.append(grad)
-                    for per_cube, entries in ((per_cube_g, gg), (per_cube_f, gf)):
-                        vals = _psi_bar_entries(entries, mults, cfg)
-                        per_cube[rows] = np.broadcast_to(vals, shape).reshape(-1)[keep]
-                collar_g += float(np.sum(per_cube_g)) * jac
-                collar_f += float(np.sum(per_cube_f)) * jac
+                collar_g += float(np.sum(node_g[i])) * jac
+                collar_f += float(np.sum(node_f[i])) * jac
     return e_ref + ((cube_model - cube_f) + (collar_g - collar_f))
 
 

@@ -39,20 +39,28 @@ DEFAULT_RAY_TOL = 1e-9
 # angle (rad) added to psi's cut-off before rows are screened off by their
 # e12 coefficient
 RAY_SCREEN_MARGIN = 1e-3
+# the screen's width on the e12 coefficient, shared by _screened's cut and
+# PsiConfig.floor, whose soundness rests on the two being the same
+_SCREEN_WIDTH = DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN
 LOWER_BOUND_RATIO_CONSTANT = 1.0 / 200.0
 
 
 @dataclass
 class PsiConfig:
     """Zero rays of the degenerate integrand, with their distinct e12
-    coefficients for the screen."""
+    coefficients for the screen and the norm floor of psi_entries: a row
+    whose norm ||LambdaM(X)|| is below the floor has e12 coefficient
+    1 / ||LambdaM(X)|| above every ray's by more than the screen's width
+    (the factor 1 - 1e-12 dwarfs the rounding of both sides)."""
 
     eps: float
     rays: np.ndarray  # (3, 6) unit simple 2-vectors
     screen: tuple = field(init=False, repr=False, compare=False)
+    floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.screen = tuple(sorted(set(self.rays[:, 0].tolist())))
+        self.floor = (1.0 - 1e-12) / (self.screen[-1] + _SCREEN_WIDTH)
 
     @classmethod
     def for_eps(cls, eps):
@@ -78,7 +86,7 @@ def _screened(e12, norms, cfg):
     for rho in cfg.screen:
         d = np.abs(p12 - rho)
         dist = d if dist is None else np.minimum(dist, d)  # NaN stays NaN
-    near = np.flatnonzero(~(dist > DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN))
+    near = np.flatnonzero(~(dist > _SCREEN_WIDTH))
     if near.size:
         near = near[~np.isinf(np.ravel(norms)[near])]
     return near
@@ -109,11 +117,15 @@ def psi_entries(x00, x01, x10, x11, cfg):
     summed in the column order of lambda_m_batch, and so to the bit of
     np.linalg.norm of its rows.  The e12 coefficient of the unit tangent is
     1 / ||LambdaM(X)||: only rows that _screened keeps by it are lifted and
-    get an exact angle; every other row is its norm.
+    get an exact angle; every other row is its norm.  A row below cfg.floor
+    is off the screen, so a batch whose norms are all below it is not
+    screened: it costs one comparison.
     """
     det = x00 * x11 - x01 * x10
     norms = np.sqrt(1.0 + x01 * x01 + x11 * x11 + x00 * x00 + x10 * x10 + det * det)
     out = norms.reshape(-1)
+    if (out < cfg.floor).all():
+        return out.reshape(norms.shape)
     near = _screened(1.0, out, cfg)
     if near.size:
         Xs = np.stack([np.ravel(x)[near] for x in np.broadcast_arrays(x00, x01, x10, x11)],

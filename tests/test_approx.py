@@ -285,7 +285,7 @@ def _blocked_run(monkeypatch, f, k, cfg, block):
 
 @pytest.mark.parametrize("profile, k", [(ap.smooth_profile, 4), (ap.smooth_profile, 8),
                                         (ap.twosheet_profile, 4), (ap.twosheet_profile, 8),
-                                        (_kinked_profile, 4)])
+                                        (_kinked_profile, 4), (_kinked_profile, 8)])
 def test_blocked_cube_loop_matches_one_block(monkeypatch, cfg01, profile, k):
     f = profile()
     one, e_one = _blocked_run(monkeypatch, f, k, cfg01, 10**9)
@@ -373,10 +373,13 @@ def _oracle_energy_of_hybrid(g, cfg):
 
 @pytest.mark.parametrize("profile, k", [(ap.smooth_profile, 4), (ap.smooth_profile, 8),
                                         (ap.twosheet_profile, 4), (ap.twosheet_profile, 8),
-                                        (_kinked_profile, 4)])
+                                        (_kinked_profile, 4), (_kinked_profile, 8)])
 def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
     # the component-wise stencil sums, contractions and row norms of the cube
     # kernels are the einsum, np.sum and np.linalg.norm arithmetic to the bit
+    # (at k = 8 the kinked 93 x 93 lattice runs in three bands: a full one,
+    # one with a dropped lattice row and a short full one, so the stacked
+    # collar nodes go through both the slice and the gather path)
     f = profile()
     delta = 1.0 / k
     r = delta / 12.0  # the search's first lattice
@@ -392,6 +395,9 @@ def test_cube_kernels_match_einsum_and_norm_oracle(cfg01, profile, k):
     assert np.array_equal(keep, _oracle_validate(f, centers, r, a, X, delta))
     assert keep.any() and (profile is not _kinked_profile or not keep.all())
     g = ap.HybridQMap(f, ap.cubic_subdivision(f, delta), k)
+    if profile is _kinked_profile and k == 8:
+        bands = ap._bands(g.sub.lattice.shape[0])
+        assert [np.count_nonzero(g.sub.lattice[b] < 0) for b in bands] == [0, 93, 0]
     assert ap.energy_of_hybrid(g, cfg01, ap.energy_of_map(f, cfg01)) == \
         _oracle_energy_of_hybrid(g, cfg01)
 
@@ -420,8 +426,9 @@ def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
     # one jet call per band gives every part's values and gradient on the
     # band's lines: per lattice cube the 3x3 fit stencil and the N_VALID^2
     # validation samples, per cube of a band the 3x3 Gauss points and the
-    # 4 x 3 x 3 collar nodes, whatever the number of parts; the reference
-    # energy is the caller's
+    # 4 x 3 x 3 collar nodes, whatever the number of parts; the energy makes
+    # 13 calls per band, the Gauss points' and one per collar turn and v for
+    # the three u nodes; the reference energy is the caller's
     f, shapes = _recorded(profile())
     sub = ap.cubic_subdivision(f, 1.0 / 4)
     attempts = sub.diagnostics["attempts"]
@@ -433,6 +440,8 @@ def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
     ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01, e_ref)
     assert attempts[-1]["dropped"] == 0
     assert _line_points(shapes, {sub.lattice.shape[0]}) == sub.n_cubes * (9 + 36)
+    n_bands = len(ap._bands(sub.lattice.shape[0]))
+    assert [s0[0] for s0, _s1 in shapes] == [9] * n_bands + [3] * (12 * n_bands)
 
 
 def test_cube_loop_memory_is_bounded(cfg01):

@@ -309,3 +309,19 @@ def test_screened_psi_matches_full_ray_angles(bundle01, cfg01):
         assert energy.psi_batch(np.diag([1e155, 0.0])[None], cfg01)[0] == np.inf
         assert energy.psi_entries(0.0, 0.0, 0.0, 1e155, cfg01) == np.inf
         assert energy.psi_of_unit_tangents([[0.0, 0.0, 0.0, 1e200, 0.0, 0.0]], cfg01)[0] == 1.0
+
+
+def test_norm_floor_sits_at_the_screen_edge(bundle01, cfg01):
+    # diag(s, 0) has ||LambdaM|| = sqrt(1 + s^2): rows just below and just
+    # above psi_entries' norm floor lie just outside and just inside the
+    # screen; the lift matrices clear the floor and read 0
+    norms = cfg01.floor * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    Xs = np.concatenate([np.stack([np.diag([s, 0.0]) for s in np.sqrt(norms**2 - 1.0)]),
+                         bundle01.X])
+    lams = lambda_m_batch(Xs)
+    lo, hi = np.linalg.norm(lams[:2], axis=1)
+    assert lo < cfg01.floor <= hi
+    assert list(energy._screened(1.0, np.array([lo, hi]), cfg01)) == [1]
+    full = np.linalg.norm(lams, axis=1) * _full_psi_of_unit_tangents(lams, cfg01)
+    got = energy.psi_entries(Xs[:, 0, 0], Xs[:, 0, 1], Xs[:, 1, 0], Xs[:, 1, 1], cfg01)
+    assert np.array_equal(got, full) and list(got[2:]) == [0.0, 0.0, 0.0]
