@@ -14,27 +14,32 @@ construction.  Its T = 2 n^2 triangles are numbered 2 (i n + j) + t (t = 0
 lower, t = 1 upper half of cell (i, j)); triangle_nodes gives their node
 indices, and triangulate lifts the nodal values to them.  What depends on
 the mesh alone, the triangle nodes, the base triangles and the boundary
-nodes, is its MeshFrame, computed once per Mesh and shared by every graph
-on it.  A P1 sheet equals its nodal value at a node, so the zero-boundary
-check reads the boundary nodal values.
+nodes, is its MeshFrame, computed once per mesh value and shared by every
+graph on an equal mesh.  A P1 sheet equals its nodal value at a node, so
+the zero-boundary check reads the boundary nodal values.
 
 A TriangulatedCurrent is an (N, 3, 4) array of oriented 2-simplices in R^4
 with N integer multiplicities; mass, boundary chain, Gaussian image,
 classification partition, linear pushforward and distance-sphere slicing
-are exact for affine data.  Each is one array kernel over all N triangles:
-slice_mass intersects every sphere circle with every edge line at once
-((N, 6) critical angles), mass_in_ball screens whole triangles in or out
-of the ball before counting sub-triangle centroids, boundary and the
-expected loop chain of boundary_equals_loop share one edge-chain kernel
-(_edge_chain), and these and to_json_obj share one vertex key
-(_vertex_keys), which holds at every finite scale.
+are exact for affine data.  Each is one array kernel over all N triangles.
+slice_mass and mass_in_ball share one ball screen (_ball_screen, on
+bounding spheres each current computes once): a triangle wholly inside the
+open ball or wholly outside the closed one carries no arc of the sphere
+and counts all or none of its sub-triangle centroids, so slice_mass
+intersects sphere circles with edge lines ((K, 6) critical angles) and
+mass_in_ball counts centroids only on the K triangles the sphere may
+cross.  boundary and the expected loop chain of boundary_equals_loop share
+one edge-chain kernel (_edge_chain), and these and to_json_obj share one
+vertex key (_vertex_keys), which holds at every finite scale, and one
+numbering of the distinct keys in key order (_vertex_ids), so an edge is
+one integer code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +60,8 @@ BALL_SCREEN_MARGIN = 1e-10
 # mass_in_ball to about 2 MiB, whatever the number of triangles
 SLICE_CHUNK_TRIANGLES = 1 << 10
 BALL_CHUNK_POINTS = 1 << 12
+# distinct meshes whose MeshFrame stays cached (Mesh.frame)
+MESH_FRAMES = 8
 # random_lipschitz_graph: product-sine modes per sheet.  The obstruction
 # CSVs and the chain and Stokes suites draw their graphs at this count.
 N_MODES = 3
@@ -85,6 +92,9 @@ class Mesh:
     r: float
     n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "x0", tuple(self.x0))  # hashable, so frames are shared
+
     @property
     def h(self):
         return self.r / self.n
@@ -107,18 +117,24 @@ class Mesh:
         ij = self.frame.boundary
         return self.node(ij[:, 0], ij[:, 1])
 
-    @cached_property
+    @property
     def frame(self):
-        """The mesh's MeshFrame, computed on first use; its arrays are read-only."""
-        tris = triangle_nodes(self.n)
-        frame = MeshFrame(
-            tris=tris,
-            base=self.nodes_array()[tris[..., 0], tris[..., 1]],
-            boundary=_boundary_node_indices(self.n),
-        )
-        for arr in frame:
-            arr.flags.writeable = False
-        return frame
+        """The mesh's MeshFrame: equal meshes share one, computed on first use
+        (up to MESH_FRAMES distinct meshes stay cached); its arrays are read-only."""
+        return _mesh_frame(self)
+
+
+@lru_cache(maxsize=MESH_FRAMES)
+def _mesh_frame(mesh):
+    tris = triangle_nodes(mesh.n)
+    frame = MeshFrame(
+        tris=tris,
+        base=mesh.nodes_array()[tris[..., 0], tris[..., 1]],
+        boundary=_boundary_node_indices(mesh.n),
+    )
+    for arr in frame:
+        arr.flags.writeable = False
+    return frame
 
 
 def _boundary_node_indices(n):
@@ -228,6 +244,16 @@ class TriangulatedCurrent:
         """Per-triangle wedges (n, 6) of the edge vectors, computed once."""
         return exterior.wedge(*self.edge_vectors())
 
+    @cached_property
+    def _bounds(self):
+        """Per-triangle bounding spheres for _ball_screen, computed once: the
+        vertex means (n, 4), the largest vertex distance from them (n,) and
+        the largest absolute coordinate (n,)."""
+        centre = self.verts.mean(axis=1)
+        spread = self.verts - centre[:, None, :]
+        return (centre, np.sqrt(_rowdot(spread, spread).max(axis=1)),
+                np.abs(self.verts).max(axis=(1, 2)))
+
     def areas(self):
         return 0.5 * np.linalg.norm(self.tangent_wedges, axis=1)
 
@@ -256,8 +282,7 @@ class TriangulatedCurrent:
 
     def boundary(self):
         """Signed edge chain after cancellation: {(key_a, key_b): count}."""
-        keys = _vertex_keys(self.verts)
-        return _edge_chain(keys, np.roll(keys, -1, axis=1), np.repeat(self.mults, 3))
+        return _edge_chain(_vertex_keys(self.verts), self.mults)
 
     def boundary_equals_loop(self, loop_points, multiplicity):
         """Check the boundary chain equals `multiplicity` times the closed loop.
@@ -267,9 +292,7 @@ class TriangulatedCurrent:
         """
         pts = np.asarray(loop_points, dtype=float)
         keys = _vertex_keys(np.pad(pts, ((0, 0), (0, 2))))
-        expected = _edge_chain(keys, np.roll(keys, -1, axis=0),
-                               np.full(pts.shape[0], int(multiplicity)))
-        return self.boundary() == expected
+        return self.boundary() == _edge_chain(keys[None], np.array([int(multiplicity)]))
 
     def gaussian_image(self):
         w = self.tangent_wedges
@@ -316,53 +339,41 @@ class TriangulatedCurrent:
         Per triangle the sphere meets the triangle plane in a circle (or not
         at all); the part of that circle inside the triangle is a union of
         arcs computed exactly from the critical angles at the edge lines.
+        Only the triangles that _ball_screen leaves near the sphere are
+        intersected: one wholly inside the open ball or wholly outside the
+        closed one carries no arc.
         """
-        if not (0.0 < rho < math.inf):
-            raise ValueError("rho must be positive and finite")
-        p = np.asarray(p, dtype=float)
+        p, _inside, near = _ball_screen(self, p, rho)
         arcs = np.zeros(self.n_triangles)
-        for lo in range(0, self.n_triangles, SLICE_CHUNK_TRIANGLES):
-            arcs[lo:lo + SLICE_CHUNK_TRIANGLES] = _sphere_arcs(
-                self.verts[lo:lo + SLICE_CHUNK_TRIANGLES], p, rho)
+        for lo in range(0, near.shape[0], SLICE_CHUNK_TRIANGLES):
+            at = near[lo:lo + SLICE_CHUNK_TRIANGLES]
+            arcs[at] = _sphere_arcs(self.verts[at], p, rho)
         return float(np.sum(self.mults * arcs))
 
     def mass_in_ball(self, p, rho, subdiv=16):
         """Quadrature estimate of the mass inside the closed ball B_rho(p).
 
         Midpoint rule on subdiv^2 congruent sub-triangles per triangle.
-        Triangles wholly inside or outside the ball, by BALL_SCREEN_MARGIN
-        of their coordinate scale, count all or none of their centroids;
-        only the others evaluate them.
+        Triangles that _ball_screen puts wholly inside or outside the ball
+        count all or none of their centroids; only the others evaluate them.
         """
-        if not (0.0 < rho < math.inf):
-            raise ValueError("rho must be positive and finite")
         if subdiv < 1:
             raise ValueError("subdiv must be at least 1")
-        p = np.asarray(p, dtype=float)
+        p, inside, near = _ball_screen(self, p, rho)
         cents, frac = _subtriangle_centroids(subdiv)
-        rel = self.verts - p
-        far = np.sqrt(_rowdot(rel, rel).max(axis=1))
-        # bounding sphere: the vertex mean and the largest distance from it
-        centre = self.verts.mean(axis=1)
-        spread = self.verts - centre[:, None, :]
-        off = centre - p
-        gap = np.sqrt(_rowdot(off, off)) - np.sqrt(_rowdot(spread, spread).max(axis=1))
-        pad = BALL_SCREEN_MARGIN * (np.abs(self.verts).max(axis=(1, 2)) + np.abs(p).max() + rho)
-        whole = far < rho - pad
-        none = gap > rho + pad
-        counts = np.where(whole, cents.shape[0], 0)
-        near = np.flatnonzero(~whole & ~none)
+        counts = np.where(inside, cents.shape[0], 0)
         chunk = max(1, BALL_CHUNK_POINTS // cents.shape[0])
         for lo in range(0, near.shape[0], chunk):
             tri = self.verts[near[lo:lo + chunk]]
-            pts = (
+            d = (
                 tri[:, None, 0]
                 + cents[None, :, 0:1] * (tri[:, 1] - tri[:, 0])[:, None]
                 + cents[None, :, 1:2] * (tri[:, 2] - tri[:, 0])[:, None]
-            )
-            counts[near[lo:lo + chunk]] = np.count_nonzero(
-                np.sum((pts - p) ** 2, axis=2) <= rho * rho, axis=1
-            )
+            ) - p
+            d *= d
+            # squared distances summed entry by entry, in np.sum's order
+            dist2 = ((d[..., 0] + d[..., 1]) + d[..., 2]) + d[..., 3]
+            counts[near[lo:lo + chunk]] = np.count_nonzero(dist2 <= rho * rho, axis=1)
         return float(np.sum(self.mults * self.areas() * frac * counts))
 
     # -- serialization ----------------------------------------------------------------
@@ -371,12 +382,11 @@ class TriangulatedCurrent:
         """Shared vertices in first-seen order (merged by _vertex_keys) and
         triangles as [i, j, k, multiplicity]."""
         flat = self.verts.reshape(-1, 4)
-        _, first, inv = np.unique(_vertex_keys(flat), axis=0, return_index=True,
-                                  return_inverse=True)
+        key_ids, first = _vertex_ids(_vertex_keys(flat))
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.shape[0])
-        ids = rank[inv.reshape(-1)].reshape(-1, 3)
+        ids = rank[key_ids].reshape(-1, 3)
         triangles = np.concatenate([ids, self.mults[:, None]], axis=1)
         return {"vertices": flat[first[order]].tolist(), "triangles": triangles.tolist()}
 
@@ -396,6 +406,33 @@ def _subtriangle_centroids(k):
             if i + j <= k - 2:
                 cents.append(((i + 2.0 / 3.0) / k, (j + 2.0 / 3.0) / k))
     return np.array(cents), 1.0 / (k * k)
+
+
+def _ball_screen(current, p, rho):
+    """Screen the triangles of a TriangulatedCurrent against the sphere S_rho(p).
+
+    Returns p as an array, the mask (N,) of triangles wholly inside the
+    open ball and the indices of the near ones, neither inside nor wholly
+    outside the closed ball.  A triangle is inside when every vertex lies
+    within rho - pad of p, and outside when its bounding sphere (the vertex
+    mean and the largest distance from it) lies beyond rho + pad, where pad
+    is BALL_SCREEN_MARGIN of the largest coordinate of the triangle and p,
+    plus rho.  p must be a finite point of R^4 and rho positive and finite.
+    """
+    if not (0.0 < rho < math.inf):
+        raise ValueError("rho must be positive and finite")
+    p = np.asarray(p, dtype=float)
+    if p.shape != (4,) or not np.all(np.isfinite(p)):
+        raise ValueError("p must be a finite point of R^4")
+    centre, radius, scale = current._bounds
+    rel = current.verts - p
+    d2 = _rowdot(rel, rel)
+    far = np.sqrt(np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2]))
+    off = centre - p
+    gap = np.sqrt(_rowdot(off, off)) - radius
+    pad = BALL_SCREEN_MARGIN * (scale + np.abs(p).max() + rho)
+    inside = far < rho - pad
+    return p, inside, np.flatnonzero(~inside & ~(gap > rho + pad))
 
 
 def _sphere_arcs(verts, p, rho):
@@ -488,27 +525,50 @@ def _vertex_keys(points):
     return np.rint(scaled)
 
 
-def _edge_chain(start, end, weights):
-    """Signed edge chain {(key_a, key_b): count} of weighted edges start -> end.
+def _vertex_ids(keys):
+    """Number the distinct rows of keys (N, 4) in lexicographic order.
 
-    start, end: (..., 4) vertex keys; weights: (...,) integers.  Each edge
+    Returns ids (N,) and first (K,), the row where each id first occurs:
+    the inverse and the first indices that a row-wise np.unique returns,
+    from one stable lexsort.  Keys compare as numbers, so -0.0 and 0.0
+    share an id.
+    """
+    order = np.lexsort(keys.T[::-1])  # stable: each group lists its rows in order
+    ranked = keys[order]
+    start = np.ones(keys.shape[0], dtype=bool)
+    start[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(keys.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(start) - 1
+    return ids, order[start]
+
+
+def _edge_chain(loops, weights):
+    """Signed edge chain {(key_a, key_b): count} of weighted closed polygons.
+
+    loops: (N, L, 4) vertex keys, polygon i running through loops[i, 0], ...,
+    loops[i, L-1] and back to loops[i, 0]; weights: (N,) integers.  Each edge
     is stored with its lexicographically smaller key first, its weight
     negated when that reverses it; edges whose counts cancel are dropped.
-    The keys of the chain are tuples of Python ints.
+    The keys of the chain are tuples of Python ints, in key order.
     """
-    start, end = start.reshape(-1, 4), end.reshape(-1, 4)
-    # compare the keys at their first differing coordinate (any, if equal)
-    i = np.argmax(start != end, axis=1)[:, None]
-    fwd = np.take_along_axis(start, i, 1)[:, 0] <= np.take_along_axis(end, i, 1)[:, 0]
-    edges = np.where(fwd[:, None], np.concatenate([start, end], axis=1),
-                     np.concatenate([end, start], axis=1))
-    signed = np.where(fwd, 1, -1) * np.asarray(weights, dtype=np.int64).reshape(-1)
-    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
+    keys = loops.reshape(-1, 4)
+    ids, first = _vertex_ids(keys)
+    n_ids = first.shape[0]
+    # ids follow the key order, so an edge runs forward when its start id is
+    # the smaller, and the code a * n_ids + b orders edges as their key pairs
+    a = ids.reshape(loops.shape[:2])
+    b = np.roll(a, -1, axis=1)
+    fwd = a <= b
+    codes = np.where(fwd, a * n_ids + b, b * n_ids + a).reshape(-1)
+    signed = (np.where(fwd, 1, -1) * np.asarray(weights, dtype=np.int64)[:, None]).reshape(-1)
+    uniq, inv = np.unique(codes, return_inverse=True)
     counts = np.zeros(uniq.shape[0], dtype=np.int64)
-    np.add.at(counts, inv.reshape(-1), signed)
+    np.add.at(counts, inv, signed)
     keep = np.flatnonzero(counts)
-    return {(tuple(map(int, e[:4])), tuple(map(int, e[4:]))): c
-            for e, c in zip(uniq[keep].tolist(), counts[keep].tolist())}
+    lo, hi = np.divmod(uniq[keep], n_ids)
+    return {(tuple(map(int, ka)), tuple(map(int, kb))): c
+            for ka, kb, c in zip(keys[first[lo]].tolist(), keys[first[hi]].tolist(),
+                                 counts[keep].tolist())}
 
 
 def triangulate(g):
@@ -538,13 +598,18 @@ def random_lipschitz_graph(seed, lip, q, mesh):
 
     Each sheet is a superposition of low-frequency product-sine modes
     (vanishing on the boundary) P1-interpolated on the mesh and rescaled so
-    the largest per-triangle gradient norm stays below 0.9 * lip.
+    the largest per-triangle gradient norm stays below 0.9 * lip.  Each
+    mode's sines are taken on one node line per axis.
     """
+    if not (0.0 < lip < math.inf):
+        raise ValueError("lip must be positive and finite")
     rng = np.random.default_rng(seed)
     n = mesh.n
-    nodes = mesh.nodes_array()
-    xi = (nodes[..., 0] - mesh.origin[0]) / mesh.r
-    eta = (nodes[..., 1] - mesh.origin[1]) / mesh.r
+    # node (i, i) has node (i, j)'s x and node (j, i)'s y: the two node lines
+    diag = mesh.node(np.arange(n + 1), np.arange(n + 1))
+    origin = mesh.origin
+    xi = ((diag[:, 0] - origin[0]) / mesh.r)[:, None]
+    eta = ((diag[:, 1] - origin[1]) / mesh.r)[None, :]
     vals = np.zeros((q, n + 1, n + 1, 2))
     for sheet in vals:
         for _m in range(N_MODES):

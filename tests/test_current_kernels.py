@@ -1,9 +1,10 @@
 """The array kernels of TriangulatedCurrent against the per-triangle loops they replaced.
 
 The reference functions below are the former implementations of
-slice_mass, mass_in_ball, boundary, boundary_equals_loop, to_json_obj and
-branched_graph, kept here verbatim in their arithmetic, and the former
-large-coordinate vertex merge key of to_json_obj.
+slice_mass, mass_in_ball, boundary, boundary_equals_loop, to_json_obj,
+branched_graph and random_lipschitz_graph, kept here verbatim in their
+arithmetic, the former large-coordinate vertex merge key of to_json_obj,
+and the former edge-chain and JSON kernels on np.unique(..., axis=0) rows.
 """
 
 import json
@@ -204,6 +205,67 @@ def _ref_branched_verts(q, amplitude, cutoff, n_r=24, n_theta=32, p=None):
     return np.array(verts)
 
 
+def _old_edge_chain(start, end, weights):
+    """The edge-chain kernel on np.unique rows of (E, 8) float key pairs."""
+    start, end = start.reshape(-1, 4), end.reshape(-1, 4)
+    i = np.argmax(start != end, axis=1)[:, None]
+    fwd = np.take_along_axis(start, i, 1)[:, 0] <= np.take_along_axis(end, i, 1)[:, 0]
+    edges = np.where(fwd[:, None], np.concatenate([start, end], axis=1),
+                     np.concatenate([end, start], axis=1))
+    signed = np.where(fwd, 1, -1) * np.asarray(weights, dtype=np.int64).reshape(-1)
+    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
+    counts = np.zeros(uniq.shape[0], dtype=np.int64)
+    np.add.at(counts, inv.reshape(-1), signed)
+    keep = np.flatnonzero(counts)
+    return {(tuple(map(int, e[:4])), tuple(map(int, e[4:]))): c
+            for e, c in zip(uniq[keep].tolist(), counts[keep].tolist())}
+
+
+def _old_boundary(T):
+    keys = currents._vertex_keys(T.verts)
+    return _old_edge_chain(keys, np.roll(keys, -1, axis=1), np.repeat(T.mults, 3))
+
+
+def _old_loop_chain(loop_points, multiplicity):
+    pts = np.asarray(loop_points, dtype=float)
+    keys = currents._vertex_keys(np.pad(pts, ((0, 0), (0, 2))))
+    return _old_edge_chain(keys, np.roll(keys, -1, axis=0),
+                           np.full(pts.shape[0], int(multiplicity)))
+
+
+def _old_unique_json(T):
+    """to_json_obj with its vertex keys numbered by np.unique(..., axis=0)."""
+    flat = T.verts.reshape(-1, 4)
+    _, first, inv = np.unique(currents._vertex_keys(flat), axis=0, return_index=True,
+                              return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    ids = rank[inv.reshape(-1)].reshape(-1, 3)
+    triangles = np.concatenate([ids, T.mults[:, None]], axis=1)
+    return {"vertices": flat[first[order]].tolist(), "triangles": triangles.tolist()}
+
+
+def _ref_random_lipschitz_vals(seed, lip, q, mesh):
+    """random_lipschitz_graph's nodal values, each mode's sines on the full node grid."""
+    rng = np.random.default_rng(seed)
+    n = mesh.n
+    nodes = mesh.nodes_array()
+    xi = (nodes[..., 0] - mesh.origin[0]) / mesh.r
+    eta = (nodes[..., 1] - mesh.origin[1]) / mesh.r
+    vals = np.zeros((q, n + 1, n + 1, 2))
+    for sheet in vals:
+        for _m in range(currents.N_MODES):
+            kx, ky = rng.integers(1, 4, size=2)
+            coef = rng.normal(size=2)
+            mode = np.sin(math.pi * kx * xi) * np.sin(math.pi * ky * eta)
+            sheet += mode[..., None] * coef[None, None, :]
+        grad_bound = currents._max_nodal_gradient(sheet, mesh.h)
+        if grad_bound > 0:
+            sheet *= 0.9 * lip / max(grad_bound, 0.9 * lip)
+    return vals
+
+
 # -- inputs ---------------------------------------------------------------------------
 
 
@@ -377,6 +439,13 @@ def test_mass_in_ball_matches_loop_on_currents(monkeypatch):
                           _ref_mass_in_ball(T, np.zeros(4), rho, 10))
 
 
+# centres that are not a finite point of R^4: NaN and infinite coordinates,
+# too few or too many, and the wrong shape
+BAD_CENTRES = ([math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0],
+               [0.0, 0.0, -math.inf, 0.0], [0.0, 0.0, 0.0], np.zeros(5), np.zeros((1, 4)),
+               0.0, None)
+
+
 def test_mass_in_ball_rejects_bad_inputs():
     D = currents.flat_disk_current(8, 32)
     for rho in (-0.5, 0.0, math.nan, math.inf):
@@ -387,11 +456,147 @@ def test_mass_in_ball_rejects_bad_inputs():
             D.mass_in_ball(np.zeros(4), 0.5, subdiv=subdiv)
 
 
+def test_mass_in_ball_rejects_bad_centre():
+    D = currents.flat_disk_current(8, 32)
+    for p in BAD_CENTRES:
+        with pytest.raises(ValueError, match=r"^p must be a finite point of R\^4$"):
+            D.mass_in_ball(p, 0.5)
+
+
 def test_slice_mass_rejects_bad_radius():
     D = currents.flat_disk_current(8, 32)
     for rho in (-0.5, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^rho must be positive and finite$"):
             D.slice_mass(np.zeros(4), rho)
+
+
+def test_slice_mass_rejects_bad_centre():
+    D = currents.flat_disk_current(8, 32)
+    for p in BAD_CENTRES:
+        with pytest.raises(ValueError, match=r"^p must be a finite point of R\^4$"):
+            D.slice_mass(p, 0.5)
+
+
+# -- the ball screen of slice_mass ----------------------------------------------------
+
+
+def _unscreened_slice(T, p, rho):
+    """slice_mass without the screen: _sphere_arcs on every triangle, weighted and summed."""
+    p = np.asarray(p, dtype=float)
+    step = currents.SLICE_CHUNK_TRIANGLES
+    arcs = np.concatenate([currents._sphere_arcs(T.verts[lo:lo + step], p, rho)
+                           for lo in range(0, T.n_triangles, step)])
+    return float(np.sum(T.mults * arcs))
+
+
+def _assert_screen_changes_no_bit(T, p, rho):
+    """The screened slice_mass is the unscreened sum, and every triangle the
+    screen drops carries exactly no arc; returns how many it dropped."""
+    assert T.slice_mass(p, rho).hex() == _unscreened_slice(T, p, rho).hex(), (p, rho)
+    _p, _inside, near = currents._ball_screen(T, p, rho)
+    dropped = np.setdiff1d(np.arange(T.n_triangles), near)
+    if dropped.size:
+        arcs = currents._sphere_arcs(T.verts[dropped], np.asarray(p, dtype=float), rho)
+        assert np.all(arcs == 0.0), (p, rho)
+    return dropped.size
+
+
+def _coarea_currents():
+    """The two currents of the coarea identity check, at its size."""
+    return (currents.flat_disk_current(n_r=16, n_theta=48),
+            currents.branched_graph(2, 1.0, 1.0, n_r=16, n_theta=48))
+
+
+def test_slice_screen_changes_no_bit_on_coarea_currents():
+    dropped = 0
+    for T in _coarea_currents():
+        for p in (np.zeros(4), np.array([0.1, -0.2, 0.05, 0.0])):
+            # the coarea radii; at 0.5 a vertex ring of each current lies on the sphere
+            for rho in list(np.linspace(0.25, 0.5, 5)) + [0.05, 0.9, 1.2]:
+                dropped += _assert_screen_changes_no_bit(T, p, rho)
+    assert dropped > 0
+
+
+def test_slice_screen_changes_no_bit_at_far_coordinates():
+    rng = np.random.default_rng(20)
+    disk = currents.flat_disk_current(n_r=6, n_theta=16)
+    for scale in (1e5, 1e7, 1e9):
+        offset = scale * rng.normal(size=4)
+        T = currents.TriangulatedCurrent(disk.verts + offset, disk.mults)
+        for rho in (0.3, 0.5, 0.99, 1.0):
+            _assert_screen_changes_no_bit(T, offset, rho)
+    # small triangles just inside the unit sphere, as in the ball-mass margin test
+    for _ in range(40):
+        p = 10.0 ** rng.uniform(5, 9) * rng.normal(size=4)
+        Q, _r = np.linalg.qr(rng.normal(size=(4, 4)))
+        dirs = Q[:, 0] + 10.0 ** rng.uniform(-5, -2) * (rng.normal(size=(3, 2)) @ Q[:, 1:3].T)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        T = _single(p + (1.0 - 10.0 ** rng.uniform(-12, -6)) * dirs)
+        _assert_screen_changes_no_bit(T, p, 1.0)
+
+
+def _tight_triangles(rng, n):
+    """Triangles (with their centres p) whose bounding sphere touches the
+    triangle: p lies in the triangle's plane, on the ray from the vertex mean
+    through the vertex farthest from it, so the bounding sphere's gap to p is
+    the triangle's distance to p."""
+    out = []
+    for _ in range(n):
+        origin, frame = _frame(rng)
+        angle = rng.uniform(0.2, 0.8)
+        tri2 = np.array([[1.0, 0.0], [-0.5, angle], [-0.5, -angle]]) * rng.uniform(0.1, 2.0)
+        tri2 -= tri2.mean(axis=0)
+        out.append((_embed(origin, frame, tri2), _embed(origin, frame, [[3.0, 0.0]])[0]))
+    return out
+
+
+def test_slice_screen_changes_no_bit_at_screen_cuts():
+    rng = np.random.default_rng(21)
+    cases = [(T.verts[i], p) for T in _coarea_currents()
+             for i in rng.choice(T.n_triangles, size=12, replace=False)
+             for p in (np.zeros(4), rng.normal(size=4) * 0.5)]
+    cases += [(tri, rng.normal(size=4) * 0.5) for tri in rng.normal(size=(12, 3, 4))]
+    cases += _tight_triangles(rng, 12)
+    dropped = 0
+    for tri, p in cases:
+        T = _single(tri)
+        dist = np.linalg.norm(tri - p, axis=1)
+        centre = tri.mean(axis=0)
+        gap = np.linalg.norm(centre - p) - np.linalg.norm(tri - centre, axis=1).max()
+        # radii a few ulps from each cut, and across the screen's margin about
+        # the farthest vertex and the bounding sphere
+        rhos = []
+        for cut in (_screen_cut(T, p, True), _screen_cut(T, p, False)):
+            rhos += [cut]
+            for _ in range(3):
+                rhos = [np.nextafter(rhos[0], -np.inf)] + rhos + [np.nextafter(rhos[-1], np.inf)]
+        for edge in (dist.max(), gap):
+            rhos += [edge * (1.0 + f * currents.BALL_SCREEN_MARGIN) for f in (-3, -0.5, 0.5, 3)]
+        for rho in filter(lambda r: r > 0.0, rhos):
+            dropped += _assert_screen_changes_no_bit(T, p, float(rho))
+    assert dropped > 0
+
+
+def test_slice_screen_intersects_only_the_crossed_rings(monkeypatch):
+    T = currents.flat_disk_current(n_r=16, n_theta=48)
+    seen = []
+    sphere_arcs = currents._sphere_arcs
+
+    def counted(verts, p, rho):
+        seen.append(verts)
+        return sphere_arcs(verts, p, rho)
+
+    monkeypatch.setattr(currents, "_sphere_arcs", counted)
+    T.slice_mass(np.zeros(4), 0.3)
+    radii = np.linalg.norm(np.concatenate(seen)[..., :2], axis=2)
+    # every triangle the sphere crosses is intersected: ring 4 of 16, between
+    # radii 0.25 and 0.3125, two triangles per angle step; the others lie
+    # beside it, within one ring spacing of the sphere
+    crossed = np.linalg.norm(T.verts[..., :2], axis=2)
+    crossed = np.count_nonzero((crossed.min(axis=1) < 0.3) & (crossed.max(axis=1) > 0.3))
+    assert crossed == 2 * 48
+    assert np.all((radii.min(axis=1) < 0.3 + 1 / 16) & (radii.max(axis=1) > 0.3 - 1 / 16))
+    assert crossed <= radii.shape[0] <= 3 * 48 < T.n_triangles
 
 
 # -- boundary chains, vertex keys and JSON ----------------------------------------------
@@ -408,7 +613,9 @@ def _half_point_coordinates():
     return out
 
 
-def test_boundary_matches_loop():
+def _chain_currents():
+    """Currents whose boundary chains the tests compare: random graphs, disk
+    graphs, a closed current, keys rounded half to even and a sliver."""
     rng = np.random.default_rng(16)
     currents_ = [currents.triangulate(currents.random_lipschitz_graph(60 + q, 2.0, q,
                                                                       unit_mesh(n)))
@@ -431,6 +638,15 @@ def test_boundary_matches_loop():
     sliver = np.array([[[0.0, 0, 0, 0], [1e-11, 0, 0, 0], [0, 1, 0, 0]],
                        [[1, 0, 0, 0], [0, 1, 0, 0], [1e-11, 0, 0, 0]]])
     currents_.append(currents.TriangulatedCurrent(sliver, [2, 1]))
+    # keys -0.0 beside 0.0: coordinates just below and above zero
+    signed = np.array([[[-1e-11, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+                       [[1e-11, 0, 0, 0], [0, -1e-11, 0, 0], [1, 0, 0, 0]]])
+    currents_.append(currents.TriangulatedCurrent(signed, [1, 3]))
+    return currents_, closed
+
+
+def test_boundary_matches_loop():
+    currents_, closed = _chain_currents()
     for cur in currents_:
         chain = cur.boundary()
         assert chain == _ref_boundary(cur)
@@ -474,6 +690,58 @@ def test_far_boundary_matches_loop():
     assert len(far[0].boundary()) == 4  # the competitor's unit square
 
 
+def _unique_rows_cases():
+    """Vertex key arrays (N, 4): heavy repeats, -0.0 beside 0.0, keys past
+    2^53 (coordinates of 1e16), a single row and no rows."""
+    rng = np.random.default_rng(22)
+    repeats = rng.integers(-2, 3, size=(500, 4)).astype(float)
+    zeros = np.where(rng.random(size=(80, 4)) < 0.5, -0.0, 0.0)
+    zeros[::7, 1] = 1.0
+    far = currents._vertex_keys(1e16 * rng.integers(-2, 3, size=(200, 4))
+                                + 2.0 * rng.integers(0, 3, size=(200, 4)))
+    assert np.abs(far).max() > 2.0**53
+    disk = currents._vertex_keys(currents.branched_graph(2, 1.0, 1.0, 6, 12).verts)
+    return [repeats, zeros, far, disk.reshape(-1, 4), np.array([[1.0, -0.0, 3.0, 2.0]]),
+            np.zeros((0, 4))]
+
+
+def test_vertex_ids_match_unique_rows():
+    for keys in _unique_rows_cases():
+        uniq, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        ids, first_ids = currents._vertex_ids(keys)
+        assert np.array_equal(ids, inv.reshape(-1))
+        assert np.array_equal(first_ids, first)
+        got = keys[first_ids]
+        assert np.array_equal(got, uniq) and np.array_equal(np.signbit(got), np.signbit(uniq))
+
+
+def test_edge_chains_match_unique_row_kernel():
+    currents_, _closed = _chain_currents()
+    for cur in currents_ + _far_currents():
+        assert list(cur.boundary().items()) == list(_old_boundary(cur).items())
+    loops = [(currents.disk_boundary_loop(24), currents.branched_graph(2, 0.8, 1.0, 6, 24))]
+    for q in (1, 3):
+        g = currents.random_lipschitz_graph(70 + q, 1.5, q, unit_mesh(4))
+        loops.append((g.mesh.boundary_nodes(), currents.triangulate(g)))
+    for loop, T in loops:
+        keys = currents._vertex_keys(np.pad(loop, ((0, 0), (0, 2))))
+        for mult in (1, 2, 3, -2):
+            expected = currents._edge_chain(keys[None], np.array([mult]))
+            assert list(expected.items()) == list(_old_loop_chain(loop, mult).items())
+            assert T.boundary_equals_loop(loop, mult) == \
+                (_old_boundary(T) == _old_loop_chain(loop, mult))
+
+
+def test_current_json_matches_unique_row_kernel():
+    rng = np.random.default_rng(23)
+    B = currents.branched_graph(2, 0.5, 1.0, n_r=4, n_theta=12)
+    shaken = currents.TriangulatedCurrent(B.verts + rng.uniform(-1e-11, 1e-11, B.verts.shape),
+                                          B.mults)
+    # the first of the far currents is the ray-3 envelope competitor at eps 1e-8
+    for cur in _far_currents() + [B, shaken, _random_triangles(rng, 5)]:
+        assert json.dumps(cur.to_json_obj()) == json.dumps(_old_unique_json(cur))
+
+
 def test_far_current_json_matches_old_merge_keys():
     for cur in _far_currents():
         assert json.dumps(cur.to_json_obj(), sort_keys=True) == \
@@ -490,7 +758,16 @@ def test_current_json_matches_loop():
             json.dumps(_ref_to_json_obj(cur), sort_keys=True)
 
 
-# -- branched_graph -------------------------------------------------------------------
+# -- generators ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mesh", [unit_mesh(1), unit_mesh(5), unit_mesh(12),
+                                  currents.Mesh(x0=(0.2, -0.1), r=1.3, n=7)])
+def test_random_lipschitz_graph_matches_full_grid_sines(mesh):
+    for seed, lip, q in ((0, 2.0, 1), (7, 0.5, 3), (2**31 - 1, 2.0, 2)):
+        g = currents.random_lipschitz_graph(seed, lip, q, mesh)
+        assert np.array_equal(g.vals, _ref_random_lipschitz_vals(seed, lip, q, mesh))
+
 
 
 @pytest.mark.parametrize("args", [

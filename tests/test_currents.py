@@ -206,6 +206,20 @@ def test_projection_multiplicity_bound(rng):
         assert proj <= q * 1.0 + 1e-8
 
 
+@pytest.mark.parametrize("lip", [-1.0, 0.0, -0.0, math.nan, math.inf])
+def test_random_lipschitz_graph_rejects_bad_lip(lip):
+    # at lip = -1 the rescale would leave a nodal gradient of 0.9 > lip
+    with pytest.raises(ValueError, match="^lip must be positive and finite$"):
+        currents.random_lipschitz_graph(0, lip, 1, unit_mesh(6))
+
+
+@pytest.mark.parametrize("lip", [1e-3, 0.5, 2.0, 1e3])
+def test_random_lipschitz_graph_keeps_its_bound(lip):
+    g = currents.random_lipschitz_graph(3, lip, 2, unit_mesh(6))
+    for sheet in g.vals:
+        assert currents._max_nodal_gradient(sheet, g.mesh.h) <= 0.9 * lip * (1.0 + 1e-12)
+
+
 def test_generator_determinism():
     a = currents.random_lipschitz_graph(42, 2.0, 2, unit_mesh(5))
     b = currents.random_lipschitz_graph(42, 2.0, 2, unit_mesh(5))
@@ -467,6 +481,9 @@ def test_mesh_frame_is_memoised_and_read_only():
     mesh = currents.Mesh(x0=(0.2, -0.1), r=1.3, n=4)
     frame = mesh.frame
     assert mesh.frame is frame
+    # equal meshes share one frame; x0 given as a list is held as a tuple
+    assert currents.Mesh(x0=[0.2, -0.1], r=1.3, n=4).frame is frame
+    assert currents.Mesh(x0=(0.2, -0.1), r=1.3, n=5).frame is not frame
     tris = currents.triangle_nodes(4)
     assert np.array_equal(frame.tris, tris)
     assert np.array_equal(frame.base, mesh.nodes_array()[tris[..., 0], tris[..., 1]])
