@@ -27,7 +27,6 @@ import numpy as np
 from . import construction, currents, gmeasures
 from .energy import (LOWER_BOUND_RATIO_CONSTANT, PsiConfig, envelope_bracket,
                      envelope_lower_at_zero, envelope_upper)
-from .multipoint import MaximalDecomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,15 +287,9 @@ def cmd_certificate(args):
     out_dir = _out_dir(args)
     b = construction.build(args.eps)
     cfg = PsiConfig.for_eps(args.eps)
-    uppers = []
-    for i in range(3):
-        target = MaximalDecomposition.single(args.q, np.zeros(2), b.X[i])
-        val, _comp, _meta = envelope_upper(target, cfg)
-        uppers.append(val)
+    uppers = [envelope_upper((args.q, X), cfg)[0] for X in b.X]
     lower, trace = envelope_lower_at_zero(args.eps, args.q)
-    cert = construction.certificate(
-        args.eps, args.q, {"upper_at_rays": uppers, "lower_at_zero": lower}
-    )
+    cert = construction.certificate(args.eps, uppers, lower)
     obj = cert.to_json_obj()
     obj["chain_trace"] = trace
     path = os.path.join(out_dir, f"certificate_q{args.q}.json")

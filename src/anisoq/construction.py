@@ -70,24 +70,38 @@ class ConstructionBundle:
     R: np.ndarray  # 4x4 squeeze diag(1, 1, eps, eps)
     u: np.ndarray  # (3, 2, 4) spanning vector pairs with v_i = u_i1 ^ u_i2
 
-    def validate(self, tol_norm=1e-12, tol_lift=1e-10):
-        norms = np.linalg.norm(self.v, axis=1)
-        if np.max(np.abs(norms - norms[0])) > tol_norm:
-            raise AssertionError("equal-norm invariant failed")
-        bary = self.v.sum(axis=0) - 2.0 * self.delta**2 * E12
-        if np.linalg.norm(bary) > tol_norm:
-            raise AssertionError("barycenter invariant failed")
+    def identities(self):
+        """(name, residual, tol) rows of the defining identities: equal norms,
+        the barycenter, simplicity (Pluecker) and the lift v_i = c_i LambdaM(X_i)."""
+        nrm = np.linalg.norm(self.v, axis=1)
         pl, lam = plucker(self.v), lambda_m_batch(self.X)
+        rows = [("equal_norms_v1_v2", abs(nrm[0] - nrm[1]), 1e-12),
+                ("equal_norms_v1_v3", abs(nrm[0] - nrm[2]), 1e-12),
+                ("barycenter_sum",
+                 np.linalg.norm(self.v.sum(axis=0) - 2.0 * self.delta**2 * E12), 1e-12)]
         for i in range(3):
-            if abs(pl[i]) > tol_norm:
-                raise AssertionError(f"v{i + 1} is not simple")
-            if self.c[i] <= 0:
-                raise AssertionError(f"c{i + 1} is not positive")
-            if np.linalg.norm(self.v[i] - self.c[i] * lam[i]) > tol_lift:
-                raise AssertionError(f"lift identity failed for v{i + 1}")
+            rows.append((f"plucker_v{i + 1}", abs(pl[i]), 1e-12))
+            rows.append((f"lift_v{i + 1}", np.linalg.norm(self.v[i] - self.c[i] * lam[i]),
+                         1e-10))
+        return rows
+
+    def validate(self):
+        for name, residual, tol in self.identities():
+            if not residual <= tol:
+                raise AssertionError(f"construction identity {name} failed: "
+                                     f"residual {residual:.3e} > {tol:.1e}")
+        if not np.all(self.c > 0):
+            raise AssertionError(f"lift constants c = {self.c.tolist()} are not all positive")
         rw = _wedge_squeeze(self.eps)
-        if np.max(np.abs(self.w - self.v * rw[None, :])) > tol_lift:
+        if np.max(np.abs(self.w - self.v * rw[None, :])) > 1e-10:
             raise AssertionError("w_i != R v_i")
+
+    def chain_coefficients(self):
+        """The flux-balance chain's coefficients 2||w1||/||w3|| of the vertical
+        mass and 4||w1||/eps^2 of the non-special mass."""
+        w1 = float(np.linalg.norm(self.w[0]))
+        w3 = float(np.linalg.norm(self.w[2]))
+        return 2.0 * w1 / w3, 4.0 * w1 / self.eps**2
 
     def unit_planes_v(self):
         return self.v / np.linalg.norm(self.v, axis=1, keepdims=True)
@@ -204,14 +218,9 @@ def verification_report(eps):
         )
 
     add("delta_quadratic_residual", abs(A * t * t + B * t + C), 1e-12)
+    for row in b.identities():
+        add(*row)
     nrm = np.linalg.norm(b.v, axis=1)
-    add("equal_norms_v1_v2", abs(nrm[0] - nrm[1]), 1e-12)
-    add("equal_norms_v1_v3", abs(nrm[0] - nrm[2]), 1e-12)
-    add("barycenter_sum", np.linalg.norm(b.v.sum(axis=0) - 2.0 * t * E12), 1e-12)
-    pl, lam = plucker(b.v), lambda_m_batch(b.X)
-    for i in range(3):
-        add(f"plucker_v{i + 1}", abs(pl[i]), 1e-12)
-        add(f"lift_v{i + 1}", np.linalg.norm(b.v[i] - b.c[i] * lam[i]), 1e-10)
     add("norm_v1_closed_form", abs(nrm[0] ** 2 - cf["norm_v1_sq"]), 1e-12)
     add("norm_v3_closed_form", abs(nrm[2] ** 2 - cf["norm_v3_sq"]), 1e-12)
     add("w1_dot_e12_closed_form", abs(b.w[0, 0] - cf["w1_dot_e12"]), 1e-12)
@@ -293,20 +302,16 @@ class PolyconvexityCertificate:
         }
 
 
-def certificate(eps, Q, envelope_results):
-    """Assemble the convexity-violation certificate from envelope bounds.
-
-    envelope_results must supply "upper_at_rays" (three upper bounds for the
-    envelope at Q copies of (a, X_i)) and "lower_at_zero" (a lower bound at
-    Q copies of (a, 0)).  The base point a is irrelevant for these values
-    (the envelope depends on the jet only through gradients and maximal
-    multiplicities), so it is fixed to Q[0] canonically.
+def certificate(eps, uppers, lower):
+    """Assemble the convexity-violation certificate from envelope bounds:
+    uppers, three upper bounds for the envelope at the targets (q, X_i), and
+    lower, a lower bound at the zero target (q, 0), for one q.
     """
     b = build(eps)
-    uppers = np.asarray(envelope_results["upper_at_rays"], dtype=float)
-    lower = float(envelope_results["lower_at_zero"])
+    uppers = np.asarray(uppers, dtype=float)
+    lower = float(lower)
     if uppers.shape != (3,):
-        raise ValueError("upper_at_rays must have exactly three entries")
+        raise ValueError("uppers must have exactly three entries")
     if lower < 0.0:
         raise ValueError("envelope lower bound must be nonnegative")
     lam = b.c / (2.0 * b.delta**2)

@@ -270,13 +270,6 @@ class TriangulatedCurrent:
 
     # -- operations ---------------------------------------------------------------
 
-    def concatenated(self, other):
-        return TriangulatedCurrent(
-            np.concatenate([self.verts, other.verts]),
-            np.concatenate([self.mults, other.mults]),
-            validate=False,
-        )
-
     def restrict(self, mask):
         return TriangulatedCurrent(self.verts[mask], self.mults[mask], validate=False)
 
@@ -744,16 +737,9 @@ def chain_report(T, q, eps, domain_area=1.0):
     total = float(wts.sum())
     m_ns = float(wts[~atom_mask].sum())
     pm, _ = G.partition(eps)
-    w1n = float(np.linalg.norm(b.w[0]))
-    w3n = float(np.linalg.norm(b.w[2]))
-    est0_class_vertical = (
-        (2.0 * w1n / w3n) * pm.mV - (atom_mass[0] + atom_mass[1]) + (4.0 * w1n / eps**2) * m_ns
-    )
-    est0_exact = (
-        (2.0 * w1n / w3n) * atom_mass[2]
-        - (atom_mass[0] + atom_mass[1])
-        + (4.0 * w1n / eps**2) * m_ns
-    )
+    vertical, non_special = b.chain_coefficients()
+    est0_class_vertical = vertical * pm.mV - (atom_mass[0] + atom_mass[1]) + non_special * m_ns
+    est0_exact = vertical * atom_mass[2] - (atom_mass[0] + atom_mass[1]) + non_special * m_ns
     return {
         "eps": eps,
         "q": q,

@@ -9,13 +9,13 @@ gradients and psi_mass_of_current its mass on a triangulated current.  All
 of them go through one screen on the e12 coefficient of the unit 2-vector:
 only a row whose e12 coefficient is within DEFAULT_RAY_TOL +
 RAY_SCREEN_MARGIN of some ray's gets an exact angle; every other row is off
-the rays.  The envelope of the induced Q-integrand at an affine target is
-bracketed numerically:
+the rays.  The envelope of the induced Q-integrand is bracketed numerically
+at a target (q, X), q copies of the linear map x -> X x:
 
 * upper bound: the exact psi-mass of a concrete competitor current with
-  the target's affine boundary, the least of closed-form families per part
-  (the affine graph and one graded ray ring per ray) -- a sound upper bound
-  by construction;
+  the target's affine boundary, the least of closed-form families (the
+  affine graph and one graded ray ring per ray) -- a sound upper bound by
+  construction;
 * lower bound at the zero target: the quantitative chain combining the
   flux-balance inequality, the no-cancellation projection bound and the
   empirical mixed/vertical mass ratio constant 1/200.
@@ -23,7 +23,6 @@ bracketed numerically:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +31,6 @@ import numpy as np
 from . import construction
 from .currents import FunctionalQGraph, Mesh, TriangulatedCurrent, triangulate
 from .exterior import lambda_m_batch
-from .multipoint import MaximalDecomposition
 
 # angle (rad) to a ray within which psi is 0
 DEFAULT_RAY_TOL = 1e-9
@@ -116,10 +114,11 @@ def psi_entries(x00, x01, x10, x11, cfg):
     The norm ||LambdaM(X)||^2 = 1 + x01^2 + x11^2 + x00^2 + x10^2 + det^2 is
     summed in the column order of lambda_m_batch, and so to the bit of
     np.linalg.norm of its rows.  The e12 coefficient of the unit tangent is
-    1 / ||LambdaM(X)||: only rows that _screened keeps by it are lifted and
-    get an exact angle; every other row is its norm.  A row below cfg.floor
-    is off the screen, so a batch whose norms are all below it is not
-    screened: it costs one comparison.
+    1 / ||LambdaM(X)||: only rows that _screened keeps by it are lifted
+    (their own entries and det stacked as lambda_m_batch's columns) and get
+    an exact angle; every other row is its norm.  A row below cfg.floor is
+    off the screen, so a batch whose norms are all below it is not screened:
+    it costs one comparison.
     """
     det = x00 * x11 - x01 * x10
     norms = np.sqrt(1.0 + x01 * x01 + x11 * x11 + x00 * x00 + x10 * x10 + det * det)
@@ -128,9 +127,11 @@ def psi_entries(x00, x01, x10, x11, cfg):
         return out.reshape(norms.shape)
     near = _screened(1.0, out, cfg)
     if near.size:
-        Xs = np.stack([np.ravel(x)[near] for x in np.broadcast_arrays(x00, x01, x10, x11)],
-                      axis=-1)
-        unit = lambda_m_batch(Xs.reshape(-1, 2, 2)) / out[near, None]
+        x00, x01, x10, x11 = (np.ravel(x)[near]
+                              for x in np.broadcast_arrays(x00, x01, x10, x11))
+        lifted = np.stack([np.ones(near.size), x01, x11, -x00, -x10, np.ravel(det)[near]],
+                          axis=-1)
+        unit = lifted / out[near, None]
         out[near[_ray_angles(unit, cfg) <= DEFAULT_RAY_TOL]] = 0.0
     return out.reshape(norms.shape)
 
@@ -187,18 +188,18 @@ NEAR_RAY_OFFSET = 1e-3
 UNIT_DOMAIN = Mesh(x0=(0.0, 0.0), r=1.0, n=1)
 
 
-def _ray_ring(affine, a, X_ray):
+def _ray_ring(affine, X_ray):
     """Graded ray ring: the affine current's corners joined to a ray square.
 
     The inner square is (1 - 2 RAY_RING_WIDTH) times the unit domain and
-    carries a + X_ray x; four trapezoids of two triangles join its corners
+    carries X_ray x; four trapezoids of two triangles join its corners
     to the outer corners, which are the affine current's own vertices, so
     the two boundary chains agree key for key.  10 triangles in all.
     """
     # corners SW, SE, NE, NW: the lower triangle, then the upper one's last
     outer = np.concatenate([affine.verts[0], affine.verts[1, 2:]])
     base = (1.0 - 2.0 * RAY_RING_WIDTH) * outer[:, :2]
-    verts = np.concatenate([outer, np.concatenate([base, a + base @ X_ray.T], axis=1)])
+    verts = np.concatenate([outer, np.concatenate([base, base @ X_ray.T], axis=1)])
     k = np.arange(4)
     k1 = (k + 1) % 4
     tris = np.concatenate([np.stack([k, k1, k1 + 4], axis=1),
@@ -209,11 +210,11 @@ def _ray_ring(affine, a, X_ray):
 
 @dataclass
 class EnvelopeBracket:
-    """Two-sided numerical bracket for the envelope at an affine target."""
+    """Two-sided numerical bracket for the envelope at the target (q, X)."""
 
-    target: MaximalDecomposition
-    eps: float
     q: int
+    X: np.ndarray  # (2, 2)
+    eps: float
     upper: float
     lower: float
     upper_meta: dict = field(default_factory=dict)
@@ -228,8 +229,12 @@ class EnvelopeBracket:
             raise AssertionError("bracket ordering violated: lower > upper")
 
     def to_json_obj(self, competitor_file=None):
+        # the target as envelope_result.schema.json has it: one part, of
+        # value a = 0, with the tol below which two parts would be one
+        target = {"parts": [{"q": self.q, "a": [0.0, 0.0], "X": self.X.tolist()}],
+                  "tol": 1e-9, "ambiguous": False}
         return {
-            "target": self.target.to_json_obj(),
+            "target": target,
             "eps": self.eps,
             "Q": self.q,
             "upper": self.upper,
@@ -242,48 +247,41 @@ class EnvelopeBracket:
 
 
 def envelope_upper(target, cfg):
-    """Upper bound for the envelope at the target, with the achieving competitor.
+    """Upper bound for the envelope at the target (q, X), with the achieving
+    competitor and {"parts": [the winner's entry]}.
 
-    Per part q_j [a_j + X_j x] of the target: the exact minimum over closed-form
-    competitor currents on the unit domain, one psi evaluation per family.
-    The families are the affine graph ("affine-ray" when psi(X) = 0, else
-    "affine") and, when psi(X) > 0, one graded ray ring per ray ("ray-ring").
-    For a P1 sheet with affine boundary data the area-weighted sum of
-    LambdaM(grad) over its triangles is LambdaM(X), so by the triangle
-    inequality no competitor without a triangle in a ray cone beats the
-    affine graph; a ring puts all but a thin band of the domain on a ray.
-    Ties keep the first family, so the affine graph wins them.  The
-    competitor is the concatenation of the winners and the value is its
-    psi-mass.
+    The exact minimum over closed-form competitor currents on the unit
+    domain, one psi evaluation per family.  The families are the affine
+    graph of q [X x] ("affine-ray" when psi(X) = 0, else "affine") and, when
+    psi(X) > 0, one graded ray ring per ray ("ray-ring").  For a P1 sheet
+    with affine boundary data the area-weighted sum of LambdaM(grad) over
+    its triangles is LambdaM(X), so by the triangle inequality no competitor
+    without a triangle in a ray cone beats the affine graph; a ring puts all
+    but a thin band of the domain on a ray.  Ties keep the first family, so
+    the affine graph wins them.
     """
-    rays = construction.build(cfg.eps).X
-    pieces = []
-    meta = {"parts": []}
-    for mult, a, X in zip(target.mults, target.a, target.X):
-        affine = triangulate(FunctionalQGraph.affine(UNIT_DOMAIN, [mult], [a], [X]))
-        best, value = affine, psi_mass_of_current(affine, cfg)
-        if psi(X, cfg) == 0.0:
-            entry = {"method": "affine-ray"}
-        else:
-            entry = {"method": "affine"}
-            for i, X_ray in enumerate(rays, start=1):
-                ring = _ray_ring(affine, a, X_ray)
-                ring_value = psi_mass_of_current(ring, cfg)
-                if ring_value < value:
-                    best, value = ring, ring_value
-                    entry = {"method": "ray-ring", "ray": i, "width": RAY_RING_WIDTH}
-        # the affine graph has the affine boundary by definition
-        if best is not affine and best.boundary() != affine.boundary():
-            raise AssertionError(
-                f"{entry['method']} competitor boundary differs from the affine boundary")
-        meta["parts"].append({"q": int(mult), "value": value, **entry})
-        pieces.append(best)
-    competitor = functools.reduce(TriangulatedCurrent.concatenated, pieces)
-    return psi_mass_of_current(competitor, cfg), competitor, meta
+    q, X = target
+    affine = triangulate(FunctionalQGraph.affine(UNIT_DOMAIN, [q], np.zeros((1, 2)), [X]))
+    best, value = affine, psi_mass_of_current(affine, cfg)
+    if psi(X, cfg) == 0.0:
+        entry = {"method": "affine-ray"}
+    else:
+        entry = {"method": "affine"}
+        for i, X_ray in enumerate(construction.build(cfg.eps).X, start=1):
+            ring = _ray_ring(affine, X_ray)
+            ring_value = psi_mass_of_current(ring, cfg)
+            if ring_value < value:
+                best, value = ring, ring_value
+                entry = {"method": "ray-ring", "ray": i, "width": RAY_RING_WIDTH}
+    # the affine graph has the affine boundary by definition
+    if best is not affine and best.boundary() != affine.boundary():
+        raise AssertionError(
+            f"{entry['method']} competitor boundary differs from the affine boundary")
+    return value, best, {"parts": [{"q": int(q), "value": value, **entry}]}
 
 
 def envelope_lower_at_zero(eps, q):
-    """Quantitative lower bound for the envelope at q copies of (a, 0).
+    """Quantitative lower bound for the envelope at the zero target (q, 0).
 
     Chain (per unit domain area): the energy of any competitor dominates the
     mass of the graph part whose tangent avoids the three rays; after the
@@ -305,8 +303,9 @@ def envelope_lower_at_zero(eps, q):
     if abs(w1_a - w1_b) > 1e-12 or abs(w3_a - w3_b) > 1e-12:
         raise AssertionError("independent norm evaluations disagree beyond 1e-12")
     C = LOWER_BOUND_RATIO_CONSTANT
-    term_vertical = (1.0 / C) * (1.0 + 2.0 * w1_a / w3_a)
-    term_ns = 1.0 + 4.0 * w1_a / eps**2
+    vertical, non_special = b.chain_coefficients()
+    term_vertical = (1.0 / C) * (1.0 + vertical)
+    term_ns = 1.0 + non_special
     denom = term_vertical + term_ns
     value = q * eps**2 / denom
     trace = {
@@ -331,21 +330,20 @@ def envelope_bracket(eps, q, target_kind):
     b = construction.build(eps)
     cfg = PsiConfig.for_eps(eps)
     if target_kind == "zero":
-        target = MaximalDecomposition.single(q, np.zeros(2), np.zeros((2, 2)))
+        X = np.zeros((2, 2))
         lower, trace = envelope_lower_at_zero(eps, q)
     elif target_kind in ("ray1", "ray2", "ray3", "nearray3"):
         X = b.X[int(target_kind[-1]) - 1]
         if target_kind == "nearray3":
             X = X + np.diag([NEAR_RAY_OFFSET, 0.0])
-        target = MaximalDecomposition.single(q, np.zeros(2), X)
         lower, trace = 0.0, {"note": "psi >= 0 gives the trivial lower bound"}
     else:
         raise ValueError(f"unknown target {target_kind!r}")
-    upper, competitor, meta = envelope_upper(target, cfg)
+    upper, competitor, meta = envelope_upper((q, X), cfg)
     br = EnvelopeBracket(
-        target=target,
-        eps=eps,
         q=q,
+        X=X,
+        eps=eps,
         upper=upper,
         lower=lower,
         upper_meta=meta,
@@ -356,5 +354,6 @@ def envelope_bracket(eps, q, target_kind):
 
 
 def affine_competitor_bound(target, cfg):
-    """The explicit affine-competitor value sum_j q_j psi(X_j)."""
-    return float(sum(mult * psi(X, cfg) for mult, X in zip(target.mults, target.X)))
+    """The explicit affine-competitor value q psi(X) at the target (q, X)."""
+    q, X = target
+    return q * psi(X, cfg)

@@ -1,4 +1,4 @@
-"""The matching metric on Q-points, and affine Q-valued targets.
+"""The matching metric on Q-points.
 
 A Q-point is an unordered multiset of Q points of R^d (d = 2 for values,
 d = 6 for jets, i.e. (value, 2x2 gradient) pairs flattened), held as a
@@ -10,21 +10,16 @@ every matching costs the same, and that sum is returned in closed form;
 otherwise matching is solved exhaustively for Q <= 6 and with the
 Hungarian method (scipy's linear_sum_assignment) above.  The three agree on
 their overlaps, which the test suite asserts.  g_metric matches stacks of
-Q-points pair by pair.  A MaximalDecomposition holds an affine target of
-the envelope bracket as the arrays of its distinct parts: multiplicities
-(J,), values (J, 2) and gradients (J, 2, 2).
+Q-points pair by pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 EXHAUSTIVE_MAX_Q = 6
-# the tol every target records: parts closer than this would be one part
-TARGET_TOL = 1e-9
 
 
 def _canonical(points):
@@ -91,31 +86,3 @@ def g_metric(p, q):
     else:
         dist = np.sqrt(_match_cost_sq(*np.broadcast_arrays(xs, ys)))
     return float(dist) if dist.ndim == 0 else dist
-
-
-@dataclass
-class MaximalDecomposition:
-    """An affine Q-valued target as the arrays of its distinct parts.
-
-    The envelope bracket's target (see energy.envelope_bracket); tol and
-    ambiguous are part of its JSON form (envelope_result.schema.json).
-    """
-
-    mults: np.ndarray  # (J,) integer multiplicities q_j
-    a: np.ndarray  # (J, 2) values a_j
-    X: np.ndarray  # (J, 2, 2) gradients X_j
-    tol: float
-    ambiguous: bool = False
-
-    @classmethod
-    def single(cls, q, a, X):
-        return cls(mults=np.array([int(q)]), a=np.asarray(a, dtype=float).reshape(1, 2),
-                   X=np.asarray(X, dtype=float).reshape(1, 2, 2), tol=TARGET_TOL)
-
-    def to_json_obj(self):
-        return {
-            "parts": [{"q": int(m), "a": a.tolist(), "X": X.tolist()}
-                      for m, a, X in zip(self.mults, self.a, self.X)],
-            "tol": self.tol,
-            "ambiguous": self.ambiguous,
-        }

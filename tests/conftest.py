@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 from pathlib import Path
@@ -60,7 +61,9 @@ def workload_pass(tmp_path_factory):
     under sys.setprofile.  Returns (codes, calls): the code objects entered,
     less those entered while the tracer computes its counters (the
     benchmark's code, not a job's), and {workload: {each function its
-    `expects` names: calls recorded}}.
+    `expects` names: calls recorded}}.  Every span is dumped to JSON as
+    run.py writes it in a traced run, so a counter that JSON cannot hold
+    (say, a numpy integer) fails here rather than only in a traced run.
     The benchmark files are imported, never changed."""
     out = tmp_path_factory.mktemp("workloads")
     loaded = set(sys.modules)
@@ -91,6 +94,8 @@ def workload_pass(tmp_path_factory):
                 finally:
                     sys.setprofile(None)
                     tracer.uninstall()
+                for span in tracer.spans:
+                    json.dumps([0, *span])
                 per_name, _totals = spans.summarize(tracer.spans)
                 calls[name] = {fn: int(per_name.get(fn, {}).get("calls", 0))
                                for fn in workload.expects}

@@ -17,7 +17,6 @@ from anisoq import currents, energy, exterior
 from anisoq import gmeasures as gm
 from anisoq import multipoint as mp
 from anisoq.energy import PsiConfig
-from anisoq.multipoint import MaximalDecomposition
 from tests.conftest import cli_env, g_metric_hungarian, projected_mass_h
 
 EPS_GRID = (0.02, 0.05, 0.1, 0.15, 0.2)
@@ -172,12 +171,10 @@ def test_c06_envelope_bracket():
         b = con.build(0.1)
         cfg = PsiConfig.for_eps(0.1)
         for q in (1, 2):
-            for i in range(3):
-                target = MaximalDecomposition.single(q, np.zeros(2), b.X[i])
-                val, _, _ = energy.envelope_upper(target, cfg)
+            for X in b.X:
+                val, _, _ = energy.envelope_upper((q, X), cfg)
                 assert val == 0.0
-            zero = MaximalDecomposition.single(q, np.zeros(2), np.zeros((2, 2)))
-            upper, _, _ = energy.envelope_upper(zero, cfg)
+            upper, _, _ = energy.envelope_upper((q, np.zeros((2, 2))), cfg)
             assert upper <= q + 1e-12
             lower, trace = energy.envelope_lower_at_zero(0.1, q)
             assert lower > 0.0
@@ -191,13 +188,9 @@ def test_c07_certificate():
         cfg = PsiConfig.for_eps(0.1)
         b = con.build(0.1)
         for q in (1, 2):
-            uppers = []
-            for i in range(3):
-                target = MaximalDecomposition.single(q, np.zeros(2), b.X[i])
-                val, _, _ = energy.envelope_upper(target, cfg)
-                uppers.append(val)
+            uppers = [energy.envelope_upper((q, X), cfg)[0] for X in b.X]
             lower, _ = energy.envelope_lower_at_zero(0.1, q)
-            cert = con.certificate(0.1, q, {"upper_at_rays": uppers, "lower_at_zero": lower})
+            cert = con.certificate(0.1, uppers, lower)
             assert np.all(cert.lam > 0)
             assert cert.residual_sum <= 1e-12
             assert cert.residual_affine <= 1e-10

@@ -126,10 +126,20 @@ def test_verification_report_all_pass():
     assert len(rep["notes"]) == 3
 
 
+def test_validate_names_the_first_failing_identity():
+    # the report lists the bundle's identity rows, and validate raises on the
+    # first of them that fails
+    b = con.build(0.1)
+    names = [name for name, _r, _t in b.identities()]
+    report = [ch["name"] for ch in con.verification_report(0.1)["checks"]]
+    assert report[1:1 + len(names)] == names
+    b.c = b.c * np.array([1.0, 1.0, 1.0 + 1e-6])
+    with pytest.raises(AssertionError, match="lift_v3"):
+        b.validate()
+
+
 def test_certificate_weights(bundle01):
-    cert = con.certificate(
-        0.1, 2, {"upper_at_rays": [0.0, 0.0, 0.0], "lower_at_zero": 1e-6}
-    )
+    cert = con.certificate(0.1, [0.0, 0.0, 0.0], 1e-6)
     assert np.all(cert.lam > 0)
     assert cert.residual_sum <= 1e-12
     assert cert.residual_affine <= 1e-10
@@ -141,21 +151,17 @@ def test_certificate_weights(bundle01):
 
 
 def test_certificate_degenerate_lower_bound():
-    cert = con.certificate(
-        0.1, 1, {"upper_at_rays": [0.0, 0.0, 0.0], "lower_at_zero": 0.0}
-    )
+    cert = con.certificate(0.1, [0.0, 0.0, 0.0], 0.0)
     assert not cert.valid  # no error: just an invalid certificate
 
 
 def test_certificate_rejects_negative_lower():
     with pytest.raises(ValueError):
-        con.certificate(0.1, 1, {"upper_at_rays": [0.0, 0.0, 0.0], "lower_at_zero": -1.0})
+        con.certificate(0.1, [0.0, 0.0, 0.0], -1.0)
 
 
 def test_certificate_json():
-    cert = con.certificate(
-        0.1, 1, {"upper_at_rays": [0.0, 0.0, 0.0], "lower_at_zero": 1e-7}
-    )
+    cert = con.certificate(0.1, [0.0, 0.0, 0.0], 1e-7)
     obj = cert.to_json_obj()
     assert obj["valid"] is True
     assert len(obj["lambda"]) == 3

@@ -625,7 +625,8 @@ def _chain_currents():
     g = currents.FunctionalQGraph.affine(unit_mesh(2), [1], np.zeros((1, 2)),
                                          np.zeros((1, 2, 2)))
     T = currents.triangulate(g)
-    closed = T.concatenated(currents.TriangulatedCurrent(T.verts[:, [0, 2, 1], :], T.mults))
+    closed = currents.TriangulatedCurrent(np.concatenate([T.verts, T.verts[:, [0, 2, 1], :]]),
+                                          np.concatenate([T.mults, T.mults]))
     currents_.append(closed)
     half = _half_point_coordinates()
     assert len(half) >= 20

@@ -6,7 +6,6 @@ import pytest
 
 from anisoq import construction, currents, energy
 from anisoq.exterior import lambda_m_batch
-from anisoq.multipoint import MaximalDecomposition
 from tests.conftest import EPS_GRID
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -88,9 +87,8 @@ def test_psi_bar_energy_equals_current_mass(cfg01, rng):
 
 def test_envelope_upper_rays_exact_zero(bundle01, cfg01):
     for q in (1, 2):
-        for i in range(3):
-            target = MaximalDecomposition.single(q, np.zeros(2), bundle01.X[i])
-            val, comp, meta = energy.envelope_upper(target, cfg01)
+        for X in bundle01.X:
+            val, comp, meta = energy.envelope_upper((q, X), cfg01)
             assert val == 0.0
             assert meta["parts"][0]["method"] == "affine-ray"
             assert energy.psi_mass_of_current(comp, cfg01) == 0.0
@@ -98,8 +96,7 @@ def test_envelope_upper_rays_exact_zero(bundle01, cfg01):
 
 def test_envelope_upper_zero_target_bound(cfg01):
     for q in (1, 2):
-        target = MaximalDecomposition.single(q, np.zeros(2), np.zeros((2, 2)))
-        val, comp, _ = energy.envelope_upper(target, cfg01)
+        val, comp, _ = energy.envelope_upper((q, np.zeros((2, 2))), cfg01)
         assert val <= q + 1e-12
         # the reported value is the exact psi-energy of the reported competitor
         assert energy.psi_mass_of_current(comp, cfg01) <= val + 1e-9
@@ -109,9 +106,8 @@ def test_envelope_upper_affine_bound(cfg01, rng):
     # never worse than the explicit affine competitor
     for _ in range(3):
         X = rng.normal(size=(2, 2))
-        target = MaximalDecomposition.single(2, np.zeros(2), X)
-        val, _, _ = energy.envelope_upper(target, cfg01)
-        assert val <= energy.affine_competitor_bound(target, cfg01) + 1e-12
+        val, _, _ = energy.envelope_upper((2, X), cfg01)
+        assert val <= energy.affine_competitor_bound((2, X), cfg01) + 1e-12
 
 
 def test_envelope_upper_ray_ring_beats_affine_near_ray():
@@ -120,19 +116,17 @@ def test_envelope_upper_ray_ring_beats_affine_near_ray():
     eps = 0.05
     cfg = energy.PsiConfig.for_eps(eps)
     X = construction.build(eps).X[2] + np.diag([1e-3, 0.0])
-    for a in (np.zeros(2), np.array([3.0, -2.0])):
-        target = MaximalDecomposition.single(1, a, X)
-        val, comp, meta = energy.envelope_upper(target, cfg)
-        assert energy.affine_competitor_bound(target, cfg) == pytest.approx(639_999.0, rel=1e-6)
-        assert val < 10.0
-        (part,) = meta["parts"]
-        assert (part["method"], part["ray"], part["width"]) == ("ray-ring", 3,
-                                                                energy.RAY_RING_WIDTH)
-        assert energy.psi_mass_of_current(comp, cfg) == val
-        assert comp.n_triangles == 10
-        affine = currents.triangulate(
-            currents.FunctionalQGraph.affine(energy.UNIT_DOMAIN, [1], [a], [X]))
-        assert comp.boundary() == affine.boundary()
+    val, comp, meta = energy.envelope_upper((1, X), cfg)
+    assert energy.affine_competitor_bound((1, X), cfg) == pytest.approx(639_999.0, rel=1e-6)
+    assert val < 10.0
+    (part,) = meta["parts"]
+    assert (part["method"], part["ray"], part["width"]) == ("ray-ring", 3,
+                                                            energy.RAY_RING_WIDTH)
+    assert energy.psi_mass_of_current(comp, cfg) == val
+    assert comp.n_triangles == 10
+    affine = currents.triangulate(
+        currents.FunctionalQGraph.affine(energy.UNIT_DOMAIN, [1], np.zeros((1, 2)), [X]))
+    assert comp.boundary() == affine.boundary()
 
 
 def test_envelope_upper_exact_targets_on_grid():
@@ -144,8 +138,7 @@ def test_envelope_upper_exact_targets_on_grid():
         X = construction.build(eps).X
         for q in (1, 2, 3):
             for Y in (X[0], X[1], X[2], np.zeros((2, 2))):
-                target = MaximalDecomposition.single(q, np.zeros(2), Y)
-                val, comp, meta = energy.envelope_upper(target, cfg)
+                val, comp, meta = energy.envelope_upper((q, Y), cfg)
                 if Y.any():
                     assert val == 0.0
                 else:
@@ -157,11 +150,10 @@ def test_envelope_upper_exact_targets_on_grid():
 
 
 def test_ray_ring_boundary_mismatch_is_an_assertion(cfg01, monkeypatch):
-    target = MaximalDecomposition.single(1, np.zeros(2), np.diag([1e-3, 0.0]))
     ring = energy._ray_ring
 
-    def shifted(affine, a, X_ray):
-        T = ring(affine, a, X_ray)
+    def shifted(affine, X_ray):
+        T = ring(affine, X_ray)
         T.verts[0] += 1e-3  # one trapezoid triangle leaves the boundary data
         return T
 
@@ -169,15 +161,7 @@ def test_ray_ring_boundary_mismatch_is_an_assertion(cfg01, monkeypatch):
     # every ring beats the affine graph
     monkeypatch.setattr(energy, "psi_mass_of_current", lambda T, cfg: -float(T.n_triangles))
     with pytest.raises(AssertionError, match="boundary"):
-        energy.envelope_upper(target, cfg01)
-
-
-def test_envelope_split_target(bundle01, cfg01):
-    # separated parts sharing the first ray gradient: sheetwise affine, zero
-    target = MaximalDecomposition(mults=np.array([1, 1]), a=np.array([[0.0, 0.0], [10.0, 0.0]]),
-                                  X=bundle01.X[[0, 0]], tol=1e-9)
-    val, _, _ = energy.envelope_upper(target, cfg01)
-    assert val == 0.0
+        energy.envelope_upper((1, np.diag([1e-3, 0.0])), cfg01)
 
 
 def test_envelope_lower_positive_on_grid():

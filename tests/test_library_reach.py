@@ -21,7 +21,6 @@ from anisoq import cli
 ALLOWED_UNREACHED = {
     "gmeasures._transport_lp":
         "the HiGHS fallback when the sink-cycle certificate fails; tests force it",
-    "currents.TriangulatedCurrent.concatenated": "targets of several parts concatenate currents",
     "currents.TriangulatedCurrent.from_json_obj":
         "tests re-read the competitor files that envelope writes",
     "currents.TriangulatedCurrent.mass": "the mass identities of the current engine read it",
