@@ -78,14 +78,20 @@ def cmd_construct(args):
     return EXIT_OK
 
 
+def _graph_report(g, eps, mu0):
+    """The obstruction report of a generated graph, whose boundary must be zero."""
+    if not g.is_zero_boundary():
+        raise AssertionError("obstruction report requires a zero-boundary graph")
+    return gmeasures.obstruction_report(currents.triangulate(g).gaussian_image(), eps, mu0)
+
+
 def _obstruction_rows_random(args, mu0):
     rows = []
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=args.mesh)
     for i in range(args.samples):
         seed = args.seed + i
         g = currents.random_lipschitz_graph(seed, 2.0, args.q, mesh)
-        rep = gmeasures.obstruction_report(g, args.eps, mu0=mu0)
-        rows.append((f"random_{i}", seed, rep))
+        rows.append((f"random_{i}", seed, _graph_report(g, args.eps, mu0)))
     return rows
 
 
@@ -94,9 +100,9 @@ def _obstruction_rows_branched(args, mu0):
     loop = currents.disk_boundary_loop(32)
     for amp in BRANCHED_AMPLITUDES[:args.samples]:
         T = currents.branched_graph(args.q, amp, 1.0, n_r=16, n_theta=32)
-        rep = gmeasures.obstruction_report(
-            T, args.eps, mu0=mu0, boundary_loop=loop, q=args.q
-        )
+        if not T.boundary_equals_loop(loop, args.q):
+            raise AssertionError("current boundary is not q times the given loop")
+        rep = gmeasures.obstruction_report(T.gaussian_image(), args.eps, mu0)
         rows.append((f"branched_a{amp}", args.seed, rep))
     return rows
 
@@ -130,8 +136,7 @@ def _obstruction_adversarial(args, mu0, out_dir):
         return currents.FunctionalQGraph.from_nodal_sheets(mesh, np.ones(args.q, int), vals)
 
     def objective(c):
-        g = upsample(c)
-        rep = gmeasures.obstruction_report(g, args.eps, mu0=mu0)
+        rep = _graph_report(upsample(c), args.eps, mu0)
         return rep["w1_dist_mu0"], rep
 
     best_val, best_rep = objective(ctl)
@@ -185,7 +190,7 @@ def cmd_obstruction(args):
             [
                 gid,
                 seed,
-                rep["Q"],
+                args.q,
                 _fmt(float(args.eps)),
                 _fmt(rep["mH"]),
                 _fmt(rep["mV"]),
@@ -285,11 +290,11 @@ def cmd_approx(args):
 
 def cmd_certificate(args):
     out_dir = _out_dir(args)
-    b = construction.build(args.eps)
     cfg = PsiConfig.for_eps(args.eps)
+    b = cfg.bundle
     uppers = [envelope_upper((args.q, X), cfg)[0] for X in b.X]
-    lower, trace = envelope_lower_at_zero(args.eps, args.q)
-    cert = construction.certificate(args.eps, uppers, lower)
+    lower, trace = envelope_lower_at_zero(b, args.q)
+    cert = construction.certificate(b, uppers, lower)
     obj = cert.to_json_obj()
     obj["chain_trace"] = trace
     path = os.path.join(out_dir, f"certificate_q{args.q}.json")

@@ -4,8 +4,10 @@ Builds, for a small parameter eps, the three simple 2-vectors v1, v2, v3
 whose sum is the horizontal 2-vector 2 delta^2 e12, their images w1, w2, w3
 under the squeeze map R = diag(1, 1, eps, eps), the lift matrices X1, X2, X3
 with v_i = c_i * LambdaM(X_i), the two atomic Grassmann measures carried by
-the v- and w-planes, and the convexity-violation certificate assembled from
-envelope bounds.
+the v- and w-planes (ConstructionBundle.mu and mu0), and the convexity-
+violation certificate assembled from envelope bounds.  A command builds the
+bundle once and hands it down: energy.PsiConfig holds it, the certificate
+reads its weights, and gmeasures.obstruction_report is passed its mu0.
 
 All constants are derived from the wedge expansions and re-checked against
 independent closed forms; where a derived constant differs from a commonly
@@ -103,11 +105,15 @@ class ConstructionBundle:
         w3 = float(np.linalg.norm(self.w[2]))
         return 2.0 * w1 / w3, 4.0 * w1 / self.eps**2
 
-    def unit_planes_v(self):
-        return self.v / np.linalg.norm(self.v, axis=1, keepdims=True)
+    def mu(self):
+        """Three equal-weight atoms ||v_i|| at the unit v-planes; barycenter || e12."""
+        nrm = np.linalg.norm(self.v, axis=1, keepdims=True)
+        return GrassmannMeasure(self.v / nrm, nrm)
 
-    def unit_planes_w(self):
-        return self.w / np.linalg.norm(self.w, axis=1, keepdims=True)
+    def mu0(self):
+        """Atoms ||w_i|| at the unit w-planes (two horizontal, one vertical)."""
+        nrm = np.linalg.norm(self.w, axis=1, keepdims=True)
+        return GrassmannMeasure(self.w / nrm, nrm)
 
 
 def _wedge_squeeze(eps):
@@ -171,18 +177,9 @@ def closed_forms(eps, delta):
     }
 
 
-def make_mu(eps):
-    """Three equal-weight atoms ||v1|| at the unit v-planes; barycenter || e12."""
-    b = build(eps)
-    nrm = np.linalg.norm(b.v, axis=1)
-    return GrassmannMeasure(b.unit_planes_v(), nrm)
-
-
 def make_mu0(eps):
-    """Atoms ||w_i|| at the unit w-planes (two horizontal, one vertical)."""
-    b = build(eps)
-    nrm = np.linalg.norm(b.w, axis=1)
-    return GrassmannMeasure(b.unit_planes_w(), nrm)
+    """The construction's mu0 at eps, for a caller that holds no bundle."""
+    return build(eps).mu0()
 
 
 # notes attached to derived constants in the verification report; each states
@@ -245,11 +242,11 @@ def verification_report(eps):
         0.0 if exterior.scalar_vertical_test(b.w[2], eps) else 1.0,
         0.5,
     )
-    mu = make_mu(eps)
+    mu = b.mu()
     bary = mu.barycenter()
     add("mu_barycenter_off_e12", np.linalg.norm(bary - bary[0] * E12), 1e-12)
     add("mu_total_mass_three_atoms", abs(mu.total_mass() - 3.0 * nrm[0]), 1e-12)
-    mu0 = make_mu0(eps)
+    mu0 = b.mu0()
     add("mu0_mass_on_mixed", mu0.mass_by_class(eps)[exterior.MIXED], 0.0 + 1e-15)
     return {
         "eps": eps,
@@ -302,12 +299,11 @@ class PolyconvexityCertificate:
         }
 
 
-def certificate(eps, uppers, lower):
-    """Assemble the convexity-violation certificate from envelope bounds:
-    uppers, three upper bounds for the envelope at the targets (q, X_i), and
-    lower, a lower bound at the zero target (q, 0), for one q.
+def certificate(b, uppers, lower):
+    """Assemble the bundle b's convexity-violation certificate from envelope
+    bounds: uppers, three upper bounds for the envelope at the targets
+    (q, X_i), and lower, a lower bound at the zero target (q, 0), for one q.
     """
-    b = build(eps)
     uppers = np.asarray(uppers, dtype=float)
     lower = float(lower)
     if uppers.shape != (3,):

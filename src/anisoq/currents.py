@@ -637,18 +637,15 @@ def _max_nodal_gradient(vals, h):
     return m * math.sqrt(2.0)
 
 
-def branched_graph(q, amplitude, cutoff, n_r=24, n_theta=32, p=None):
+def branched_graph(q, amplitude, cutoff, n_r=24, n_theta=32):
     """q-valued branched graph over the unit disk as a triangulated current.
 
-    The map sends z to the q points amplitude * prof(|z|) * w^p over the
-    roots w^q = z, with prof(r) = min(1 - r, cutoff); it vanishes on the
-    boundary circle, so the boundary chain is q times the unit circle at
+    The map sends z to the q points amplitude * prof(|z|) * w^p, p = q + 1,
+    over the roots w^q = z, with prof(r) = min(1 - r, cutoff); it vanishes on
+    the boundary circle, so the boundary chain is q times the unit circle at
     height zero.  Triangulated in polar coordinates on the q-fold cover.
     """
-    if p is None:
-        p = q + 1
-    if p < q:
-        raise ValueError("exponent p must be >= q for a Lipschitz profile")
+    p = q + 1
     m_phi = q * n_theta
     # scalar Python arithmetic per radius and per angle: np.power and the
     # array cos/sin need not round as float.__pow__ and math do
@@ -672,7 +669,7 @@ def branched_graph(q, amplitude, cutoff, n_r=24, n_theta=32, p=None):
 
 def flat_disk_current(n_r=24, n_theta=64):
     """Unit flat disk at height zero (multiplicity one)."""
-    return branched_graph(1, 0.0, 1.0, n_r=n_r, n_theta=n_theta, p=2)
+    return branched_graph(1, 0.0, 1.0, n_r=n_r, n_theta=n_theta)
 
 
 def disk_boundary_loop(n_theta):
@@ -725,7 +722,7 @@ def chain_report(T, q, eps, domain_area=1.0):
     """
     b = build(eps)
     G = T.pushforward(b.R)
-    what = b.unit_planes_w()
+    what = b.mu0().points
     ut = G.unit_tangents()
     wts = G.mults * G.areas()
     atom_mass = []

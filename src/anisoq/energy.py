@@ -45,26 +45,26 @@ LOWER_BOUND_RATIO_CONSTANT = 1.0 / 200.0
 
 @dataclass
 class PsiConfig:
-    """Zero rays of the degenerate integrand, with their distinct e12
-    coefficients for the screen and the norm floor of psi_entries: a row
-    whose norm ||LambdaM(X)|| is below the floor has e12 coefficient
-    1 / ||LambdaM(X)|| above every ray's by more than the screen's width
-    (the factor 1 - 1e-12 dwarfs the rounding of both sides)."""
+    """Zero rays LambdaM(X_i) / ||.|| of the bundle's integrand, with their
+    distinct e12 coefficients for the screen and the norm floor of
+    psi_entries: a row whose norm ||LambdaM(X)|| is below the floor has e12
+    coefficient 1 / ||LambdaM(X)|| above every ray's by more than the screen's
+    width (the factor 1 - 1e-12 dwarfs the rounding of both sides)."""
 
-    eps: float
-    rays: np.ndarray  # (3, 6) unit simple 2-vectors
+    bundle: construction.ConstructionBundle
+    rays: np.ndarray = field(init=False, repr=False, compare=False)  # (3, 6)
     screen: tuple = field(init=False, repr=False, compare=False)
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rays = lambda_m_batch(self.bundle.X)
+        self.rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
         self.screen = tuple(sorted(set(self.rays[:, 0].tolist())))
         self.floor = (1.0 - 1e-12) / (self.screen[-1] + _SCREEN_WIDTH)
 
     @classmethod
     def for_eps(cls, eps):
-        b = construction.build(eps)
-        rays = lambda_m_batch(b.X)
-        return cls(eps=eps, rays=rays / np.linalg.norm(rays, axis=1, keepdims=True))
+        return cls(construction.build(eps))
 
 
 def _screened(e12, norms, cfg):
@@ -224,8 +224,8 @@ class EnvelopeBracket:
     def gap(self):
         return self.upper - self.lower
 
-    def check(self, tol=1e-9):
-        if self.lower > self.upper + tol:
+    def check(self):
+        if self.lower > self.upper + 1e-9:
             raise AssertionError("bracket ordering violated: lower > upper")
 
     def to_json_obj(self, competitor_file=None):
@@ -267,7 +267,7 @@ def envelope_upper(target, cfg):
         entry = {"method": "affine-ray"}
     else:
         entry = {"method": "affine"}
-        for i, X_ray in enumerate(construction.build(cfg.eps).X, start=1):
+        for i, X_ray in enumerate(cfg.bundle.X, start=1):
             ring = _ray_ring(affine, X_ray)
             ring_value = psi_mass_of_current(ring, cfg)
             if ring_value < value:
@@ -280,8 +280,8 @@ def envelope_upper(target, cfg):
     return value, best, {"parts": [{"q": int(q), "value": value, **entry}]}
 
 
-def envelope_lower_at_zero(eps, q):
-    """Quantitative lower bound for the envelope at the zero target (q, 0).
+def envelope_lower_at_zero(b, q):
+    """Quantitative lower bound for the envelope of b at the zero target (q, 0).
 
     Chain (per unit domain area): the energy of any competitor dominates the
     mass of the graph part whose tangent avoids the three rays; after the
@@ -294,7 +294,7 @@ def envelope_lower_at_zero(eps, q):
     norms are evaluated twice (wedge coordinates and closed forms) and must
     agree to 1e-12.
     """
-    b = construction.build(eps)
+    eps = b.eps
     cf = construction.closed_forms(eps, b.delta)
     w1_a = float(np.linalg.norm(b.w[0]))
     w3_a = float(np.linalg.norm(b.w[2]))
@@ -327,11 +327,11 @@ def envelope_lower_at_zero(eps, q):
 def envelope_bracket(eps, q, target_kind):
     """Bracket for one of the named targets: zero, ray1/ray2/ray3 or nearray3,
     which is X3 + NEAR_RAY_OFFSET E11."""
-    b = construction.build(eps)
     cfg = PsiConfig.for_eps(eps)
+    b = cfg.bundle
     if target_kind == "zero":
         X = np.zeros((2, 2))
-        lower, trace = envelope_lower_at_zero(eps, q)
+        lower, trace = envelope_lower_at_zero(b, q)
     elif target_kind in ("ray1", "ray2", "ray3", "nearray3"):
         X = b.X[int(target_kind[-1]) - 1]
         if target_kind == "nearray3":

@@ -5,6 +5,10 @@ fixed basis).  The ground metric for transport is the ambient Euclidean
 metric of the coefficient space restricted to the unit simple locus; any
 bi-Lipschitz equivalent choice induces the same weak-* topology, so nothing
 downstream depends on this choice.
+
+obstruction_report reads a Gaussian image against the construction's mu0;
+the caller checks the current's boundary and builds mu0 once per eps, so
+this module depends on exterior alone.
 """
 
 from __future__ import annotations
@@ -316,47 +320,18 @@ def _sink_cycle_transport(cost, a_w, b_w):
     return None
 
 
-def obstruction_report(graph_or_current, eps, mu0=None, boundary_loop=None, q=None):
-    """Classifier masses, mixed/vertical ratio and transport gap to mu0.
-
-    Accepts a zero-boundary FunctionalQGraph (verified) or a
-    TriangulatedCurrent with its multiplicity q and boundary_loop (its
-    boundary verified to be q times the loop).  A failed verification is a
-    violated invariant of the generator and raises AssertionError; a raw
-    current without q or boundary_loop raises ValueError.  The transport
-    distance compares the Gaussian image with mu0, both normalised to
-    probability measures.
+def obstruction_report(gamma, eps, mu0):
+    """Classifier masses, mixed/vertical ratio and transport gap to mu0 of
+    the Gaussian image gamma of a current whose boundary the caller has
+    checked.  The transport distance compares gamma with mu0, both
+    normalised to probability measures.
     """
-    from . import construction, currents
-
-    if isinstance(graph_or_current, currents.FunctionalQGraph):
-        g = graph_or_current
-        if not g.is_zero_boundary():
-            raise AssertionError("obstruction report requires a zero-boundary graph")
-        T = currents.triangulate(g)
-        q = g.q
-    else:
-        T = graph_or_current
-        if q is None or boundary_loop is None:
-            raise ValueError("a raw current needs q and boundary_loop")
-        if not T.boundary_equals_loop(boundary_loop, q):
-            raise AssertionError("current boundary is not q times the given loop")
-    if mu0 is None:
-        mu0 = construction.make_mu0(eps)
-    gamma = T.gaussian_image()
     masses = gamma.mass_by_class(eps, strict=True)
-    m_h = masses["horizontal"]
-    m_v = masses["vertical"]
-    m_m = masses["mixed"]
-    ratio = math.inf if m_v == 0.0 else m_m / m_v
-    dist = transport_distance(gamma.normalized(), mu0.normalized())
+    m_v, m_m = masses["vertical"], masses["mixed"]
     return {
-        "Q": int(q),
-        "eps": eps,
-        "mH": m_h,
+        "mH": masses["horizontal"],
         "mV": m_v,
         "mM": m_m,
-        "ratio": ratio,
-        "w1_dist_mu0": dist,
-        "total_mass": gamma.total_mass(),
+        "ratio": math.inf if m_v == 0.0 else m_m / m_v,
+        "w1_dist_mu0": transport_distance(gamma.normalized(), mu0.normalized()),
     }

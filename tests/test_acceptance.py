@@ -176,7 +176,7 @@ def test_c06_envelope_bracket():
                 assert val == 0.0
             upper, _, _ = energy.envelope_upper((q, np.zeros((2, 2))), cfg)
             assert upper <= q + 1e-12
-            lower, trace = energy.envelope_lower_at_zero(0.1, q)
+            lower, trace = energy.envelope_lower_at_zero(b, q)
             assert lower > 0.0
             assert abs(trace["norm_w1"] - trace["norm_w1_closed_form"]) <= 1e-12
             assert abs(trace["norm_w3"] - trace["norm_w3_closed_form"]) <= 1e-12
@@ -189,8 +189,8 @@ def test_c07_certificate():
         b = con.build(0.1)
         for q in (1, 2):
             uppers = [energy.envelope_upper((q, X), cfg)[0] for X in b.X]
-            lower, _ = energy.envelope_lower_at_zero(0.1, q)
-            cert = con.certificate(0.1, uppers, lower)
+            lower, _ = energy.envelope_lower_at_zero(b, q)
+            cert = con.certificate(b, uppers, lower)
             assert np.all(cert.lam > 0)
             assert cert.residual_sum <= 1e-12
             assert cert.residual_affine <= 1e-10

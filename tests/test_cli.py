@@ -184,7 +184,7 @@ def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_envelope_bracket_ordering_is_checked(tmp_path, monkeypatch, capsys):
     # a lower bound above the upper one fails the bracket's own check
-    monkeypatch.setattr(energy, "envelope_lower_at_zero", lambda eps, q: (10.0, {}))
+    monkeypatch.setattr(energy, "envelope_lower_at_zero", lambda b, q: (10.0, {}))
     code = cli.main(["--out", str(tmp_path), "envelope", "--eps", "0.1", "--q", "1",
                      "--target", "zero"])
     assert code == 2
@@ -354,7 +354,7 @@ def test_adversarial_samples_is_the_search_budget(tmp_path, capsys):
 
 def _fake_report(ratio):
     def report(*args, **kwargs):
-        return {"Q": 1, "mH": 1.0, "mV": 1.0, "mM": ratio, "ratio": ratio, "w1_dist_mu0": 0.5}
+        return {"mH": 1.0, "mV": 1.0, "mM": ratio, "ratio": ratio, "w1_dist_mu0": 0.5}
     return report
 
 

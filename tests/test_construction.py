@@ -103,7 +103,7 @@ def test_classification_on_grid():
 
 
 def test_make_mu_properties(bundle01):
-    mu = con.make_mu(0.1)
+    mu = bundle01.mu()
     bary = mu.barycenter()
     assert np.linalg.norm(bary - bary[0] * E12) <= 1e-12
     assert bary[0] > 0
@@ -139,7 +139,7 @@ def test_validate_names_the_first_failing_identity():
 
 
 def test_certificate_weights(bundle01):
-    cert = con.certificate(0.1, [0.0, 0.0, 0.0], 1e-6)
+    cert = con.certificate(bundle01, [0.0, 0.0, 0.0], 1e-6)
     assert np.all(cert.lam > 0)
     assert cert.residual_sum <= 1e-12
     assert cert.residual_affine <= 1e-10
@@ -150,18 +150,18 @@ def test_certificate_weights(bundle01):
     assert abs(sum(cert.lam[i] * dets[i] for i in range(3))) <= 1e-10
 
 
-def test_certificate_degenerate_lower_bound():
-    cert = con.certificate(0.1, [0.0, 0.0, 0.0], 0.0)
+def test_certificate_degenerate_lower_bound(bundle01):
+    cert = con.certificate(bundle01, [0.0, 0.0, 0.0], 0.0)
     assert not cert.valid  # no error: just an invalid certificate
 
 
-def test_certificate_rejects_negative_lower():
+def test_certificate_rejects_negative_lower(bundle01):
     with pytest.raises(ValueError):
-        con.certificate(0.1, [0.0, 0.0, 0.0], -1.0)
+        con.certificate(bundle01, [0.0, 0.0, 0.0], -1.0)
 
 
-def test_certificate_json():
-    cert = con.certificate(0.1, [0.0, 0.0, 0.0], 1e-7)
+def test_certificate_json(bundle01):
+    cert = con.certificate(bundle01, [0.0, 0.0, 0.0], 1e-7)
     obj = cert.to_json_obj()
     assert obj["valid"] is True
     assert len(obj["lambda"]) == 3

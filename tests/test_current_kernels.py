@@ -179,9 +179,8 @@ def _far_currents():
     return out
 
 
-def _ref_branched_verts(q, amplitude, cutoff, n_r=24, n_theta=32, p=None):
-    if p is None:
-        p = q + 1
+def _ref_branched_verts(q, amplitude, cutoff, n_r=24, n_theta=32):
+    p = q + 1
     m_phi = q * n_theta
     radii = np.linspace(0.0, 1.0, n_r + 1)
 
@@ -772,15 +771,15 @@ def test_random_lipschitz_graph_matches_full_grid_sines(mesh):
 
 
 @pytest.mark.parametrize("args", [
-    (2, 1.0, 1.0, 16, 48, None),
-    (2, 8.0, 1.0, 10, 24, None),
-    (3, 0.3, 1.0, 7, 20, None),
-    (2, 1.0, 0.25, 5, 12, 5),
-    (1, 0.0, 1.0, 16, 48, 2),
-    (4, 1.5, 1, 3, 8, 4),
+    (2, 1.0, 1.0, 16, 48),
+    (2, 8.0, 1.0, 10, 24),
+    (3, 0.3, 1.0, 7, 20),
+    (2, 1.0, 0.25, 5, 12),
+    (1, 0.0, 1.0, 16, 48),
+    (4, 1.5, 1, 3, 8),
 ])
 def test_branched_graph_matches_loop(args):
-    q, amp, cutoff, n_r, n_theta, p = args
-    T = currents.branched_graph(q, amp, cutoff, n_r=n_r, n_theta=n_theta, p=p)
-    assert np.array_equal(T.verts, _ref_branched_verts(q, amp, cutoff, n_r, n_theta, p))
+    q, amp, cutoff, n_r, n_theta = args
+    T = currents.branched_graph(q, amp, cutoff, n_r=n_r, n_theta=n_theta)
+    assert np.array_equal(T.verts, _ref_branched_verts(q, amp, cutoff, n_r, n_theta))
     assert T.mults.tolist() == [1] * T.n_triangles

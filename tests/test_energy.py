@@ -167,19 +167,19 @@ def test_ray_ring_boundary_mismatch_is_an_assertion(cfg01, monkeypatch):
 def test_envelope_lower_positive_on_grid():
     for eps in EPS_GRID:
         for q in (1, 2, 3):
-            val, trace = energy.envelope_lower_at_zero(eps, q)
+            val, trace = energy.envelope_lower_at_zero(construction.build(eps), q)
             assert val > 0.0
             assert trace["denominator"] > 0.0
 
 
-def test_envelope_lower_linear_in_q():
-    v1, _ = energy.envelope_lower_at_zero(0.1, 1)
-    v3, _ = energy.envelope_lower_at_zero(0.1, 3)
+def test_envelope_lower_linear_in_q(bundle01):
+    v1, _ = energy.envelope_lower_at_zero(bundle01, 1)
+    v3, _ = energy.envelope_lower_at_zero(bundle01, 3)
     assert abs(v3 - 3 * v1) <= 1e-18
 
 
 def test_envelope_lower_two_norm_routes(bundle01):
-    val, trace = energy.envelope_lower_at_zero(0.1, 1)
+    val, trace = energy.envelope_lower_at_zero(bundle01, 1)
     assert abs(trace["norm_w1"] - trace["norm_w1_closed_form"]) <= 1e-12
     assert abs(trace["norm_w3"] - trace["norm_w3_closed_form"]) <= 1e-12
     # direct recomputation of the closed form

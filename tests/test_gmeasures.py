@@ -46,7 +46,7 @@ def test_barycenter_linear(rng):
 
 
 def test_mu_barycenter(bundle01):
-    mu = construction.make_mu(0.1)
+    mu = bundle01.mu()
     bary = mu.barycenter()
     assert np.linalg.norm(bary - 2 * bundle01.delta**2 * E12) < 1e-12
 
@@ -230,7 +230,8 @@ def test_merged_matches_unique_oracle(rng):
 def test_obstruction_report_flat_graph():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
     g = currents.FunctionalQGraph.affine(mesh, [1], np.zeros((1, 2)), np.zeros((1, 2, 2)))
-    rep = gm.obstruction_report(g, 0.1)
+    rep = gm.obstruction_report(currents.triangulate(g).gaussian_image(), 0.1,
+                                construction.make_mu0(0.1))
     assert rep["mV"] == 0.0 and rep["mM"] == 0.0
     assert rep["ratio"] == float("inf")
     # the flat atom sits at distance >= the gap to the closest mu0 atom
@@ -239,17 +240,11 @@ def test_obstruction_report_flat_graph():
     assert rep["w1_dist_mu0"] >= min_sep - 1e-9
 
 
-def test_obstruction_report_rejects_nonzero_boundary():
-    mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=4)
-    g = currents.FunctionalQGraph.affine(mesh, [1], np.zeros((1, 2)), [np.eye(2)])
-    with pytest.raises(AssertionError, match="^obstruction report requires a zero-boundary graph$"):
-        gm.obstruction_report(g, 0.1)
-
-
 def test_obstruction_report_ratio_on_vertical_family():
     mesh = currents.Mesh(x0=(0.0, 0.0), r=1.0, n=12)
     g = currents.steep_plateau_graph(4.0, 1, mesh)
-    rep = gm.obstruction_report(g, 0.1)
+    rep = gm.obstruction_report(currents.triangulate(g).gaussian_image(), 0.1,
+                                construction.make_mu0(0.1))
     assert rep["mV"] > 0.0
     assert rep["ratio"] >= 1.0 / 200.0 - 1e-8
 
@@ -257,25 +252,14 @@ def test_obstruction_report_ratio_on_vertical_family():
 def test_obstruction_report_mixed_current_distance_bound():
     # all tangents mixed: the transport gap dominates the support separation
     T = currents.branched_graph(2, 2.0, 1.0, n_r=10, n_theta=24)
-    loop = currents.disk_boundary_loop(24)
-    rep = gm.obstruction_report(T, 0.1, boundary_loop=loop, q=2)
-    assert rep["mH"] == 0.0 and rep["mV"] == 0.0
     gamma = T.gaussian_image()
     mu0 = construction.make_mu0(0.1)
+    rep = gm.obstruction_report(gamma, 0.1, mu0)
+    assert rep["mH"] == 0.0 and rep["mV"] == 0.0
     min_sep = min(
         np.linalg.norm(p - q) for p in gamma.points for q in mu0.points
     )
     assert rep["w1_dist_mu0"] >= min_sep - 1e-9
-
-
-def test_obstruction_report_raw_current_needs_q_and_loop():
-    T = currents.branched_graph(2, 2.0, 1.0, n_r=10, n_theta=24)
-    loop = currents.disk_boundary_loop(24)
-    for kwargs in ({}, {"q": 2}, {"boundary_loop": loop}):
-        with pytest.raises(ValueError, match="^a raw current needs q and boundary_loop$"):
-            gm.obstruction_report(T, 0.1, **kwargs)
-    with pytest.raises(AssertionError, match="^current boundary is not q times the given loop$"):
-        gm.obstruction_report(T, 0.1, boundary_loop=loop, q=1)
 
 
 def _gaussian_image(seed, q=2, n=12):
