@@ -582,10 +582,10 @@ def piecewise_affine_sequence(f, k, cfg, e_ref):
     """One member g_k of the approximating sequence plus its report;
     e_ref = energy_of_map(f, cfg) (see energy_of_hybrid).
 
-    Report keys: k, r, n_cubes, bad_set_full (measure not covered by the
-    full cubes, target <= 2/k), bad_set_shrunk (not covered by the shrunken
-    cubes, target <= 3/k), covered, lipschitz (sampled), lip_bound
-    (10 (L + 2), uniform in k), energy_psi_bar, boundary_trace_error.
+    Report keys: r, bad_set_full (measure not covered by the full cubes,
+    target <= 2/k), bad_set_shrunk (not covered by the shrunken cubes,
+    target <= 3/k), covered, lipschitz (sampled), lip_bound (10 (L + 2),
+    uniform in k), energy_psi_bar, boundary_trace_error.
     Raises RuntimeError when the cubic subdivision search fails.
     """
     if k < 2:
@@ -598,9 +598,7 @@ def piecewise_affine_sequence(f, k, cfg, e_ref):
     x = _square_perimeter(np.zeros(2), 0.5, np.linspace(0.0, 1.0, 33)[:-1])
     trace_err = max(0.0, float(np.max(g_metric(g.values_at(x), f.values_at(x)))))
     report = {
-        "k": k,
         "r": sub.r,
-        "n_cubes": sub.n_cubes,
         "bad_set_full": 1.0 - covered,
         "bad_set_shrunk": bad_shrunk,
         "covered": covered,

@@ -31,6 +31,8 @@ from .energy import (LOWER_BOUND_RATIO_CONSTANT, PsiConfig, envelope_bracket,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
+# the largest --q: current multiplicities are int64
+Q_MAX = 2**63 - 1
 # amplitudes of the branched family, one sample each
 BRANCHED_AMPLITUDES = (0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
 
@@ -215,14 +217,12 @@ def cmd_obstruction(args):
 
 def cmd_envelope(args):
     out_dir = _out_dir(args)
-    br, competitor = envelope_bracket(args.eps, args.q, args.target)
-    comp_name = f"competitor_{args.target}_q{args.q}.json"
-    comp_path = os.path.join(out_dir, comp_name)
-    _dump_json(comp_path, competitor.to_json_obj())
-    result = br.to_json_obj(competitor_file=comp_name)
+    result, competitor = envelope_bracket(args.eps, args.q, args.target)
+    result["competitor_file"] = f"competitor_{args.target}_q{args.q}.json"
+    _dump_json(os.path.join(out_dir, result["competitor_file"]), competitor.to_json_obj())
     path = os.path.join(out_dir, f"envelope_{args.target}_q{args.q}.json")
     _dump_json(path, result)
-    print(f"upper={br.upper!r} lower={br.lower!r} gap={br.gap!r}")
+    print(f"upper={result['upper']!r} lower={result['lower']!r} gap={result['gap']!r}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -295,13 +295,12 @@ def cmd_certificate(args):
     uppers = [envelope_upper((args.q, X), cfg)[0] for X in b.X]
     lower, trace = envelope_lower_at_zero(b, args.q)
     cert = construction.certificate(b, uppers, lower)
-    obj = cert.to_json_obj()
-    obj["chain_trace"] = trace
+    cert["chain_trace"] = trace
     path = os.path.join(out_dir, f"certificate_q{args.q}.json")
-    _dump_json(path, obj)
-    print(f"lambda={cert.lam.tolist()} gap={cert.gap!r} valid={cert.valid}")
+    _dump_json(path, cert)
+    print(f"lambda={cert['lambda']} gap={cert['gap']!r} valid={cert['valid']}")
     print(f"wrote {path}")
-    if not cert.valid:
+    if not cert["valid"]:
         print("certificate invalid (see residuals and envelope values)", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK
@@ -403,6 +402,9 @@ def main(argv=None):
         if getattr(args, name, least) < least:
             print(f"error: --{name} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
+    if getattr(args, "q", 1) > Q_MAX:
+        print(f"error: --q must be <= {Q_MAX}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit

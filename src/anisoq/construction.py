@@ -257,52 +257,16 @@ def verification_report(eps):
     }
 
 
-@dataclass
-class PolyconvexityCertificate:
-    """Positive affine weights witnessing failure of convexity in the minors.
-
-    Valid when lambda_i > 0 combine the lift matrices affinely to zero
-    (sum lambda_i = 1 and sum lambda_i ad(X_i) = ad(0) up to 1e-10) while the
-    envelope upper bounds at the three lifted targets vanish and the envelope
-    lower bound at the zero target is strictly positive.
-    """
-
-    lam: np.ndarray
-    residual_affine: float
-    residual_sum: float
-    envelope_values: np.ndarray
-    envelope_lower_at_zero: float
-
-    @property
-    def gap(self):
-        return float(self.envelope_lower_at_zero - float(self.lam @ self.envelope_values))
-
-    @property
-    def valid(self):
-        return bool(
-            np.all(self.lam > 0.0)
-            and self.residual_affine <= 1e-10
-            and self.residual_sum <= 1e-10
-            and np.all(self.envelope_values <= 1e-12)
-            and self.envelope_lower_at_zero > 0.0
-        )
-
-    def to_json_obj(self):
-        return {
-            "lambda": self.lam.tolist(),
-            "residual_affine": self.residual_affine,
-            "residual_sum": self.residual_sum,
-            "envelope_values": self.envelope_values.tolist(),
-            "envelope_lower_at_zero": self.envelope_lower_at_zero,
-            "gap": self.gap,
-            "valid": self.valid,
-        }
-
-
 def certificate(b, uppers, lower):
-    """Assemble the bundle b's convexity-violation certificate from envelope
-    bounds: uppers, three upper bounds for the envelope at the targets
-    (q, X_i), and lower, a lower bound at the zero target (q, 0), for one q.
+    """The bundle b's convexity-violation certificate, as the
+    certificate.schema.json object less its chain_trace, from envelope bounds:
+    uppers, three upper bounds for the envelope at the targets (q, X_i), and
+    lower, a lower bound at the zero target (q, 0), for one q.
+
+    It is valid when the weights lambda_i > 0 combine the lift matrices
+    affinely to zero (sum lambda_i = 1 and sum lambda_i ad(X_i) = ad(0) up to
+    1e-10) while the upper bounds vanish and the lower bound is strictly
+    positive; gap is lower - sum lambda_i uppers_i.
     """
     uppers = np.asarray(uppers, dtype=float)
     lower = float(lower)
@@ -313,10 +277,14 @@ def certificate(b, uppers, lower):
     lam = b.c / (2.0 * b.delta**2)
     residual_sum = abs(float(lam.sum()) - 1.0)
     residual_affine = float(np.linalg.norm(sum(lam[i] * ad(b.X[i]) for i in range(3))))
-    return PolyconvexityCertificate(
-        lam=lam,
-        residual_affine=residual_affine,
-        residual_sum=residual_sum,
-        envelope_values=uppers,
-        envelope_lower_at_zero=lower,
-    )
+    valid = bool(np.all(lam > 0.0) and residual_affine <= 1e-10 and residual_sum <= 1e-10
+                 and np.all(uppers <= 1e-12) and lower > 0.0)
+    return {
+        "lambda": lam.tolist(),
+        "residual_affine": residual_affine,
+        "residual_sum": residual_sum,
+        "envelope_values": uppers.tolist(),
+        "envelope_lower_at_zero": lower,
+        "gap": lower - float(lam @ uppers),
+        "valid": valid,
+    }

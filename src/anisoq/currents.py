@@ -215,7 +215,6 @@ class PartitionMasses:
     mH: float
     mV: float
     mM: float
-    eps: float
 
 
 class TriangulatedCurrent:
@@ -312,7 +311,6 @@ class TriangulatedCurrent:
             mH=masses[exterior.HORIZONTAL],
             mV=masses[exterior.VERTICAL],
             mM=masses[exterior.MIXED],
-            eps=eps,
         )
         return pm, parts
 

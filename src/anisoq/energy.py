@@ -208,44 +208,6 @@ def _ray_ring(affine, X_ray):
     return TriangulatedCurrent(verts[tris], np.full(10, affine.mults[0]))
 
 
-@dataclass
-class EnvelopeBracket:
-    """Two-sided numerical bracket for the envelope at the target (q, X)."""
-
-    q: int
-    X: np.ndarray  # (2, 2)
-    eps: float
-    upper: float
-    lower: float
-    upper_meta: dict = field(default_factory=dict)
-    chain_trace: dict = field(default_factory=dict)
-
-    @property
-    def gap(self):
-        return self.upper - self.lower
-
-    def check(self):
-        if self.lower > self.upper + 1e-9:
-            raise AssertionError("bracket ordering violated: lower > upper")
-
-    def to_json_obj(self, competitor_file=None):
-        # the target as envelope_result.schema.json has it: one part, of
-        # value a = 0, with the tol below which two parts would be one
-        target = {"parts": [{"q": self.q, "a": [0.0, 0.0], "X": self.X.tolist()}],
-                  "tol": 1e-9, "ambiguous": False}
-        return {
-            "target": target,
-            "eps": self.eps,
-            "Q": self.q,
-            "upper": self.upper,
-            "lower": self.lower,
-            "gap": self.gap,
-            "competitor_file": competitor_file,
-            "chain_trace": self.chain_trace,
-            "upper_meta": self.upper_meta,
-        }
-
-
 def envelope_upper(target, cfg):
     """Upper bound for the envelope at the target (q, X), with the achieving
     competitor and {"parts": [the winner's entry]}.
@@ -326,7 +288,10 @@ def envelope_lower_at_zero(b, q):
 
 def envelope_bracket(eps, q, target_kind):
     """Bracket for one of the named targets: zero, ray1/ray2/ray3 or nearray3,
-    which is X3 + NEAR_RAY_OFFSET E11."""
+    which is X3 + NEAR_RAY_OFFSET E11, as (result, competitor): result is the
+    envelope_result.schema.json object less its competitor_file, competitor
+    the current achieving the upper bound.  Raises AssertionError when the
+    lower bound exceeds the upper one by more than 1e-9."""
     cfg = PsiConfig.for_eps(eps)
     b = cfg.bundle
     if target_kind == "zero":
@@ -340,17 +305,15 @@ def envelope_bracket(eps, q, target_kind):
     else:
         raise ValueError(f"unknown target {target_kind!r}")
     upper, competitor, meta = envelope_upper((q, X), cfg)
-    br = EnvelopeBracket(
-        q=q,
-        X=X,
-        eps=eps,
-        upper=upper,
-        lower=lower,
-        upper_meta=meta,
-        chain_trace=trace,
-    )
-    br.check()
-    return br, competitor
+    if lower > upper + 1e-9:
+        raise AssertionError("bracket ordering violated: lower > upper")
+    # the target as envelope_result.schema.json has it: one part, of value
+    # a = 0, with the tol below which two parts would be one
+    target = {"parts": [{"q": q, "a": [0.0, 0.0], "X": X.tolist()}],
+              "tol": 1e-9, "ambiguous": False}
+    result = {"target": target, "eps": eps, "Q": q, "upper": upper, "lower": lower,
+              "gap": upper - lower, "chain_trace": trace, "upper_meta": meta}
+    return result, competitor
 
 
 def affine_competitor_bound(target, cfg):

@@ -191,11 +191,11 @@ def test_c07_certificate():
             uppers = [energy.envelope_upper((q, X), cfg)[0] for X in b.X]
             lower, _ = energy.envelope_lower_at_zero(b, q)
             cert = con.certificate(b, uppers, lower)
-            assert np.all(cert.lam > 0)
-            assert cert.residual_sum <= 1e-12
-            assert cert.residual_affine <= 1e-10
-            assert cert.gap > 0.0
-            assert cert.valid
+            assert np.all(np.asarray(cert["lambda"]) > 0)
+            assert cert["residual_sum"] <= 1e-12
+            assert cert["residual_affine"] <= 1e-10
+            assert cert["gap"] > 0.0
+            assert cert["valid"]
 
 
 def test_c08_interpolation():

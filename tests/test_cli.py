@@ -91,9 +91,12 @@ def test_construct_smallest_eps_passes(tmp_path):
         ["certificate", "--eps", "0.1", "--q", "0"],
         ["obstruction", "--eps", "0.1", "--q", "1", "--mesh", "0"],
         ["obstruction", "--eps", "0.1", "--q", "1", "--samples", "0"],
+        ["envelope", "--eps", "0.1", "--q", "9223372036854775808", "--target", "zero"],
+        ["certificate", "--eps", "0.1", "--q", "9223372036854775808"],
     ],
     ids=["envelope-q0", "envelope-q-2", "envelope-starts0", "certificate-q0",
-         "obstruction-mesh0", "obstruction-samples0"],
+         "obstruction-mesh0", "obstruction-samples0", "envelope-q-above-int64",
+         "certificate-q-above-int64"],
 )
 def test_counts_below_one_rejected(tmp_path, args):
     res = run_cli(args, tmp_path)
@@ -239,13 +242,18 @@ def test_json_outputs_match_schemas(tmp_path, capsys):
     small = ["--eps", "0.1", "--q", "1", "--mesh", "4", "--starts", "1", "--seed", "0"]
     assert cli.main(out + ["construct", "--eps", "0.1", "--json",
                            str(tmp_path / "report.json")]) == 0
-    assert cli.main(out + ["envelope", "--target", "zero"] + small) == 0
+    targets = ["zero", "ray1", "ray2", "ray3", "nearray3"]
+    for target in targets:
+        assert cli.main(out + ["envelope", "--target", target] + small) == 0
     assert cli.main(out + ["certificate"] + small) == 0
+    assert cli.main(out + ["certificate", "--eps", "0.1", "--q", "2"]) == 0
     capsys.readouterr()
     check(tmp_path / "report.json", "construction_report.schema.json")
-    check(tmp_path / "envelope_zero_q1.json", "envelope_result.schema.json")
-    check(tmp_path / "competitor_zero_q1.json", "triangulated_current.schema.json")
+    for target in targets:
+        check(tmp_path / f"envelope_{target}_q1.json", "envelope_result.schema.json")
+        check(tmp_path / f"competitor_{target}_q1.json", "triangulated_current.schema.json")
     check(tmp_path / "certificate_q1.json", "certificate.schema.json")
+    check(tmp_path / "certificate_q2.json", "certificate.schema.json")
 
 
 def test_envelope_ray_and_zero(tmp_path):

@@ -140,19 +140,19 @@ def test_validate_names_the_first_failing_identity():
 
 def test_certificate_weights(bundle01):
     cert = con.certificate(bundle01, [0.0, 0.0, 0.0], 1e-6)
-    assert np.all(cert.lam > 0)
-    assert cert.residual_sum <= 1e-12
-    assert cert.residual_affine <= 1e-10
-    assert cert.valid
-    assert cert.gap > 0
+    assert np.all(np.asarray(cert["lambda"]) > 0)
+    assert cert["residual_sum"] <= 1e-12
+    assert cert["residual_affine"] <= 1e-10
+    assert cert["valid"]
+    assert cert["gap"] > 0
     # e34-coordinate identity: sum lambda_i det X_i = 0
     dets = [np.linalg.det(bundle01.X[i]) for i in range(3)]
-    assert abs(sum(cert.lam[i] * dets[i] for i in range(3))) <= 1e-10
+    assert abs(sum(cert["lambda"][i] * dets[i] for i in range(3))) <= 1e-10
 
 
 def test_certificate_degenerate_lower_bound(bundle01):
     cert = con.certificate(bundle01, [0.0, 0.0, 0.0], 0.0)
-    assert not cert.valid  # no error: just an invalid certificate
+    assert not cert["valid"]  # no error: just an invalid certificate
 
 
 def test_certificate_rejects_negative_lower(bundle01):
@@ -161,7 +161,6 @@ def test_certificate_rejects_negative_lower(bundle01):
 
 
 def test_certificate_json(bundle01):
-    cert = con.certificate(bundle01, [0.0, 0.0, 0.0], 1e-7)
-    obj = cert.to_json_obj()
+    obj = con.certificate(bundle01, [0.0, 0.0, 0.0], 1e-7)
     assert obj["valid"] is True
     assert len(obj["lambda"]) == 3

@@ -191,10 +191,10 @@ def test_envelope_lower_two_norm_routes(bundle01):
 
 def test_bracket_ordering(cfg01):
     br, _ = energy.envelope_bracket(0.1, 1, "zero")
-    assert br.lower > 0
-    assert br.lower <= br.upper + 1e-9
+    assert br["lower"] > 0
+    assert br["lower"] <= br["upper"] + 1e-9
     br_ray, _ = energy.envelope_bracket(0.1, 1, "ray2")
-    assert br_ray.upper == 0.0 and br_ray.lower == 0.0
+    assert br_ray["upper"] == 0.0 and br_ray["lower"] == 0.0
     with pytest.raises(ValueError):
         energy.envelope_bracket(0.1, 1, "ray9")
 
