@@ -11,12 +11,18 @@ fallback LP both fail, or an allocation numpy cannot make); the failure is
 named on stderr.  A command whose stdout is closed early exits 1 without a
 message.  All outputs are deterministic for a fixed seed: JSON is dumped
 with sorted keys and CSV rows in a fixed order, with no timestamps.
+
+The argument parser is built once per process, on the first main() or
+build_parser() call, and holds no command functions: main() looks up the
+cmd_* function of the parsed command each time it runs one.  main(argv) may
+be called any number of times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -35,6 +41,13 @@ EXIT_ASSERTION = 2
 Q_MAX = 2**63 - 1
 # amplitudes of the branched family, one sample each
 BRANCHED_AMPLITUDES = (0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
+# polar grid of the branched family: q * n_theta * (2 n_r - 1) triangles
+BRANCHED_N_R, BRANCHED_N_THETA = 16, 32
+# the most triangles obstruction generates per graph (2 q mesh^2 for the
+# random and adversarial families): peak RSS grows by about 0.5 KiB per
+# triangle (70, 168 and 299 MiB at 65,536, 262,144 and 524,176), so about
+# 1 GiB at the budget
+OBSTRUCTION_MAX_TRIANGLES = 2**21
 
 
 def _out_dir(args):
@@ -45,8 +58,7 @@ def _out_dir(args):
 
 def _dump_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -101,7 +113,8 @@ def _obstruction_rows_branched(args, mu0):
     rows = []
     loop = currents.disk_boundary_loop(32)
     for amp in BRANCHED_AMPLITUDES[:args.samples]:
-        T = currents.branched_graph(args.q, amp, 1.0, n_r=16, n_theta=32)
+        T = currents.branched_graph(args.q, amp, 1.0, n_r=BRANCHED_N_R,
+                                    n_theta=BRANCHED_N_THETA)
         if not T.boundary_equals_loop(loop, args.q):
             raise AssertionError("current boundary is not q times the given loop")
         rep = gmeasures.obstruction_report(T.gaussian_image(), args.eps, mu0)
@@ -149,8 +162,13 @@ def _obstruction_adversarial(args, mu0, out_dir):
     while it < budget and step > 1e-3:
         it += 1
         improved = False
+        drawn = set()
         for _ in range(6):
             idx = tuple(rng.integers(d) for d in ctl.shape)
+            if idx in drawn:
+                # both signs already failed at this ctl and step
+                continue
+            drawn.add(idx)
             for sgn in (1.0, -1.0):
                 trial = ctl.copy()
                 trial[idx] += sgn * step
@@ -345,7 +363,10 @@ def _ignored_search_flags(parser):
                             help="ignored: the envelope upper bound is a closed-form minimum")
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser, built on the first call: every caller gets
+    the same object and must not change it."""
     p = _Parser(
         prog="anisoq",
         description="Numerical toolkit for degenerate anisotropic Q-valued energies",
@@ -356,7 +377,6 @@ def build_parser():
     c = sub.add_parser("construct", help="build and verify the three-atom construction")
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--json", default=None, help="write the full report to this path")
-    c.set_defaults(fn=cmd_construct)
 
     o = sub.add_parser("obstruction", help="partition masses and transport gaps")
     o.add_argument("--eps", type=float, required=True)
@@ -366,7 +386,6 @@ def build_parser():
     o.add_argument("--family", choices=["random", "branched", "adversarial"],
                    default="random")
     o.add_argument("--mesh", type=int, default=12)
-    o.set_defaults(fn=cmd_obstruction)
 
     e = sub.add_parser("envelope", help="two-sided envelope bracket at a target")
     e.add_argument("--eps", type=float, required=True)
@@ -374,7 +393,6 @@ def build_parser():
     e.add_argument("--target", choices=["zero", "ray1", "ray2", "ray3", "nearray3"],
                    required=True)
     _ignored_search_flags(e)
-    e.set_defaults(fn=cmd_envelope)
 
     a = sub.add_parser("approx", help="piecewise-affine approximation convergence")
     a.add_argument("--profile", choices=["smooth", "twosheet"], required=True)
@@ -382,13 +400,11 @@ def build_parser():
                    help="comma-separated, strictly increasing list of integers >= 2, none "
                         "above the largest k the cube search can start at")
     a.add_argument("--eps", type=float, default=0.1)
-    a.set_defaults(fn=cmd_approx)
 
     ce = sub.add_parser("certificate", help="non-convexity certificate from envelopes")
     ce.add_argument("--eps", type=float, required=True)
     ce.add_argument("--q", type=int, required=True)
     _ignored_search_flags(ce)
-    ce.set_defaults(fn=cmd_certificate)
     return p
 
 
@@ -405,8 +421,21 @@ def main(argv=None):
     if getattr(args, "q", 1) > Q_MAX:
         print(f"error: --q must be <= {Q_MAX}", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "obstruction":
+        if args.family == "branched":
+            sizes, tris = f"--q {args.q}", args.q * BRANCHED_N_THETA * (2 * BRANCHED_N_R - 1)
+        else:
+            sizes, tris = f"--q {args.q} and --mesh {args.mesh}", 2 * args.q * args.mesh**2
+        if tris > OBSTRUCTION_MAX_TRIANGLES:
+            print(f"error: {sizes}: {tris} triangles per graph, more than the "
+                  f"{OBSTRUCTION_MAX_TRIANGLES} allowed", file=sys.stderr)
+            return EXIT_USAGE
+    # looked up per call, so the cached parser holds no command function
+    command = {"construct": cmd_construct, "obstruction": cmd_obstruction,
+               "envelope": cmd_envelope, "approx": cmd_approx,
+               "certificate": cmd_certificate}[args.command]
     try:
-        code = args.fn(args)
+        code = command(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
     except BrokenPipeError:

@@ -8,9 +8,10 @@ zero within the angle DEFAULT_RAY_TOL of a ray, psi_batch on a stack of
 gradients and psi_mass_of_current its mass on a triangulated current.  All
 of them go through one screen on the e12 coefficient of the unit 2-vector:
 only a row whose e12 coefficient is within DEFAULT_RAY_TOL +
-RAY_SCREEN_MARGIN of some ray's gets an exact angle; every other row is off
-the rays.  The envelope of the induced Q-integrand is bracketed numerically
-at a target (q, X), q copies of the linear map x -> X x:
+RAY_SCREEN_MARGIN of some ray's gets an exact angle, and psi_entries tests
+the e13 coefficient of those rows the same way first; every other row is
+off the rays.  The envelope of the induced Q-integrand is bracketed
+numerically at a target (q, X), q copies of the linear map x -> X x:
 
 * upper bound: the exact psi-mass of a concrete competitor current with
   the target's affine boundary, the least of closed-form families (the
@@ -46,7 +47,7 @@ LOWER_BOUND_RATIO_CONSTANT = 1.0 / 200.0
 @dataclass
 class PsiConfig:
     """Zero rays LambdaM(X_i) / ||.|| of the bundle's integrand, with their
-    distinct e12 coefficients for the screen and the norm floor of
+    distinct e12 and e13 coefficients for the screens and the norm floor of
     psi_entries: a row whose norm ||LambdaM(X)|| is below the floor has e12
     coefficient 1 / ||LambdaM(X)|| above every ray's by more than the screen's
     width (the factor 1 - 1e-12 dwarfs the rounding of both sides)."""
@@ -54,12 +55,14 @@ class PsiConfig:
     bundle: construction.ConstructionBundle
     rays: np.ndarray = field(init=False, repr=False, compare=False)  # (3, 6)
     screen: tuple = field(init=False, repr=False, compare=False)
+    screen13: tuple = field(init=False, repr=False, compare=False)
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rays = lambda_m_batch(self.bundle.X)
         self.rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
         self.screen = tuple(sorted(set(self.rays[:, 0].tolist())))
+        self.screen13 = tuple(sorted(set(self.rays[:, 1].tolist())))
         self.floor = (1.0 - 1e-12) / (self.screen[-1] + _SCREEN_WIDTH)
 
     @classmethod
@@ -79,15 +82,20 @@ def _screened(e12, norms, cfg):
     inside DEFAULT_RAY_TOL.  A row whose norm overflowed to inf is left out
     too: dividing it by its norm would give no direction.
     """
-    p12 = e12 / norms
-    dist = None
-    for rho in cfg.screen:
-        d = np.abs(p12 - rho)
-        dist = d if dist is None else np.minimum(dist, d)  # NaN stays NaN
-    near = np.flatnonzero(~(dist > _SCREEN_WIDTH))
+    near = np.flatnonzero(_within_screen(e12 / norms, cfg.screen))
     if near.size:
         near = near[~np.isinf(np.ravel(norms)[near])]
     return near
+
+
+def _within_screen(coef, values):
+    """Mask of the coefficients within DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN of
+    one of values, NaN included."""
+    dist = None
+    for rho in values:
+        d = np.abs(coef - rho)
+        dist = d if dist is None else np.minimum(dist, d)  # NaN stays NaN
+    return ~(dist > _SCREEN_WIDTH)
 
 
 def _ray_angles(unit, cfg):
@@ -114,11 +122,14 @@ def psi_entries(x00, x01, x10, x11, cfg):
     The norm ||LambdaM(X)||^2 = 1 + x01^2 + x11^2 + x00^2 + x10^2 + det^2 is
     summed in the column order of lambda_m_batch, and so to the bit of
     np.linalg.norm of its rows.  The e12 coefficient of the unit tangent is
-    1 / ||LambdaM(X)||: only rows that _screened keeps by it are lifted
-    (their own entries and det stacked as lambda_m_batch's columns) and get
-    an exact angle; every other row is its norm.  A row below cfg.floor is
-    off the screen, so a batch whose norms are all below it is not screened:
-    it costs one comparison.
+    1 / ||LambdaM(X)||, so _screened keeps every row of norm near 2, X = I
+    among them, whatever its direction; the rows it keeps are screened again
+    on their e13 coefficient x01 / ||LambdaM(X)||, sound by the same
+    every-coordinate argument.  Only rows that pass both are lifted (their
+    own entries and det stacked as lambda_m_batch's columns) and get an
+    exact angle; every other row is its norm.  A row below cfg.floor is off
+    the screen, so a batch whose norms are all below it is not screened: it
+    costs one comparison.
     """
     det = x00 * x11 - x01 * x10
     norms = np.sqrt(1.0 + x01 * x01 + x11 * x11 + x00 * x00 + x10 * x10 + det * det)
@@ -127,12 +138,15 @@ def psi_entries(x00, x01, x10, x11, cfg):
         return out.reshape(norms.shape)
     near = _screened(1.0, out, cfg)
     if near.size:
-        x00, x01, x10, x11 = (np.ravel(x)[near]
-                              for x in np.broadcast_arrays(x00, x01, x10, x11))
-        lifted = np.stack([np.ones(near.size), x01, x11, -x00, -x10, np.ravel(det)[near]],
-                          axis=-1)
-        unit = lifted / out[near, None]
-        out[near[_ray_angles(unit, cfg) <= DEFAULT_RAY_TOL]] = 0.0
+        x00, x01, x10, x11, det = (np.ravel(x)[near]
+                                   for x in np.broadcast_arrays(x00, x01, x10, x11, det))
+        on = _within_screen(x01 / out[near], cfg.screen13)
+        near = near[on]
+        if near.size:
+            lifted = np.stack([np.ones(near.size), x01[on], x11[on], -x00[on], -x10[on],
+                               det[on]], axis=-1)
+            unit = lifted / out[near, None]
+            out[near[_ray_angles(unit, cfg) <= DEFAULT_RAY_TOL]] = 0.0
     return out.reshape(norms.shape)
 
 

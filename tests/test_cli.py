@@ -11,6 +11,7 @@ import scipy.optimize
 
 from anisoq import approx, cli, construction, currents, energy, gmeasures
 from tests.conftest import cli_env
+from tests.test_build_once import COMMANDS
 
 BASE = [sys.executable, "-m", "anisoq.cli"]
 
@@ -170,6 +171,52 @@ def test_k_bound_is_the_cube_search_floor():
     assert 1.0 / approx.K_MAX / 12.0 >= approx.R_MIN_FRAC > 1.0 / (approx.K_MAX + 1) / 12.0
     args = cli.build_parser().parse_args(["approx", "--profile", "smooth", "--k", "4,170"])
     assert args.k == [4, 170]
+
+
+USAGE_ERRORS = [["bogus"], ["obstruction", "--eps", "0.1", "--q", "abc"],
+                ["approx", "--profile", "smooth", "--k", "8,4"]]
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    init, made = cli._Parser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        per_call = []
+        for i, argv in enumerate(COMMANDS):
+            n = len(made)
+            assert cli.main(["--out", str(tmp_path / str(i)), *argv]) == cli.EXIT_OK
+            per_call.append(len(made) - n)
+            n = len(made)
+            assert cli.main(USAGE_ERRORS[i % len(USAGE_ERRORS)]) == cli.EXIT_USAGE
+            per_call.append(len(made) - n)
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    # the first call builds the top parser and one parser per command
+    assert per_call == [6] + [0] * (2 * len(COMMANDS) - 1)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_main_repeats_after_a_usage_error(tmp_path, capsys, argv):
+    runs = []
+    for name in ("before", "after"):
+        out = tmp_path / name
+        assert cli.main(["--out", str(out), *argv]) == cli.EXIT_OK
+        # construct writes no file without --json
+        runs.append((read_outputs(out) if out.exists() else {}, capsys.readouterr().out))
+        assert cli.main(["--out", str(out), *USAGE_ERRORS[1]]) == cli.EXIT_USAGE
+        assert "usage: anisoq obstruction" in capsys.readouterr().err
+    # the outputs name their directory only in the "wrote" lines
+    before, after = runs
+    assert before[0] == after[0]
+    assert before[1].replace(str(tmp_path / "before"), "") == \
+        after[1].replace(str(tmp_path / "after"), "")
 
 
 def test_assertion_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -358,6 +405,64 @@ def test_adversarial_samples_is_the_search_budget(tmp_path, capsys):
     assert outputs[1].keys() == outputs[8].keys()
     for name in outputs[1]:
         assert outputs[1][name] != outputs[8][name], name
+
+
+def test_adversarial_search_tries_each_control_once_per_iteration(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a control index drawn twice in one iteration is not evaluated again:
+    # both signs already failed there at the same controls and step
+    graph_report, calls = cli._graph_report, []
+
+    def counted(*args):
+        calls.append(args)
+        return graph_report(*args)
+
+    monkeypatch.setattr(cli, "_graph_report", counted)
+    assert cli.main(["--out", str(tmp_path), "obstruction", "--eps", "0.1", "--q", "1",
+                     "--samples", "8", "--seed", "0", "--family", "adversarial",
+                     "--mesh", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 54
+
+
+@pytest.mark.parametrize(
+    "sizes, err",
+    [
+        (["--q", "1", "--mesh", "1025"],
+         "--q 1 and --mesh 1025: 2101250 triangles per graph"),
+        (["--q", "2", "--mesh", "1024", "--family", "adversarial"],
+         "--q 2 and --mesh 1024: 4194304 triangles per graph"),
+        (["--q", "1", "--mesh", "200000"],
+         "--q 1 and --mesh 200000: 80000000000 triangles per graph"),
+        (["--q", "2115", "--mesh", "1", "--family", "branched"],
+         "--q 2115: 2098080 triangles per graph"),
+        (["--q", "9223372036854775807", "--family", "branched"],
+         "--q 9223372036854775807: 9149585060559937600544 triangles per graph"),
+    ],
+    ids=["random-mesh", "adversarial-q", "random-huge-mesh", "branched-q", "branched-q-max"],
+)
+def test_obstruction_triangle_budget(tmp_path, monkeypatch, capsys, sizes, err):
+    # the check runs before the command: nothing is generated or written
+    monkeypatch.setattr(cli, "cmd_obstruction", None)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "obstruction", "--eps", "0.1", *sizes]) == 1
+    assert capsys.readouterr().err == f"error: {err}, more than the 2097152 allowed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [["--q", "1", "--mesh", "1024"], ["--q", "8", "--mesh", "362"],
+     ["--q", "2114", "--family", "branched"]],
+    ids=["random", "random-q8", "branched"],
+)
+def test_obstruction_at_the_triangle_budget_runs(monkeypatch, sizes):
+    # the largest runs within the budget reach the command (stubbed here)
+    assert cli.OBSTRUCTION_MAX_TRIANGLES == 2**21
+    ran = []
+    monkeypatch.setattr(cli, "cmd_obstruction", lambda args: ran.append(args) or cli.EXIT_OK)
+    assert cli.main(["obstruction", "--eps", "0.1", *sizes]) == 0
+    assert len(ran) == 1
 
 
 def _fake_report(ratio):

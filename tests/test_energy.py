@@ -295,6 +295,24 @@ def test_screened_psi_matches_full_ray_angles(bundle01, cfg01):
         assert energy.psi_of_unit_tangents([[0.0, 0.0, 0.0, 1e200, 0.0, 0.0]], cfg01)[0] == 1.0
 
 
+def test_psi_of_identity_skips_the_exact_angle(bundle01, cfg01, monkeypatch):
+    # I has norm 2 and passes the e12 screen near rays 1 and 2, but its e13
+    # coefficient 0 is 0.0025 from theirs at eps 0.1, past the screen's width
+    ray_angles, seen = energy._ray_angles, []
+
+    def counted(unit, cfg):
+        seen.append(len(unit))
+        return ray_angles(unit, cfg)
+
+    monkeypatch.setattr(energy, "_ray_angles", counted)
+    assert list(energy._screened(1.0, np.array([2.0]), cfg01)) == [0]
+    assert energy.psi(np.eye(2), cfg01) == 2.0
+    assert seen == []
+    # the lift matrices pass both screens and read 0
+    assert list(energy.psi_batch(bundle01.X, cfg01)) == [0.0, 0.0, 0.0]
+    assert seen == [3]
+
+
 def test_norm_floor_sits_at_the_screen_edge(bundle01, cfg01):
     # diag(s, 0) has ||LambdaM|| = sqrt(1 + s^2): rows just below and just
     # above psi_entries' norm floor lie just outside and just inside the

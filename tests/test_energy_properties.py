@@ -1,8 +1,8 @@
-"""Property test: psi's e12 screen keeps every row near a ray.
+"""Property test: psi's e12 and e13 screens keep every row near a ray.
 
 A unit 2-vector within the angle T = DEFAULT_RAY_TOL + RAY_SCREEN_MARGIN of
-a unit ray differs from it by at most 2 sin(T / 2) <= T in its e12
-coefficient, so the screen must keep it, and scaled to e12 coefficient 1
+a unit ray differs from it by at most 2 sin(T / 2) <= T in its e12 and e13
+coefficients, so the screens must keep it, and scaled to e12 coefficient 1
 its norm is at or above psi_entries' norm floor; the exact-angle checks are
 in test_energy.
 """
@@ -37,7 +37,9 @@ def _near_ray(cfg, ray, theta, seed):
 def test_rows_within_reach_of_a_ray_pass_the_screen(eps, ray, theta, scale, seed):
     cfg = CFGS[eps]
     ws = scale * _near_ray(cfg, ray, theta, seed)[None, :]
-    assert list(energy._screened(ws[:, 0], np.linalg.norm(ws, axis=1), cfg)) == [0]
+    norms = np.linalg.norm(ws, axis=1)
+    assert list(energy._screened(ws[:, 0], norms, cfg)) == [0]
+    assert list(energy._within_screen(ws[:, 1] / norms, cfg.screen13)) == [True]
 
 
 @SETTINGS

@@ -1,8 +1,10 @@
-"""Start-up stays free of scipy's optimisation and sparse-matrix modules.
+"""Start-up stays free of scipy's optimisation and sparse-matrix modules,
+and of the argument parser.
 
 Every command pays for `import anisoq.cli` and the first construction
 before its own work starts.  scipy.optimize and scipy.sparse are imported
-inside the functions that solve with them, so they cost nothing there.
+inside the functions that solve with them, so they cost nothing there, and
+the parser is built on the first call of cli.main, not at import.
 """
 
 import subprocess
@@ -48,3 +50,29 @@ def test_obstruction_imports_no_scipy_solvers(tmp_path):
                          capture_output=True, text=True, env=cli_env(tmp_path), timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+NO_PARSER = """
+import argparse
+made = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    made.append(type(self).__name__)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import anisoq.cli
+from anisoq import construction
+from anisoq.energy import PsiConfig
+construction.build(0.1)
+PsiConfig.for_eps(0.1)
+print(made)
+anisoq.cli.build_parser()
+print(made)
+"""
+
+
+def test_import_builds_no_parser(tmp_path):
+    res = subprocess.run([sys.executable, "-c", NO_PARSER], capture_output=True, text=True,
+                         env=cli_env(tmp_path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", str(["_Parser"] * 6)]
