@@ -28,7 +28,7 @@ through part_values ((..., 2) -> (..., J, 2)) and values_at
 ((..., 2) -> (..., Q, 2), the parts repeated by multiplicity).  The
 collar blend goes through _blend, every tensor grid of offsets through
 _grid, and every multiplicity-weighted sum over the parts (summed psi, the
-validation's squared gaps) through _summed.
+validation's squared gaps) through _summed, or its in-place step _add_part.
 """
 
 from __future__ import annotations
@@ -54,13 +54,20 @@ R_MIN_FRAC = 1.0 / 2048.0
 # The largest k whose first lattice, at pitch side / (12 k), is not below that
 # floor; a larger k would end the search before it tries a single lattice.
 K_MAX = int(1.0 / (12.0 * R_MIN_FRAC))
-# Most cubes per band of the one cube loop (_bands) in cubic_subdivision and
-# energy_of_hybrid: a band is BLOCK_CUBES // m whole rows of the m x m
-# lattice, and m stays below BLOCK_CUBES down to R_MIN_FRAC.  A band's
-# temporaries take about 4 KiB per cube, mostly the validation's N_VALID^2
-# sample values and gradients (traced at Q = 1 and 2), so a band holds about
-# 16 MiB whatever the lattice; only the per-cube records and sums outlive it.
-BLOCK_CUBES = 4096
+# Most sample points per band array of the cube loops (_bands).  The search
+# (cubic_subdivision) and the two terms of energy_of_hybrid each run their
+# m x m lattice in bands of whole rows, as many rows as keep the loop's
+# points per cube (9 + N_VALID^2 in the search, the 9 Gauss points and the 3
+# collar nodes of a call in the energy) times the band's cubes within
+# BAND_POINTS, and at least one row, which exceeds it only on lattices wider
+# than BAND_POINTS / 34 = 963 cubes in the search.  A float band array then
+# takes at most 256 KiB, and the validation writes into four of them
+# (_validate_band), so a band reuses heap memory instead of faulting in
+# fresh pages: on a 2-core x86 host an approx benchmark pass takes about
+# 1.5k minor page faults at 2^15 and 20k at 2^17, while at 2^13 the search's
+# many bands cost more Python overhead than the faults saved.  Only the
+# per-cube records and sums outlive a band.
+BAND_POINTS = 2**15
 # Midpoint-rule cells per side of the reference energy energy_of_map, which
 # energy_of_hybrid also reuses outside the cubes.  Every caller uses this one
 # grid, and the energy_ref and energy_psi_bar columns of the approx CSV (and
@@ -243,9 +250,11 @@ def _lattice_lines(origin, r, m):
     return origin[:, None] + r * (np.arange(m) + 0.5)
 
 
-def _bands(m):
-    """Slices of max(1, BLOCK_CUBES // m) consecutive lattice rows covering range(m)."""
-    b = max(1, BLOCK_CUBES // m)
+def _bands(m, per_cube=9):
+    """Slices of consecutive lattice rows covering range(m), each as many
+    rows as keep per_cube sample points per cube within BAND_POINTS, and at
+    least one; per_cube defaults to the 9 points of a 3x3 stencil."""
+    b = max(1, BAND_POINTS // (per_cube * m))
     return [slice(lo, min(lo + b, m)) for lo in range(0, m, b)]
 
 
@@ -267,13 +276,14 @@ def _fit_band(f, c0, c1, r):
     a = np.empty((n, len(f.mults), 2))
     X = np.empty((n, len(f.mults), 2, 2))
     V = np.empty((9, 2, c0.size, c1.size))
+    coef, term = np.empty((3, 2, n)), np.empty((3, 2, n))
     for j, (_m, jt) in enumerate(zip(f.mults, f.jet(*_band_lines(off, c0, c1)), strict=True)):
         V[:, 0], V[:, 1] = jt[:2]
         # coef (3, 2, n) = P V, summed over the stencil in stencil order,
         # which is einsum's order and so its bits
-        coef = P[:, 0, None, None] * V[0].reshape(2, n)
+        np.multiply(P[:, 0, None, None], V[0].reshape(2, n), out=coef)
         for s in range(1, 9):
-            coef = coef + P[:, s, None, None] * V[s].reshape(2, n)
+            coef += np.multiply(P[:, s, None, None], V[s].reshape(2, n), out=term)
         a[:, j] = coef[0].T
         X[:, j] = coef[1:].transpose(2, 1, 0)
     return a, X
@@ -287,32 +297,44 @@ def _validate_band(f, c0, c1, r, part_a, part_X, delta):
     conservative: every kept cube genuinely satisfies both conditions.
     """
     ts = np.linspace(-0.499, 0.499, N_VALID) * r
-    off = _grid(ts)  # (S, 2)
     o = ts[:, None, None]  # (N_VALID, 1, 1), the distinct offsets of an axis
     shape = (c0.size, c1.size)
-    gaps, grads = [], []
     # Component arrays (S, b, m), one jet call on lines: the contractions and
     # the length-2 and length-4 sums are written out entry by entry, in the
     # order (and so to the bit) of einsum and np.sum, which spend several
     # times the arithmetic on axes this short.  The model offsets X o take
     # N_VALID products per entry, one per distinct offset of each axis, and
     # are broadcast to the (N_VALID, N_VALID) samples, the second running
-    # fastest as in _grid.
-    for j, (_m, jt) in enumerate(zip(f.mults, f.jet(*_band_lines(off, c0, c1)), strict=True)):
+    # fastest as in _grid.  A part's gap d0^2 + d1^2, with
+    # d_c = v_c - (a_c + (X_c0 o + X_c1 o)), and its gradient gap
+    # (((g00 - X00)^2 + (g01 - X01)^2) + (g10 - X10)^2) + (g11 - X11)^2 are
+    # computed step by step, and summed over the parts as by _summed, in four
+    # band arrays made here, never in a jet output (a jet may return one
+    # array for several entries): the same steps, so the same bits.
+    gap, grad, part, tmp = (np.empty((N_VALID**2,) + shape) for _ in range(4))
+    jets = f.jet(*_band_lines(_grid(ts), c0, c1))
+    for j, (mult, jt) in enumerate(zip(f.mults, jets, strict=True)):
         v0, v1, g00, g01, g10, g11 = jt
         a0, a1 = (part_a[:, j, c].reshape(shape) for c in range(2))
         X00, X01, X10, X11 = (part_X[:, j, c, b].reshape(shape) for c in range(2)
                               for b in range(2))
-        d0 = v0 - (a0 + ((X00 * o)[:, None] + (X01 * o)[None]).reshape(off.shape[0], *shape))
-        d1 = v1 - (a1 + ((X10 * o)[:, None] + (X11 * o)[None]).reshape(off.shape[0], *shape))
-        gaps.append(d0**2 + d1**2)
-        grads.append((((g00 - X00) ** 2 + (g01 - X01) ** 2) + (g10 - X10) ** 2)
-                     + (g11 - X11) ** 2)
-    keep = np.sqrt(np.max(_summed(gaps, f.mults), axis=0)) <= delta * r
-    gd = np.sqrt(_summed(grads, f.mults))
+        out, scratch = (gap, part) if j == 0 else (part, tmp)
+        for d, v, a, Xa, Xb in ((out, v0, a0, X00, X01), (scratch, v1, a1, X10, X11)):
+            np.add((Xa * o)[:, None], (Xb * o)[None], out=d.reshape((N_VALID, N_VALID) + shape))
+            d += a
+            np.square(np.subtract(v, d, out=d), out=d)
+        out += scratch
+        _add_part(gap, out, mult, j)
+        out, scratch = (grad, part) if j == 0 else (part, tmp)
+        np.square(np.subtract(g00, X00, out=out), out=out)
+        for g, X in ((g01, X01), (g10, X10), (g11, X11)):
+            out += np.square(np.subtract(g, X, out=scratch), out=scratch)
+        _add_part(grad, out, mult, j)
+    keep = np.sqrt(np.max(gap, axis=0)) <= delta * r
+    np.sqrt(grad, out=grad)
     # at alpha = delta the condition count / S <= 1 holds for every count
     for alpha in (2.0 * delta, 4.0 * delta):
-        keep &= np.count_nonzero(gd > alpha, axis=0) / off.shape[0] <= delta / alpha
+        keep &= np.count_nonzero(grad > alpha, axis=0) / grad.shape[0] <= delta / alpha
     return keep.reshape(-1)
 
 
@@ -349,7 +371,8 @@ def cubic_subdivision(f, delta):
             part_X = np.empty((n, n_parts, 2, 2))
             lattice = np.full(n, -1)
             kept = 0
-            for band in _bands(m):
+            # a band's fit stencil and validation samples
+            for band in _bands(m, 9 + N_VALID**2):
                 c0 = lines[0, band]
                 a, X = _fit_band(f, c0, lines[1], r)
                 keep = np.flatnonzero(_validate_band(f, c0, lines[1], r, a, X, delta))
@@ -467,6 +490,36 @@ def _summed(vals, mults):
     return total
 
 
+def _add_part(total, term, mult, j):
+    """_summed in place, part j's term given: term is scaled by its
+    multiplicity and added to total, the sum so far, unless j is the first
+    part, whose term is total itself."""
+    if mult != 1:
+        term *= float(mult)
+    if j:
+        total += term
+
+
+def _kept_bands(lattice, per_cube):
+    """The bands (_bands) of a subdivision's lattice that hold a kept cube,
+    as (band, keep, rows, at): keep the kept positions in the band's lattice
+    order, rows their record rows, and at the rows of a model per position.
+    A band whose cubes are all kept (rows are numbered in lattice order)
+    reads its rows and their models as slices, 4 % off a benchmark pass
+    against gathering every band; at any other band a dropped position
+    borrows row 0's model, whose values are computed and discarded."""
+    bands = []
+    for band in _bands(lattice.shape[0], per_cube):
+        at = lattice[band].reshape(-1)
+        keep = np.flatnonzero(at >= 0)
+        if keep.size == at.size:
+            rows = slice(at[0], at[0] + at.size)
+            bands.append((band, slice(None), rows, rows))
+        elif keep.size:
+            bands.append((band, keep, at[keep], np.maximum(at, 0)))
+    return bands
+
+
 def energy_of_hybrid(g, cfg, e_ref):
     """Region-aware quadrature of the summed-psi energy of g_k.
 
@@ -493,32 +546,21 @@ def energy_of_hybrid(g, cfg, e_ref):
     w = s_out - s_in
     n, m = sub.n_cubes, sub.lattice.shape[0]
     lines = _lattice_lines(sub.lattice_origin, r, m)
-    # Every term runs one band of lattice rows at a time, with f's jet on the
-    # band's lines, and writes the psi values of the band's kept cubes, in
-    # row order, into a full-length vector (the cube_f Gauss table for f on
-    # the shrunken cubes, a node table's row on the collar), which is summed
-    # once: the sums do not depend on the band size.  A band whose cubes are
-    # all kept (rows are numbered in lattice order) reads its rows and their
-    # models as slices, 4 % off a benchmark pass against gathering every
-    # band; any other band gathers its models once here, a dropped position
-    # borrowing row 0's model, whose values are computed and discarded.
-    bands = []
-    for band in _bands(m):
-        at = sub.lattice[band].reshape(-1)
-        keep = np.flatnonzero(at >= 0)
-        if keep.size == at.size:
-            rows = slice(at[0], at[0] + at.size)
-            bands.append((lines[0, band], slice(None), rows, sub.part_a[rows], sub.part_X[rows]))
-        elif keep.size:
-            at = np.maximum(at, 0)
-            bands.append((lines[0, band], keep, at[keep], sub.part_a[at], sub.part_X[at]))
+    # Every term runs one band of lattice rows at a time (_kept_bands, sized
+    # by the term's points per cube: the 9 Gauss points, the 3 u nodes of a
+    # collar call), with f's jet on the band's lines, and writes the psi
+    # values of the band's kept cubes, in row order, into a full-length
+    # vector (the cube_f Gauss table for f on the shrunken cubes, a node
+    # table's row on the collar), which is summed once: the sums do not
+    # depend on the band size.
     gp, gw = _GAUSS3
     offs = _grid(gp) * s_in  # (9, 2)
     # Gauss weights on [-1,1]^2 sum to 4; scaled by s_in^2 they total (2 s_in)^2
     wts = np.prod(_grid(gw), axis=1) * (s_in**2)
     per_cube = np.empty(n)
     table = np.empty((n, offs.shape[0]))
-    for c0, keep, rows, _A, _X in bands:
+    for band, keep, rows, _at in _kept_bands(sub.lattice, offs.shape[0]):
+        c0 = lines[0, band]
         # exact model energy on the shrunken cubes
         per_cube[rows] = _psi_bar(sub.part_X[rows], mults, cfg)
         # f on the shrunken cubes: tensor Gauss 3x3 per cube
@@ -542,6 +584,8 @@ def energy_of_hybrid(g, cfg, e_ref):
     # own, so a node's sum is the one of a call per node.
     collar_g = collar_f = 0.0
     node_g, node_f = np.empty((3, n)), np.empty((3, n))
+    bands = [(lines[0, band], keep, rows, sub.part_a[at], sub.part_X[at])
+             for band, keep, rows, at in _kept_bands(sub.lattice, len(gp))]
     for turns in range(4):
         rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns)
         grad_t = (rot @ np.array([1.0, 0.0])) / w

@@ -417,6 +417,8 @@ def _check_args(args):
         raise _UsageError(f"eps must lie in [{lo}, {hi}]; got {args.eps}")
     if args.out == "":
         raise _UsageError("--out must not be empty")
+    if getattr(args, "json", None) == "":
+        raise _UsageError("--json must not be empty")
 
 
 def main(argv=None):

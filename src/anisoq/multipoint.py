@@ -25,13 +25,11 @@ EXHAUSTIVE_MAX_Q = 6
 def _canonical(points):
     """Sort the rows of each Q-point lexicographically: the multiset's representative.
 
-    points is one (Q, d) Q-point or a (..., Q, d) stack, sorted point by point.
+    points is one (Q, d) float Q-point or a (..., Q, d) stack, sorted point
+    by point.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:
-        raise ValueError("expected a (..., Q, d) array of points")
-    order = np.lexsort(np.moveaxis(pts, -1, 0)[::-1], axis=-1)
-    return np.take_along_axis(pts, order[..., None], axis=-2)
+    order = np.lexsort(np.moveaxis(points, -1, 0)[::-1], axis=-1)
+    return np.take_along_axis(points, order[..., None], axis=-2)
 
 
 def _match_cost_sq(xs, ys):
@@ -76,12 +74,18 @@ def g_metric(p, q):
     """Matching metric between Q-points with equal Q and d.
 
     p and q are (..., Q, d) arrays of Q-points, broadcast against each
-    other: a float for one pair, an array over the stack otherwise.
+    other: a float for one pair, an array over the stack otherwise.  At
+    Q = 1 a Q-point is its own canonical form and the one matching is the
+    closed form's sum, so neither is sorted.
     """
-    xs, ys = _canonical(p), _canonical(q)
+    xs, ys = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if min(xs.ndim, ys.ndim) < 2:
+        raise ValueError("expected a (..., Q, d) array of points")
     if xs.shape[-2:] != ys.shape[-2:]:
         raise ValueError("Q-points have mismatched cardinality or dimension")
-    if np.all(ys == ys[..., :1, :]):
+    if xs.shape[-2] > 1:
+        xs, ys = _canonical(xs), _canonical(ys)
+    if xs.shape[-2] == 1 or np.all(ys == ys[..., :1, :]):
         dist = np.sqrt(_constant_cost_sq(xs, ys[..., :1, :]))
     else:
         dist = np.sqrt(_match_cost_sq(*np.broadcast_arrays(xs, ys)))

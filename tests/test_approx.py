@@ -277,10 +277,15 @@ def _kinked_profile():
     return ap.SampledLipschitzQMap(mults=(1,), jet=jet, lipschitz=3.1)
 
 
-def _blocked_run(monkeypatch, f, k, cfg, block):
-    monkeypatch.setattr(ap, "BLOCK_CUBES", block)
+def _blocked_run(monkeypatch, f, k, cfg, points):
+    monkeypatch.setattr(ap, "BAND_POINTS", points)
     sub = ap.cubic_subdivision(f, 1.0 / k)
     return sub, ap.energy_of_hybrid(ap.HybridQMap(f, sub, k), cfg, ap.energy_of_map(f, cfg))
+
+
+# points per cube of each cube loop's bands: the search's fit stencil and
+# validation samples, and the energy's Gauss points and collar nodes
+LOOP_POINTS = (9 + ap.N_VALID**2, 9, 3)
 
 
 @pytest.mark.parametrize("profile, k", [(ap.smooth_profile, 4), (ap.smooth_profile, 8),
@@ -289,11 +294,19 @@ def _blocked_run(monkeypatch, f, k, cfg, block):
 def test_blocked_cube_loop_matches_one_block(monkeypatch, cfg01, profile, k):
     f = profile()
     one, e_one = _blocked_run(monkeypatch, f, k, cfg01, 10**9)
-    # at 1000 cubes a band is 22 rows of the 45 x 45 lattice (10 of 93 x 93),
-    # so the last band is short; at 1 a band is one lattice row
-    for block in (1000, 1):
-        sub, e = _blocked_run(monkeypatch, f, k, cfg01, block)
-        assert one.n_cubes > 1000 and e == e_one
+    m = one.lattice.shape[0]
+    assert all(ap._bands(m, pc) == [slice(0, m)] for pc in LOOP_POINTS)
+    # at 1 point every loop runs one-row bands; at pc m (m // 2 + 1) points
+    # the loop with pc points per cube runs two bands of the odd m x m
+    # lattice (45 at k = 4, 93 at k = 8), the last one row short
+    cases = [(1, None)] + [(pc * m * (m // 2 + 1), pc) for pc in LOOP_POINTS]
+    for points, pc in cases:
+        sub, e = _blocked_run(monkeypatch, f, k, cfg01, points)
+        if pc is None:
+            assert all(len(ap._bands(m, p)) == m for p in LOOP_POINTS)
+        else:
+            assert [b.stop - b.start for b in ap._bands(m, pc)] == [m // 2 + 1, m // 2]
+        assert e == e_one
         for name in ("lattice", "lattice_origin", "centers", "part_a", "part_X"):
             assert np.array_equal(getattr(sub, name), getattr(one, name))
         assert sub.r == one.r and sub.diagnostics == one.diagnostics
@@ -427,8 +440,9 @@ def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
     # band's lines: per lattice cube the 3x3 fit stencil and the N_VALID^2
     # validation samples, per cube of a band the 3x3 Gauss points and the
     # 4 x 3 x 3 collar nodes, whatever the number of parts; the energy makes
-    # 13 calls per band, the Gauss points' and one per collar turn and v for
-    # the three u nodes; the reference energy is the caller's
+    # one call per band of its Gauss term and 12 per band of its collar
+    # term, one per turn and v for the three u nodes; the reference energy
+    # is the caller's
     f, shapes = _recorded(profile())
     sub = ap.cubic_subdivision(f, 1.0 / 4)
     attempts = sub.diagnostics["attempts"]
@@ -440,8 +454,26 @@ def test_cube_kernels_evaluate_each_point_once(cfg01, profile):
     ap.energy_of_hybrid(ap.HybridQMap(f, sub, 4), cfg01, e_ref)
     assert attempts[-1]["dropped"] == 0
     assert _line_points(shapes, {sub.lattice.shape[0]}) == sub.n_cubes * (9 + 36)
-    n_bands = len(ap._bands(sub.lattice.shape[0]))
-    assert [s0[0] for s0, _s1 in shapes] == [9] * n_bands + [3] * (12 * n_bands)
+    m = sub.lattice.shape[0]
+    n_gauss, n_collar = len(ap._bands(m, 9)), len(ap._bands(m, 3))
+    assert [s0[0] for s0, _s1 in shapes] == [9] * n_gauss + [3] * (12 * n_collar)
+
+
+@pytest.mark.parametrize("points", [1000, ap.BAND_POINTS])
+def test_band_jet_calls_stay_within_the_band_points(monkeypatch, cfg01, points):
+    # no fit, validation or energy jet call broadcasts to more points than
+    # BAND_POINTS, unless it covers a single lattice row wider than that
+    # (at 1000 points, a row of the search's 93 x 93 lattice at k = 8); at
+    # the default a Gauss call nearly fills it (9 x 39 x 93 = 32643 points)
+    monkeypatch.setattr(ap, "BAND_POINTS", points)
+    for profile in (ap.smooth_profile, ap.twosheet_profile):
+        f, shapes = _recorded(profile())
+        e_ref = ap.energy_of_map(profile(), cfg01)
+        sub = ap.cubic_subdivision(f, 1.0 / 8)
+        ap.energy_of_hybrid(ap.HybridQMap(f, sub, 8), cfg01, e_ref)
+        sizes = [(math.prod(np.broadcast_shapes(s0, s1)), s0[-2]) for s0, s1 in shapes]
+        assert all(n <= points or rows == 1 for n, rows in sizes)
+        assert max(n for n, _rows in sizes) > points // 2
 
 
 def test_cube_loop_memory_is_bounded(cfg01):

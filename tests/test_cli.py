@@ -82,6 +82,14 @@ def test_empty_out_is_an_input_error(tmp_path, monkeypatch, capsys):
                                                            "envelope_zero_q1.json"]
 
 
+def test_empty_json_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # an empty --json is not an absent one: exit 1 before the report is built
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--out", "o", "construct", "--eps", "0.1", "--json", ""]) == 1
+    assert capsys.readouterr() == ("", "error: --json must not be empty\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("eps", ["1e-16", "1e-70", "1e-100"])
 def test_construct_tiny_eps_is_an_input_error(tmp_path, eps):
     res = run_cli(["construct", "--eps", eps], tmp_path)

@@ -37,6 +37,8 @@ def test_three_point_collapse_brute_force():
 def test_mismatched_q_raises():
     with pytest.raises(ValueError):
         mp.g_metric(np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"expected a \(\.\.\., Q, d\) array"):
+        mp.g_metric(np.zeros(2), np.zeros(2))
 
 
 def test_metric_axioms(rng):
@@ -162,3 +164,27 @@ def test_constant_qpoint_closed_form(q, monkeypatch):
         # first constant: each matching sums the terms in its own order
         assert np.array_equal(mp.g_metric(c, P[fin]),
                               [_pairwise_g_metric(c, a) for a in P[fin]])
+
+
+def test_single_point_skips_the_sort(monkeypatch):
+    """At Q = 1, NaN rows included, the unsorted closed form has the bits of
+    the general path: canonical forms, then matching."""
+    rng = np.random.default_rng(300)
+    for d in (2, 6):
+        P = rng.normal(size=(5, 7, 1, d)) * 10.0 ** rng.uniform(-6, 6, (5, 7, 1, 1))
+        Q = rng.normal(size=(5, 7, 1, d))
+        Q[4, ::2] = P[4, ::2]  # equal points
+        P[1, 2, 0, 0] = Q[3, 4, 0, -1] = np.nan  # a NaN row: the pair gives inf
+        P[2, 5] = Q[2, 5] = np.nan
+        pairs = [(P, Q), (P[0], Q[0, 0]), (Q[0, 0], P[0])]
+        want = [np.sqrt(mp._match_cost_sq(*np.broadcast_arrays(mp._canonical(p),
+                                                                mp._canonical(q))))
+                for p, q in pairs]
+        assert np.isinf(want[0][[1, 3, 2], [2, 4, 5]]).all() and (want[0][4, ::2] == 0).all()
+        with monkeypatch.context() as m:
+            m.setattr(mp, "_canonical", None)
+            m.setattr(mp, "_match_cost_sq", None)
+            for (p, q), w in zip(pairs, want):
+                assert np.array_equal(mp.g_metric(p, q), w)
+            one = mp.g_metric(P[0, 0], Q[0, 0])
+            assert type(one) is float and one == want[0][0, 0]
